@@ -9,17 +9,16 @@ solver doubles as a computational witness of uniqueness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats as _sstats
 
 from . import driving as drv
 from .driving import DrivingSpec
-from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
-                     StrongDampingError)
+from .errors import DomainError, NonconvergenceError, StrongDampingError
 from .integrator import ORACLE_CONFIG, IntegratorConfig, integrate
-from .lattice import LatticeState, ModelParams, l2_norm, norm_sq, tail_mass
+from .lattice import LatticeState, ModelParams, l2_norm, norm_sq
 
 
 @dataclass
@@ -33,11 +32,7 @@ class StrongDampingCheck:
 
 def check_strong_damping(params: ModelParams, spec: DrivingSpec) -> StrongDampingCheck:
     """Evaluate the uniqueness inequality with certified sup norms."""
-    gamma_eff = drv.effective_damping(params.gamma, spec)
-    if gamma_eff <= 0:
-        raise DampingTooWeakError(
-            "need gamma > 2*sup||g2|| before the uniqueness check "
-            f"(gamma={params.gamma:.6g}, 2*sup||g2||={2 * spec.g2.sup_norm():.6g})")
+    gamma_eff = drv.require_positive_damping(params.gamma, spec)
     radius = spec.g1.sup_norm() / gamma_eff
     a = params.nonlinearity.a if params.nonlinearity else 0.0
     b = params.nonlinearity.b if params.nonlinearity else 1.0
@@ -56,10 +51,8 @@ def period_map(state: LatticeState, t0: float, params: ModelParams,
         period = spec.period
     if period is None:
         raise DomainError("driving is not periodic; pass the period explicitly")
-    cfg = IntegratorConfig(rtol=config.rtol, atol=config.atol,
-                           dt_init=config.dt_init, dt_min=config.dt_min,
-                           dt_max=config.dt_max, sample_stride=period)
-    traj = integrate(state, t0, t0 + period, params, spec, cfg)
+    traj = integrate(state, t0, t0 + period, params, spec,
+                     replace(config, sample_stride=period))
     return traj.state(traj.n_samples - 1)
 
 
@@ -175,11 +168,8 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     equispaced times, plus localization of the amplitude envelope."""
     period = sol.period
     stride = period / phases
-    cfg = IntegratorConfig(rtol=config.rtol, atol=config.atol,
-                           dt_init=config.dt_init, dt_min=config.dt_min,
-                           dt_max=config.dt_max, sample_stride=stride)
     traj = integrate(sol.state0, sol.phase_t0, sol.phase_t0 + 2 * period,
-                     params, spec, cfg)
+                     params, spec, replace(config, sample_stride=stride))
     max_res = 0.0
     for i in range(phases):
         t_i = sol.phase_t0 + i * stride

@@ -10,7 +10,7 @@ pass/fail with margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats as _sstats
@@ -18,18 +18,9 @@ from scipy.spatial.distance import pdist as _pdist
 
 from . import driving as drv
 from .driving import DrivingSpec
-from .errors import DampingTooWeakError, DomainError, TruncationTooSmallError
+from .errors import DomainError, TruncationTooSmallError
 from .integrator import IntegratorConfig, Trajectory, integrate
 from .lattice import LatticeState, ModelParams, norm_sq, random_state
-
-
-def _require_positive_damping(gamma: float, spec: DrivingSpec) -> float:
-    gt = drv.effective_damping(gamma, spec)
-    if gt <= 0:
-        raise DampingTooWeakError(
-            "strong-damping condition violated: need gamma > 2*sup||g2|| "
-            f"(gamma={gamma:.6g}, 2*sup||g2||={2 * spec.g2.sup_norm():.6g})")
-    return gt
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +37,7 @@ def check_apriori_bound(traj: Trajectory, params: ModelParams,
                         spec: DrivingSpec) -> BoundReport:
     """||psi(t)||^2 <= ||psi(t0)||^2 e^{-Gamma (t-t0)} + sup||g1||^2/Gamma^2
     at every sample, with slack 1e-6*(1 + ||psi(t0)||^2)."""
-    gamma_eff = _require_positive_damping(params.gamma, spec)
+    gamma_eff = drv.require_positive_damping(params.gamma, spec)
     g1_sup = spec.g1.sup_norm()
     n0_sq = traj.norms[0] ** 2
     slack = 1e-6 * (1 + n0_sq)
@@ -82,7 +73,7 @@ class AbsorbingPrediction:
 def predict_absorbing(params: ModelParams, spec: DrivingSpec,
                       r: float) -> AbsorbingPrediction:
     """Ball radius K and entry time T for initial data of norm <= r."""
-    gamma_eff = _require_positive_damping(params.gamma, spec)
+    gamma_eff = drv.require_positive_damping(params.gamma, spec)
     g1_sup = spec.g1.sup_norm()
     radius = math.sqrt(2.0) * g1_sup / gamma_eff
     if g1_sup > 0:
@@ -143,9 +134,7 @@ def predict_tail(xi: float, r: float, params: ModelParams,
                  spec: DrivingSpec, n_sites: int) -> TailPrediction:
     if xi <= 0:
         raise DomainError("xi must be positive")
-    if spec.g1.profile.kind == "custom" or spec.g2.profile.kind == "custom":
-        pass  # custom tables have exact finite tails, also fine
-    gamma_eff = _require_positive_damping(params.gamma, spec)
+    gamma_eff = drv.require_positive_damping(params.gamma, spec)
     entry = max(0.0, math.log(2.0 * r * r / xi) / gamma_eff) if r > 0 else 0.0
     target = gamma_eff ** 2 * xi / 2.0
     amp1 = spec.g1.law.amp_bound()
@@ -207,7 +196,7 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
     s0, s1 = seeds
     if s0 == s1:
         raise DomainError("seeds must differ (degenerate fit)")
-    gamma_eff = _require_positive_damping(params.gamma, spec)
+    gamma_eff = drv.require_positive_damping(params.gamma, spec)
     radius = math.sqrt(2.0) * spec.g1.sup_norm() / gamma_eff
     a = params.nonlinearity.a if params.nonlinearity else 0.0
     b = params.nonlinearity.b if params.nonlinearity else 1.0
@@ -380,13 +369,8 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     ``section_period`` after the trajectory has settled into the absorbing
     ball.  Returns (n_points, 2*n_sites) real coordinates."""
     if config is None:
-        config = IntegratorConfig(rtol=1e-7, atol=1e-10,
-                                  sample_stride=section_period)
-    else:
-        config = IntegratorConfig(rtol=config.rtol, atol=config.atol,
-                                  dt_init=config.dt_init, dt_min=config.dt_min,
-                                  dt_max=config.dt_max,
-                                  sample_stride=section_period)
+        config = IntegratorConfig(rtol=1e-7, atol=1e-10)
+    config = replace(config, sample_stride=section_period)
     pred = predict_absorbing(params, spec, r=1.0)
     if burn_in is None:
         burn_in = pred.entry_time + 20.0 / pred.gamma_eff

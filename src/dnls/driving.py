@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DampingTooWeakError, DomainError
 from .lattice import DIRICHLET, LatticeState
 
 _EPS = sys.float_info.epsilon
@@ -223,10 +223,10 @@ class HarmonicSumLaw:
         object.__setattr__(self, "phases", phases)
 
     def __call__(self, t: float) -> float:
-        return math.fsum(
+        return math.fsum([
             a * math.cos(w * t + p)
             for w, a, p in zip(self.frequencies, self.amplitudes, self.phases)
-        )
+        ])
 
     def amp_bound(self) -> float:
         # triangle inequality; certified overestimate of sup_t |law(t)|
@@ -322,3 +322,13 @@ def sup_norm(spec: DrivingSpec) -> tuple[float, float]:
 def effective_damping(gamma: float, spec: DrivingSpec) -> float:
     """gamma - 2*sup||g2||, the decay rate entering every estimate."""
     return gamma - 2.0 * spec.g2.sup_norm()
+
+
+def require_positive_damping(gamma: float, spec: DrivingSpec) -> float:
+    """effective_damping, refused with DampingTooWeakError unless positive."""
+    gt = effective_damping(gamma, spec)
+    if gt <= 0:
+        raise DampingTooWeakError(
+            f"need gamma > 2*sup||g2|| (gamma={gamma:.6g}, "
+            f"2*sup||g2||={2 * spec.g2.sup_norm():.6g})")
+    return gt

@@ -1,10 +1,11 @@
 """Adaptive time integration of the truncated lattice system.
 
 Dormand-Prince 5(4) embedded pair with a standard safety-factor step
-controller (safety 0.9, step-ratio clipped to [0.2, 5]) and cubic Hermite
-dense output for sampling at a fixed stride.  The system is non-stiff in
-the regimes studied (the coupling operator has spectral radius at most 4),
-so an explicit pair suffices; dissipation is handled by step control.
+controller (safety 0.9, step-ratio clipped to [0.2, 5]) and the pair's own
+4th-order continuous extension for sampling at a fixed stride.  The system
+is non-stiff in the regimes studied (the coupling operator has spectral
+radius at most 4), so an explicit pair suffices; dissipation is handled by
+step control.
 """
 
 from __future__ import annotations
@@ -14,25 +15,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driving import DrivingSpec, effective_damping
-from .errors import DampingTooWeakError, DomainError, StiffnessError
-from .lattice import LatticeState, ModelParams, make_rhs, norm_sq
+from .driving import DrivingSpec, require_positive_damping
+from .errors import DomainError, StiffnessError
+from .lattice import LatticeState, ModelParams, make_rhs, norm_sq, tail_mass
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980).  Row 6 of _A is the
+# 5th-order weights: the last stage point is the new solution (FSAL).
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _B5 - _B4
+_E = _A[6] - _B4
+_AY = np.hstack([np.ones((7, 1)), _A])  # leading column: weight of y
+
+# 4th-order continuous extension y(t + theta*h) = y + h*(_P @ [theta^1..4]) @ K
+# (Shampine 1986, Math. Comp. 46; Hairer-Norsett-Wanner, Solving ODEs I, II.6)
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 
 
 @dataclass(frozen=True)
@@ -85,14 +99,47 @@ class Trajectory:
         return self.times.size
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
-                rtol: float, atol: float) -> float:
-    # weighted RMS over the interleaved real components
-    e = err.view(np.float64)
-    scale = atol + rtol * np.maximum(np.abs(y0.view(np.float64)),
-                                     np.abs(y1.view(np.float64)))
-    q = e / scale
-    return math.sqrt(float(np.mean(q * q)))
+class _Dopri5:
+    """DOPRI5 steps on preallocated buffers: S = [y; K], so each stage point
+    is one real dot product of [1, h*A[i, :i]] with the float64 view of S."""
+
+    def __init__(self, f, y: np.ndarray, t: float):
+        self.f = f
+        self.S = S = np.empty((8, y.size), dtype=np.complex128)
+        self.Y = Y = np.empty((7, y.size), dtype=np.complex128)  # stage points
+        Sr, Yr = S.view(np.float64), Y.view(np.float64)
+        self._stages = [(Sr[:i + 1], Yr[i], Y[i], S[i + 1]) for i in range(1, 7)]
+        self._yr, self._y_new_r, self._Kr = Sr[0], Yr[6], Sr[1:]
+        S[0] = y
+        f(t, y, S[1])
+
+    def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
+        """Stages of a step of size h from (t, S[0]); leaves the 5th-order
+        solution in Y[6] and returns the weighted RMS error norm."""
+        M = h * _AY
+        M[:, 0] = 1.0
+        f = self.f
+        for i, (s, y_r, y_i, k) in enumerate(self._stages, 1):
+            np.dot(M[i, :i + 1], s, y_r)
+            f(t + _C[i] * h, y_i, k)
+        err = np.dot(h * _E, self._Kr)
+        err /= config.atol + config.rtol * np.maximum(np.abs(self._yr),
+                                                      np.abs(self._y_new_r))
+        return math.sqrt(float(np.dot(err, err)) / err.size)
+
+    def accept(self) -> None:
+        self.S[0] = self.Y[6]
+        self.S[1] = self.S[7]  # FSAL
+
+    def sample(self, theta: float, h: float) -> np.ndarray:
+        """Continuous extension of the last attempted step at t + theta*h."""
+        w = h * (_P @ theta ** np.arange(1, 5))
+        return self.S[0] + np.dot(w, self._Kr).view(np.complex128)
+
+
+def _next_dt(h: float, err_norm: float, config: IntegratorConfig) -> float:
+    fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+    return min(config.dt_max, max(config.dt_min, h * fac))
 
 
 def step(state: LatticeState, t: float, dt: float, params: ModelParams,
@@ -102,93 +149,57 @@ def step(state: LatticeState, t: float, dt: float, params: ModelParams,
     if not (config.dt_min <= dt <= config.dt_max):
         raise DomainError("dt outside [dt_min, dt_max]")
     f = make_rhs(params, driving.sampler(state.n_sites), state.n_sites, state.bc)
-    y = state.values
-    k = [f(t, y)]
-    for i in range(1, 7):
-        yi = y + dt * sum(a * kj for a, kj in zip(_A[i], k))
-        k.append(f(t + _C[i] * dt, yi))
-    y_new = y + dt * sum(b * kj for b, kj in zip(_B5, k) if b != 0.0)
-    err = dt * sum(e * kj for e, kj in zip(_E, k) if e != 0.0)
-    err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
-    fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-    dt_next = min(config.dt_max, max(config.dt_min, dt * fac))
-    return state.with_values(y_new), err_norm, dt_next
+    kernel = _Dopri5(f, state.values, t)
+    err = kernel.attempt(t, dt, config)
+    return state.with_values(kernel.Y[6].copy()), err, _next_dt(dt, err, config)
 
 
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
               driving: DrivingSpec, config: IntegratorConfig = IntegratorConfig(),
               tail_cutoff: int | None = None) -> Trajectory:
-    """Integrate from t0 to t1, sampling at ``config.sample_stride``
-    (plus the endpoint) via cubic Hermite dense output."""
+    """Integrate from t0 to t1, sampling at t0 + k*``config.sample_stride``
+    (plus the endpoint) from the continuous extension of each step."""
     if t1 < t0:
         raise DomainError("t1 must be >= t0")
-    n_sites = state.n_sites
-    bc = state.bc
+    n_sites, bc = state.n_sites, state.bc
     f = make_rhs(params, driving.sampler(n_sites), n_sites, bc)
     stats = StepStats()
-
-    times = [t0]
-    samples = [state.values.copy()]
-
+    times, samples = [t0], [state.values.copy()]
     if t1 > t0:
-        y = state.values.copy()
-        t = t0
-        dt = min(config.dt_init, t1 - t0)
-        k1 = f(t, y)
+        t, dt = t0, min(config.dt_init, t1 - t0)
+        kernel = _Dopri5(f, state.values, t)
         stats.rhs_evals += 1
         stride = config.sample_stride
-        next_sample = t0 + stride
+        k = 1
         while t < t1:
-            dt_step = min(dt, t1 - t)
-            k = [k1]
-            for i in range(1, 7):
-                yi = y + dt_step * sum(a * kj for a, kj in zip(_A[i], k))
-                k.append(f(t + _C[i] * dt_step, yi))
+            last = dt >= t1 - t
+            h = t1 - t if last else dt
+            err_norm = kernel.attempt(t, h, config)
             stats.rhs_evals += 6
-            y_new = y + dt_step * sum(b * kj for b, kj in zip(_B5, k) if b != 0.0)
-            err = dt_step * sum(e * kj for e, kj in zip(_E, k) if e != 0.0)
-            err_norm = _error_norm(err, y, y_new, config.rtol, config.atol)
-            fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
             if err_norm <= 1.0:
-                t_new = t + dt_step
-                f_new = k[6]  # FSAL: last stage is f(t_new, y_new)
-                while next_sample <= t_new + 1e-12 * stride and next_sample < t1:
-                    theta = (next_sample - t) / dt_step
-                    times.append(next_sample)
-                    samples.append(_hermite(theta, dt_step, y, k1, y_new, f_new))
-                    next_sample += stride
-                t, y, k1 = t_new, y_new, f_new
-            else:
-                if dt_step <= config.dt_min * (1 + 1e-12):
-                    raise StiffnessError(t, math.sqrt(norm_sq(y)))
-                stats.rejected += 1
-            dt = min(config.dt_max, max(config.dt_min, dt_step * fac))
-            if err_norm <= 1.0:
+                t_new = t1 if last else t + h
+                while (ts := t0 + k * stride) <= t_new + 1e-12 * stride and ts < t1:
+                    times.append(ts)
+                    samples.append(kernel.sample((ts - t) / h, h))
+                    k += 1
+                kernel.accept()
+                t = t_new
                 stats.accepted += 1
+            elif h <= config.dt_min * (1 + 1e-12):
+                raise StiffnessError(t, math.sqrt(norm_sq(kernel.S[0])))
+            else:
+                stats.rejected += 1
+            dt = _next_dt(h, err_norm, config)
         times.append(t1)
-        samples.append(y)
+        samples.append(kernel.S[0].copy())
 
-    times_arr = np.array(times)
     values = np.array(samples)
     norms = np.array([math.sqrt(norm_sq(v)) for v in values])
-    tails = None
-    if tail_cutoff is not None:
-        from .lattice import tail_mass
-        tails = np.array([tail_mass(LatticeState(v, bc), tail_cutoff)
-                          for v in values])
-    return Trajectory(times=times_arr, values=values, bc=bc, norms=norms,
+    tails = None if tail_cutoff is None else np.array(
+        [tail_mass(LatticeState(v, bc), tail_cutoff) for v in values])
+    return Trajectory(times=np.array(times), values=values, bc=bc, norms=norms,
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
                       tails=tails)
-
-
-def _hermite(theta: float, h: float, y0, f0, y1, f1):
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + theta
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    return h00 * y0 + (h10 * h) * f0 + h01 * y1 + (h11 * h) * f1
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +234,7 @@ def monitor_dissipation(traj: Trajectory, params: ModelParams,
     on consecutive samples, with a slack covering integrator error plus the
     finite-difference discretization of the time derivative (data-driven
     second-difference estimate of the curvature of ||psi||^2)."""
-    gt = effective_damping(params.gamma, driving)
-    if gt <= 0:
-        raise DampingTooWeakError(
-            f"gamma - 2*sup||g2|| = {gt:.6g} <= 0; reduce sup||g2|| below "
-            f"gamma/2 = {params.gamma / 2:.6g}")
+    gt = require_positive_damping(params.gamma, driving)
     rtol = traj.config.rtol
     n2 = traj.norms ** 2
     times = traj.times

@@ -117,15 +117,13 @@ class ModelParams:
 
 
 def l2_norm(state: LatticeState) -> float:
-    """sqrt(sum |psi_n|^2), accumulated with compensated summation."""
+    """sqrt(sum |psi_n|^2), accumulated as one BLAS dot product."""
     return math.sqrt(norm_sq(state.values))
 
 
 def norm_sq(values: np.ndarray) -> float:
-    v = np.asarray(values)
-    re = v.real
-    im = v.imag
-    return math.fsum((re * re).tolist()) + math.fsum((im * im).tolist())
+    x = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    return float(x @ x)
 
 
 def tail_mass(state: LatticeState, m: int) -> float:
@@ -139,19 +137,16 @@ def tail_mass(state: LatticeState, m: int) -> float:
     return norm_sq(outside)
 
 
-def _laplacian_values(v: np.ndarray, bc: str) -> np.ndarray:
+def apply_laplacian(state: LatticeState) -> LatticeState:
+    """Discrete Laplacian (A psi)_n = psi_{n+1} - 2 psi_n + psi_{n-1}."""
+    v = state.values
     out = -2.0 * v
-    if bc == PERIODIC:
+    if state.bc == PERIODIC:
         out += np.roll(v, -1) + np.roll(v, 1)
     else:
         out[:-1] += v[1:]
         out[1:] += v[:-1]
-    return out
-
-
-def apply_laplacian(state: LatticeState) -> LatticeState:
-    """Discrete Laplacian (A psi)_n = psi_{n+1} - 2 psi_n + psi_{n-1}."""
-    return state.with_values(_laplacian_values(state.values, state.bc))
+    return state.with_values(out)
 
 
 def apply_difference(state: LatticeState, direction: str) -> LatticeState:
@@ -176,39 +171,53 @@ def apply_difference(state: LatticeState, direction: str) -> LatticeState:
     return state.with_values(out)
 
 
-def _nonlinearity_values(v: np.ndarray, spec: NonlinearitySpec) -> np.ndarray:
-    s = (v.real * v.real + v.imag * v.imag) ** spec.sigma
-    return spec.sign * s * v
-
-
 def evaluate_nonlinearity(state: LatticeState, spec: NonlinearitySpec) -> LatticeState:
     """Entrywise sign * |psi_n|^(2 sigma) * psi_n."""
-    return state.with_values(_nonlinearity_values(state.values, spec))
+    v = state.values
+    s = (v.real * v.real + v.imag * v.imag) ** spec.sigma
+    return state.with_values(spec.sign * s * v)
 
 
 def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
-    """Build f(t, values) -> dvalues/dt on raw arrays.
+    """Build f(t, values, out=None) -> dvalues/dt on raw arrays, written to
+    ``out`` (which must not alias ``values``) when given.
 
     ``driving`` must provide sample_values(t, n_sites) -> (g1, g2) arrays.
     The equation of motion in d/dt form reads
 
         dpsi/dt = -i*kappa*A psi - gamma*psi - i*F(|psi|^2) psi
                   - i*g1(t) - i*g2(t)*psi
-    """
-    kappa = params.kappa
-    gamma = params.gamma
-    nl = params.nonlinearity
 
-    def f(t, v):
-        out = (-1j * kappa) * _laplacian_values(v, bc)
-        out -= gamma * v
-        if nl is not None:
-            out -= 1j * _nonlinearity_values(v, nl)
+    evaluated as one diagonal coefficient (damping, the diagonal of A, F
+    and g2) times psi, plus the couplings of A and g1.
+    """
+    hop = -1j * params.kappa
+    diag = complex(-params.gamma, 2.0 * params.kappa)
+    nl = params.nonlinearity
+    sigma, nl_coef = (nl.sigma, -1j * nl.sign) if nl is not None else (1.0, 0.0)
+    periodic = bc == PERIODIC
+
+    def f(t, v, out=None):
         g1, g2 = driving.sample_values(t, n_sites)
+        d = diag
+        if nl is not None:
+            s = np.abs(v)
+            s *= s
+            if sigma != 1.0:
+                s **= sigma
+            d = s * nl_coef
+            d += diag
+        if g2 is not None:
+            d = d - 1j * g2
+        out = np.multiply(d, v, out)
+        hv = hop * v
+        out[:-1] += hv[1:]
+        out[1:] += hv[:-1]
+        if periodic:
+            out[-1] += hv[0]
+            out[0] += hv[-1]
         if g1 is not None:
             out -= 1j * g1
-        if g2 is not None:
-            out -= 1j * (g2 * v)
         return out
 
     return f

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
                   correlation_dimension, find_breather, integrate, l2_norm,
                   monitor_dissipation, poincare_points, predict_absorbing,
                   predict_tail, verify_absorbing, verify_breather, verify_tail)
+from dnls.config import load_config
 from dnls.integrator import ORACLE_CONFIG
 from dnls.lattice import norm_sq, random_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 @pytest.fixture
@@ -129,10 +133,26 @@ def test_criterion_2_integration_oracles(report):
     exact2 = np.fft.ifft(np.fft.fft(psi1.values) * np.exp((1j * lam - 1.0)))
     err_dft = float(np.linalg.norm(traj2.values[-1] - exact2))
 
+    # interior samples of simulate.json's scenario against an oracle run:
+    # dense output must be about as accurate as the step tolerance
+    cfg = load_config(CONFIGS / "simulate.json")
+    init = cfg.scenario["initial"]
+    psi2 = random_state(cfg.n_sites, init["seed"], norm=init["norm"], bc=cfg.bc)
+    own = integrate(psi2, 0.0, 20.0, cfg.model, cfg.driving, cfg.integrator)
+    oracle = dataclasses.replace(ORACLE_CONFIG,
+                                 sample_stride=cfg.integrator.sample_stride)
+    ref = integrate(psi2, 0.0, 20.0, cfg.model, cfg.driving, oracle)
+    assert np.array_equal(own.times, ref.times)
+    err_sample = float(np.max(np.linalg.norm(
+        own.values[1:-1] - ref.values[1:-1], axis=1)))
+    sample_bound = 10 * cfg.integrator.rtol
+
     elapsed = time.perf_counter() - t_start
     report(2, "integration oracles",
-            err_affine <= 1e-8 and err_dft <= 1e-8 and elapsed < 5.0,
-            f"affine {err_affine:.2e}, dft {err_dft:.2e}, {elapsed:.2f}s")
+            err_affine <= 1e-8 and err_dft <= 1e-8
+            and err_sample <= sample_bound and elapsed < 5.0,
+            f"affine {err_affine:.2e}, dft {err_dft:.2e}, interior samples "
+            f"{err_sample:.2e} <= {sample_bound:.0e}, {elapsed:.2f}s")
 
 
 def test_criterion_3_dissipation_and_apriori(report):

@@ -123,7 +123,9 @@ class TestIntegrate:
         psi0 = random_state(64, 0, bc="periodic")
         traj = integrate(psi0, 0.0, 1.0, params, spec)
         assert traj.stats.accepted > 0
-        assert traj.stats.rhs_evals >= 6 * traj.stats.accepted
+        # FSAL: one initial slope, then six new stages per attempted step
+        assert traj.stats.rhs_evals == 1 + 6 * (traj.stats.accepted
+                                                + traj.stats.rejected)
 
     def test_stiffness_error_on_forced_large_step(self):
         params, spec, _ = _dft_setup(kappa=50.0)
@@ -136,10 +138,13 @@ class TestIntegrate:
     def test_single_step_accepts_and_matches_integrate(self):
         params, spec, _ = _affine_setup()
         psi0 = random_state(16, 0, norm=0.5)
-        nxt, err, dt_next = step(psi0, 0.0, 1e-3, params, spec,
-                                 IntegratorConfig())
+        cfg = IntegratorConfig(dt_init=1e-3)
+        nxt, err, dt_next = step(psi0, 0.0, 1e-3, params, spec, cfg)
         assert err <= 1.0
         assert dt_next >= 1e-3
+        traj = integrate(psi0, 0.0, 1e-3, params, spec, cfg)
+        assert traj.stats.accepted == 1 and traj.stats.rejected == 0
+        assert np.array_equal(nxt.values, traj.values[-1])
 
 
 class TestDissipationMonitor:
