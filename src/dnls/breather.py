@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as _sstats
 
 from . import driving as drv
+from .diagnostics import line_fit
 from .driving import DrivingSpec
 from .errors import DomainError, NonconvergenceError, StrongDampingError
 from .integrator import ORACLE_CONFIG, IntegratorConfig, integrate
@@ -34,8 +34,7 @@ def check_strong_damping(params: ModelParams, spec: DrivingSpec) -> StrongDampin
     """Evaluate the uniqueness inequality with certified sup norms."""
     gamma_eff = drv.require_positive_damping(params.gamma, spec)
     radius = spec.g1.sup_norm() / gamma_eff
-    a = params.nonlinearity.a if params.nonlinearity else 0.0
-    b = params.nonlinearity.b if params.nonlinearity else 1.0
+    a, b = params.growth_constants
     rhs = a * radius ** b + spec.g2.sup_norm()
     return StrongDampingCheck(
         lhs=params.gamma, rhs=rhs, ball_radius=radius,
@@ -146,8 +145,8 @@ def _localization_fit(state: LatticeState, spec: DrivingSpec,
     usable = (ks >= core) & (env > 1e-10 * peak)
     if np.count_nonzero(usable) < 3:
         return None, None
-    res = _sstats.linregress(ks[usable], np.log(env[usable]))
-    return float(-res.slope), float(res.rvalue ** 2)
+    slope, r, _ = line_fit(ks[usable], np.log(env[usable]))
+    return float(-slope), float(r ** 2)
 
 
 @dataclass

@@ -249,6 +249,9 @@ def _cmd_breather(cfg: ScenarioConfig, args) -> int:
     print(f"breather: residual {sol.periodicity_residual:.3g}, "
           f"{sol.iterations} iterations, seed spread {spread:.3g}: "
           f"{'ok' if ok else 'FAILED'}")
+    if sol.localization_rate is not None:
+        print(f"localization rate {sol.localization_rate:.4f} "
+              f"(R^2 = {sol.localization_r2:.5f})")
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 

@@ -13,14 +13,29 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as _sstats
-from scipy.spatial.distance import pdist as _pdist
 
 from . import driving as drv
 from .driving import DrivingSpec
 from .errors import DomainError, TruncationTooSmallError
 from .integrator import IntegratorConfig, Trajectory, integrate
 from .lattice import LatticeState, ModelParams, norm_sq, random_state
+
+
+def line_fit(x, y):
+    """Least-squares line through the points (x, y): its slope, the
+    correlation coefficient r and the standard error of the slope, by the
+    formulas of scipy.stats.linregress (r clamped to [-1, 1]; r is nan and
+    so is the error when y is constant)."""
+    n = len(x)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if not ssxm > 0:
+        raise DomainError("a line fit needs two distinct x values")
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
+    return ssxym / ssxm, r, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +90,11 @@ def predict_absorbing(params: ModelParams, spec: DrivingSpec,
     """Ball radius K and entry time T for initial data of norm <= r."""
     gamma_eff = drv.require_positive_damping(params.gamma, spec)
     g1_sup = spec.g1.sup_norm()
-    radius = math.sqrt(2.0) * g1_sup / gamma_eff
-    if g1_sup > 0:
-        arg = gamma_eff ** 2 * r ** 2 / g1_sup ** 2
-        entry = max(0.0, math.log(arg) / gamma_eff) if arg > 0 else 0.0
-    else:
-        entry = 0.0
-    return AbsorbingPrediction(gamma_eff=gamma_eff, radius=radius,
-                               entry_time=entry, initial_radius=r)
+    pred = AbsorbingPrediction(gamma_eff=gamma_eff,
+                               radius=math.sqrt(2.0) * g1_sup / gamma_eff,
+                               entry_time=0.0, initial_radius=r)
+    pred.entry_time = pred.entry_time_for(r)
+    return pred
 
 
 @dataclass
@@ -198,8 +210,7 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
         raise DomainError("seeds must differ (degenerate fit)")
     gamma_eff = drv.require_positive_damping(params.gamma, spec)
     radius = math.sqrt(2.0) * spec.g1.sup_norm() / gamma_eff
-    a = params.nonlinearity.a if params.nonlinearity else 0.0
-    b = params.nonlinearity.b if params.nonlinearity else 1.0
+    a, b = params.growth_constants
     predicted = params.gamma - a * radius ** b - spec.g2.sup_norm()
     if predicted <= 0:
         raise DomainError(
@@ -221,7 +232,7 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
         raise DomainError("distance decayed to noise before the fit window")
     t_fit = tp.times[mask]
     ld = np.log(dist[mask])
-    slope = _sstats.linregress(t_fit, ld).slope
+    slope, _, _ = line_fit(t_fit, ld)
     return ContractionReport(
         fitted_rate=float(slope), predicted_rate=float(predicted),
         ball_radius=radius, pass_=bool(slope <= -(1 - slack) * predicted),
@@ -256,8 +267,7 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec,
     gap = np.array([math.sqrt(norm_sq(ta.values[i] - tb.values[i]))
                     for i in range(ta.n_samples)])
     r_max = float(max(np.max(ta.norms), np.max(tb.norms)))
-    a = params.nonlinearity.a if params.nonlinearity else 0.0
-    b = params.nonlinearity.b if params.nonlinearity else 1.0
+    a, b = params.growth_constants
     lips = math.sqrt(2.0) * a * r_max ** b
     rate = params.gamma + lips + 4.0 * abs(params.kappa) + spec.g2.sup_norm()
     dg1, dg2 = _driving_gap(spec, perturbed_spec, ta.values.shape[1],
@@ -270,22 +280,33 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec,
 
 
 def _driving_gap(spec_a: DrivingSpec, spec_b: DrivingSpec, n_sites: int,
-                 t0: float, t1: float, n_scan: int = 2001) -> tuple[float, float]:
-    """Upper bound on sup_t ||g_a(t) - g_b(t)|| per component, by a dense
-    scan padded with the triangle-inequality bound of both fields."""
-    sa = spec_a.sampler(n_sites)
-    sb = spec_b.sampler(n_sites)
-    zero = np.zeros(n_sites, dtype=np.complex128)
-    d1 = d2 = 0.0
-    for t in np.linspace(t0, t1, n_scan):
-        a1, a2 = sa.sample_values(t, n_sites)
-        b1, b2 = sb.sample_values(t, n_sites)
-        d1 = max(d1, math.sqrt(norm_sq((a1 if a1 is not None else zero)
-                                       - (b1 if b1 is not None else zero))))
-        d2 = max(d2, math.sqrt(norm_sq((a2 if a2 is not None else zero)
-                                       - (b2 if b2 is not None else zero))))
-    # pad the scan by 10% so the result remains an upper bound in practice
-    return 1.1 * d1, 1.1 * d2
+                 t0: float, t1: float) -> tuple[float, float]:
+    """Upper bound on sup_{t0 <= t <= t1} ||g_a(t) - g_b(t)|| on the
+    truncation, for g1 and for g2."""
+    return (_field_gap(spec_a.g1, spec_b.g1, n_sites, t0, t1),
+            _field_gap(spec_a.g2, spec_b.g2, n_sites, t0, t1))
+
+
+def _field_gap(fa: drv.DrivingField, fb: drv.DrivingField, n_sites: int,
+               t0: float, t1: float) -> float:
+    """A hull translation (same profile and law, offset moved by h) has the
+    closed form ||p|| * sum_j |a_j| * 2|sin(w_j h/2)|, from
+    |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|.  Any other pair takes
+    the maximum over a grid of spacing dt plus L*dt/2, where L bounds the
+    time derivative of the difference: the sum over both fields of
+    ||p|| * sum_j |a_j w_j|."""
+    pa, pb = fa.profile.realize(n_sites), fb.profile.realize(n_sites)
+    na, nb = math.sqrt(norm_sq(pa)), math.sqrt(norm_sq(pb))
+    if fa.profile == fb.profile and fa.law == fb.law:
+        h = fb.offset - fa.offset
+        return na * math.fsum(2.0 * abs(a * math.sin(w * h / 2.0))
+                              for a, w in fa.law.harmonics())
+    ts, dt = np.linspace(t0, t1, 2001, retstep=True)
+    scan = max(math.sqrt(norm_sq(pa * fa.scalar(t) - pb * fb.scalar(t)))
+               for t in ts)
+    lip = (na * math.fsum(abs(a * w) for a, w in fa.law.harmonics())
+           + nb * math.fsum(abs(a * w) for a, w in fb.law.harmonics()))
+    return scan + lip * dt / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +340,7 @@ def correlation_dimension(points: np.ndarray, radii=None,
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < min_points:
         raise DomainError(f"need at least {min_points} points")
-    n = pts.shape[0]
-    all_dists = _pdist(pts)
-    ii, jj = np.triu_indices(n, k=1)
-    dists = all_dists[(jj - ii) > theiler_window]
-    if dists.size == 0:
-        raise DomainError("Theiler window leaves no pairs")
+    dists = _theiler_distances(pts, theiler_window)
     dmax = float(np.max(dists))
     if dmax <= 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts)))):
         radii_out = np.geomspace(1e-3, 1.0, 8) if radii is None else np.asarray(radii, float)
@@ -333,7 +349,7 @@ def correlation_dimension(points: np.ndarray, radii=None,
                                  radii=radii_out, correlations=ones,
                                  fit_radii=radii_out, degenerate=True)
     if radii is None:
-        lo = float(np.quantile(dists, 0.002))
+        lo = _quantile(dists, 0.002)
         lo = max(lo, 1e-12 * dmax)
         radii = np.geomspace(lo, dmax, 32)
     radii = np.asarray(radii, dtype=float)
@@ -348,16 +364,43 @@ def correlation_dimension(points: np.ndarray, radii=None,
         usable = (corr * dists.size >= 2) & (corr < 0.5)
     fit_r = radii[usable]
     if fit_r.size >= 3 and fit_r[-1] / fit_r[0] > 10.0:
-        low = fit_r <= fit_r[0] * 10.0
+        low = usable & (radii <= fit_r[0] * 10.0)
         if np.count_nonzero(low) >= 3:
-            fit_r = fit_r[low]
-    sel = np.isin(radii, fit_r)
-    res = _sstats.linregress(np.log(radii[sel]), np.log(corr[sel]))
-    half = 1.96 * (res.stderr if res.stderr == res.stderr else 0.0)
-    slope = max(0.0, float(res.slope))
+            usable = low
+    fit_slope, _, stderr = line_fit(np.log(radii[usable]),
+                                    np.log(corr[usable]))
+    half = 1.96 * (stderr if stderr == stderr else 0.0)
+    slope = max(0.0, float(fit_slope))
     return DimensionEstimate(slope=slope, ci_low=slope - half,
                              ci_high=slope + half, radii=radii,
-                             correlations=corr, fit_radii=radii[sel])
+                             correlations=corr, fit_radii=radii[usable])
+
+
+def _theiler_distances(pts: np.ndarray, window: int) -> np.ndarray:
+    """Euclidean distances of the pairs i < j with j - i > window, in the
+    order of scipy's pdist, one row i at a time.  With the coordinates
+    along axis 0 each distance sums its squares in coordinate order, as
+    pdist does."""
+    n = pts.shape[0]
+    if n <= window + 1:
+        raise DomainError("Theiler window leaves no pairs")
+    cols = np.ascontiguousarray(pts.T)
+    sq = []
+    for i in range(n - window - 1):
+        d = cols[:, i + window + 1:] - cols[:, i, None]
+        sq.append(np.einsum("ij,ij->j", d, d))
+    return np.sqrt(np.concatenate(sq))
+
+
+def _quantile(x: np.ndarray, q: float) -> float:
+    """np.quantile(x, q) by its default (linear) method, bit for bit,
+    without the numpy.ma import np.quantile makes on first use."""
+    k = (x.size - 1) * q
+    i = int(k)
+    j = min(i + 1, x.size - 1)
+    part = np.partition(x, (i, j))
+    a, b, t = part[i], part[j], k - i
+    return float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
 
 
 def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,

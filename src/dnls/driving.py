@@ -173,6 +173,10 @@ class ConstantLaw:
     def amp_bound(self) -> float:
         return abs(self.value)
 
+    def harmonics(self) -> tuple:
+        """(amplitude, angular frequency) of each cosine term."""
+        return ()
+
 
 @dataclass(frozen=True)
 class PeriodicLaw:
@@ -193,6 +197,9 @@ class PeriodicLaw:
 
     def amp_bound(self) -> float:
         return abs(self.amplitude)
+
+    def harmonics(self) -> tuple:
+        return ((self.amplitude, 2.0 * math.pi / self.period),)
 
 
 @dataclass(frozen=True)
@@ -231,6 +238,9 @@ class HarmonicSumLaw:
     def amp_bound(self) -> float:
         # triangle inequality; certified overestimate of sup_t |law(t)|
         return math.fsum(abs(a) for a in self.amplitudes)
+
+    def harmonics(self) -> tuple:
+        return tuple(zip(self.amplitudes, self.frequencies))
 
 
 # ---------------------------------------------------------------------------

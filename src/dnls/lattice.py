@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import DomainError
 
@@ -114,6 +115,12 @@ class ModelParams:
             raise DomainError("kappa must be finite")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise DomainError("gamma must be positive")
+
+    @property
+    def growth_constants(self) -> tuple[float, float]:
+        """(a, b) of the nonlinearity's growth bound; (0, 1) when F = 0."""
+        nl = self.nonlinearity
+        return (nl.a, nl.b) if nl is not None else (0.0, 1.0)
 
 
 def l2_norm(state: LatticeState) -> float:
@@ -236,7 +243,7 @@ def random_state(n_sites: int, seed: int, norm: float = 1.0,
     With ``localized`` the amplitudes are damped by exp(-|n|/8) so the
     state is compatible with the Dirichlet truncation.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     v = rng.standard_normal(n_sites) + 1j * rng.standard_normal(n_sites)
     if localized:
         n = np.arange(n_sites) - n_sites // 2

@@ -6,12 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
+from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
+                  IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, PeriodicLaw,
                   SpatialProfile, check_apriori_bound, continuity_gap,
                   contraction_rate, correlation_dimension, integrate,
                   predict_absorbing, predict_tail, translate, verify_absorbing,
                   verify_tail)
+from dnls.diagnostics import (_driving_gap, _quantile, _theiler_distances,
+                              line_fit)
 from dnls.errors import (DampingTooWeakError, DomainError,
                          TruncationTooSmallError)
 from dnls.lattice import random_state
@@ -173,6 +176,99 @@ class TestContinuity:
         r_full = continuity_gap(params, spec, spec, theta, full, horizon=2.0)
         r_half = continuity_gap(params, spec, spec, theta, half, horizon=2.0)
         assert r_half.gap[-1] / r_full.gap[-1] == pytest.approx(0.5, rel=1e-6)
+
+
+class TestDrivingGap:
+    @staticmethod
+    def _scan(fa, fb, n_sites, t1):
+        # dense scan of ||a(t) pa - b(t) pb|| on 10^5 points of [0, t1],
+        # expanded through the Gram matrix of the two profiles
+        pa, pb = fa.profile.realize(n_sites), fb.profile.realize(n_sites)
+        ts = np.linspace(0.0, t1, 10 ** 5)
+        a = np.array([fa.scalar(t) for t in ts])
+        b = np.array([fb.scalar(t) for t in ts])
+        sq = (a * a * np.vdot(pa, pa).real + b * b * np.vdot(pb, pb).real
+              - 2 * a * b * np.vdot(pa, pb).real)
+        return math.sqrt(max(float(np.max(sq)), 0.0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_translation_bound_covers_dense_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        laws = [PeriodicLaw(period=rng.uniform(1.0, 10.0),
+                            amplitude=rng.normal(),
+                            phase=rng.uniform(0, 2 * np.pi)),
+                HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
+                               amplitudes=tuple(rng.normal(size=2)),
+                               phases=tuple(rng.uniform(0, 2 * np.pi, 2)))]
+        for law in laws:
+            g1 = DrivingField(_unit_exp_profile(rng.uniform(0.5, 2.0)), law,
+                              offset=rng.uniform(-5.0, 5.0))
+            spec = DrivingSpec(g1=g1)
+            shifted = translate(spec, rng.uniform(-10.0, 10.0))
+            d1, d2 = _driving_gap(spec, shifted, 64, 0.0, 20.0)
+            scan = self._scan(spec.g1, shifted.g1, 64, 20.0)
+            assert d2 == 0.0
+            assert d1 >= scan * (1 - 1e-12)
+            assert d1 <= 1.01 * scan + 1e-12
+
+    def test_translation_closed_forms(self):
+        profile = _unit_exp_profile()
+        periodic = DrivingField(profile, PeriodicLaw(period=4.0,
+                                                     amplitude=-0.7))
+        constant = DrivingField(profile, ConstantLaw(0.3))
+        spec = DrivingSpec(g1=periodic, g2=constant)
+        d1, d2 = _driving_gap(spec, translate(spec, 1.3), 64, 0.0, 5.0)
+        norm = np.linalg.norm(profile.realize(64))
+        assert d1 == pytest.approx(norm * 2 * 0.7 * abs(math.sin(math.pi * 1.3 / 4.0)),
+                                   rel=1e-14)
+        assert d2 == 0.0
+
+    def test_general_pair_bound_covers_dense_scan(self):
+        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
+                             amplitudes=(1.0, 0.8), phases=(0.3, 1.1))
+        fa = DrivingField(_unit_exp_profile(), law)
+        fb = DrivingField(_unit_exp_profile(1.5), PeriodicLaw(period=3.0))
+        d1, _ = _driving_gap(DrivingSpec(g1=fa), DrivingSpec(g1=fb), 64,
+                             0.0, 20.0)
+        assert d1 >= self._scan(fa, fb, 64, 20.0)
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("n", [2, 3, 10, 200])
+    def test_matches_linregress_bit_for_bit(self, n):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(n)
+        cases = [(rng.normal(size=n), rng.normal(size=n)) for _ in range(50)]
+        x = np.arange(n)
+        cases += [(x, 0.5 - 0.25 * x), (x, np.full(n, 1.5)),
+                  (x, rng.normal(size=n))]
+        for x, y in cases:
+            ref = stats.linregress(x, y)
+            np.testing.assert_array_equal(
+                line_fit(x, y), (ref.slope, ref.rvalue, ref.stderr))
+
+    def test_needs_distinct_x(self):
+        with pytest.raises(DomainError):
+            line_fit(np.ones(5), np.arange(5.0))
+
+
+class TestPairDistances:
+    @pytest.mark.parametrize("dim, window", [(2, 0), (7, 3), (128, 10)])
+    def test_match_filtered_pdist(self, dim, window):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        pts = np.random.default_rng(dim).normal(size=(300, dim))
+        ii, jj = np.triu_indices(len(pts), k=1)
+        ref = distance.pdist(pts)[(jj - ii) > window]
+        got = _theiler_distances(pts, window)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_quantile_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 3, 10, 501, 4096):
+            x = rng.exponential(size=size)
+            for q in (0.0, 0.002, 0.25, 0.5, 0.7, 1.0):
+                assert _quantile(x.copy(), q) == np.quantile(x, q)
 
 
 class TestCorrelationDimension:
