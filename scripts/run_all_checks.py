@@ -2,12 +2,17 @@
 """Run the full verification battery against the bundled example configs.
 
 Each check is one `dnls` CLI invocation; the script prints a summary table
-and exits nonzero if any check fails.
+(exit code, wall time, and the process's peak resident memory after the
+check) and exits nonzero if any check fails.  The checks run in order in
+one process, so the peak memory column only grows: a check raised it when
+it reads higher than the row above.
 """
 
 import argparse
 import pathlib
+import resource
 import sys
+import time
 
 from dnls import cli
 
@@ -41,15 +46,19 @@ def main() -> int:
         if args.skip_dimension and command == "dimension":
             continue
         report = out_dir / f"{command}.json"
+        start = time.perf_counter()
         code = cli.main([command, "--config", str(CONFIG_DIR / config),
                          "--json", str(report)])
-        results.append((command, code))
+        wall = time.perf_counter() - start
+        # ru_maxrss is in KiB on Linux
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        results.append((command, code, wall, rss_mb))
         worst = max(worst, code)
 
     print()
-    print(f"{'check':<14} exit")
-    for command, code in results:
-        print(f"{command:<14} {code}")
+    print(f"{'check':<14} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>12}")
+    for command, code, wall, rss_mb in results:
+        print(f"{command:<14} {code:>4} {wall:>8.2f} {rss_mb:>12.1f}")
     return 1 if worst else 0
 
 

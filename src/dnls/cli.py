@@ -9,16 +9,14 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import breather as br
 from . import diagnostics as dg
 from . import driving as drv
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
                      StiffnessError, StrongDampingError)
 from .integrator import IntegratorConfig, integrate, monitor_dissipation
@@ -35,40 +33,36 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _initial_state(cfg: ScenarioConfig, seed_override=None) -> LatticeState:
-    init = cfg.scenario.get("initial", {"kind": "zero"})
-    kind = init.get("kind", "zero")
-    if kind == "zero":
+def _initial_state(cfg: ScenarioConfig, init, seed_override=None) -> LatticeState:
+    if init.kind == "zero":
         return LatticeState.zeros(cfg.n_sites, cfg.bc)
-    if kind == "random":
-        seed = seed_override if seed_override is not None else init.get("seed", 0)
-        return random_state(cfg.n_sites, int(seed), norm=init.get("norm", 1.0),
-                            bc=cfg.bc)
-    if kind == "values":
-        vals = np.array([complex(v[0], v[1]) for v in init["values"]])
-        return LatticeState(vals, cfg.bc)
-    raise DomainError(f"unknown initial state kind {kind!r}")
+    if init.kind == "random":
+        seed = seed_override if seed_override is not None else init.seed
+        return random_state(cfg.n_sites, seed, norm=init.norm, bc=cfg.bc)
+    return LatticeState(np.array(init.values), cfg.bc)
 
 
-def _cmd_simulate(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    t0, t1 = sc.get("t0", 0.0), sc.get("t1", 10.0)
-    state = _initial_state(cfg, args.seed)
-    traj = integrate(state, t0, t1, cfg.model, cfg.driving, cfg.integrator,
-                     tail_cutoff=sc.get("tail_cutoff"))
+def _seed(sc, args) -> int:
+    return args.seed if args.seed is not None else sc.seed
+
+
+def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> int:
+    state = _initial_state(cfg, sc.initial, args.seed)
+    traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
+                     cfg.integrator, tail_cutoff=sc.tail_cutoff,
+                     keep_states=bool(args.out))
     if args.out:
         write_trajectory_csv(traj, args.out)
     if args.json:
         write_json(trajectory_summary(traj), args.json)
-    log.info("simulated %d samples over [%g, %g]", traj.n_samples, t0, t1)
+    log.info("simulated %d samples over [%g, %g]", traj.n_samples, sc.t0, sc.t1)
     return EXIT_PASS
 
 
-def _cmd_verify_bounds(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    state = _initial_state(cfg, args.seed)
-    traj = integrate(state, sc.get("t0", 0.0), sc.get("t1", 50.0),
-                     cfg.model, cfg.driving, cfg.integrator)
+def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> int:
+    state = _initial_state(cfg, sc.initial, args.seed)
+    traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
+                     cfg.integrator, keep_states=False)
     diss = monitor_dissipation(traj, cfg.model, cfg.driving)
     apriori = dg.check_apriori_bound(traj, cfg.model, cfg.driving)
     report = {
@@ -85,14 +79,15 @@ def _cmd_verify_bounds(cfg: ScenarioConfig, args) -> int:
     return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
 
 
-def _cmd_absorbing(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    r = sc.get("radius", 1.0)
+def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> int:
+    r = sc.radius
     pred = dg.predict_absorbing(cfg.model, cfg.driving, r)
-    seed = args.seed if args.seed is not None else sc.get("seed", 0)
-    state = random_state(cfg.n_sites, int(seed), norm=r, bc=cfg.bc)
-    t1 = sc.get("t1", pred.entry_time * max(sc.get("t_factor", 6.0), 1.0) + 1.0)
-    traj = integrate(state, 0.0, t1, cfg.model, cfg.driving, cfg.integrator)
+    state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
+    t1 = sc.t1
+    if t1 is None:
+        t1 = pred.entry_time * max(sc.t_factor, 1.0) + 1.0
+    traj = integrate(state, 0.0, t1, cfg.model, cfg.driving, cfg.integrator,
+                     keep_states=False)
     report = dg.verify_absorbing(traj, pred)
     if args.json:
         write_json({
@@ -107,16 +102,15 @@ def _cmd_absorbing(cfg: ScenarioConfig, args) -> int:
     return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_tail(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    xi = sc.get("xi", 1e-4)
-    r = sc.get("radius", 1.0)
+def _cmd_tail(cfg: ScenarioConfig, sc, args) -> int:
+    xi, r = sc.xi, sc.radius
     pred = dg.predict_tail(xi, r, cfg.model, cfg.driving, cfg.n_sites)
-    seed = args.seed if args.seed is not None else sc.get("seed", 0)
-    state = random_state(cfg.n_sites, int(seed), norm=r, bc=cfg.bc)
-    t1 = sc.get("t1", pred.entry_time * 3.0 + 5.0)
+    state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
+    t1 = sc.t1
+    if t1 is None:
+        t1 = pred.entry_time * 3.0 + 5.0
     traj = integrate(state, 0.0, t1, cfg.model, cfg.driving, cfg.integrator,
-                     tail_cutoff=pred.cutoff)
+                     tail_cutoff=pred.cutoff, keep_states=False)
     report = dg.verify_tail(traj, pred)
     if args.json:
         write_json({
@@ -130,11 +124,9 @@ def _cmd_tail(cfg: ScenarioConfig, args) -> int:
     return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_contraction(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    seeds = sc.get("seeds", [1, 2])
-    report = dg.contraction_rate(cfg.model, cfg.driving, seeds,
-                                 horizon=sc.get("horizon", 3.0),
+def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> int:
+    report = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
+                                 horizon=sc.horizon,
                                  n_sites=cfg.n_sites, config=cfg.integrator)
     if args.json:
         write_json({
@@ -148,18 +140,14 @@ def _cmd_contraction(cfg: ScenarioConfig, args) -> int:
     return EXIT_PASS if report.pass_ else EXIT_CHECK_FAILED
 
 
-def _cmd_continuity(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    seed = args.seed if args.seed is not None else sc.get("seed", 0)
-    r0 = sc.get("radius", 0.5)
-    theta = random_state(cfg.n_sites, int(seed), norm=r0, bc=cfg.bc)
-    delta = sc.get("delta", 1e-3)
-    bump = random_state(cfg.n_sites, int(seed) + 1, norm=delta, bc=cfg.bc)
+def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> int:
+    seed = _seed(sc, args)
+    theta = random_state(cfg.n_sites, seed, norm=sc.radius, bc=cfg.bc)
+    bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
-    shift = sc.get("driving_shift", 0.0)
-    perturbed = drv.translate(cfg.driving, shift)
+    perturbed = drv.translate(cfg.driving, sc.driving_shift)
     report = dg.continuity_gap(cfg.model, cfg.driving, perturbed, theta,
-                               theta_n, horizon=sc.get("horizon", 5.0),
+                               theta_n, horizon=sc.horizon,
                                config=cfg.integrator)
     if args.json:
         write_json({
@@ -172,9 +160,8 @@ def _cmd_continuity(cfg: ScenarioConfig, args) -> int:
     return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_dimension(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    period = sc.get("section_period")
+def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> int:
+    period = sc.section_period
     if period is None:
         law = cfg.driving.g1.law
         if getattr(law, "period", None):
@@ -183,13 +170,11 @@ def _cmd_dimension(cfg: ScenarioConfig, args) -> int:
             period = 2 * math.pi / law.frequencies[0]
         else:
             raise DomainError("scenario.section_period required for this driving")
-    seed = args.seed if args.seed is not None else sc.get("seed", 0)
     points = dg.poincare_points(cfg.model, cfg.driving,
-                                n_points=sc.get("n_points", 2000),
+                                n_points=sc.n_points,
                                 section_period=period, n_sites=cfg.n_sites,
-                                seed=int(seed), config=cfg.integrator)
-    est = dg.correlation_dimension(points,
-                                   theiler_window=sc.get("theiler_window", 10))
+                                seed=_seed(sc, args), config=cfg.integrator)
+    est = dg.correlation_dimension(points, theiler_window=sc.theiler_window)
     if args.out:
         write_dimension_csv(est, args.out)
     if args.json:
@@ -198,45 +183,37 @@ def _cmd_dimension(cfg: ScenarioConfig, args) -> int:
             "ci_high": est.ci_high, "ci_width": est.ci_width,
             "degenerate": est.degenerate,
         }, args.json)
-    ok = est.degenerate or est.ci_width < sc.get("max_ci_width", 0.5)
+    ok = est.degenerate or est.ci_width < sc.max_ci_width
     print(f"correlation dimension {est.slope:.3f} "
           f"(95% CI [{est.ci_low:.3f}, {est.ci_high:.3f}])"
           + (" [degenerate]" if est.degenerate else ""))
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_breather(cfg: ScenarioConfig, args) -> int:
-    sc = cfg.scenario
-    tol = sc.get("tol", 1e-10)
-    seeds = sc.get("seeds", [None])
-    oracle = IntegratorConfig(
-        rtol=sc.get("oracle_rtol", 1e-11), atol=sc.get("oracle_atol", 1e-13),
-        dt_init=1e-3)
+def _cmd_breather(cfg: ScenarioConfig, sc, args) -> int:
+    tol = sc.tol
+    oracle = IntegratorConfig(rtol=sc.oracle_rtol, atol=sc.oracle_atol,
+                              dt_init=1e-3)
 
     def solve(seed):
         if seed is None:
             seed_state = None
         else:
             check = br.check_strong_damping(cfg.model, cfg.driving)
-            seed_state = random_state(cfg.n_sites, int(seed),
+            seed_state = random_state(cfg.n_sites, seed,
                                       norm=0.5 * check.ball_radius, bc=cfg.bc)
         return br.find_breather(cfg.model, cfg.driving, tol=tol,
                                 seed=seed_state, n_sites=cfg.n_sites,
                                 config=oracle)
 
-    if len(seeds) > 1 and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            sols = list(pool.map(solve, seeds))
-    else:
-        sols = [solve(s) for s in seeds]
+    sols = [solve(s) for s in sc.seeds]
     sol = sols[0]
     spread = 0.0
     for other in sols[1:]:
         spread = max(spread, float(np.linalg.norm(
             other.state0.values - sol.state0.values)))
     report = br.verify_breather(sol, cfg.model, cfg.driving,
-                                phases=sc.get("phases", 8), tol=tol,
-                                config=oracle)
+                                phases=sc.phases, tol=tol, config=oracle)
     if args.json:
         data = breather_to_dict(sol)
         data["seed_spread"] = spread
@@ -272,13 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dnls",
         description="Damped driven lattice simulator and theorem checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = int(os.environ.get("DNLS_THREADS", os.cpu_count() or 1))
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON")
         p.add_argument("--out", help="CSV output path")
         p.add_argument("--json", help="JSON report path")
-        p.add_argument("--threads", type=int, default=default_threads)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
     return parser
@@ -298,7 +273,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg, args)
+        sc = parse_scenario(args.command, cfg.scenario)
+        return _COMMANDS[args.command](cfg, sc, args)
     except (DampingTooWeakError, StrongDampingError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

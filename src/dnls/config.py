@@ -9,7 +9,9 @@ byte-identical to dump(x).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .driving import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
                       PeriodicLaw, SpatialProfile)
@@ -148,6 +150,119 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"malformed config: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# scenario block: each command's fields, typed and range-checked on read
+
+def _number(minimum: float = -math.inf, *, strict: bool = False,
+            integer: bool = False):
+    """Parser of a finite number >= ``minimum`` (> with ``strict``),
+    integral with ``integer``."""
+    def parse(name: str, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DomainError(f"scenario.{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise DomainError(f"scenario.{name} must be finite, got {value!r}")
+        if integer and value != int(value):
+            raise DomainError(f"scenario.{name} must be an integer, got {value!r}")
+        if value < minimum or (strict and value == minimum):
+            bound = ">" if strict else ">="
+            raise DomainError(f"scenario.{name} must be {bound} {minimum:g}, "
+                              f"got {value!r}")
+        return int(value) if integer else float(value)
+    return parse
+
+
+_REAL = _number()
+_NONNEG = _number(0.0)
+_POSITIVE = _number(0.0, strict=True)
+_COUNT = _number(0, integer=True)
+_POSITIVE_COUNT = _number(1, integer=True)
+
+
+def _optional(item):
+    def parse(name: str, value):
+        return None if value is None else item(name, value)
+    return parse
+
+
+def _list_of(item, length: int | None = None):
+    """Parser of a non-empty list (of exactly ``length`` items if given)."""
+    def parse(name: str, value):
+        if (not isinstance(value, list) or not value
+                or (length is not None and len(value) != length)):
+            size = "a non-empty" if length is None else f"a {length}-item"
+            raise DomainError(f"scenario.{name} must be {size} list, got {value!r}")
+        return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(value))
+    return parse
+
+
+def _initial(name: str, value) -> SimpleNamespace:
+    """``{"kind": "zero"}``, ``{"kind": "random", "seed", "norm"}`` or
+    ``{"kind": "values", "values": [[re, im], ...]}``."""
+    if not isinstance(value, dict):
+        raise DomainError(f"scenario.{name} must be an object, got {value!r}")
+    kind = value.get("kind", "zero")
+    if kind == "zero":
+        return SimpleNamespace(kind=kind)
+    if kind == "random":
+        return SimpleNamespace(
+            kind=kind, seed=_COUNT(f"{name}.seed", value.get("seed", 0)),
+            norm=_NONNEG(f"{name}.norm", value.get("norm", 1.0)))
+    if kind == "values":
+        values = value.get("values")
+        if not isinstance(values, list):
+            raise DomainError(f"scenario.{name}.values must be a list")
+        try:
+            return SimpleNamespace(kind=kind,
+                                   values=[_complex_pair(v) for v in values])
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"scenario.{name}.values: {exc}") from exc
+    raise DomainError(f"unknown initial state kind {kind!r}")
+
+
+# Every scenario field each command reads: name -> (parser, default).  A
+# default of None marks a field the command derives when it is absent.
+SCENARIO_FIELDS = {
+    "simulate": {"t0": (_REAL, 0.0), "t1": (_REAL, 10.0),
+                 "tail_cutoff": (_COUNT, None),
+                 "initial": (_initial, {"kind": "zero"})},
+    "verify-bounds": {"t0": (_REAL, 0.0), "t1": (_REAL, 50.0),
+                      "initial": (_initial, {"kind": "zero"})},
+    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_COUNT, 0),
+                  "t1": (_NONNEG, None), "t_factor": (_REAL, 6.0)},
+    "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
+             "seed": (_COUNT, 0), "t1": (_NONNEG, None)},
+    "contraction": {"seeds": (_list_of(_COUNT, 2), [1, 2]),
+                    "horizon": (_POSITIVE, 3.0)},
+    "continuity": {"seed": (_COUNT, 0), "radius": (_NONNEG, 0.5),
+                   "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0),
+                   "horizon": (_POSITIVE, 5.0)},
+    "dimension": {"section_period": (_POSITIVE, None), "seed": (_COUNT, 0),
+                  "n_points": (_POSITIVE_COUNT, 2000),
+                  "theiler_window": (_COUNT, 10),
+                  "max_ci_width": (_POSITIVE, 0.5)},
+    "breather": {"tol": (_POSITIVE, 1e-10),
+                 "seeds": (_list_of(_optional(_COUNT)), [None]),
+                 "phases": (_POSITIVE_COUNT, 8),
+                 "oracle_rtol": (_POSITIVE, 1e-11),
+                 "oracle_atol": (_POSITIVE, 1e-13)},
+}
+
+
+def parse_scenario(command: str, scenario: dict) -> SimpleNamespace:
+    """The fields ``command`` reads from a scenario block, defaults filled
+    in; other keys are ignored, since commands share configs.  Raises
+    DomainError on a field of the wrong type or out of range."""
+    out = {}
+    for name, (parse, default) in SCENARIO_FIELDS[command].items():
+        value = scenario.get(name, default)
+        if value is None and default is None:
+            out[name] = None
+        else:
+            out[name] = parse(name, value)
+    return SimpleNamespace(**out)
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:

@@ -83,7 +83,7 @@ class Trajectory:
     """Sampled solution: times, raw state values, norm series."""
 
     times: np.ndarray
-    values: np.ndarray  # shape (n_samples, n_sites), complex
+    values: np.ndarray  # (n_samples, n_sites) complex; (0, n_sites) if not kept
     bc: str
     norms: np.ndarray
     stats: StepStats
@@ -131,10 +131,13 @@ class _Dopri5:
         self.S[0] = self.Y[6]
         self.S[1] = self.S[7]  # FSAL
 
-    def sample(self, theta: float, h: float) -> np.ndarray:
-        """Continuous extension of the last attempted step at t + theta*h."""
+    def sample(self, theta: float, h: float, out: np.ndarray) -> np.ndarray:
+        """Continuous extension of the last attempted step at t + theta*h,
+        written into ``out``."""
         w = h * (_P @ theta ** np.arange(1, 5))
-        return self.S[0] + np.dot(w, self._Kr).view(np.complex128)
+        np.dot(w, self._Kr, out.view(np.float64))
+        out += self.S[0]
+        return out
 
 
 def _next_dt(h: float, err_norm: float, config: IntegratorConfig) -> float:
@@ -154,22 +157,64 @@ def step(state: LatticeState, t: float, dt: float, params: ModelParams,
     return state.with_values(kernel.Y[6].copy()), err, _next_dt(dt, err, config)
 
 
+def _sample_count(t0: float, t1: float, stride: float) -> int:
+    """Number of samples ``integrate`` takes on [t0, t1]: t0, every
+    t0 + k*stride < t1 (k >= 1) and t1."""
+    if t1 == t0:
+        return 1
+    k = max(int((t1 - t0) / stride) - 1, 0)
+    while t0 + (k + 1) * stride < t1:
+        k += 1
+    while k > 0 and not t0 + k * stride < t1:
+        k -= 1
+    return k + 2
+
+
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
               driving: DrivingSpec, config: IntegratorConfig = IntegratorConfig(),
-              tail_cutoff: int | None = None) -> Trajectory:
+              tail_cutoff: int | None = None,
+              keep_states: bool = True) -> Trajectory:
     """Integrate from t0 to t1, sampling at t0 + k*``config.sample_stride``
-    (plus the endpoint) from the continuous extension of each step."""
+    (plus the endpoint) from the continuous extension of each step.
+
+    The norm (and tail) series are reduced at each sample time.  Without
+    ``keep_states`` the sample states are dropped once reduced, so memory
+    stays O(N) over any horizon and ``values`` is an empty (0, N) array."""
     if t1 < t0:
         raise DomainError("t1 must be >= t0")
     n_sites, bc = state.n_sites, state.bc
+    stride = config.sample_stride
+    n = _sample_count(t0, t1, stride)
+    times, norms = np.empty(n), np.empty(n)
+    tails = None if tail_cutoff is None else np.empty(n)
+    values = np.empty((n if keep_states else 0, n_sites), dtype=np.complex128)
+    scratch = None if keep_states else np.empty(n_sites, dtype=np.complex128)
+    filled = 0
+
+    def slot(src: np.ndarray | None = None) -> np.ndarray:
+        """Where the next sample goes, filled from ``src`` if given."""
+        out = values[filled] if keep_states else scratch
+        if src is not None:
+            out[...] = src
+        return out
+
+    def record(t: float, v: np.ndarray) -> None:
+        nonlocal filled
+        times[filled] = t
+        norms[filled] = math.sqrt(norm_sq(v))
+        if tails is not None:
+            # a fresh view: LatticeState marks its array read-only, and v
+            # may be the scratch row the next sample is written into
+            tails[filled] = tail_mass(LatticeState(v[:], bc), tail_cutoff)
+        filled += 1
+
     f = make_rhs(params, driving.sampler(n_sites), n_sites, bc)
     stats = StepStats()
-    times, samples = [t0], [state.values.copy()]
+    record(t0, slot(state.values))
     if t1 > t0:
         t, dt = t0, min(config.dt_init, t1 - t0)
         kernel = _Dopri5(f, state.values, t)
         stats.rhs_evals += 1
-        stride = config.sample_stride
         k = 1
         while t < t1:
             last = dt >= t1 - t
@@ -179,8 +224,7 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             if err_norm <= 1.0:
                 t_new = t1 if last else t + h
                 while (ts := t0 + k * stride) <= t_new + 1e-12 * stride and ts < t1:
-                    times.append(ts)
-                    samples.append(kernel.sample((ts - t) / h, h))
+                    record(ts, kernel.sample((ts - t) / h, h, slot()))
                     k += 1
                 kernel.accept()
                 t = t_new
@@ -190,14 +234,9 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             else:
                 stats.rejected += 1
             dt = _next_dt(h, err_norm, config)
-        times.append(t1)
-        samples.append(kernel.S[0].copy())
-
-    values = np.array(samples)
-    norms = np.array([math.sqrt(norm_sq(v)) for v in values])
-    tails = None if tail_cutoff is None else np.array(
-        [tail_mass(LatticeState(v, bc), tail_cutoff) for v in values])
-    return Trajectory(times=np.array(times), values=values, bc=bc, norms=norms,
+        record(t1, slot(kernel.S[0]))
+    assert filled == n, f"{filled} samples taken, {n} allocated"
+    return Trajectory(times=times, values=values, bc=bc, norms=norms,
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
                       tails=tails)
 

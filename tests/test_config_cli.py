@@ -2,18 +2,45 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dnls import cli
-from dnls.config import (ScenarioConfig, config_from_dict, config_to_dict,
-                         dumps_config, load_config, loads_config, save_config)
+from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
+                         config_to_dict, dumps_config, load_config,
+                         loads_config, save_config)
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
                           HarmonicSumLaw, PeriodicLaw, SpatialProfile)
 from dnls.errors import DomainError
 from dnls.integrator import IntegratorConfig
 from dnls.lattice import ModelParams, NonlinearitySpec
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+# every subcommand with the bundled config it runs on
+BUNDLED = [("simulate", "simulate.json"), ("verify-bounds", "simulate.json"),
+           ("absorbing", "absorbing.json"), ("tail", "absorbing.json"),
+           ("contraction", "absorbing.json"), ("continuity", "absorbing.json"),
+           ("dimension", "dimension.json"), ("breather", "breather.json")]
+
+
+def _bundled_scenario(name):
+    return json.loads((CONFIGS / name).read_text())["scenario"]
+
+
+def _malformed_fields():
+    cases = [("absorbing", "absorbing.json", "radius", "big"),
+             ("breather", "breather.json", "seeds", 3),
+             ("verify-bounds", "simulate.json", "t1", "x"),
+             ("dimension", "dimension.json", "n_points", -5)]
+    for command, name in BUNDLED:
+        keys = _bundled_scenario(name).keys() & SCENARIO_FIELDS[command].keys()
+        cases += [(command, name, key, "x") for key in sorted(keys)]
+    return [pytest.param(*c, id=f"{c[0]}-{c[2]}={c[3]!r}")
+            for c in dict.fromkeys(cases)]
 
 
 def _sample_config():
@@ -61,6 +88,24 @@ class TestConfigRoundTrip:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("command, name, key, value", _malformed_fields())
+    def test_malformed_scenario_field_is_config_error(self, tmp_path, capsys,
+                                                      command, name, key,
+                                                      value):
+        data = json.loads((CONFIGS / name).read_text())
+        data["scenario"][key] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_every_bundled_scenario_key_is_read(self):
+        for name in {name for _, name in BUNDLED}:
+            read = set().union(*(SCENARIO_FIELDS[command]
+                                 for command, config in BUNDLED
+                                 if config == name))
+            assert _bundled_scenario(name).keys() <= read, name
+
     def test_rejects_bad_version(self):
         d = config_to_dict(_sample_config())
         d["version"] = 99
@@ -193,12 +238,6 @@ class TestCli:
                              "--out", str(out)]) == cli.EXIT_PASS
             texts.append(out.read_text())
         assert texts[0] != texts[1]
-
-    def test_threads_default_from_env(self, monkeypatch):
-        monkeypatch.setenv("DNLS_THREADS", "3")
-        parser = cli._build_parser()
-        args = parser.parse_args(["simulate", "--config", "x"])
-        assert args.threads == 3
 
     def test_breather_command(self, tmp_path):
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5,

@@ -3,16 +3,36 @@ monitor."""
 
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, PeriodicLaw,
-                  SpatialProfile, integrate, monitor_dissipation, step)
+                  SpatialProfile, integrate, load_config, monitor_dissipation,
+                  step)
+from dnls.diagnostics import predict_absorbing
 from dnls.errors import DomainError, StiffnessError
-from dnls.integrator import ORACLE_CONFIG
+from dnls.integrator import ORACLE_CONFIG, _sample_count
 from dnls.lattice import random_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+def _bundled_run(name):
+    """State, horizon and config of the bundled scenario the CLI's
+    ``simulate`` (simulate.json) or ``absorbing`` (absorbing.json) runs."""
+    cfg = load_config(CONFIGS / name)
+    sc = cfg.scenario
+    if name == "simulate.json":
+        init = sc["initial"]
+        return (random_state(cfg.n_sites, init["seed"], norm=init["norm"]),
+                sc["t1"], cfg)
+    pred = predict_absorbing(cfg.model, cfg.driving, sc["radius"])
+    return (random_state(cfg.n_sites, sc["seed"], norm=sc["radius"]),
+            pred.entry_time * 6.0 + 1.0, cfg)
 
 
 def _affine_setup(g=0.3 + 0.4j, gamma=1.5, n_sites=16):
@@ -147,6 +167,52 @@ class TestIntegrate:
         assert np.array_equal(nxt.values, traj.values[-1])
 
 
+class TestStreaming:
+    @pytest.mark.parametrize("name", ["simulate.json", "absorbing.json"])
+    def test_dropping_states_keeps_every_series(self, name):
+        psi0, t1, cfg = _bundled_run(name)
+        full, lean = [integrate(psi0, 0.0, t1, cfg.model, cfg.driving,
+                                cfg.integrator, tail_cutoff=8,
+                                keep_states=keep)
+                      for keep in (True, False)]
+        for attr in ("times", "norms", "tails"):
+            assert getattr(lean, attr).tobytes() == getattr(full, attr).tobytes()
+        assert lean.stats == full.stats
+        assert full.values.shape == (full.n_samples, cfg.n_sites)
+        assert lean.values.shape == (0, cfg.n_sites)
+
+    @pytest.mark.parametrize("t0, t1, stride", [
+        (3.0, 3.0, 0.1),     # empty span
+        (0.0, 0.05, 0.1),    # shorter than one stride
+        (0.0, 2.0, 0.25),    # t1 an exact multiple of the stride
+        (0.3, 50.0, 0.1),    # long horizon, inexact grid
+    ])
+    def test_sample_count_is_samples_taken(self, t0, t1, stride):
+        params, spec, _ = _affine_setup()
+        cfg = IntegratorConfig(sample_stride=stride)
+        traj = integrate(random_state(16, 0), t0, t1, params, spec, cfg)
+        # reference: t0, each t0 + k*stride < t1, then t1
+        interior = [k for k in range(1, int((t1 - t0) / stride) + 2)
+                    if t0 + k * stride < t1]
+        expected = 1 if t1 == t0 else len(interior) + 2
+        assert _sample_count(t0, t1, stride) == expected
+        assert traj.n_samples == traj.values.shape[0] == expected
+
+    def test_dropping_states_keeps_memory_flat(self):
+        cfg = load_config(CONFIGS / "simulate.json")
+        psi0 = random_state(4096, 0, norm=2.0)
+        tracemalloc.start()
+        try:
+            traj = integrate(psi0, 0.0, 50.0, cfg.model, cfg.driving,
+                             cfg.integrator, keep_states=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 501 stored samples would take 31 MB; the kernel's buffers take 1
+        assert traj.n_samples == 501
+        assert peak < 5 * 2 ** 20
+
+
 class TestDissipationMonitor:
     def _scenario(self):
         g1 = DrivingField(
@@ -177,6 +243,19 @@ class TestDissipationMonitor:
         norms[20:] += 5.0  # a jump no dissipative flow can produce
         bad = dataclasses.replace(traj, norms=norms)
         assert not monitor_dissipation(bad, params, spec).ok
+
+    def test_detects_realistic_energy_ramp(self):
+        # simulate.json's scenario; after t = 25, ||psi||^2 gains 1% of the
+        # forcing level sup||g1||^2/Gt per unit time
+        psi0, t1, cfg = _bundled_run("simulate.json")
+        traj = integrate(psi0, 0.0, t1, cfg.model, cfg.driving,
+                         cfg.integrator, keep_states=False)
+        honest = monitor_dissipation(traj, cfg.model, cfg.driving)
+        assert honest.ok
+        rate = 0.01 * cfg.driving.g1.sup_norm() ** 2 / honest.gamma_tilde
+        n2 = traj.norms ** 2 + rate * np.maximum(traj.times - 25.0, 0.0)
+        ramped = dataclasses.replace(traj, norms=np.sqrt(n2))
+        assert not monitor_dissipation(ramped, cfg.model, cfg.driving).ok
 
     def test_refuses_weak_damping(self):
         params, spec = self._scenario()
