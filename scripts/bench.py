@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the stepping kernel: one right-hand-side (RHS)
+evaluation and one DOPRI5 step attempt (six RHS calls plus the stage and
+error arithmetic) at N = 64, 256, 1024 and 4096 sites, on the model and
+driving of ``scripts/configs/simulate.json``.
+
+Each figure is the median over ``REPEATS`` timed blocks of the
+perf_counter time per call.  The result is written as one named column of
+a BENCH JSON file, next to the columns already there, so the same script
+run against two checkouts gives a before/after table:
+
+    PYTHONPATH=<parent>/src python scripts/bench.py --column parent
+    PYTHONPATH=src python scripts/bench.py --column change
+
+``dnls`` is imported from the path, so the column measures whichever
+source tree PYTHONPATH names.  BLAS runs on one thread.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import sys
+from time import perf_counter
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from dnls.config import load_config  # noqa: E402
+from dnls.integrator import _Dopri5  # noqa: E402
+from dnls.lattice import make_rhs, random_state  # noqa: E402
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "scripts" / "configs" / "simulate.json"
+SIZES = (64, 256, 1024, 4096)
+REPEATS = 21
+
+
+def _per_call_us(fn, number: int) -> float:
+    start = perf_counter()
+    for _ in range(number):
+        fn()
+    return 1e6 * (perf_counter() - start) / number
+
+
+def measure() -> dict:
+    cfg = load_config(CONFIG)
+    cases = []  # (entry, N, callable, calls per timed block)
+    for n in SIZES:
+        f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc)
+        v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
+        out = np.empty(n, dtype=np.complex128)
+        kernel = _Dopri5(f, v, 0.0)
+        cases.append(("rhs_us", n, lambda f=f, v=v, out=out: f(0.3, v, out),
+                      1000))
+        cases.append(("attempt_us", n,
+                      lambda k=kernel: k.attempt(0.0, 1e-3, cfg.integrator),
+                      100))
+    for _, _, fn, _ in cases:
+        fn()
+    # each repeat times every case once, so a drift in machine speed over
+    # the run reaches all cases alike
+    samples = {(entry, n): [] for entry, n, _, _ in cases}
+    for _ in range(REPEATS):
+        for entry, n, fn, number in cases:
+            samples[entry, n].append(_per_call_us(fn, number))
+    result = {"rhs_us": {}, "attempt_us": {}}
+    for (entry, n), us in samples.items():
+        result[entry][str(n)] = statistics.median(us)
+    return {
+        **result,
+        "repeats": REPEATS,
+        "nproc": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"),
+                        help="BENCH JSON file to add the column to")
+    parser.add_argument("--column", default="change",
+                        help="name of the column to write")
+    args = parser.parse_args(argv)
+
+    path = pathlib.Path(args.out)
+    bench = json.loads(path.read_text()) if path.exists() else {
+        "what": "median perf_counter time of one RHS call and one DOPRI5 "
+                "step attempt, per lattice size N, on simulate.json's model",
+        "config": str(CONFIG.relative_to(ROOT)),
+        "columns": {},
+    }
+    column = measure()
+    bench["columns"][args.column] = column
+    path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+    for key in ("rhs_us", "attempt_us"):
+        row = "  ".join(f"N={n}: {us:8.2f}" for n, us in column[key].items())
+        print(f"{args.column:>8} {key:>10}  {row}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -273,6 +273,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if args.seed is not None and args.seed < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         sc = parse_scenario(args.command, cfg.scenario)
         return _COMMANDS[args.command](cfg, sc, args)
     except (DampingTooWeakError, StrongDampingError, DomainError) as exc:

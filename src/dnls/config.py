@@ -38,6 +38,12 @@ class ScenarioConfig:
             raise DomainError(f"unknown boundary condition {self.bc!r}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise DomainError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _complex_pair(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
@@ -47,7 +53,7 @@ def _complex_pair(v) -> complex:
 
 
 def _profile_from_dict(d: dict) -> SpatialProfile:
-    kind = d.get("kind")
+    kind = _object(d, "profile").get("kind")
     if kind == "exponential":
         return SpatialProfile(kind=kind, amplitude=d.get("amplitude", 1.0),
                               rate=d["rate"])
@@ -76,7 +82,7 @@ def _profile_to_dict(p: SpatialProfile) -> dict:
 
 
 def _law_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = _object(d, "law").get("kind")
     if kind == "constant":
         return ConstantLaw(value=d.get("value", 1.0))
     if kind == "periodic":
@@ -102,6 +108,7 @@ def _law_to_dict(law) -> dict:
 
 
 def _field_from_dict(d: dict) -> DrivingField:
+    _object(d, "driving field")
     return DrivingField(profile=_profile_from_dict(d["profile"]),
                         law=_law_from_dict(d.get("law", {"kind": "constant"})),
                         offset=d.get("offset", 0.0))
@@ -119,20 +126,21 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     if version != SCHEMA_VERSION:
         raise DomainError(f"unsupported config version {version!r}")
     try:
-        m = d["model"]
+        m = _object(d["model"], "model")
         nl = m.get("nonlinearity")
         nonlinearity = None
         if nl is not None:
+            _object(nl, "model.nonlinearity")
             nonlinearity = NonlinearitySpec(sigma=nl["sigma"],
                                             sign=nl.get("sign", 1),
                                             a=nl.get("a"), b=nl.get("b"))
         model = ModelParams(kappa=m["kappa"], gamma=m["gamma"],
                             nonlinearity=nonlinearity)
-        lat = d["lattice"]
-        dr = d["driving"]
+        lat = _object(d["lattice"], "lattice")
+        dr = _object(d["driving"], "driving")
         g1 = _field_from_dict(dr["g1"]) if "g1" in dr else DrivingField.zero()
         g2 = _field_from_dict(dr["g2"]) if "g2" in dr else DrivingField.zero()
-        integ = d.get("integrator", {})
+        integ = _object(d.get("integrator", {}), "integrator")
         cfg = IntegratorConfig(
             rtol=integ.get("rtol", 1e-8), atol=integ.get("atol", 1e-11),
             dt_init=integ.get("dt_init", 1e-2),
@@ -146,7 +154,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                               scenario=dict(d.get("scenario", {})))
     except KeyError as exc:
         raise DomainError(f"config missing required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, DomainError):
             raise
         raise DomainError(f"malformed config: {exc}") from exc
@@ -162,7 +170,11 @@ def _number(minimum: float = -math.inf, *, strict: bool = False,
     def parse(name: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"scenario.{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise DomainError(f"scenario.{name} must be finite, got {value!r}")
         if integer and value != int(value):
             raise DomainError(f"scenario.{name} must be an integer, got {value!r}")
@@ -217,7 +229,7 @@ def _initial(name: str, value) -> SimpleNamespace:
         try:
             return SimpleNamespace(kind=kind,
                                    values=[_complex_pair(v) for v in values])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"scenario.{name}.values: {exc}") from exc
     raise DomainError(f"unknown initial state kind {kind!r}")
 

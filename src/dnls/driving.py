@@ -265,8 +265,23 @@ class DrivingField:
         return DrivingField(SpatialProfile.zero(), ConstantLaw(0.0))
 
 
+def _rhs_term(g: DrivingField, p: np.ndarray | None):
+    """(sl, q, law, offset) with -i*g(t) = q * law(t + offset) on the sites
+    ``sl`` and zero off them, where ``p`` is g's realized profile; None for
+    a zero field."""
+    nz = np.flatnonzero(p) if p is not None else ()
+    if len(nz) == 0:
+        return None
+    sl = slice(int(nz[0]), int(nz[-1]) + 1)
+    return sl, -1j * p[sl], g.law, g.offset
+
+
 class _Sampler:
-    """Driving realized on a fixed truncation, for fast rhs evaluation."""
+    """Driving realized on a fixed truncation, for fast rhs evaluation.
+
+    ``g1_term`` and ``g2_term`` hand the RHS each field as -i times its
+    profile, cut to the span of its nonzero sites, with its scalar law (see
+    ``_rhs_term``); ``sample_values`` gives the fields themselves."""
 
     def __init__(self, spec: "DrivingSpec", n_sites: int):
         self.n_sites = n_sites
@@ -274,6 +289,8 @@ class _Sampler:
         self._g2 = spec.g2
         self._p1 = spec.g1.profile.realize(n_sites) if spec.g1.sup_norm() > 0 else None
         self._p2 = spec.g2.profile.realize(n_sites) if spec.g2.sup_norm() > 0 else None
+        self.g1_term = _rhs_term(spec.g1, self._p1)
+        self.g2_term = _rhs_term(spec.g2, self._p2)
 
     def sample_values(self, t: float, n_sites: int):
         assert n_sites == self.n_sites

@@ -6,6 +6,10 @@ controller (safety 0.9, step-ratio clipped to [0.2, 5]) and the pair's own
 is non-stiff in the regimes studied (the coupling operator has spectral
 radius at most 4), so an explicit pair suffices; dissipation is handled by
 step control.
+
+One kernel (``_Dopri5``) does the stage arithmetic on buffers allocated
+once per trajectory, and the right-hand side from ``lattice.make_rhs``
+writes each stage in place, so a step attempt allocates nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ _A = np.array([
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _A[6] - _B4
-_AY = np.hstack([np.ones((7, 1)), _A])  # leading column: weight of y
 
 # 4th-order continuous extension y(t + theta*h) = y + h*(_P @ [theta^1..4]) @ K
 # (Shampine 1986, Math. Comp. 46; Hairer-Norsett-Wanner, Solving ODEs I, II.6)
@@ -101,30 +104,41 @@ class Trajectory:
 
 class _Dopri5:
     """DOPRI5 steps on preallocated buffers: S = [y; K], so each stage point
-    is one real dot product of [1, h*A[i, :i]] with the float64 view of S."""
+    is one real dot product of the row [1, h*A[i, :i]] of the coefficient
+    matrix M with the float64 view of S.  M, its stage rows, the row h*E
+    and the error and scale buffers are allocated once, so ``attempt``
+    allocates nothing."""
 
     def __init__(self, f, y: np.ndarray, t: float):
         self.f = f
         self.S = S = np.empty((8, y.size), dtype=np.complex128)
         self.Y = Y = np.empty((7, y.size), dtype=np.complex128)  # stage points
+        M = np.ones((7, 8))  # column 0 stays 1, the weight of y; then h*A
+        self._hA = M[:, 1:]
         Sr, Yr = S.view(np.float64), Y.view(np.float64)
-        self._stages = [(Sr[:i + 1], Yr[i], Y[i], S[i + 1]) for i in range(1, 7)]
+        self._stages = [(M[i, :i + 1], Sr[:i + 1], Yr[i], Y[i], S[i + 1])
+                        for i in range(1, 7)]
         self._yr, self._y_new_r, self._Kr = Sr[0], Yr[6], Sr[1:]
+        self._hE = np.empty_like(_E)
+        self._err, self._scale, self._tmp = np.empty((3, 2 * y.size))
         S[0] = y
         f(t, y, S[1])
 
     def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
         """Stages of a step of size h from (t, S[0]); leaves the 5th-order
         solution in Y[6] and returns the weighted RMS error norm."""
-        M = h * _AY
-        M[:, 0] = 1.0
+        np.multiply(h, _A, self._hA)
         f = self.f
-        for i, (s, y_r, y_i, k) in enumerate(self._stages, 1):
-            np.dot(M[i, :i + 1], s, y_r)
+        for i, (m, s, y_r, y_i, k) in enumerate(self._stages, 1):
+            np.dot(m, s, y_r)
             f(t + _C[i] * h, y_i, k)
-        err = np.dot(h * _E, self._Kr)
-        err /= config.atol + config.rtol * np.maximum(np.abs(self._yr),
-                                                      np.abs(self._y_new_r))
+        err, scale, tmp = self._err, self._scale, self._tmp
+        np.dot(np.multiply(h, _E, self._hE), self._Kr, err)
+        # err /= atol + rtol * max(|y|, |y_new|), componentwise
+        np.maximum(np.abs(self._yr, scale), np.abs(self._y_new_r, tmp), out=scale)
+        np.multiply(config.rtol, scale, scale)
+        np.add(config.atol, scale, scale)
+        np.divide(err, scale, err)
         return math.sqrt(float(np.dot(err, err)) / err.size)
 
     def accept(self) -> None:

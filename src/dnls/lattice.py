@@ -4,8 +4,10 @@ motion
     i dpsi_n/dt = kappa*(psi_{n+1} - 2 psi_n + psi_{n-1}) - i*gamma*psi_n
                   + F(|psi_n|^2) psi_n + g1_n(t) + g2_n(t) psi_n
 
-on sites n = -N/2 .. N/2-1.  All operations are pure; states are immutable
-once constructed.
+on sites n = -N/2 .. N/2-1.  All operations are pure and states are
+immutable once constructed, except the right-hand side built by
+``make_rhs``: a closure that owns preallocated scratch and evaluates in
+place, because the integrator calls it six times per step.
 """
 
 from __future__ import annotations
@@ -189,42 +191,86 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
     """Build f(t, values, out=None) -> dvalues/dt on raw arrays, written to
     ``out`` (which must not alias ``values``) when given.
 
-    ``driving`` must provide sample_values(t, n_sites) -> (g1, g2) arrays.
-    The equation of motion in d/dt form reads
+    ``driving`` must provide ``g1_term`` and ``g2_term``: None for a zero
+    field, else (sl, q, law, offset) with -i*g(t) = q * law(t + offset) on
+    the sites ``sl`` and zero off them (see ``DrivingSpec.sampler``).  The
+    equation of motion in d/dt form reads
 
         dpsi/dt = -i*kappa*A psi - gamma*psi - i*F(|psi|^2) psi
                   - i*g1(t) - i*g2(t)*psi
 
-    evaluated as one diagonal coefficient (damping, the diagonal of A, F
-    and g2) times psi, plus the couplings of A and g1.
+    evaluated as one diagonal coefficient
+
+        c = -gamma + i*(2*kappa - sign*|psi|^(2*sigma)) - i*g2(t)
+
+    times psi, plus the couplings of A and g1.  The closure owns its
+    scratch, so a call with ``out`` allocates nothing (and two calls must
+    not overlap).  The real part of c is written once; each call rewrites
+    its imaginary part in one ufunc, then adds g2 on g2's sites only, as
+    one complex update (with F present the real part there is first reset
+    to -gamma; for a real profile it adds +-0).  The couplings
+    are two whole-array adds of -i*kappa*psi, held in a buffer zero-padded
+    to N+2 sites, and g1 is added on g1's sites only.  Every sum is formed
+    in the order of the plain formula, so the result is the same bit for
+    bit.
     """
-    hop = -1j * params.kappa
+    if driving.n_sites != n_sites:
+        raise DomainError(f"driving realized on {driving.n_sites} sites, "
+                          f"the lattice has {n_sites}")
+    # constant operands as 0-d arrays: numpy converts a Python scalar
+    # operand on every ufunc call
+    hop = np.array(-1j * params.kappa)
+    two_kappa = np.array(2.0 * params.kappa)
     diag = complex(-params.gamma, 2.0 * params.kappa)
     nl = params.nonlinearity
-    sigma, nl_coef = (nl.sigma, -1j * nl.sign) if nl is not None else (1.0, 0.0)
+    g1, g2 = driving.g1_term, driving.g2_term
     periodic = bc == PERIODIC
 
+    pad = np.zeros(n_sites + 2, dtype=np.complex128)
+    hv, right, left = pad[1:-1], pad[2:], pad[:-2]
+    coef = np.full(n_sites, diag)
+    coef_im = coef.imag
+    if nl is not None:
+        sigma = nl.sigma
+        sq = np.empty(n_sites)
+        nl_op = np.subtract if nl.sign == 1 else np.add
+    if g2 is not None:
+        sl2, q2, law2, off2 = g2
+        c2 = coef[sl2]
+        if nl is not None:  # the imaginary part of c2 is fresh on every
+            base2, re2 = c2, coef.real[sl2]  # call, its real part reset
+        else:
+            base2, re2 = np.array(diag), None
+        g2_buf = np.empty_like(q2)
+    if g1 is not None:
+        sl1, q1, law1, off1 = g1
+        g1_buf = np.empty_like(q1)
+
     def f(t, v, out=None):
-        g1, g2 = driving.sample_values(t, n_sites)
-        d = diag
         if nl is not None:
-            s = np.abs(v)
+            s = np.abs(v, sq)
             s *= s
             if sigma != 1.0:
                 s **= sigma
-            d = s * nl_coef
-            d += diag
+            nl_op(two_kappa, s, coef_im)
         if g2 is not None:
-            d = d - 1j * g2
-        out = np.multiply(d, v, out)
-        hv = hop * v
-        out[:-1] += hv[1:]
-        out[1:] += hv[:-1]
+            if re2 is not None:
+                re2.fill(diag.real)
+            np.multiply(q2, law2(t + off2), g2_buf)
+            np.add(base2, g2_buf, c2)
+        out = np.multiply(coef, v, out)
+        np.multiply(hop, v, hv)
         if periodic:
-            out[-1] += hv[0]
-            out[0] += hv[-1]
+            pad[0] = pad[n_sites]
+        np.add(out, right, out)
+        np.add(out, left, out)
+        if periodic:
+            # the wrap at site N-1 comes after both neighbours, as at site 0
+            out[-1] += pad[1]
         if g1 is not None:
-            out -= 1j * g1
+            np.multiply(q1, law1(t + off1), g1_buf)
+            o = out[sl1]
+            np.add(o, g1_buf, o)
         return out
 
     return f

@@ -1,16 +1,19 @@
 """JSON scenario configs and the command line interface."""
 
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dnls import cli
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          config_to_dict, dumps_config, load_config,
-                         loads_config, save_config)
+                         loads_config, parse_scenario, save_config)
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
                           HarmonicSumLaw, PeriodicLaw, SpatialProfile)
 from dnls.errors import DomainError
@@ -41,6 +44,50 @@ def _malformed_fields():
         cases += [(command, name, key, "x") for key in sorted(keys)]
     return [pytest.param(*c, id=f"{c[0]}-{c[2]}={c[3]!r}")
             for c in dict.fromkeys(cases)]
+
+
+# replacements for one field: every JSON type, and numbers at the edges
+_ODD_VALUES = ["x", "", None, True, [], {}, [1, 2], {"kind": "x"},
+               0, -1, 0.5]
+_HUGE_VALUES = [1e308, -1e308, 10 ** 400, -10 ** 400, math.inf, -math.inf,
+                math.nan]
+
+
+def _key_paths(node, prefix=()):
+    """Key path of every value below ``node`` in a parsed JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_bundled_config(draw):
+    """A bundled config with one to three fields dropped, swapped for
+    another type, sign-flipped or set huge."""
+    name = draw(st.sampled_from(sorted({name for _, name in BUNDLED})))
+    data = json.loads((CONFIGS / name).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(data))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = data
+        for k in parents:
+            parent = parent[k]
+        value = parent[key]
+        op = draw(st.sampled_from(["drop", "swap", "flip", "huge"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "flip" and isinstance(value, (int, float)) \
+                and not isinstance(value, bool):
+            parent[key] = -value
+        elif op == "huge":
+            parent[key] = draw(st.sampled_from(_HUGE_VALUES))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+    return name, data
 
 
 def _sample_config():
@@ -105,6 +152,26 @@ class TestConfigValidation:
                                  for command, config in BUNDLED
                                  if config == name))
             assert _bundled_scenario(name).keys() <= read, name
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_mutated_bundled_config())
+    def test_mutated_bundled_config_raises_only_domain_error(
+            self, tmp_path_factory, case):
+        # loading and parsing only: no command runs
+        name, data = case
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(data))
+        try:
+            cfg = load_config(path)
+        except DomainError:
+            return
+        for command, config in BUNDLED:
+            if config == name:
+                try:
+                    parse_scenario(command, cfg.scenario)
+                except DomainError:
+                    pass
 
     def test_rejects_bad_version(self):
         d = config_to_dict(_sample_config())
@@ -238,6 +305,12 @@ class TestCli:
                              "--out", str(out)]) == cli.EXIT_PASS
             texts.append(out.read_text())
         assert texts[0] != texts[1]
+
+    @pytest.mark.parametrize("command, name", BUNDLED)
+    def test_negative_seed_flag_is_config_error(self, capsys, command, name):
+        assert cli.main([command, "--config", str(CONFIGS / name),
+                         "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert "config error: --seed" in capsys.readouterr().err
 
     def test_breather_command(self, tmp_path):
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5,

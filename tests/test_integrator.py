@@ -15,8 +15,8 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   step)
 from dnls.diagnostics import predict_absorbing
 from dnls.errors import DomainError, StiffnessError
-from dnls.integrator import ORACLE_CONFIG, _sample_count
-from dnls.lattice import random_state
+from dnls.integrator import ORACLE_CONFIG, _Dopri5, _sample_count
+from dnls.lattice import make_rhs, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -165,6 +165,22 @@ class TestIntegrate:
         traj = integrate(psi0, 0.0, 1e-3, params, spec, cfg)
         assert traj.stats.accepted == 1 and traj.stats.rejected == 0
         assert np.array_equal(nxt.values, traj.values[-1])
+
+    def test_attempt_allocates_nothing(self):
+        cfg = load_config(CONFIGS / "simulate.json")
+        psi0 = random_state(4096, 0, norm=2.0)
+        f = make_rhs(cfg.model, cfg.driving.sampler(4096), 4096, cfg.bc)
+        kernel = _Dopri5(f, psi0.values, 0.0)
+        kernel.attempt(0.0, 1e-3, cfg.integrator)
+        tracemalloc.start()
+        try:
+            for i in range(100):
+                kernel.attempt(1e-3 * i, 1e-3, cfg.integrator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one full-size temporary at N=4096 takes 32 KiB (real) or 64 KiB
+        assert peak < 16 * 2 ** 10
 
 
 class TestStreaming:

@@ -1,6 +1,7 @@
 """Lattice states, operators and the nonlinearity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from dnls import (LatticeState, ModelParams, NonlinearitySpec,
                   apply_difference, apply_laplacian, evaluate_nonlinearity,
                   l2_norm, random_state, rhs, tail_mass)
-from dnls.driving import ConstantLaw, DrivingField, DrivingSpec, SpatialProfile
+from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
+                          HarmonicSumLaw, PeriodicLaw, SpatialProfile)
 from dnls.errors import DomainError
-from dnls.lattice import norm_sq
+from dnls.lattice import make_rhs, norm_sq
 
 
 def _rand(n, seed, bc="dirichlet"):
@@ -173,6 +175,139 @@ class TestRhs:
             ModelParams(kappa=1.0, gamma=0.0)
         with pytest.raises(DomainError):
             ModelParams(kappa=math.inf, gamma=1.0)
+
+
+def _reference_rhs(params, spec, n_sites, bc):
+    """The right-hand side written plainly: both fields realized on every
+    site at every call, one diagonal coefficient times psi, the couplings
+    as shifted adds, then the wrap terms and g1."""
+    p1, p2 = [g.profile.realize(n_sites) if g.sup_norm() > 0 else None
+              for g in (spec.g1, spec.g2)]
+    diag = complex(-params.gamma, 2.0 * params.kappa)
+    nl = params.nonlinearity
+
+    def f(t, v):
+        g1 = None if p1 is None else p1 * spec.g1.scalar(t)
+        g2 = None if p2 is None else p2 * spec.g2.scalar(t)
+        d = diag
+        if nl is not None:
+            s = np.abs(v)
+            s *= s
+            if nl.sigma != 1.0:
+                s **= nl.sigma
+            d = s * (-1j * nl.sign)
+            d += diag
+        if g2 is not None:
+            d = d - 1j * g2
+        out = d * v
+        hv = -1j * params.kappa * v
+        out[:-1] += hv[1:]
+        out[1:] += hv[:-1]
+        if bc == "periodic":
+            out[-1] += hv[0]
+            out[0] += hv[-1]
+        if g1 is not None:
+            out -= 1j * g1
+        return out
+
+    return f
+
+
+_EXP = SpatialProfile("exponential", amplitude=0.6, rate=0.8)
+_PERIODIC = PeriodicLaw(period=2.5, amplitude=0.9, phase=0.4)
+_CUSTOM = SpatialProfile("custom", values=(0.1 + 0.2j, -0.3 + 0.05j, 0.2),
+                         start=-1)
+_SITE_G2 = DrivingField(SpatialProfile("single_site", amplitude=0.25, site=3),
+                        ConstantLaw(1.0))
+# (nonlinearity, g1, g2) of each case; None is a zero field
+_RHS_CASES = {
+    "F=0": (None, None, None),
+    "cubic+": (NonlinearitySpec.cubic(1), DrivingField(_EXP, _PERIODIC), None),
+    "cubic-": (NonlinearitySpec.cubic(-1), DrivingField(_EXP, _PERIODIC),
+               None),
+    "sigma=1.5": (NonlinearitySpec(sigma=1.5),
+                  DrivingField(SpatialProfile("gaussian", amplitude=0.4,
+                                              width=3.0), _PERIODIC), None),
+    "g1 only": (None, DrivingField(_EXP, _PERIODIC, offset=0.3), None),
+    "single-site g2": (NonlinearitySpec.cubic(1), DrivingField(_EXP, _PERIODIC),
+                       _SITE_G2),
+    "single-site g2, F=0": (None, None, _SITE_G2),
+    "complex custom": (NonlinearitySpec.cubic(-1),
+                       DrivingField(_CUSTOM, _PERIODIC),
+                       DrivingField(_CUSTOM, PeriodicLaw(period=4.0))),
+    "complex custom g2, F=0": (None, None,
+                               DrivingField(_CUSTOM, PeriodicLaw(period=4.0))),
+    "harmonic law": (NonlinearitySpec.cubic(-1),
+                     DrivingField(_EXP, HarmonicSumLaw(
+                         frequencies=(1.0, math.sqrt(2.0)),
+                         amplitudes=(1.0, 0.8), phases=(0.1, 0.0)),
+                         offset=1.7),
+                     _SITE_G2),
+}
+
+
+def _rhs_pair(case, n_sites, bc, kappa=0.7):
+    """The closure from ``make_rhs`` and the reference, for one case."""
+    nl, g1, g2 = _RHS_CASES[case]
+    params = ModelParams(kappa=kappa, gamma=1.3, nonlinearity=nl)
+    spec = DrivingSpec(g1=g1 or DrivingField.zero(),
+                       g2=g2 or DrivingField.zero())
+    return (make_rhs(params, spec.sampler(n_sites), n_sites, bc),
+            _reference_rhs(params, spec, n_sites, bc))
+
+
+class TestInPlaceRhs:
+    @pytest.mark.parametrize("kappa", [0.7, -0.4])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("case", sorted(_RHS_CASES))
+    def test_matches_reference_bit_for_bit(self, case, bc, kappa):
+        f, ref = _rhs_pair(case, 64, bc, kappa)
+        out = np.empty(64, dtype=complex)
+        # the same out buffer over several states and times: no call may
+        # leave anything behind that the next one reads
+        for seed, t in [(0, 0.0), (1, 0.77), (2, 13.1), (0, 0.77)]:
+            v = _rand(64, seed).values
+            got = f(t, v, out)
+            assert got is out
+            assert got.view(np.uint64).tobytes() == \
+                ref(t, v).view(np.uint64).tobytes(), (seed, t)
+
+    def test_without_out_returns_a_fresh_array(self):
+        f, _ = _rhs_pair("single-site g2", 64, "periodic")
+        v, w = _rand(64, 0).values, _rand(64, 1).values
+        a = f(0.1, v)
+        kept = a.copy()
+        b = f(0.1, w)
+        assert a is not b and not np.shares_memory(a, b)
+        assert np.array_equal(a, kept)
+
+    def test_in_place_evaluation_allocates_nothing(self):
+        # one full-size temporary at N=4096 takes 32 KiB (real) or 64 KiB
+        n = 4096
+        f, _ = _rhs_pair("harmonic law", n, "periodic")
+        v = random_state(n, 0, norm=2.0, localized=False).values
+        out = np.empty(n, dtype=complex)
+        f(0.0, v, out)
+        tracemalloc.start()
+        try:
+            for i in range(1000):
+                f(1e-3 * i, v, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 10
+
+    @pytest.mark.parametrize("sampled_at", [32, 8])
+    def test_sampler_of_another_size_is_rejected(self, sampled_at):
+        # site 3 realized at N=32 is index 19, beyond a 16-site lattice,
+        # and at N=8 index 7, not 11: either would put g1 in the wrong place
+        # or drop it without an error
+        params = ModelParams(kappa=0.7, gamma=1.3)
+        spec = DrivingSpec(g1=_SITE_G2)
+        with pytest.raises(DomainError, match="realized on"):
+            make_rhs(params, spec.sampler(sampled_at), 16, "dirichlet")
+        with pytest.raises(DomainError, match="realized on"):
+            rhs(_rand(16, 0), 0.0, params, spec.sampler(sampled_at))
 
 
 class TestRandomState:
