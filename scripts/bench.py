@@ -9,8 +9,8 @@ perf_counter time per call.  The result is written as one named column of
 a BENCH JSON file, next to the columns already there, so the same script
 run against two checkouts gives a before/after table:
 
-    PYTHONPATH=<parent>/src python scripts/bench.py --column parent
-    PYTHONPATH=src python scripts/bench.py --column change
+    PYTHONPATH=<parent>/src python scripts/bench.py --out BENCH_<n>.json --column parent
+    PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json --column change
 
 ``dnls`` is imported from the path, so the column measures whichever
 source tree PYTHONPATH names.  BLAS runs on one thread.
@@ -83,7 +83,7 @@ def measure() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"),
+    parser.add_argument("--out", required=True,
                         help="BENCH JSON file to add the column to")
     parser.add_argument("--column", default="change",
                         help="name of the column to write")

@@ -13,9 +13,9 @@ from .diagnostics import (AbsorbingPrediction, ContractionReport,
                           contraction_rate, correlation_dimension,
                           poincare_points, predict_absorbing, predict_tail,
                           verify_absorbing, verify_tail)
-from .driving import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
-                      PeriodicLaw, SpatialProfile, effective_damping,
-                      sample_driving, sup_norm, translate)
+from .driving import (Certificate, ConstantLaw, DrivingField, DrivingSpec,
+                      HarmonicSumLaw, PeriodicLaw, SpatialProfile,
+                      certificate, sample_driving, translate)
 from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
                      StiffnessError, StrongDampingError,
                      TruncationTooSmallError)

@@ -31,15 +31,13 @@ class StrongDampingCheck:
 
 
 def check_strong_damping(params: ModelParams, spec: DrivingSpec) -> StrongDampingCheck:
-    """Evaluate the uniqueness inequality with certified sup norms."""
-    gamma_eff = drv.require_positive_damping(params.gamma, spec)
-    radius = spec.g1.sup_norm() / gamma_eff
-    a, b = params.growth_constants
-    rhs = a * radius ** b + spec.g2.sup_norm()
+    """Evaluate the uniqueness inequality with certified sup norms: the gap
+    rate on the ball of radius R_u must be positive."""
+    cert = drv.certificate(params, spec).dissipative()
+    rate = cert.gap_rate(cert.breather_radius)
     return StrongDampingCheck(
-        lhs=params.gamma, rhs=rhs, ball_radius=radius,
-        contraction_exponent=params.gamma - rhs,
-        satisfied=params.gamma > rhs)
+        lhs=cert.gamma, rhs=cert.gamma - rate, ball_radius=cert.breather_radius,
+        contraction_exponent=rate, satisfied=rate > 0)
 
 
 def period_map(state: LatticeState, t0: float, params: ModelParams,
@@ -69,11 +67,11 @@ class BreatherSolution:
 
 
 def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
-                  seed: LatticeState | None = None, t0: float = 0.0,
+                  seed: LatticeState | None = None,
                   period: float | None = None, n_sites: int = 256,
-                  config: IntegratorConfig = ORACLE_CONFIG,
-                  max_iterations: int = 1000) -> BreatherSolution:
-    """Fixed-point iteration of the period map.
+                  config: IntegratorConfig = ORACLE_CONFIG) -> BreatherSolution:
+    """Fixed-point iteration of the period map from phase t0 = 0, for at
+    most 1000 iterations.
 
     Refuses to run unless the strong-damping inequality holds, since only
     then is the iteration certified to contract (and the orbit unique).
@@ -99,11 +97,11 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     d = math.inf
     iterations = 0
     while d > tol:
-        if iterations >= max_iterations:
+        if iterations >= 1000:
             raise NonconvergenceError(
-                f"no convergence after {max_iterations} iterations "
+                f"no convergence after {iterations} iterations "
                 f"(last residual {d:.3g})", ratios=ratios)
-        nxt = period_map(psi, t0, params, spec, period, config)
+        nxt = period_map(psi, 0.0, params, spec, period, config)
         d = math.sqrt(norm_sq(nxt.values - psi.values))
         if prev_d is not None and prev_d > max(noise_floor, 10 * tol):
             ratios.append(d / prev_d)
@@ -111,11 +109,11 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
         psi = nxt
         iterations += 1
 
-    final = period_map(psi, t0, params, spec, period, config)
+    final = period_map(psi, 0.0, params, spec, period, config)
     residual = math.sqrt(norm_sq(final.values - psi.values))
-    rate, r2 = _localization_fit(psi, spec)
+    rate, r2 = _localization_fit(psi)
     return BreatherSolution(
-        state0=psi, period=period, phase_t0=t0,
+        state0=psi, period=period, phase_t0=0.0,
         periodicity_residual=residual, iterations=iterations,
         contraction_ratio=max(ratios) if ratios else 0.0, ratios=ratios,
         localization_rate=rate, localization_r2=r2)
@@ -125,24 +123,19 @@ def _envelope(state: LatticeState) -> np.ndarray:
     """Symmetrized amplitude envelope: env[k] = max(|psi_k|, |psi_-k|)."""
     c = state.n_sites // 2
     amp = np.abs(state.values)
-    k_max = c - 1
-    env = np.empty(k_max + 1)
-    env[0] = amp[c]
-    for k in range(1, k_max + 1):
-        env[k] = max(amp[c + k], amp[c - k])
-    return env
+    return np.maximum(amp[c:2 * c], amp[c:0:-1])
 
 
-def _localization_fit(state: LatticeState, spec: DrivingSpec,
-                      core: int = 2) -> tuple[float | None, float | None]:
+def _localization_fit(state: LatticeState) -> tuple[float | None,
+                                                     float | None]:
     """Least-squares exponential decay rate of the amplitude envelope
-    beyond the driving core, with its R^2."""
+    from site 2 on, with its R^2."""
     env = _envelope(state)
     peak = float(np.max(env))
     if peak == 0.0:
         return None, None
     ks = np.arange(env.size)
-    usable = (ks >= core) & (env > 1e-10 * peak)
+    usable = (ks >= 2) & (env > 1e-10 * peak)
     if np.count_nonzero(usable) < 3:
         return None, None
     slope, r, _ = line_fit(ks[usable], np.log(env[usable]))
@@ -161,8 +154,7 @@ class BreatherReport:
 
 def verify_breather(sol: BreatherSolution, params: ModelParams,
                     spec: DrivingSpec, phases: int = 8, tol: float = 1e-10,
-                    config: IntegratorConfig = ORACLE_CONFIG,
-                    check_localization: bool = True) -> BreatherReport:
+                    config: IntegratorConfig = ORACLE_CONFIG) -> BreatherReport:
     """Re-integrate over two periods and check periodicity at ``phases``
     equispaced times, plus localization of the amplitude envelope."""
     period = sol.period
@@ -181,16 +173,12 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     env = _envelope(sol.state0)
     peak = float(np.max(env)) if env.size else 0.0
     core = _driving_core(spec)
-    monotone = True
-    for k in range(core + 1, env.size):
-        if env[k] > env[k - 1] * (1 + 1e-6) + 1e-12 * peak:
-            if env[k] > 1e-10 * peak:  # ignore round-off ripple in the floor
-                monotone = False
-                break
-    loc_ok = True
-    if check_localization and peak > 0:
-        loc_ok = (sol.localization_r2 is not None
-                  and sol.localization_r2 >= 0.99)
+    k = np.arange(core + 1, env.size)
+    # a rise above the 1e-10 floor, where round-off ripple is ignored
+    monotone = not np.any((env[k] > env[k - 1] * (1 + 1e-6) + 1e-12 * peak)
+                          & (env[k] > 1e-10 * peak))
+    loc_ok = peak == 0 or (sol.localization_r2 is not None
+                           and sol.localization_r2 >= 0.99)
     ok = periodic_ok and monotone and loc_ok
     return BreatherReport(ok=ok, max_phase_residual=max_res, tolerance=tol,
                           envelope_monotone=monotone,

@@ -145,9 +145,8 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> int:
     theta = random_state(cfg.n_sites, seed, norm=sc.radius, bc=cfg.bc)
     bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
-    perturbed = drv.translate(cfg.driving, sc.driving_shift)
-    report = dg.continuity_gap(cfg.model, cfg.driving, perturbed, theta,
-                               theta_n, horizon=sc.horizon,
+    report = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
+                               theta, theta_n, horizon=sc.horizon,
                                config=cfg.integrator)
     if args.json:
         write_json({
@@ -194,24 +193,22 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> int:
     tol = sc.tol
     oracle = IntegratorConfig(rtol=sc.oracle_rtol, atol=sc.oracle_atol,
                               dt_init=1e-3)
+    r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
 
     def solve(seed):
         if seed is None:
             seed_state = None
         else:
-            check = br.check_strong_damping(cfg.model, cfg.driving)
-            seed_state = random_state(cfg.n_sites, seed,
-                                      norm=0.5 * check.ball_radius, bc=cfg.bc)
+            seed_state = random_state(cfg.n_sites, seed, norm=0.5 * r_u,
+                                      bc=cfg.bc)
         return br.find_breather(cfg.model, cfg.driving, tol=tol,
                                 seed=seed_state, n_sites=cfg.n_sites,
                                 config=oracle)
 
     sols = [solve(s) for s in sc.seeds]
     sol = sols[0]
-    spread = 0.0
-    for other in sols[1:]:
-        spread = max(spread, float(np.linalg.norm(
-            other.state0.values - sol.state0.values)))
+    spread = max((float(np.linalg.norm(other.state0.values - sol.state0.values))
+                  for other in sols[1:]), default=0.0)
     report = br.verify_breather(sol, cfg.model, cfg.driving,
                                 phases=sc.phases, tol=tol, config=oracle)
     if args.json:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -52,21 +53,30 @@ def _complex_pair(v) -> complex:
     raise DomainError(f"expected [re, im] pair, got {v!r}")
 
 
-def _profile_from_dict(d: dict) -> SpatialProfile:
-    kind = _object(d, "profile").get("kind")
-    if kind == "exponential":
-        return SpatialProfile(kind=kind, amplitude=d.get("amplitude", 1.0),
-                              rate=d["rate"])
-    if kind == "gaussian":
-        return SpatialProfile(kind=kind, amplitude=d.get("amplitude", 1.0),
-                              width=d["width"])
-    if kind == "single_site":
-        return SpatialProfile(kind=kind, amplitude=d.get("amplitude", 1.0),
-                              site=d.get("site", 0))
+def _checked(d: dict, key: str, where: str, parse, *default):
+    """``d[key]`` (or ``default`` if given), checked by ``parse`` as
+    ``where.key`` but returned as read, so a dump shows it as written."""
+    value = d.get(key, *default) if default else d[key]
+    parse(f"{where}.{key}", value)
+    return value
+
+
+def _profile_from_dict(d: dict, where: str) -> SpatialProfile:
+    kind = _object(d, where).get("kind")
     if kind == "custom":
         return SpatialProfile(kind=kind,
                               values=tuple(_complex_pair(v) for v in d["values"]),
-                              start=d.get("start", 0))
+                              start=int(_checked(d, "start", where, _INTEGER, 0)))
+    amplitude = _checked(d, "amplitude", where, _REAL, 1.0)
+    if kind == "exponential":
+        return SpatialProfile(kind=kind, amplitude=amplitude,
+                              rate=_checked(d, "rate", where, _POSITIVE))
+    if kind == "gaussian":
+        return SpatialProfile(kind=kind, amplitude=amplitude,
+                              width=_checked(d, "width", where, _POSITIVE))
+    if kind == "single_site":
+        return SpatialProfile(kind=kind, amplitude=amplitude,
+                              site=int(_checked(d, "site", where, _INTEGER, 0)))
     raise DomainError(f"unknown profile kind {kind!r}")
 
 
@@ -81,17 +91,21 @@ def _profile_to_dict(p: SpatialProfile) -> dict:
             "values": [[v.real, v.imag] for v in p.values]}
 
 
-def _law_from_dict(d: dict):
-    kind = _object(d, "law").get("kind")
+def _law_from_dict(d: dict, where: str):
+    kind = _object(d, where).get("kind")
     if kind == "constant":
-        return ConstantLaw(value=d.get("value", 1.0))
+        return ConstantLaw(value=_checked(d, "value", where, _REAL, 1.0))
     if kind == "periodic":
-        return PeriodicLaw(period=d["period"], amplitude=d.get("amplitude", 1.0),
-                           phase=d.get("phase", 0.0))
+        return PeriodicLaw(period=_checked(d, "period", where, _POSITIVE),
+                           amplitude=_checked(d, "amplitude", where, _REAL, 1.0),
+                           phase=_checked(d, "phase", where, _REAL, 0.0))
     if kind == "harmonic":
-        return HarmonicSumLaw(frequencies=tuple(d["frequencies"]),
-                              amplitudes=tuple(d["amplitudes"]),
-                              phases=tuple(d.get("phases", ())))
+        reals = _list_of(_REAL)
+        phases = _checked(d, "phases", where, reals) if d.get("phases") else ()
+        return HarmonicSumLaw(
+            frequencies=tuple(_checked(d, "frequencies", where, reals)),
+            amplitudes=tuple(_checked(d, "amplitudes", where, reals)),
+            phases=tuple(phases))
     raise DomainError(f"unknown temporal law kind {kind!r}")
 
 
@@ -107,11 +121,12 @@ def _law_to_dict(law) -> dict:
     raise DomainError(f"cannot serialize law {law!r}")
 
 
-def _field_from_dict(d: dict) -> DrivingField:
-    _object(d, "driving field")
-    return DrivingField(profile=_profile_from_dict(d["profile"]),
-                        law=_law_from_dict(d.get("law", {"kind": "constant"})),
-                        offset=d.get("offset", 0.0))
+def _field_from_dict(d: dict, where: str) -> DrivingField:
+    _object(d, where)
+    return DrivingField(
+        profile=_profile_from_dict(d["profile"], f"{where}.profile"),
+        law=_law_from_dict(d.get("law", {"kind": "constant"}), f"{where}.law"),
+        offset=_checked(d, "offset", where, _REAL, 0.0))
 
 
 def _field_to_dict(f: DrivingField) -> dict:
@@ -138,8 +153,8 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                             nonlinearity=nonlinearity)
         lat = _object(d["lattice"], "lattice")
         dr = _object(d["driving"], "driving")
-        g1 = _field_from_dict(dr["g1"]) if "g1" in dr else DrivingField.zero()
-        g2 = _field_from_dict(dr["g2"]) if "g2" in dr else DrivingField.zero()
+        g1, g2 = (_field_from_dict(dr[g], f"driving.{g}") if g in dr
+                  else DrivingField.zero() for g in ("g1", "g2"))
         integ = _object(d.get("integrator", {}), "integrator")
         cfg = IntegratorConfig(
             rtol=integ.get("rtol", 1e-8), atol=integ.get("atol", 1e-11),
@@ -147,7 +162,8 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             dt_min=integ.get("dt_min", 1e-12),
             dt_max=integ.get("dt_max", 1.0),
             sample_stride=integ.get("sample_stride", 0.1))
-        return ScenarioConfig(model=model, n_sites=int(lat["n_sites"]),
+        n_sites = int(_checked(lat, "n_sites", "lattice", _SITES))
+        return ScenarioConfig(model=model, n_sites=n_sites,
                               bc=lat.get("bc", DIRICHLET),
                               driving=DrivingSpec(g1=g1, g2=g2),
                               integrator=cfg,
@@ -161,32 +177,38 @@ def config_from_dict(d: dict) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# scenario block: each command's fields, typed and range-checked on read
+# typed fields of the driving, lattice and scenario blocks, checked on read
 
-def _number(minimum: float = -math.inf, *, strict: bool = False,
-            integer: bool = False):
-    """Parser of a finite number >= ``minimum`` (> with ``strict``),
-    integral with ``integer``."""
+def _number(minimum: float = -math.inf, maximum: float = math.inf, *,
+            strict: bool = False, integer: bool = False):
+    """Parser of a finite number >= ``minimum`` (> with ``strict``) and
+    <= ``maximum``, integral with ``integer``; ``name`` is the field's
+    dotted path."""
     def parse(name: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DomainError(f"scenario.{name} must be a number, got {value!r}")
+            raise DomainError(f"{name} must be a number, got {value!r}")
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an int beyond the float range
             finite = False
         if not finite:
-            raise DomainError(f"scenario.{name} must be finite, got {value!r}")
+            raise DomainError(f"{name} must be finite, got {value!r}")
         if integer and value != int(value):
-            raise DomainError(f"scenario.{name} must be an integer, got {value!r}")
+            raise DomainError(f"{name} must be an integer, got {value!r}")
         if value < minimum or (strict and value == minimum):
             bound = ">" if strict else ">="
-            raise DomainError(f"scenario.{name} must be {bound} {minimum:g}, "
+            raise DomainError(f"{name} must be {bound} {minimum:g}, "
                               f"got {value!r}")
+        if value > maximum:
+            raise DomainError(f"{name} must be <= {maximum:g}, got {value!r}")
         return int(value) if integer else float(value)
     return parse
 
 
 _REAL = _number()
+_INTEGER = _number(integer=True)
+# the integrator's (8, n_sites) complex128 stage buffer must be addressable
+_SITES = _number(3, sys.maxsize // 128, integer=True)
 _NONNEG = _number(0.0)
 _POSITIVE = _number(0.0, strict=True)
 _COUNT = _number(0, integer=True)
@@ -205,7 +227,7 @@ def _list_of(item, length: int | None = None):
         if (not isinstance(value, list) or not value
                 or (length is not None and len(value) != length)):
             size = "a non-empty" if length is None else f"a {length}-item"
-            raise DomainError(f"scenario.{name} must be {size} list, got {value!r}")
+            raise DomainError(f"{name} must be {size} list, got {value!r}")
         return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(value))
     return parse
 
@@ -214,7 +236,7 @@ def _initial(name: str, value) -> SimpleNamespace:
     """``{"kind": "zero"}``, ``{"kind": "random", "seed", "norm"}`` or
     ``{"kind": "values", "values": [[re, im], ...]}``."""
     if not isinstance(value, dict):
-        raise DomainError(f"scenario.{name} must be an object, got {value!r}")
+        raise DomainError(f"{name} must be an object, got {value!r}")
     kind = value.get("kind", "zero")
     if kind == "zero":
         return SimpleNamespace(kind=kind)
@@ -225,12 +247,12 @@ def _initial(name: str, value) -> SimpleNamespace:
     if kind == "values":
         values = value.get("values")
         if not isinstance(values, list):
-            raise DomainError(f"scenario.{name}.values must be a list")
+            raise DomainError(f"{name}.values must be a list")
         try:
             return SimpleNamespace(kind=kind,
                                    values=[_complex_pair(v) for v in values])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"scenario.{name}.values: {exc}") from exc
+            raise DomainError(f"{name}.values: {exc}") from exc
     raise DomainError(f"unknown initial state kind {kind!r}")
 
 
@@ -273,7 +295,7 @@ def parse_scenario(command: str, scenario: dict) -> SimpleNamespace:
         if value is None and default is None:
             out[name] = None
         else:
-            out[name] = parse(name, value)
+            out[name] = parse(f"scenario.{name}", value)
     return SimpleNamespace(**out)
 
 

@@ -52,12 +52,12 @@ def check_apriori_bound(traj: Trajectory, params: ModelParams,
                         spec: DrivingSpec) -> BoundReport:
     """||psi(t)||^2 <= ||psi(t0)||^2 e^{-Gamma (t-t0)} + sup||g1||^2/Gamma^2
     at every sample, with slack 1e-6*(1 + ||psi(t0)||^2)."""
-    gamma_eff = drv.require_positive_damping(params.gamma, spec)
-    g1_sup = spec.g1.sup_norm()
+    cert = drv.certificate(params, spec).dissipative()
+    gamma_eff = cert.gamma_tilde
     n0_sq = traj.norms[0] ** 2
     slack = 1e-6 * (1 + n0_sq)
     t0 = traj.times[0]
-    bound = n0_sq * np.exp(-gamma_eff * (traj.times - t0)) + g1_sup ** 2 / gamma_eff ** 2
+    bound = n0_sq * np.exp(-gamma_eff * (traj.times - t0)) + cert.g1_sup ** 2 / gamma_eff ** 2
     excess = traj.norms ** 2 - bound - slack
     bad = np.nonzero(excess > 0)[0]
     return BoundReport(
@@ -77,24 +77,18 @@ class AbsorbingPrediction:
     entry_time: float  # T(r), clamped to >= 0
     initial_radius: float
 
-    def entry_time_for(self, r: float) -> float:
-        g1_sup = self.radius * self.gamma_eff / math.sqrt(2.0)
-        if g1_sup == 0.0:
-            return 0.0
-        arg = self.gamma_eff ** 2 * r ** 2 / g1_sup ** 2
-        return max(0.0, math.log(arg) / self.gamma_eff) if arg > 0 else 0.0
-
 
 def predict_absorbing(params: ModelParams, spec: DrivingSpec,
                       r: float) -> AbsorbingPrediction:
-    """Ball radius K and entry time T for initial data of norm <= r."""
-    gamma_eff = drv.require_positive_damping(params.gamma, spec)
-    g1_sup = spec.g1.sup_norm()
-    pred = AbsorbingPrediction(gamma_eff=gamma_eff,
-                               radius=math.sqrt(2.0) * g1_sup / gamma_eff,
-                               entry_time=0.0, initial_radius=r)
-    pred.entry_time = pred.entry_time_for(r)
-    return pred
+    """Ball radius K and entry time T = ln(Gamma^2 r^2 / sup||g1||^2)/Gamma
+    for initial data of norm <= r."""
+    cert = drv.certificate(params, spec).dissipative()
+    gamma_eff, g1_sup = cert.gamma_tilde, cert.g1_sup
+    arg = gamma_eff ** 2 * r ** 2 / g1_sup ** 2 if g1_sup != 0.0 else 0.0
+    entry = max(0.0, math.log(arg) / gamma_eff) if arg > 0 else 0.0
+    return AbsorbingPrediction(gamma_eff=gamma_eff,
+                               radius=cert.absorbing_radius,
+                               entry_time=entry, initial_radius=r)
 
 
 @dataclass
@@ -106,22 +100,18 @@ class AbsorbingReport:
     radius: float
 
 
-def verify_absorbing(traj: Trajectory, pred: AbsorbingPrediction,
-                     radius_slack: float = 1e-6) -> AbsorbingReport:
-    """Assert ||psi(t)|| <= K*(1+slack) for all samples past t0 + T."""
+def verify_absorbing(traj: Trajectory,
+                     pred: AbsorbingPrediction) -> AbsorbingReport:
+    """Assert ||psi(t)|| <= K*(1 + 1e-6) for all samples past t0 + T."""
     t0 = traj.times[0]
     deadline = t0 + pred.entry_time
     if traj.times[-1] < deadline:
         raise DomainError(
             f"trajectory ends at t={traj.times[-1]:.6g}, before the "
             f"predicted entry time {deadline:.6g}")
-    limit = pred.radius * (1 + radius_slack)
-    inside = traj.norms <= limit
-    first_entry = None
-    for i in range(traj.n_samples):
-        if inside[i]:
-            first_entry = float(traj.times[i])
-            break
+    limit = pred.radius * (1 + 1e-6)
+    inside = np.flatnonzero(traj.norms <= limit)
+    first_entry = float(traj.times[inside[0]]) if inside.size else None
     after = traj.times >= deadline - 1e-12
     max_after = float(np.max(traj.norms[after])) if np.any(after) else 0.0
     ok = (first_entry is not None and first_entry <= deadline + 1e-12
@@ -146,7 +136,7 @@ def predict_tail(xi: float, r: float, params: ModelParams,
                  spec: DrivingSpec, n_sites: int) -> TailPrediction:
     if xi <= 0:
         raise DomainError("xi must be positive")
-    gamma_eff = drv.require_positive_damping(params.gamma, spec)
+    gamma_eff = drv.certificate(params, spec).dissipative().gamma_tilde
     entry = max(0.0, math.log(2.0 * r * r / xi) / gamma_eff) if r > 0 else 0.0
     target = gamma_eff ** 2 * xi / 2.0
     amp1 = spec.g1.law.amp_bound()
@@ -200,18 +190,17 @@ class ContractionReport:
 
 def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
                      horizon: float, n_sites: int = 256,
-                     config: IntegratorConfig = IntegratorConfig(),
-                     slack: float = 0.05) -> ContractionReport:
+                     config: IntegratorConfig = IntegratorConfig()
+                     ) -> ContractionReport:
     """Integrate two trajectories seeded inside the absorbing ball and fit
     the decay rate of their distance.  Pass iff the fitted decay is at
-    least the predicted rate minus ``slack`` (relative)."""
+    least 95% of the predicted rate, the gap rate at R = K."""
     s0, s1 = seeds
     if s0 == s1:
         raise DomainError("seeds must differ (degenerate fit)")
-    gamma_eff = drv.require_positive_damping(params.gamma, spec)
-    radius = math.sqrt(2.0) * spec.g1.sup_norm() / gamma_eff
-    a, b = params.growth_constants
-    predicted = params.gamma - a * radius ** b - spec.g2.sup_norm()
+    cert = drv.certificate(params, spec).dissipative()
+    radius = cert.absorbing_radius
+    predicted = cert.gap_rate(radius)
     if predicted <= 0:
         raise DomainError(
             f"damping too weak for contraction: gamma - a*K^b - sup||g2|| "
@@ -225,9 +214,7 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
                      for i in range(tp.n_samples)])
     # skip transients (first 20% of the window) and anything at noise level
     floor = 1e3 * config.rtol * max(1.0, radius)
-    start = int(0.2 * dist.size)
-    mask = np.zeros(dist.size, dtype=bool)
-    mask[start:] = dist[start:] > floor
+    mask = (dist > floor) & (np.arange(dist.size) >= int(0.2 * dist.size))
     if np.count_nonzero(mask) < 3:
         raise DomainError("distance decayed to noise before the fit window")
     t_fit = tp.times[mask]
@@ -235,7 +222,7 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
     slope, _, _ = line_fit(t_fit, ld)
     return ContractionReport(
         fitted_rate=float(slope), predicted_rate=float(predicted),
-        ball_radius=radius, pass_=bool(slope <= -(1 - slack) * predicted),
+        ball_radius=radius, pass_=bool(slope <= -0.95 * predicted),
         times=t_fit, log_dist=ld)
 
 
@@ -251,27 +238,29 @@ class ContinuityReport:
     growth_rate: float
 
 
-def continuity_gap(params: ModelParams, spec: DrivingSpec,
-                   perturbed_spec: DrivingSpec, theta: LatticeState,
-                   theta_n: LatticeState, horizon: float,
+def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
+                   theta: LatticeState, theta_n: LatticeState, horizon: float,
                    config: IntegratorConfig = IntegratorConfig()) -> ContinuityReport:
-    """Measured distance of the two evolutions against the Gronwall bound
+    """Measured distance of the evolution of ``theta_n`` under the driving
+    translated by ``h`` in its hull from that of ``theta`` under ``spec``,
+    against the Gronwall bound
 
         gap(t) <= e^{L*(t-t0)} ||theta_n - theta||
                   + (e^{L*(t-t0)} - 1)/L * (dg1 + 2*R*dg2)
 
     with growth rate L = gamma + sqrt(2)*a*R^b + 4|kappa| + sup||g2|| and R
-    the largest norm either trajectory attains."""
-    ta = integrate(theta_n, 0.0, horizon, params, perturbed_spec, config)
+    the largest norm either trajectory attains.  Needs no positive
+    effective damping."""
+    ta = integrate(theta_n, 0.0, horizon, params, drv.translate(spec, h),
+                   config)
     tb = integrate(theta, 0.0, horizon, params, spec, config)
     gap = np.array([math.sqrt(norm_sq(ta.values[i] - tb.values[i]))
                     for i in range(ta.n_samples)])
     r_max = float(max(np.max(ta.norms), np.max(tb.norms)))
-    a, b = params.growth_constants
-    lips = math.sqrt(2.0) * a * r_max ** b
-    rate = params.gamma + lips + 4.0 * abs(params.kappa) + spec.g2.sup_norm()
-    dg1, dg2 = _driving_gap(spec, perturbed_spec, ta.values.shape[1],
-                            0.0, horizon)
+    cert = drv.certificate(params, spec)
+    lips = math.sqrt(2.0) * cert.a * r_max ** cert.b
+    rate = params.gamma + lips + 4.0 * abs(params.kappa) + cert.g2_sup
+    dg1, dg2 = _driving_gap(spec, h, ta.values.shape[1])
     growth = np.exp(rate * (ta.times - ta.times[0]))
     bound = growth * gap[0] + (growth - 1.0) / rate * (dg1 + 2.0 * r_max * dg2)
     ok = bool(np.all(gap <= bound + 1e-9 * (1 + bound)))
@@ -279,34 +268,16 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec,
                             growth_rate=rate)
 
 
-def _driving_gap(spec_a: DrivingSpec, spec_b: DrivingSpec, n_sites: int,
-                 t0: float, t1: float) -> tuple[float, float]:
-    """Upper bound on sup_{t0 <= t <= t1} ||g_a(t) - g_b(t)|| on the
-    truncation, for g1 and for g2."""
-    return (_field_gap(spec_a.g1, spec_b.g1, n_sites, t0, t1),
-            _field_gap(spec_a.g2, spec_b.g2, n_sites, t0, t1))
-
-
-def _field_gap(fa: drv.DrivingField, fb: drv.DrivingField, n_sites: int,
-               t0: float, t1: float) -> float:
-    """A hull translation (same profile and law, offset moved by h) has the
-    closed form ||p|| * sum_j |a_j| * 2|sin(w_j h/2)|, from
-    |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|.  Any other pair takes
-    the maximum over a grid of spacing dt plus L*dt/2, where L bounds the
-    time derivative of the difference: the sum over both fields of
-    ||p|| * sum_j |a_j w_j|."""
-    pa, pb = fa.profile.realize(n_sites), fb.profile.realize(n_sites)
-    na, nb = math.sqrt(norm_sq(pa)), math.sqrt(norm_sq(pb))
-    if fa.profile == fb.profile and fa.law == fb.law:
-        h = fb.offset - fa.offset
-        return na * math.fsum(2.0 * abs(a * math.sin(w * h / 2.0))
-                              for a, w in fa.law.harmonics())
-    ts, dt = np.linspace(t0, t1, 2001, retstep=True)
-    scan = max(math.sqrt(norm_sq(pa * fa.scalar(t) - pb * fb.scalar(t)))
-               for t in ts)
-    lip = (na * math.fsum(abs(a * w) for a, w in fa.law.harmonics())
-           + nb * math.fsum(abs(a * w) for a, w in fb.law.harmonics()))
-    return scan + lip * dt / 2.0
+def _driving_gap(spec: DrivingSpec, h: float,
+                 n_sites: int) -> tuple[float, float]:
+    """sup_t ||g(t + h) - g(t)|| on the truncation, for g1 and for g2, in
+    closed form: ||p|| * sum_j |a_j| * 2|sin(w_j h/2)|, from
+    |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|."""
+    return tuple(
+        math.sqrt(norm_sq(f.profile.realize(n_sites)))
+        * math.fsum(2.0 * abs(a * math.sin(w * h / 2.0))
+                    for a, w in f.law.harmonics())
+        for f in (spec.g1, spec.g2))
 
 
 # ---------------------------------------------------------------------------
@@ -327,32 +298,26 @@ class DimensionEstimate:
         return self.ci_high - self.ci_low
 
 
-def correlation_dimension(points: np.ndarray, radii=None,
-                          theiler_window: int = 10,
-                          min_points: int = 100) -> DimensionEstimate:
+def correlation_dimension(points: np.ndarray,
+                          theiler_window: int = 10) -> DimensionEstimate:
     """Correlation-integral dimension estimate of a point cloud.
 
-    ``points`` is (n_points, dim) real.  C(eps) is the fraction of pairs
-    closer than eps, excluding pairs of temporal index distance up to the
-    Theiler window; the dimension is the log-log slope over the central
+    ``points`` is (n_points >= 100, dim) real.  C(eps) is the fraction of
+    pairs closer than eps, excluding pairs of temporal index distance up to
+    the Theiler window; the dimension is the log-log slope over the central
     scaling region, with a 95% confidence interval from the regression.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < min_points:
-        raise DomainError(f"need at least {min_points} points")
+    if pts.ndim != 2 or pts.shape[0] < 100:
+        raise DomainError("need at least 100 points")
     dists = _theiler_distances(pts, theiler_window)
     dmax = float(np.max(dists))
     if dmax <= 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts)))):
-        radii_out = np.geomspace(1e-3, 1.0, 8) if radii is None else np.asarray(radii, float)
-        ones = np.ones_like(radii_out)
+        radii = np.geomspace(1e-3, 1.0, 8)
         return DimensionEstimate(slope=0.0, ci_low=0.0, ci_high=0.0,
-                                 radii=radii_out, correlations=ones,
-                                 fit_radii=radii_out, degenerate=True)
-    if radii is None:
-        lo = _quantile(dists, 0.002)
-        lo = max(lo, 1e-12 * dmax)
-        radii = np.geomspace(lo, dmax, 32)
-    radii = np.asarray(radii, dtype=float)
+                                 radii=radii, correlations=np.ones_like(radii),
+                                 fit_radii=radii, degenerate=True)
+    radii = np.geomspace(max(_quantile(dists, 0.002), 1e-12 * dmax), dmax, 32)
     corr = np.array([np.count_nonzero(dists < eps) for eps in radii],
                     dtype=float) / dists.size
     # fit on the scaling region: enough pairs for statistics, but well
@@ -406,17 +371,16 @@ def _quantile(x: np.ndarray, q: float) -> float:
 def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
                     section_period: float, n_sites: int = 64,
                     seed: int = 0,
-                    config: IntegratorConfig | None = None,
-                    burn_in: float | None = None) -> np.ndarray:
+                    config: IntegratorConfig | None = None) -> np.ndarray:
     """Stroboscopic section of the driven dynamics: states sampled once per
-    ``section_period`` after the trajectory has settled into the absorbing
-    ball.  Returns (n_points, 2*n_sites) real coordinates."""
+    ``section_period`` after a burn-in of T(1) + 20/Gamma, by when the
+    trajectory has settled into the absorbing ball.  Returns
+    (n_points, 2*n_sites) real coordinates."""
     if config is None:
         config = IntegratorConfig(rtol=1e-7, atol=1e-10)
     config = replace(config, sample_stride=section_period)
     pred = predict_absorbing(params, spec, r=1.0)
-    if burn_in is None:
-        burn_in = pred.entry_time + 20.0 / pred.gamma_eff
+    burn_in = pred.entry_time + 20.0 / pred.gamma_eff
     psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred.radius, 0.1)))
     t1 = burn_in + n_points * section_period
     traj = integrate(psi0, 0.0, t1, params, spec, config)

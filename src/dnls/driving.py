@@ -5,7 +5,9 @@ scalar temporal law.  Temporal laws come in three classes: constant /
 periodic (single harmonic) / finite harmonic sums with pairwise rationally
 independent frequencies (quasiperiodic; three or more harmonics serve as
 the almost-periodic class).  Translation by h shifts the time argument and
-stays inside the hull of the original field.
+stays inside the hull of the original field.  ``certificate`` collects the
+constants every estimate rests on (effective damping, absorbing radius,
+breather ball, gap rate) in one place.
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DampingTooWeakError, DomainError
-from .lattice import DIRICHLET, LatticeState
+from .lattice import DIRICHLET, LatticeState, ModelParams
 
 _EPS = sys.float_info.epsilon
+# gaussian terms summed one by one before the rest is bounded by an integral
+# (all of them while width < 36, so those sums are exact)
+_GAUSSIAN_TERMS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -56,18 +61,16 @@ class SpatialProfile:
             object.__setattr__(
                 self, "values", tuple(complex(v) for v in self.values))
 
-    def _site_value(self, n: np.ndarray) -> np.ndarray:
-        if self.kind == "exponential":
-            return self.amplitude * np.exp(-self.rate * np.abs(n))
-        if self.kind == "gaussian":
-            return self.amplitude * np.exp(-(n * n) / (2.0 * self.width ** 2))
-        raise AssertionError(self.kind)
-
     def realize(self, n_sites: int) -> np.ndarray:
         """Profile values on sites -N/2 .. N/2-1 as a complex array."""
         out = np.zeros(n_sites, dtype=np.complex128)
         c = n_sites // 2
-        if self.kind == "single_site":
+        n = np.arange(n_sites) - c
+        if self.kind == "exponential":
+            out[:] = self.amplitude * np.exp(-self.rate * np.abs(n))
+        elif self.kind == "gaussian":
+            out[:] = self.amplitude * np.exp(-(n * n) / (2.0 * self.width ** 2))
+        elif self.kind == "single_site":
             i = self.site + c
             if not 0 <= i < n_sites:
                 raise DomainError(f"site {self.site} outside truncation")
@@ -78,9 +81,6 @@ class SpatialProfile:
                 if not 0 <= i < n_sites:
                     raise DomainError("custom table does not fit truncation")
                 out[i] = v
-        else:
-            n = np.arange(n_sites) - c
-            out[:] = self._site_value(n)
         return out
 
     def l2_norm_sq(self) -> float:
@@ -97,17 +97,21 @@ class SpatialProfile:
         return math.fsum(abs(v) ** 2 for v in self.values)
 
     def _gaussian_sum(self, m: int) -> float:
-        # 2 * sum_{n>m} exp(-n^2/width^2); terms below 1e-320 are dropped
+        """2 * sum_{n>m} exp(-n^2/width^2), never below the true sum.
+
+        Terms are added one by one up to n = M = m + _GAUSSIAN_TERMS; those
+        below 1e-320 are dropped.  The summand decreases for n > 0, so the
+        rest is at most its integral from M:
+        (width*sqrt(pi)/2) * erfc(M/width)."""
         w2 = self.width * self.width
         total = 0.0
-        n = m + 1
-        while True:
-            term = math.exp(-(n * n) / w2) if (n * n) / w2 < 740 else 0.0
-            if term == 0.0:
-                break
-            total += term
-            n += 1
-        return 2.0 * total
+        stop = m + _GAUSSIAN_TERMS
+        for n in range(m + 1, stop + 1):
+            if (n * n) / w2 >= 740:
+                return 2.0 * total
+            total += math.exp(-(n * n) / w2)
+        rest = 0.5 * self.width * math.sqrt(math.pi) * math.erfc(stop / self.width)
+        return 2.0 * (total + rest)
 
     def tail_sq(self, m: int) -> float:
         """sum_{|n|>m} |profile_n|^2 on the infinite lattice."""
@@ -339,23 +343,47 @@ def translate(spec: DrivingSpec, h: float) -> DrivingSpec:
     )
 
 
-def sup_norm(spec: DrivingSpec) -> tuple[float, float]:
-    """Certified upper bounds for sup_t ||g1(t)|| and sup_t ||g2(t)||.
-    Exact for constant/periodic laws, a triangle-inequality overestimate
-    for harmonic sums; invariant under translation."""
-    return spec.g1.sup_norm(), spec.g2.sup_norm()
+@dataclass(frozen=True)
+class Certificate:
+    """The constants every estimate of the model rests on: gamma, certified
+    sup||g1|| and sup||g2||, and the nonlinearity's growth constants (a, b).
+    Built for any gamma; the dissipative estimates need ``dissipative()``."""
+
+    gamma: float
+    g1_sup: float
+    g2_sup: float
+    a: float
+    b: float
+
+    @property
+    def gamma_tilde(self) -> float:  # effective damping Gamma
+        return self.gamma - 2.0 * self.g2_sup
+
+    @property
+    def absorbing_radius(self) -> float:  # K
+        return math.sqrt(2.0) * self.g1_sup / self.gamma_tilde
+
+    @property
+    def breather_radius(self) -> float:  # R_u, the ball of the breather
+        return self.g1_sup / self.gamma_tilde
+
+    def gap_rate(self, r: float) -> float:
+        """Decay rate of the distance of two solutions in the r-ball."""
+        return self.gamma - self.a * r ** self.b - self.g2_sup
+
+    def dissipative(self) -> "Certificate":
+        """This certificate, refused unless gamma_tilde > 0."""
+        if self.gamma_tilde <= 0:
+            raise DampingTooWeakError(
+                f"need gamma > 2*sup||g2|| (gamma={self.gamma:.6g}, "
+                f"2*sup||g2||={2 * self.g2_sup:.6g})")
+        return self
 
 
-def effective_damping(gamma: float, spec: DrivingSpec) -> float:
-    """gamma - 2*sup||g2||, the decay rate entering every estimate."""
-    return gamma - 2.0 * spec.g2.sup_norm()
-
-
-def require_positive_damping(gamma: float, spec: DrivingSpec) -> float:
-    """effective_damping, refused with DampingTooWeakError unless positive."""
-    gt = effective_damping(gamma, spec)
-    if gt <= 0:
-        raise DampingTooWeakError(
-            f"need gamma > 2*sup||g2|| (gamma={gamma:.6g}, "
-            f"2*sup||g2||={2 * spec.g2.sup_norm():.6g})")
-    return gt
+def certificate(params: ModelParams, spec: DrivingSpec) -> Certificate:
+    """The certificate constants of a model under a driving.  The sup norms
+    are exact for constant and periodic laws, a triangle-inequality
+    overestimate for harmonic sums, and invariant under ``translate``."""
+    a, b = params.growth_constants
+    return Certificate(gamma=params.gamma, g1_sup=spec.g1.sup_norm(),
+                       g2_sup=spec.g2.sup_norm(), a=a, b=b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driving import DrivingSpec, require_positive_damping
+from .driving import DrivingSpec, certificate
 from .errors import DomainError, StiffnessError
 from .lattice import LatticeState, ModelParams, make_rhs, norm_sq, tail_mass
 
@@ -287,7 +287,7 @@ def monitor_dissipation(traj: Trajectory, params: ModelParams,
     on consecutive samples, with a slack covering integrator error plus the
     finite-difference discretization of the time derivative (data-driven
     second-difference estimate of the curvature of ||psi||^2)."""
-    gt = require_positive_damping(params.gamma, driving)
+    gt = certificate(params, driving).dissipative().gamma_tilde
     rtol = traj.config.rtol
     n2 = traj.norms ** 2
     times = traj.times

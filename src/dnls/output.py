@@ -19,9 +19,8 @@ def _fmt(x: float) -> str:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Header t,re_0,im_0,...; one sample per row."""
     n_sites = traj.values.shape[1]
-    cols = ["t"]
-    for i in range(n_sites):
-        cols += [f"re_{i}", f"im_{i}"]
+    cols = ["t"] + [f"{part}_{i}" for i in range(n_sites)
+                    for part in ("re", "im")]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
         for i in range(traj.n_samples):

@@ -9,6 +9,7 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, LatticeState,
                   ModelParams, NonlinearitySpec, PeriodicLaw, SpatialProfile,
                   check_strong_damping, find_breather, period_map, translate,
                   verify_breather)
+from dnls.breather import _envelope
 from dnls.errors import DomainError, StrongDampingError
 from dnls.integrator import IntegratorConfig
 from dnls.lattice import l2_norm, random_state
@@ -124,3 +125,24 @@ class TestFindBreather:
             sol, state0=LatticeState(sol.state0.values + bump.values))
         report = verify_breather(fake, params, spec, tol=1e-9, config=FAST)
         assert not report.ok
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("n_sites", [15, 16, 64])
+    def test_matches_site_by_site_maximum(self, n_sites):
+        state = random_state(n_sites, n_sites, norm=1.0)
+        amp, c = np.abs(state.values), n_sites // 2
+        ref = [amp[c]] + [max(amp[c + k], amp[c - k]) for k in range(1, c)]
+        assert np.array_equal(_envelope(state), ref)
+
+    def test_monotone_flag_ignores_rises_below_the_floor(self):
+        import dataclasses
+        params, spec = _breather_scenario()
+        sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)
+        peak = float(np.max(np.abs(sol.state0.values)))
+        for bump, monotone in ((1e-12 * peak, True), (1e-6 * peak, False)):
+            values = sol.state0.values.copy()
+            values[-3] += bump
+            fake = dataclasses.replace(sol, state0=LatticeState(values))
+            report = verify_breather(fake, params, spec, tol=1e-9, config=FAST)
+            assert report.envelope_monotone is monotone

@@ -15,10 +15,11 @@ from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          config_to_dict, dumps_config, load_config,
                          loads_config, parse_scenario, save_config)
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
-                          HarmonicSumLaw, PeriodicLaw, SpatialProfile)
+                          HarmonicSumLaw, PeriodicLaw, SpatialProfile,
+                          certificate)
 from dnls.errors import DomainError
 from dnls.integrator import IntegratorConfig
-from dnls.lattice import ModelParams, NonlinearitySpec
+from dnls.lattice import ModelParams, NonlinearitySpec, make_rhs
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -146,6 +147,35 @@ class TestConfigValidation:
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    # driving and lattice fields that loaded unchecked and then ended a
+    # command in a traceback: (command, config, key path, value)
+    @pytest.mark.parametrize("command, name, path, value", [
+        ("absorbing", "absorbing.json",
+         ("driving", "g1", "profile", "amplitude"), "x"),
+        ("absorbing", "absorbing.json", ("driving", "g1", "offset"), [1]),
+        ("absorbing", "absorbing.json",
+         ("driving", "g2", "law", "value"), "x"),
+        ("absorbing", "absorbing.json",
+         ("driving", "g1", "law", "phase"), "x"),
+        ("absorbing", "absorbing.json",
+         ("driving", "g2", "profile", "site"), 0.5),
+        ("simulate", "simulate.json", ("lattice", "n_sites"), 1e308),
+        ("simulate", "simulate.json", ("lattice", "n_sites"), 100.7),
+    ])
+    def test_malformed_driving_or_lattice_field_is_config_error(
+            self, tmp_path, capsys, command, name, path, value):
+        data = json.loads((CONFIGS / name).read_text())
+        *parents, key = path
+        parent = data
+        for k in parents:
+            parent = parent[k]
+        parent[key] = value
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and ".".join(path) in err
+
     def test_every_bundled_scenario_key_is_read(self):
         for name in {name for _, name in BUNDLED}:
             read = set().union(*(SCENARIO_FIELDS[command]
@@ -158,7 +188,7 @@ class TestConfigValidation:
     @given(case=_mutated_bundled_config())
     def test_mutated_bundled_config_raises_only_domain_error(
             self, tmp_path_factory, case):
-        # loading and parsing only: no command runs
+        # loading, parsing, the certificate and the RHS: no command runs
         name, data = case
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         path.write_text(json.dumps(data))
@@ -166,6 +196,12 @@ class TestConfigValidation:
             cfg = load_config(path)
         except DomainError:
             return
+        certificate(cfg.model, cfg.driving)
+        try:
+            make_rhs(cfg.model, cfg.driving.sampler(cfg.n_sites), cfg.n_sites,
+                     cfg.bc)
+        except DomainError:
+            pass
         for command, config in BUNDLED:
             if config == name:
                 try:
@@ -271,7 +307,7 @@ class TestCli:
         path = _write(tmp_path, _sample_config())
         from dnls import diagnostics as dg
 
-        def always_fail(traj, pred, radius_slack=1e-6):
+        def always_fail(traj, pred):
             return dg.AbsorbingReport(ok=False, first_entry_t=None,
                                       max_norm_after_entry=math.inf,
                                       predicted_entry_t=pred.entry_time,

@@ -1,6 +1,8 @@
-"""Driving fields: profiles, temporal laws, translation, sup norms."""
+"""Driving fields: profiles, temporal laws, translation, and the
+certificate constants (sup norms, effective damping, radii, gap rate)."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
-                  PeriodicLaw, SpatialProfile, effective_damping,
-                  sample_driving, sup_norm, translate)
+                  ModelParams, NonlinearitySpec, PeriodicLaw, SpatialProfile,
+                  certificate, sample_driving, translate)
 from dnls.driving import check_rationally_independent
-from dnls.errors import DomainError
+from dnls.errors import DampingTooWeakError, DomainError
 
 
 class TestSpatialProfile:
@@ -33,6 +35,22 @@ class TestSpatialProfile:
         assert p.l2_norm_sq() == pytest.approx(direct, rel=1e-12)
         tail = 4.0 * 2 * sum(math.exp(-n * n / 1.5 ** 2) for n in range(4, 100))
         assert p.tail_sq(3) == pytest.approx(tail, rel=1e-12)
+
+    @pytest.mark.parametrize("width", [40.0, 300.0])
+    def test_wide_gaussian_sums_are_upper_bounds(self, width):
+        # past the terms summed one by one, the rest is bounded by an integral
+        p = SpatialProfile("gaussian", width=width)
+        n = np.arange(1, int(30 * width))
+        direct = 2 * math.fsum(np.exp(-(n * n) / width ** 2))
+        assert direct <= p.l2_norm_sq() - 1.0 <= direct * (1 + 1e-2)
+        tail = 2 * math.fsum(np.exp(-(n[5:] * n[5:]) / width ** 2))
+        assert tail <= p.tail_sq(5) <= tail * (1 + 1e-2)
+
+    def test_huge_gaussian_width_returns(self):
+        p = SpatialProfile("gaussian", width=1e308)
+        start = time.perf_counter()
+        assert p.l2_norm_sq() > 1e307 and p.tail_sq(10) > 1e307
+        assert time.perf_counter() - start < 1.0
 
     def test_single_site_and_custom(self):
         p = SpatialProfile("single_site", amplitude=0.4, site=3)
@@ -116,6 +134,10 @@ class TestTemporalLaws:
             check_rationally_independent((0.0, 1.0))
 
 
+CUBIC = ModelParams(kappa=1.0, gamma=1.0,
+                    nonlinearity=NonlinearitySpec.cubic())
+
+
 class TestDrivingSpec:
     def _spec(self):
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5, rate=1.0),
@@ -125,14 +147,12 @@ class TestDrivingSpec:
         return DrivingSpec(g1=g1, g2=g2)
 
     def test_sup_norm(self):
-        spec = self._spec()
-        b1, b2 = sup_norm(spec)
-        assert b1 == pytest.approx(0.5 * math.sqrt(1 / math.tanh(1.0)))
-        assert b2 == pytest.approx(0.1)
+        cert = certificate(CUBIC, self._spec())
+        assert cert.g1_sup == pytest.approx(0.5 * math.sqrt(1 / math.tanh(1.0)))
+        assert cert.g2_sup == pytest.approx(0.1)
 
     def test_effective_damping(self):
-        spec = self._spec()
-        assert effective_damping(1.0, spec) == pytest.approx(0.8)
+        assert certificate(CUBIC, self._spec()).gamma_tilde == pytest.approx(0.8)
 
     def test_period(self):
         spec = self._spec()
@@ -156,7 +176,7 @@ class TestDrivingSpec:
 
     def test_translate_preserves_sup_norm(self):
         spec = self._spec()
-        assert sup_norm(translate(spec, 17.0)) == sup_norm(spec)
+        assert certificate(CUBIC, translate(spec, 17.0)) == certificate(CUBIC, spec)
 
     def test_sampler_realizes_profile_once(self):
         spec = self._spec()
@@ -165,3 +185,33 @@ class TestDrivingSpec:
         assert g1 is not None and g2 is not None
         zero = DrivingSpec(g1=DrivingField.zero()).sampler(16)
         assert zero.sample_values(0.0, 16) == (None, None)
+
+
+class TestCertificate:
+    def _spec(self, g2_amp=0.1):
+        g1 = DrivingField(SpatialProfile("single_site", amplitude=0.6),
+                          PeriodicLaw(period=3.0, amplitude=-0.5))
+        g2 = DrivingField(SpatialProfile("single_site", amplitude=g2_amp))
+        return DrivingSpec(g1=g1, g2=g2)
+
+    def test_constants(self):
+        cert = certificate(CUBIC, self._spec())
+        assert (cert.gamma, cert.g1_sup, cert.g2_sup) == (1.0, 0.3, 0.1)
+        assert (cert.a, cert.b) == (1.5, 2.0)
+        assert cert.absorbing_radius == pytest.approx(math.sqrt(2) * 0.3 / 0.8)
+        assert cert.breather_radius == pytest.approx(0.3 / 0.8)
+        r = cert.breather_radius
+        assert cert.gap_rate(r) == pytest.approx(1.0 - 1.5 * r ** 2 - 0.1)
+
+    def test_linear_model_growth_constants(self):
+        cert = certificate(ModelParams(kappa=1.0, gamma=2.0), self._spec())
+        assert (cert.a, cert.b) == (0.0, 1.0)
+        assert cert.gap_rate(5.0) == pytest.approx(1.9)
+
+    def test_weak_damping_builds_but_is_not_dissipative(self):
+        cert = certificate(CUBIC, self._spec(g2_amp=0.5))
+        assert cert.gamma_tilde == 0.0
+        with pytest.raises(DampingTooWeakError, match=r"need gamma > 2\*sup"):
+            cert.dissipative()
+        ok = certificate(CUBIC, self._spec())
+        assert ok.dissipative() is ok
