@@ -33,18 +33,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports",
                         help="directory for per-check JSON reports")
-    parser.add_argument("--skip-dimension", action="store_true",
-                        help="skip the (slow) dimension estimate")
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    worst = 0
     results = []
     for command, config in CHECKS:
-        if args.skip_dimension and command == "dimension":
-            continue
         report = out_dir / f"{command}.json"
         start = time.perf_counter()
         code = cli.main([command, "--config", str(CONFIG_DIR / config),
@@ -53,13 +48,12 @@ def main() -> int:
         # ru_maxrss is in KiB on Linux
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         results.append((command, code, wall, rss_mb))
-        worst = max(worst, code)
 
     print()
     print(f"{'check':<14} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>12}")
     for command, code, wall, rss_mb in results:
         print(f"{command:<14} {code:>4} {wall:>8.2f} {rss_mb:>12.1f}")
-    return 1 if worst else 0
+    return 1 if any(code for _, code, _, _ in results) else 0
 
 
 if __name__ == "__main__":

@@ -44,8 +44,7 @@ def period_map(state: LatticeState, t0: float, params: ModelParams,
                spec: DrivingSpec, period: float | None = None,
                config: IntegratorConfig = ORACLE_CONFIG) -> LatticeState:
     """Flow over one driving period at reference tolerance."""
-    if period is None:
-        period = spec.period
+    period = spec.period if period is None else period
     if period is None:
         raise DomainError("driving is not periodic; pass the period explicitly")
     traj = integrate(state, t0, t0 + period, params, spec,
@@ -73,23 +72,23 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     """Fixed-point iteration of the period map from phase t0 = 0, for at
     most 1000 iterations.
 
-    Refuses to run unless the strong-damping inequality holds, since only
-    then is the iteration certified to contract (and the orbit unique).
+    Refuses to run unless the strong-damping inequality holds and the seed
+    lies in the R_u-ball (which the flow keeps), since only then is the
+    iteration certified to contract (and the orbit unique).
     """
     check = check_strong_damping(params, spec)
     if not check.satisfied:
         raise StrongDampingError(
             f"uniqueness not guaranteed: gamma={check.lhs:.6g} <= "
             f"a*R_u^b + sup||g2|| = {check.rhs:.6g}")
-    if period is None:
-        period = spec.period
+    period = spec.period if period is None else period
     if period is None:
         raise DomainError("driving is not periodic; pass the period explicitly")
     psi = seed if seed is not None else LatticeState.zeros(n_sites, "dirichlet")
-    if l2_norm(psi) > check.ball_radius * math.sqrt(2.0) * (1 + 1e-9):
+    if l2_norm(psi) > check.ball_radius * (1 + 1e-9):
         raise DomainError(
-            f"seed norm {l2_norm(psi):.6g} outside the certified ball "
-            f"radius {check.ball_radius:.6g}")
+            f"seed norm {l2_norm(psi):.6g} outside the certified ball of "
+            f"radius R_u = {check.ball_radius:.6g}")
 
     noise_floor = 100.0 * config.atol * math.sqrt(psi.n_sites)
     ratios = []

@@ -17,8 +17,7 @@ from . import breather as br
 from . import diagnostics as dg
 from . import driving as drv
 from .config import ScenarioConfig, load_config, parse_scenario
-from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
-                     StiffnessError, StrongDampingError)
+from .errors import DomainError, NonconvergenceError, StiffnessError
 from .integrator import IntegratorConfig, integrate, monitor_dissipation
 from .lattice import LatticeState, random_state
 from .output import (breather_to_dict, trajectory_summary,
@@ -142,7 +141,7 @@ def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> int:
 
 def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> int:
     seed = _seed(sc, args)
-    theta = random_state(cfg.n_sites, seed, norm=sc.radius, bc=cfg.bc)
+    theta = random_state(cfg.n_sites, seed, norm=sc.theta_norm, bc=cfg.bc)
     bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
     report = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
@@ -196,11 +195,8 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> int:
     r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
 
     def solve(seed):
-        if seed is None:
-            seed_state = None
-        else:
-            seed_state = random_state(cfg.n_sites, seed, norm=0.5 * r_u,
-                                      bc=cfg.bc)
+        seed_state = None if seed is None else random_state(
+            cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc)
         return br.find_breather(cfg.model, cfg.driving, tol=tol,
                                 seed=seed_state, n_sites=cfg.n_sites,
                                 config=oracle)
@@ -274,7 +270,7 @@ def main(argv=None) -> int:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         sc = parse_scenario(args.command, cfg.scenario)
         return _COMMANDS[args.command](cfg, sc, args)
-    except (DampingTooWeakError, StrongDampingError, DomainError) as exc:
+    except (DomainError, MemoryError) as exc:  # MemoryError: lattice too large
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StiffnessError, NonconvergenceError) as exc:

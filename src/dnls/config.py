@@ -156,12 +156,8 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         g1, g2 = (_field_from_dict(dr[g], f"driving.{g}") if g in dr
                   else DrivingField.zero() for g in ("g1", "g2"))
         integ = _object(d.get("integrator", {}), "integrator")
-        cfg = IntegratorConfig(
-            rtol=integ.get("rtol", 1e-8), atol=integ.get("atol", 1e-11),
-            dt_init=integ.get("dt_init", 1e-2),
-            dt_min=integ.get("dt_min", 1e-12),
-            dt_max=integ.get("dt_max", 1.0),
-            sample_stride=integ.get("sample_stride", 0.1))
+        cfg = IntegratorConfig(**{k: v for k, v in integ.items()
+                                  if k in IntegratorConfig.__dataclass_fields__})
         n_sites = int(_checked(lat, "n_sites", "lattice", _SITES))
         return ScenarioConfig(model=model, n_sites=n_sites,
                               bc=lat.get("bc", DIRICHLET),
@@ -270,7 +266,7 @@ SCENARIO_FIELDS = {
              "seed": (_COUNT, 0), "t1": (_NONNEG, None)},
     "contraction": {"seeds": (_list_of(_COUNT, 2), [1, 2]),
                     "horizon": (_POSITIVE, 3.0)},
-    "continuity": {"seed": (_COUNT, 0), "radius": (_NONNEG, 0.5),
+    "continuity": {"seed": (_COUNT, 0), "theta_norm": (_NONNEG, 0.5),
                    "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0),
                    "horizon": (_POSITIVE, 5.0)},
     "dimension": {"section_period": (_POSITIVE, None), "seed": (_COUNT, 0),

@@ -17,7 +17,7 @@ import numpy as np
 from . import driving as drv
 from .driving import DrivingSpec
 from .errors import DomainError, TruncationTooSmallError
-from .integrator import IntegratorConfig, Trajectory, integrate
+from .integrator import IntegratorConfig, Trajectory, _gronwall, integrate
 from .lattice import LatticeState, ModelParams, norm_sq, random_state
 
 
@@ -50,19 +50,19 @@ class BoundReport:
 
 def check_apriori_bound(traj: Trajectory, params: ModelParams,
                         spec: DrivingSpec) -> BoundReport:
-    """||psi(t)||^2 <= ||psi(t0)||^2 e^{-Gamma (t-t0)} + sup||g1||^2/Gamma^2
-    at every sample, with slack 1e-6*(1 + ||psi(t0)||^2)."""
+    """||psi(t)||^2 <= e^{-Gt (t-t0)} ||psi(t0)||^2
+    + (1 - e^{-Gt (t-t0)}) sup||g1||^2/Gt^2 at every sample, with slack
+    1e-6*(1 + ||psi(t0)||^2): the dissipation inequality of
+    ``monitor_dissipation`` integrated from t0 with the global sup||g1||.
+    The bound meets the first sample, so ``max_excess`` is read after it."""
     cert = drv.certificate(params, spec).dissipative()
-    gamma_eff = cert.gamma_tilde
-    n0_sq = traj.norms[0] ** 2
-    slack = 1e-6 * (1 + n0_sq)
-    t0 = traj.times[0]
-    bound = n0_sq * np.exp(-gamma_eff * (traj.times - t0)) + cert.g1_sup ** 2 / gamma_eff ** 2
-    excess = traj.norms ** 2 - bound - slack
+    gt, n0_sq = cert.gamma_tilde, traj.norms[0] ** 2
+    bound = _gronwall(n0_sq, gt, cert.g1_sup ** 2 / gt, traj.times - traj.times[0])
+    excess = traj.norms ** 2 - bound - 1e-6 * (1 + n0_sq)
     bad = np.nonzero(excess > 0)[0]
     return BoundReport(
         ok=bad.size == 0,
-        max_excess=float(np.max(excess)),
+        max_excess=float(np.max(excess[min(1, excess.size - 1):])),
         first_violation_t=float(traj.times[bad[0]]) if bad.size else None,
     )
 
@@ -80,12 +80,15 @@ class AbsorbingPrediction:
 
 def predict_absorbing(params: ModelParams, spec: DrivingSpec,
                       r: float) -> AbsorbingPrediction:
-    """Ball radius K and entry time T = ln(Gamma^2 r^2 / sup||g1||^2)/Gamma
-    for initial data of norm <= r."""
+    """Ball radius K and entry time T = 2 ln(Gamma r / sup||g1||)/Gamma
+    for initial data of norm <= r; refused when T is not finite."""
     cert = drv.certificate(params, spec).dissipative()
     gamma_eff, g1_sup = cert.gamma_tilde, cert.g1_sup
-    arg = gamma_eff ** 2 * r ** 2 / g1_sup ** 2 if g1_sup != 0.0 else 0.0
-    entry = max(0.0, math.log(arg) / gamma_eff) if arg > 0 else 0.0
+    ratio = gamma_eff * r / g1_sup if g1_sup > 0 else math.inf
+    entry = max(0.0, 2.0 * math.log(ratio) / gamma_eff) if r > 0 else 0.0
+    if not math.isfinite(entry):
+        raise DomainError(f"entry time into the absorbing ball is not finite "
+                          f"(sup||g1|| = {g1_sup:.6g}, r = {r:.6g})")
     return AbsorbingPrediction(gamma_eff=gamma_eff,
                                radius=cert.absorbing_radius,
                                entry_time=entry, initial_radius=r)
@@ -141,10 +144,7 @@ def predict_tail(xi: float, r: float, params: ModelParams,
     target = gamma_eff ** 2 * xi / 2.0
     amp1 = spec.g1.law.amp_bound()
     cutoff = 0
-    while True:
-        tail = spec.g1.profile.tail_sq(cutoff) * amp1 ** 2
-        if tail <= target:
-            break
+    while spec.g1.profile.tail_sq(cutoff) * amp1 ** 2 > target:
         cutoff += 1
         if cutoff >= n_sites // 2:
             raise TruncationTooSmallError(
@@ -241,31 +241,42 @@ class ContinuityReport:
 def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
                    theta: LatticeState, theta_n: LatticeState, horizon: float,
                    config: IntegratorConfig = IntegratorConfig()) -> ContinuityReport:
-    """Measured distance of the evolution of ``theta_n`` under the driving
-    translated by ``h`` in its hull from that of ``theta`` under ``spec``,
-    against the Gronwall bound
+    """Distance w = psi_a - psi_b of the evolution psi_a of ``theta_n``
+    under the driving translated by ``h`` in its hull from psi_b, that of
+    ``theta`` under ``spec``, against a Gronwall bound; needs no Gt > 0.
 
-        gap(t) <= e^{L*(t-t0)} ||theta_n - theta||
-                  + (e^{L*(t-t0)} - 1)/L * (dg1 + 2*R*dg2)
-
-    with growth rate L = gamma + sqrt(2)*a*R^b + 4|kappa| + sup||g2|| and R
-    the largest norm either trajectory attains.  Needs no positive
-    effective damping."""
+    Hopping and F are skew and Re<u, -i*g2*u> <= sup||g2||*||u||^2, so
+    d/dt ||psi|| <= -(gamma - sup||g2||)*||psi|| + sup||g1||: both norms stay
+    below its monotone envelope R(t) from max(||theta||, ||theta_n||), and
+    R <= Rbar_i = max(R(t_i), R(t_{i+1})) between samples.  There, with
+    g2a*psi_a - g2b*psi_b = g2a*w + (g2a - g2b)*psi_b and the gaps dg1, dg2
+    of ``_driving_gap``, d/dt ||w|| <= -gap_rate(Rbar_i)*||w|| + dg1
+    + Rbar_i*dg2, since for F = +-s^sigma pointwise
+    Re(conj(x - y)*(-i)*(F(|x|^2)x - F(|y|^2)y)) = (F(|y|^2) - F(|x|^2))
+    * Im(conj(y)*x) <= sigma*max(|x|, |y|)^{2 sigma}*|x - y|^2 (maximize
+    over the phase, then |y|/|x|), and the growth bound of
+    ``NonlinearitySpec`` forces b = 2 sigma and a >= sigma + 1/2, for every
+    sigma (a user-set (a, b) is not checked).  So the bound is the recursion
+    b_{i+1} = _gronwall(b_i, gap_rate(Rbar_i), dg1 + Rbar_i*dg2, dt_i) from
+    b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i)."""
     ta = integrate(theta_n, 0.0, horizon, params, drv.translate(spec, h),
                    config)
     tb = integrate(theta, 0.0, horizon, params, spec, config)
     gap = np.array([math.sqrt(norm_sq(ta.values[i] - tb.values[i]))
                     for i in range(ta.n_samples)])
-    r_max = float(max(np.max(ta.norms), np.max(tb.norms)))
     cert = drv.certificate(params, spec)
-    lips = math.sqrt(2.0) * cert.a * r_max ** cert.b
-    rate = params.gamma + lips + 4.0 * abs(params.kappa) + cert.g2_sup
+    env = _gronwall(max(ta.norms[0], tb.norms[0]), cert.gamma - cert.g2_sup,
+                    cert.g1_sup, ta.times)
+    r_bar = np.maximum(env[:-1], env[1:])
+    rates = cert.gap_rate(r_bar)
     dg1, dg2 = _driving_gap(spec, h, ta.values.shape[1])
-    growth = np.exp(rate * (ta.times - ta.times[0]))
-    bound = growth * gap[0] + (growth - 1.0) / rate * (dg1 + 2.0 * r_max * dg2)
+    bound = [gap[0]]
+    for rate, force, dt in zip(rates, dg1 + r_bar * dg2, np.diff(ta.times)):
+        bound.append(float(_gronwall(bound[-1], rate, force, dt)))
+    bound = np.array(bound)
     ok = bool(np.all(gap <= bound + 1e-9 * (1 + bound)))
     return ContinuityReport(ok=ok, times=ta.times, gap=gap, bound=bound,
-                            growth_rate=rate)
+                            growth_rate=float(np.max(-rates)))
 
 
 def _driving_gap(spec: DrivingSpec, h: float,

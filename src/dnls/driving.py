@@ -264,6 +264,14 @@ class DrivingField:
     def sup_norm(self) -> float:
         return math.sqrt(self.profile.l2_norm_sq()) * self.law.amp_bound()
 
+    def interval_sup(self, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Bound on ||g(s)|| over each [t, t + dt]: the law's derivative is
+        at most sum_j |a_j w_j|, and the law never exceeds amp_bound."""
+        slope = math.fsum(abs(a * w) for a, w in self.law.harmonics())
+        law = np.abs([self.scalar(s) for s in t]) + slope * dt
+        return math.sqrt(self.profile.l2_norm_sq()) * np.minimum(
+            self.law.amp_bound(), law)
+
     @staticmethod
     def zero() -> "DrivingField":
         return DrivingField(SpatialProfile.zero(), ConstantLaw(0.0))

@@ -116,6 +116,19 @@ class TestFindBreather:
         with pytest.raises(DomainError):
             find_breather(params, spec, seed=big, n_sites=64)
 
+    def test_seed_ball_is_the_certificate_ball(self):
+        # the contraction exponent holds on the R_u-ball: a seed on its
+        # boundary is taken, one just outside is refused
+        params, spec = _breather_scenario()
+        r_u = check_strong_damping(params, spec).ball_radius
+        on = random_state(64, 3, norm=r_u)
+        sol = find_breather(params, spec, tol=1e-9, seed=on, n_sites=64,
+                            config=FAST)
+        assert sol.periodicity_residual <= 1e-8
+        with pytest.raises(DomainError):
+            find_breather(params, spec, seed=random_state(64, 3, norm=1.01 * r_u),
+                          n_sites=64, config=FAST)
+
     def test_verify_fails_on_perturbed_state(self):
         params, spec = _breather_scenario()
         sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)

@@ -35,8 +35,23 @@ def _bundled_scenario(name):
     return json.loads((CONFIGS / name).read_text())["scenario"]
 
 
+def _edited(tmp_path, name, path, value) -> str:
+    """Bundled config ``name`` with the value at key ``path`` replaced,
+    written under ``tmp_path``."""
+    data = json.loads((CONFIGS / name).read_text())
+    *parents, key = path
+    parent = data
+    for k in parents:
+        parent = parent[k]
+    parent[key] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
 def _malformed_fields():
     cases = [("absorbing", "absorbing.json", "radius", "big"),
+             ("continuity", "absorbing.json", "theta_norm", "x"),
              ("breather", "breather.json", "seeds", 3),
              ("verify-bounds", "simulate.json", "t1", "x"),
              ("dimension", "dimension.json", "n_points", -5)]
@@ -164,15 +179,8 @@ class TestConfigValidation:
     ])
     def test_malformed_driving_or_lattice_field_is_config_error(
             self, tmp_path, capsys, command, name, path, value):
-        data = json.loads((CONFIGS / name).read_text())
-        *parents, key = path
-        parent = data
-        for k in parents:
-            parent = parent[k]
-        parent[key] = value
-        cfg = tmp_path / name
-        cfg.write_text(json.dumps(data))
-        assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+        cfg = _edited(tmp_path, name, path, value)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and ".".join(path) in err
 
@@ -341,6 +349,18 @@ class TestCli:
                              "--out", str(out)]) == cli.EXIT_PASS
             texts.append(out.read_text())
         assert texts[0] != texts[1]
+
+    # values the schema takes that no run can use: a g1 amplitude whose
+    # entry time overflows, and a lattice beyond memory (72.8 TiB asked for
+    # at once, so nothing is reserved)
+    @pytest.mark.parametrize("path, value", [
+        (("driving", "g1", "profile", "amplitude"), 1e-320),
+        (("lattice", "n_sites"), 1e13)])
+    def test_unrunnable_config_is_config_error(self, tmp_path, capsys, path,
+                                               value):
+        cfg = _edited(tmp_path, "absorbing.json", path, value)
+        assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("command, name", BUNDLED)
     def test_negative_seed_flag_is_config_error(self, capsys, command, name):

@@ -1,7 +1,9 @@
 """Absorbing ball, tail, contraction, continuity and dimension checks."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,16 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
                   contraction_rate, correlation_dimension, integrate,
                   predict_absorbing, predict_tail, translate, verify_absorbing,
                   verify_tail)
+from dnls import cli
+from dnls import diagnostics as dg
+from dnls.config import load_config
 from dnls.diagnostics import (_driving_gap, _quantile, _theiler_distances,
                               line_fit)
 from dnls.errors import (DampingTooWeakError, DomainError,
                          TruncationTooSmallError)
 from dnls.lattice import random_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def _unit_exp_profile(rate=1.0):
@@ -87,6 +94,16 @@ class TestAbsorbing:
         params, spec = _scenario(gamma=0.4)
         with pytest.raises(DampingTooWeakError):
             predict_absorbing(params, spec, r=1.0)
+
+    def test_entry_time_for_tiny_forcing(self):
+        # sup||g1||^2 is subnormal here: the entry time must not pass
+        # through it
+        params, _ = _scenario()
+        tiny = DrivingSpec(g1=DrivingField(_unit_exp_profile(),
+                                           PeriodicLaw(2 * math.pi, 1e-160)))
+        pred = predict_absorbing(params, tiny, r=5.0)
+        assert pred.entry_time == pytest.approx(
+            2.0 * math.log(2.0 * 5.0 / 1e-160) / 2.0, rel=1e-12)
 
 
 class TestTail:
@@ -189,6 +206,41 @@ class TestContinuity:
         assert report.ok and report.gap[0] == pytest.approx(1e-3, rel=1e-10)
         with pytest.raises(DampingTooWeakError):
             predict_absorbing(params, spec, r=0.5)
+
+
+class TestContinuityBound:
+    """The recursion bound holds over a grid of models, and a driving gap
+    taken too small is caught."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("gamma", [0.4, 2.0])
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    def test_bound_holds(self, sigma, sign, gamma, radius, h):
+        cfg = load_config(CONFIGS / "absorbing.json")
+        params = ModelParams(kappa=1.0, gamma=gamma,
+                             nonlinearity=NonlinearitySpec(sigma, sign))
+        theta = random_state(64, 0, norm=radius)
+        bump = random_state(64, 1, norm=1e-3)
+        report = continuity_gap(params, cfg.driving, h, theta,
+                                LatticeState(theta.values + bump.values),
+                                horizon=3.0)
+        assert report.ok
+        assert report.bound[0] == report.gap[0]
+
+    def test_flags_driving_gap_too_small(self, tmp_path, monkeypatch):
+        # ``dnls continuity`` on absorbing.json with driving_shift 0.5
+        data = json.loads((CONFIGS / "absorbing.json").read_text())
+        data["scenario"]["driving_shift"] = 0.5
+        path = tmp_path / "absorbing.json"
+        path.write_text(json.dumps(data))
+        argv = ["continuity", "--config", str(path)]
+        assert cli.main(argv) == cli.EXIT_PASS
+        honest = dg._driving_gap
+        monkeypatch.setattr(dg, "_driving_gap",
+                            lambda *a: tuple(0.1 * d for d in honest(*a)))
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILED
 
 
 class TestDrivingGap:

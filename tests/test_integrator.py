@@ -4,6 +4,7 @@ monitor."""
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   step)
 from dnls.diagnostics import predict_absorbing
 from dnls.errors import DomainError, StiffnessError
-from dnls.integrator import ORACLE_CONFIG, _Dopri5, _sample_count
+from dnls.integrator import ORACLE_CONFIG, _Dopri5, _gronwall, _sample_count
 from dnls.lattice import make_rhs, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -229,6 +230,20 @@ class TestStreaming:
         assert peak < 5 * 2 ** 20
 
 
+class TestGronwall:
+    def test_closed_form_and_zero_rate(self):
+        y = _gronwall(np.array([2.0, 2.0, 2.0]), np.array([1.5, -0.5, 0.0]),
+                      0.3, 0.7)
+        expected = [math.exp(-r * 0.7) * 2.0 + 0.3 * (1 - math.exp(-r * 0.7)) / r
+                    for r in (1.5, -0.5)] + [2.0 + 0.3 * 0.7]
+        assert y == pytest.approx(expected, rel=1e-15)
+
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _gronwall(1.0, -1e3, 1.0, 1.0) == math.inf
+
+
 class TestDissipationMonitor:
     def _scenario(self):
         g1 = DrivingField(
@@ -272,6 +287,18 @@ class TestDissipationMonitor:
         n2 = traj.norms ** 2 + rate * np.maximum(traj.times - 25.0, 0.0)
         ramped = dataclasses.replace(traj, norms=np.sqrt(n2))
         assert not monitor_dissipation(ramped, cfg.model, cfg.driving).ok
+
+    def test_detects_energy_step(self):
+        # simulate.json's scenario with 0.05 added to ||psi||^2 from t = 25
+        # on; the late ||psi||^2 is 0.002-0.19, so the step is no round-off
+        psi0, t1, cfg = _bundled_run("simulate.json")
+        traj = integrate(psi0, 0.0, t1, cfg.model, cfg.driving,
+                         cfg.integrator, keep_states=False)
+        n2 = traj.norms ** 2 + 0.05 * (traj.times >= 25.0)
+        stepped = dataclasses.replace(traj, norms=np.sqrt(n2))
+        report = monitor_dissipation(stepped, cfg.model, cfg.driving)
+        first = int(np.argmax(traj.times >= 25.0))
+        assert [v.index for v in report.violations] == [first - 1]
 
     def test_refuses_weak_damping(self):
         params, spec = self._scenario()
