@@ -3,8 +3,7 @@ executable checks of the dissipative-dynamics estimates (norm bounds,
 absorbing ball, tail decay, contraction, attractor dimension, and the
 unique periodic breather under strong damping)."""
 
-from .breather import (BreatherSolution, StrongDampingCheck,
-                       check_strong_damping, find_breather, period_map,
+from .breather import (BreatherSolution, find_breather, period_map,
                        verify_breather)
 from .config import ScenarioConfig, dumps_config, load_config, loads_config
 from .diagnostics import (AbsorbingPrediction, ContractionReport,

@@ -21,25 +21,6 @@ from .integrator import ORACLE_CONFIG, IntegratorConfig, integrate
 from .lattice import LatticeState, ModelParams, l2_norm, norm_sq
 
 
-@dataclass
-class StrongDampingCheck:
-    lhs: float           # gamma
-    rhs: float           # a * R_u^b + sup||g2||
-    ball_radius: float   # R_u = sup||g1|| / (gamma - 2 sup||g2||)
-    contraction_exponent: float  # gamma - a*R_u^b - sup||g2||
-    satisfied: bool
-
-
-def check_strong_damping(params: ModelParams, spec: DrivingSpec) -> StrongDampingCheck:
-    """Evaluate the uniqueness inequality with certified sup norms: the gap
-    rate on the ball of radius R_u must be positive."""
-    cert = drv.certificate(params, spec).dissipative()
-    rate = cert.gap_rate(cert.breather_radius)
-    return StrongDampingCheck(
-        lhs=cert.gamma, rhs=cert.gamma - rate, ball_radius=cert.breather_radius,
-        contraction_exponent=rate, satisfied=rate > 0)
-
-
 def period_map(state: LatticeState, t0: float, params: ModelParams,
                spec: DrivingSpec, period: float | None = None,
                config: IntegratorConfig = ORACLE_CONFIG) -> LatticeState:
@@ -76,19 +57,21 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     lies in the R_u-ball (which the flow keeps), since only then is the
     iteration certified to contract (and the orbit unique).
     """
-    check = check_strong_damping(params, spec)
-    if not check.satisfied:
+    cert = drv.certificate(params, spec).dissipative()
+    r_u = cert.breather_radius
+    rate = cert.gap_rate(r_u)
+    if not rate > 0:
         raise StrongDampingError(
-            f"uniqueness not guaranteed: gamma={check.lhs:.6g} <= "
-            f"a*R_u^b + sup||g2|| = {check.rhs:.6g}")
+            f"uniqueness not guaranteed: gamma={cert.gamma:.6g} <= "
+            f"a*R_u^b + sup||g2|| = {cert.gamma - rate:.6g}")
     period = spec.period if period is None else period
     if period is None:
         raise DomainError("driving is not periodic; pass the period explicitly")
     psi = seed if seed is not None else LatticeState.zeros(n_sites, "dirichlet")
-    if l2_norm(psi) > check.ball_radius * (1 + 1e-9):
+    if l2_norm(psi) > r_u * (1 + 1e-9):
         raise DomainError(
             f"seed norm {l2_norm(psi):.6g} outside the certified ball of "
-            f"radius R_u = {check.ball_radius:.6g}")
+            f"radius R_u = {r_u:.6g}")
 
     noise_floor = 100.0 * config.atol * math.sqrt(psi.n_sites)
     ratios = []

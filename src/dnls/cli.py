@@ -18,7 +18,7 @@ from . import diagnostics as dg
 from . import driving as drv
 from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
-from .integrator import IntegratorConfig, integrate, monitor_dissipation
+from .integrator import ORACLE_CONFIG, integrate, monitor_dissipation
 from .lattice import LatticeState, random_state
 from .output import (breather_to_dict, trajectory_summary,
                      write_breather_profile_csv, write_dimension_csv,
@@ -30,6 +30,9 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# what a command returns: check passed, the --json report, the text to print
+_Outcome = tuple[bool, dict, str | None]
 
 
 def _initial_state(cfg: ScenarioConfig, init, seed_override=None) -> LatticeState:
@@ -45,20 +48,18 @@ def _seed(sc, args) -> int:
     return args.seed if args.seed is not None else sc.seed
 
 
-def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
     traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
                      cfg.integrator, tail_cutoff=sc.tail_cutoff,
                      keep_states=bool(args.out))
     if args.out:
         write_trajectory_csv(traj, args.out)
-    if args.json:
-        write_json(trajectory_summary(traj), args.json)
     log.info("simulated %d samples over [%g, %g]", traj.n_samples, sc.t0, sc.t1)
-    return EXIT_PASS
+    return True, trajectory_summary(traj), None
 
 
-def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
     traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
                      cfg.integrator, keep_states=False)
@@ -70,76 +71,66 @@ def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> int:
         "apriori": {"ok": apriori.ok, "max_excess": apriori.max_excess},
         "pass": diss.ok and apriori.ok,
     }
-    if args.json:
-        write_json(report, args.json)
-    print(f"dissipation: {'ok' if diss.ok else 'VIOLATED'} "
-          f"({diss.checked} intervals); a-priori bound: "
-          f"{'ok' if apriori.ok else 'VIOLATED'}")
-    return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
+    return report["pass"], report, (
+        f"dissipation: {'ok' if diss.ok else 'VIOLATED'} "
+        f"({diss.checked} intervals); a-priori bound: "
+        f"{'ok' if apriori.ok else 'VIOLATED'}")
 
 
-def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> _Outcome:
     r = sc.radius
     pred = dg.predict_absorbing(cfg.model, cfg.driving, r)
+    # the error control lets ||psi|| settle near atol*sqrt(N), so a ball
+    # within a few times that cannot be seen entered
+    floor = 4 * cfg.integrator.atol * math.sqrt(cfg.n_sites)
+    if pred.radius < floor:
+        raise DomainError(f"absorbing radius K={pred.radius:.3g} is below "
+                          f"4*atol*sqrt(N) = {floor:.3g}, too small to resolve")
     state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
-    t1 = sc.t1
-    if t1 is None:
-        t1 = pred.entry_time * max(sc.t_factor, 1.0) + 1.0
-    traj = integrate(state, 0.0, t1, cfg.model, cfg.driving, cfg.integrator,
-                     keep_states=False)
+    traj = integrate(state, 0.0, pred.entry_time * 6.0 + 1.0, cfg.model,
+                     cfg.driving, cfg.integrator, keep_states=False)
     report = dg.verify_absorbing(traj, pred)
-    if args.json:
-        write_json({
-            "radius": pred.radius, "entry_time": pred.entry_time,
-            "gamma_eff": pred.gamma_eff, "first_entry_t": report.first_entry_t,
-            "max_norm_after_entry": report.max_norm_after_entry,
-            "pass": report.ok,
-        }, args.json)
-    print(f"absorbing ball K={pred.radius:.6g}, predicted entry "
-          f"T={pred.entry_time:.6g}, first entry at "
-          f"{report.first_entry_t}: {'ok' if report.ok else 'FAILED'}")
-    return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
+    return report.ok, {
+        "radius": pred.radius, "entry_time": pred.entry_time,
+        "gamma_eff": pred.gamma_eff, "first_entry_t": report.first_entry_t,
+        "max_norm_after_entry": report.max_norm_after_entry,
+        "pass": report.ok,
+    }, (f"absorbing ball K={pred.radius:.6g}, predicted entry "
+        f"T={pred.entry_time:.6g}, first entry at "
+        f"{report.first_entry_t}: {'ok' if report.ok else 'FAILED'}")
 
 
-def _cmd_tail(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_tail(cfg: ScenarioConfig, sc, args) -> _Outcome:
     xi, r = sc.xi, sc.radius
     pred = dg.predict_tail(xi, r, cfg.model, cfg.driving, cfg.n_sites)
     state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
-    t1 = sc.t1
-    if t1 is None:
-        t1 = pred.entry_time * 3.0 + 5.0
-    traj = integrate(state, 0.0, t1, cfg.model, cfg.driving, cfg.integrator,
-                     tail_cutoff=pred.cutoff, keep_states=False)
+    traj = integrate(state, 0.0, pred.entry_time * 3.0 + 5.0, cfg.model,
+                     cfg.driving, cfg.integrator, tail_cutoff=pred.cutoff,
+                     keep_states=False)
     report = dg.verify_tail(traj, pred)
-    if args.json:
-        write_json({
-            "xi": xi, "cutoff": pred.cutoff, "entry_time": pred.entry_time,
-            "max_tail_after_entry": report.max_tail_after_entry,
-            "pass": report.ok,
-        }, args.json)
-    print(f"tail beyond m={pred.cutoff} after T={pred.entry_time:.6g}: "
-          f"max {report.max_tail_after_entry:.3g} vs xi={xi:.3g}: "
-          f"{'ok' if report.ok else 'FAILED'}")
-    return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
+    return report.ok, {
+        "xi": xi, "cutoff": pred.cutoff, "entry_time": pred.entry_time,
+        "max_tail_after_entry": report.max_tail_after_entry,
+        "pass": report.ok,
+    }, (f"tail beyond m={pred.cutoff} after T={pred.entry_time:.6g}: "
+        f"max {report.max_tail_after_entry:.3g} vs xi={xi:.3g}: "
+        f"{'ok' if report.ok else 'FAILED'}")
 
 
-def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
     report = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
                                  horizon=sc.horizon,
                                  n_sites=cfg.n_sites, config=cfg.integrator)
-    if args.json:
-        write_json({
-            "fitted_rate": report.fitted_rate,
-            "predicted_rate": report.predicted_rate,
-            "ball_radius": report.ball_radius, "pass": report.pass_,
-        }, args.json)
-    print(f"contraction: fitted {-report.fitted_rate:.6g} vs predicted "
-          f">= {report.predicted_rate:.6g}: "
-          f"{'ok' if report.pass_ else 'FAILED'}")
-    return EXIT_PASS if report.pass_ else EXIT_CHECK_FAILED
+    return report.pass_, {
+        "fitted_rate": report.fitted_rate,
+        "predicted_rate": report.predicted_rate,
+        "ball_radius": report.ball_radius, "pass": report.pass_,
+    }, (f"contraction: fitted {-report.fitted_rate:.6g} vs predicted "
+        f">= {report.predicted_rate:.6g}: "
+        f"{'ok' if report.pass_ else 'FAILED'}")
 
 
-def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
     seed = _seed(sc, args)
     theta = random_state(cfg.n_sites, seed, norm=sc.theta_norm, bc=cfg.bc)
     bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
@@ -147,18 +138,15 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> int:
     report = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
                                theta, theta_n, horizon=sc.horizon,
                                config=cfg.integrator)
-    if args.json:
-        write_json({
-            "ok": report.ok, "growth_rate": report.growth_rate,
-            "max_gap": float(np.max(report.gap)),
-            "max_bound": float(np.max(report.bound)),
-        }, args.json)
-    print(f"continuity: max gap {np.max(report.gap):.3g} within bound: "
-          f"{'ok' if report.ok else 'FAILED'}")
-    return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
+    return report.ok, {
+        "ok": report.ok, "growth_rate": report.growth_rate,
+        "max_gap": float(np.max(report.gap)),
+        "max_bound": float(np.max(report.bound)),
+    }, (f"continuity: max gap {np.max(report.gap):.3g} within bound: "
+        f"{'ok' if report.ok else 'FAILED'}")
 
 
-def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
     period = sc.section_period
     if period is None:
         law = cfg.driving.g1.law
@@ -175,23 +163,17 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> int:
     est = dg.correlation_dimension(points, theiler_window=sc.theiler_window)
     if args.out:
         write_dimension_csv(est, args.out)
-    if args.json:
-        write_json({
-            "dimension": est.slope, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "ci_width": est.ci_width,
-            "degenerate": est.degenerate,
-        }, args.json)
-    ok = est.degenerate or est.ci_width < sc.max_ci_width
-    print(f"correlation dimension {est.slope:.3f} "
-          f"(95% CI [{est.ci_low:.3f}, {est.ci_high:.3f}])"
-          + (" [degenerate]" if est.degenerate else ""))
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return est.degenerate or est.ci_width < sc.max_ci_width, {
+        "dimension": est.slope, "ci_low": est.ci_low,
+        "ci_high": est.ci_high, "ci_width": est.ci_width,
+        "degenerate": est.degenerate,
+    }, (f"correlation dimension {est.slope:.3f} "
+        f"(95% CI [{est.ci_low:.3f}, {est.ci_high:.3f}])"
+        + (" [degenerate]" if est.degenerate else ""))
 
 
-def _cmd_breather(cfg: ScenarioConfig, sc, args) -> int:
+def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     tol = sc.tol
-    oracle = IntegratorConfig(rtol=sc.oracle_rtol, atol=sc.oracle_atol,
-                              dt_init=1e-3)
     r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
 
     def solve(seed):
@@ -199,30 +181,27 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> int:
             cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc)
         return br.find_breather(cfg.model, cfg.driving, tol=tol,
                                 seed=seed_state, n_sites=cfg.n_sites,
-                                config=oracle)
+                                config=ORACLE_CONFIG)
 
     sols = [solve(s) for s in sc.seeds]
     sol = sols[0]
     spread = max((float(np.linalg.norm(other.state0.values - sol.state0.values))
                   for other in sols[1:]), default=0.0)
-    report = br.verify_breather(sol, cfg.model, cfg.driving,
-                                phases=sc.phases, tol=tol, config=oracle)
-    if args.json:
-        data = breather_to_dict(sol)
-        data["seed_spread"] = spread
-        data["verified"] = report.ok
-        write_json(data, args.json)
+    verified = br.verify_breather(sol, cfg.model, cfg.driving,
+                                  phases=sc.phases, tol=tol,
+                                  config=ORACLE_CONFIG).ok
     if args.out:
         write_breather_profile_csv(sol, args.out)
-    ok = report.ok and sol.periodicity_residual <= 10 * tol \
+    ok = verified and sol.periodicity_residual <= 10 * tol \
         and (len(sols) < 2 or spread <= 10 * tol)
-    print(f"breather: residual {sol.periodicity_residual:.3g}, "
-          f"{sol.iterations} iterations, seed spread {spread:.3g}: "
-          f"{'ok' if ok else 'FAILED'}")
+    text = (f"breather: residual {sol.periodicity_residual:.3g}, "
+            f"{sol.iterations} iterations, seed spread {spread:.3g}: "
+            f"{'ok' if ok else 'FAILED'}")
     if sol.localization_rate is not None:
-        print(f"localization rate {sol.localization_rate:.4f} "
-              f"(R^2 = {sol.localization_r2:.5f})")
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+        text += (f"\nlocalization rate {sol.localization_rate:.4f} "
+                 f"(R^2 = {sol.localization_r2:.5f})")
+    return ok, {**breather_to_dict(sol), "seed_spread": spread,
+                "verified": verified}, text
 
 
 _COMMANDS = {
@@ -269,13 +248,18 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         sc = parse_scenario(args.command, cfg.scenario)
-        return _COMMANDS[args.command](cfg, sc, args)
+        ok, report, text = _COMMANDS[args.command](cfg, sc, args)
     except (DomainError, MemoryError) as exc:  # MemoryError: lattice too large
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StiffnessError, NonconvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if args.json:
+        write_json(report, args.json)
+    if text is not None:
+        print(text)
+    return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

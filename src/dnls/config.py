@@ -145,19 +145,24 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         nl = m.get("nonlinearity")
         nonlinearity = None
         if nl is not None:
-            _object(nl, "model.nonlinearity")
-            nonlinearity = NonlinearitySpec(sigma=nl["sigma"],
-                                            sign=nl.get("sign", 1),
-                                            a=nl.get("a"), b=nl.get("b"))
-        model = ModelParams(kappa=m["kappa"], gamma=m["gamma"],
+            where = "model.nonlinearity"
+            _object(nl, where)
+            if "a" in nl or "b" in nl:
+                raise DomainError(f"{where}.a and .b are derived from sigma, not set")
+            nonlinearity = NonlinearitySpec(
+                sigma=_checked(nl, "sigma", where, _POSITIVE),
+                sign=_checked(nl, "sign", where, _INTEGER, 1))
+        model = ModelParams(kappa=_checked(m, "kappa", "model", _REAL),
+                            gamma=_checked(m, "gamma", "model", _POSITIVE),
                             nonlinearity=nonlinearity)
         lat = _object(d["lattice"], "lattice")
         dr = _object(d["driving"], "driving")
         g1, g2 = (_field_from_dict(dr[g], f"driving.{g}") if g in dr
                   else DrivingField.zero() for g in ("g1", "g2"))
         integ = _object(d.get("integrator", {}), "integrator")
-        cfg = IntegratorConfig(**{k: v for k, v in integ.items()
-                                  if k in IntegratorConfig.__dataclass_fields__})
+        cfg = IntegratorConfig(**{
+            k: _checked(integ, k, "integrator", _POSITIVE)
+            for k in IntegratorConfig.__dataclass_fields__ if k in integ})
         n_sites = int(_checked(lat, "n_sites", "lattice", _SITES))
         return ScenarioConfig(model=model, n_sites=n_sites,
                               bc=lat.get("bc", DIRICHLET),
@@ -260,10 +265,9 @@ SCENARIO_FIELDS = {
                  "initial": (_initial, {"kind": "zero"})},
     "verify-bounds": {"t0": (_REAL, 0.0), "t1": (_REAL, 50.0),
                       "initial": (_initial, {"kind": "zero"})},
-    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_COUNT, 0),
-                  "t1": (_NONNEG, None), "t_factor": (_REAL, 6.0)},
+    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_COUNT, 0)},
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
-             "seed": (_COUNT, 0), "t1": (_NONNEG, None)},
+             "seed": (_COUNT, 0)},
     "contraction": {"seeds": (_list_of(_COUNT, 2), [1, 2]),
                     "horizon": (_POSITIVE, 3.0)},
     "continuity": {"seed": (_COUNT, 0), "theta_norm": (_NONNEG, 0.5),
@@ -275,9 +279,7 @@ SCENARIO_FIELDS = {
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),
                  "seeds": (_list_of(_optional(_COUNT)), [None]),
-                 "phases": (_POSITIVE_COUNT, 8),
-                 "oracle_rtol": (_POSITIVE, 1e-11),
-                 "oracle_atol": (_POSITIVE, 1e-13)},
+                 "phases": (_POSITIVE_COUNT, 8)},
 }
 
 
@@ -303,7 +305,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "kappa": cfg.model.kappa,
             "gamma": cfg.model.gamma,
             "nonlinearity": None if nl is None else {
-                "sigma": nl.sigma, "sign": nl.sign, "a": nl.a, "b": nl.b},
+                "sigma": nl.sigma, "sign": nl.sign},
         },
         "lattice": {"n_sites": cfg.n_sites, "bc": cfg.bc},
         "driving": {"g1": _field_to_dict(cfg.driving.g1),

@@ -392,6 +392,7 @@ def certificate(params: ModelParams, spec: DrivingSpec) -> Certificate:
     """The certificate constants of a model under a driving.  The sup norms
     are exact for constant and periodic laws, a triangle-inequality
     overestimate for harmonic sums, and invariant under ``translate``."""
-    a, b = params.growth_constants
+    nl = params.nonlinearity  # F = 0 meets the growth bound with (0, 1)
+    a, b = (nl.a, nl.b) if nl is not None else (0.0, 1.0)
     return Certificate(gamma=params.gamma, g1_sup=spec.g1.sup_norm(),
                        g2_sup=spec.g2.sup_norm(), a=a, b=b)

@@ -171,17 +171,17 @@ def step(state: LatticeState, t: float, dt: float, params: ModelParams,
     return state.with_values(kernel.Y[6].copy()), err, _next_dt(dt, err, config)
 
 
-def _sample_count(t0: float, t1: float, stride: float) -> int:
-    """Number of samples ``integrate`` takes on [t0, t1]: t0, every
-    t0 + k*stride < t1 (k >= 1) and t1."""
+def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
+    """Sample times of ``integrate`` on [t0, t1]: t0, every t0 + k*stride < t1
+    (k >= 1), then t1; only t0 when t1 == t0."""
     if t1 == t0:
-        return 1
-    k = max(int((t1 - t0) / stride) - 1, 0)
-    while t0 + (k + 1) * stride < t1:
-        k += 1
-    while k > 0 and not t0 + k * stride < t1:
-        k -= 1
-    return k + 2
+        return np.array([t0])
+    q = (t1 - t0) / stride
+    if not q < 2 ** 53:  # more samples than memory holds, or infinitely many
+        raise DomainError(f"sample_stride {stride:g} too small for [{t0:g}, {t1:g}]")
+    # t0 + k*stride grows with k; rounding keeps no k > q + 1 below t1
+    ts = t0 + np.arange(1, int(q) + 2) * stride
+    return np.concatenate(([t0], ts[ts < t1], [t1]))
 
 
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
@@ -198,33 +198,30 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
         raise DomainError("t1 must be >= t0")
     n_sites, bc = state.n_sites, state.bc
     stride = config.sample_stride
-    n = _sample_count(t0, t1, stride)
-    times, norms = np.empty(n), np.empty(n)
+    times = _sample_times(t0, t1, stride)
+    n = times.size
+    norms = np.empty(n)
     tails = None if tail_cutoff is None else np.empty(n)
     values = np.empty((n if keep_states else 0, n_sites), dtype=np.complex128)
     scratch = None if keep_states else np.empty(n_sites, dtype=np.complex128)
-    filled = 0
 
-    def slot(src: np.ndarray | None = None) -> np.ndarray:
-        """Where the next sample goes, filled from ``src`` if given."""
-        out = values[filled] if keep_states else scratch
+    def slot(i: int, src: np.ndarray | None = None) -> np.ndarray:
+        """Where sample i goes, filled from ``src`` if given."""
+        out = values[i] if keep_states else scratch
         if src is not None:
             out[...] = src
         return out
 
-    def record(t: float, v: np.ndarray) -> None:
-        nonlocal filled
-        times[filled] = t
-        norms[filled] = math.sqrt(norm_sq(v))
+    def record(i: int, v: np.ndarray) -> None:
+        norms[i] = math.sqrt(norm_sq(v))
         if tails is not None:
             # a fresh view: LatticeState marks its array read-only, and v
             # may be the scratch row the next sample is written into
-            tails[filled] = tail_mass(LatticeState(v[:], bc), tail_cutoff)
-        filled += 1
+            tails[i] = tail_mass(LatticeState(v[:], bc), tail_cutoff)
 
     f = make_rhs(params, driving.sampler(n_sites), n_sites, bc)
     stats = StepStats()
-    record(t0, slot(state.values))
+    record(0, slot(0, state.values))
     if t1 > t0:
         t, dt = t0, min(config.dt_init, t1 - t0)
         kernel = _Dopri5(f, state.values, t)
@@ -237,8 +234,8 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             stats.rhs_evals += 6
             if err_norm <= 1.0:
                 t_new = t1 if last else t + h
-                while (ts := t0 + k * stride) <= t_new + 1e-12 * stride and ts < t1:
-                    record(ts, kernel.sample((ts - t) / h, h, slot()))
+                while k < n - 1 and (ts := times[k]) <= t_new + 1e-12 * stride:
+                    record(k, kernel.sample((ts - t) / h, h, slot(k)))
                     k += 1
                 kernel.accept()
                 t = t_new
@@ -248,8 +245,7 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             else:
                 stats.rejected += 1
             dt = _next_dt(h, err_norm, config)
-        record(t1, slot(kernel.S[0]))
-    assert filled == n, f"{filled} samples taken, {n} allocated"
+        record(n - 1, slot(n - 1, kernel.S[0]))
     return Trajectory(times=times, values=values, bc=bc, norms=norms,
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
                       tails=tails)

@@ -13,7 +13,7 @@ place, because the integrator calls it six times per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -75,27 +75,27 @@ class LatticeState:
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Power nonlinearity F(s) = sign * s**sigma with its two-sided growth
-    constants: |F(|x|^2)x - F(|y|^2)y| <= a*(|x|^b + |y|^b)*|x - y|."""
+    """Power nonlinearity F(s) = sign * s**sigma.  Its two-sided growth
+    constants, |F(|x|^2)x - F(|y|^2)y| <= a*(|x|^b + |y|^b)*|x - y|, follow
+    from sigma: b = 2*sigma, and a = sigma + 1/2 (sharp) for sigma <= 1,
+    else the conservative 2*sigma + 1."""
 
     sigma: float
     sign: int = 1
-    a: float = field(default=None)
-    b: float = field(default=None)
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.a)):
+            raise DomainError("sigma must be positive, with a finite 2*sigma + 1")
         if self.sign not in (+1, -1):
             raise DomainError("sign must be +1 or -1")
-        if self.b is None:
-            object.__setattr__(self, "b", 2.0 * self.sigma)
-        if self.a is None:
-            # conservative growth constant; (2s+1)/2 is sharp for s <= 1
-            a = (2 * self.sigma + 1) / 2 if self.sigma <= 1 else 2 * self.sigma + 1
-            object.__setattr__(self, "a", a)
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("a and b must be positive")
+
+    @property
+    def a(self) -> float:
+        return (2 * self.sigma + 1) / 2 if self.sigma <= 1 else 2 * self.sigma + 1
+
+    @property
+    def b(self) -> float:
+        return 2.0 * self.sigma
 
     @staticmethod
     def cubic(sign: int = 1) -> "NonlinearitySpec":
@@ -117,12 +117,6 @@ class ModelParams:
             raise DomainError("kappa must be finite")
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise DomainError("gamma must be positive")
-
-    @property
-    def growth_constants(self) -> tuple[float, float]:
-        """(a, b) of the nonlinearity's growth bound; (0, 1) when F = 0."""
-        nl = self.nonlinearity
-        return (nl.a, nl.b) if nl is not None else (0.0, 1.0)
 
 
 def l2_norm(state: LatticeState) -> float:

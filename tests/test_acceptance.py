@@ -19,8 +19,8 @@ import pytest
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
                   IntegratorConfig, LatticeState, ModelParams,
                   NonlinearitySpec, PeriodicLaw, SpatialProfile,
-                  apply_difference, apply_laplacian, check_apriori_bound,
-                  check_strong_damping, contraction_rate,
+                  apply_difference, apply_laplacian, certificate,
+                  check_apriori_bound, contraction_rate,
                   correlation_dimension, find_breather, integrate, l2_norm,
                   monitor_dissipation, poincare_points, predict_absorbing,
                   predict_tail, verify_absorbing, verify_breather, verify_tail)
@@ -229,17 +229,17 @@ def test_criterion_6_contraction(report):
 def test_criterion_7_breather(report):
     t_start = time.perf_counter()
     params, spec = _breather_scenario()
-    check = check_strong_damping(params, spec)
+    cert = certificate(params, spec).dissipative()
     tol = 1e-10
 
     sols = []
     for seed in (None, 1, 2):
         s = (None if seed is None else
-             random_state(256, seed, norm=0.5 * check.ball_radius))
+             random_state(256, seed, norm=0.5 * cert.breather_radius))
         sols.append(find_breather(params, spec, tol=tol, seed=s, n_sites=256))
     sol = sols[0]
 
-    theo_ratio = math.exp(-check.contraction_exponent * sol.period)
+    theo_ratio = math.exp(-cert.gap_rate(cert.breather_radius) * sol.period)
     ratio_ok = sol.contraction_ratio <= theo_ratio + 0.05
     residual_ok = sol.periodicity_residual <= 1e-9
     spread = max(float(np.linalg.norm(a.state0.values - b.state0.values))

@@ -7,7 +7,7 @@ import pytest
 
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, LatticeState,
                   ModelParams, NonlinearitySpec, PeriodicLaw, SpatialProfile,
-                  check_strong_damping, find_breather, period_map, translate,
+                  certificate, find_breather, period_map, translate,
                   verify_breather)
 from dnls.breather import _envelope
 from dnls.errors import DomainError, StrongDampingError
@@ -29,18 +29,23 @@ def _breather_scenario(gamma=3.0, amp=0.5):
 
 
 class TestStrongDampingCheck:
+    """The strong-damping inequality as the solver reads it: the gap rate
+    of the certificate on the R_u-ball."""
+
     def test_numbers(self):
         params, spec = _breather_scenario()
-        check = check_strong_damping(params, spec)
+        cert = certificate(params, spec).dissipative()
+        r_u = cert.breather_radius
         g1_sup = 0.5 * math.sqrt(1.0 / math.tanh(1.0))
-        assert check.ball_radius == pytest.approx(g1_sup / 3.0)
-        assert check.rhs == pytest.approx(1.5 * check.ball_radius ** 2)
-        assert check.satisfied
-        assert check.contraction_exponent == pytest.approx(3.0 - check.rhs)
+        assert r_u == pytest.approx(g1_sup / 3.0)
+        # a*R_u^b + sup||g2|| with (a, b) = (1.5, 2) and no g2
+        assert cert.gamma - cert.gap_rate(r_u) == pytest.approx(1.5 * r_u ** 2)
+        assert cert.gap_rate(r_u) > 0
 
     def test_violated_for_strong_driving(self):
         params, spec = _breather_scenario(gamma=3.0, amp=50.0)
-        assert not check_strong_damping(params, spec).satisfied
+        cert = certificate(params, spec).dissipative()
+        assert not cert.gap_rate(cert.breather_radius) > 0
 
     def test_solver_refuses_without_certificate(self):
         params, spec = _breather_scenario(gamma=3.0, amp=50.0)
@@ -79,8 +84,8 @@ class TestFindBreather:
         params, spec = _breather_scenario()
         sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)
         assert sol.periodicity_residual <= 1e-8
-        check = check_strong_damping(params, spec)
-        theo = math.exp(-check.contraction_exponent * sol.period)
+        cert = certificate(params, spec)
+        theo = math.exp(-cert.gap_rate(cert.breather_radius) * sol.period)
         assert sol.contraction_ratio <= theo + 0.05
         assert sol.localization_r2 is not None and sol.localization_r2 >= 0.99
         report = verify_breather(sol, params, spec, tol=1e-9, config=FAST)
@@ -88,11 +93,11 @@ class TestFindBreather:
 
     def test_seed_independence(self):
         params, spec = _breather_scenario()
-        check = check_strong_damping(params, spec)
+        r_u = certificate(params, spec).breather_radius
         sols = []
         for seed in (None, 7):
             s = (None if seed is None else
-                 random_state(64, seed, norm=0.5 * check.ball_radius))
+                 random_state(64, seed, norm=0.5 * r_u))
             sols.append(find_breather(params, spec, tol=1e-9, n_sites=64,
                                       seed=s, config=FAST))
         spread = np.linalg.norm(sols[0].state0.values - sols[1].state0.values)
@@ -120,7 +125,7 @@ class TestFindBreather:
         # the contraction exponent holds on the R_u-ball: a seed on its
         # boundary is taken, one just outside is refused
         params, spec = _breather_scenario()
-        r_u = check_strong_damping(params, spec).ball_radius
+        r_u = certificate(params, spec).breather_radius
         on = random_state(64, 3, norm=r_u)
         sol = find_breather(params, spec, tol=1e-9, seed=on, n_sites=64,
                             config=FAST)

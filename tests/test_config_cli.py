@@ -162,8 +162,9 @@ class TestConfigValidation:
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
-    # driving and lattice fields that loaded unchecked and then ended a
-    # command in a traceback: (command, config, key path, value)
+    # fields that loaded unchecked and then ended a command in a traceback,
+    # or (JSON true, a Python int) loaded as 1: (command, config, key
+    # path, value)
     @pytest.mark.parametrize("command, name, path, value", [
         ("absorbing", "absorbing.json",
          ("driving", "g1", "profile", "amplitude"), "x"),
@@ -176,13 +177,29 @@ class TestConfigValidation:
          ("driving", "g2", "profile", "site"), 0.5),
         ("simulate", "simulate.json", ("lattice", "n_sites"), 1e308),
         ("simulate", "simulate.json", ("lattice", "n_sites"), 100.7),
+        *(("absorbing", "absorbing.json", path, True) for path in [
+            ("model", "gamma"), ("model", "kappa"),
+            ("model", "nonlinearity", "sigma"),
+            ("model", "nonlinearity", "sign"),
+            ("integrator", "rtol"), ("integrator", "dt_init")]),
     ])
-    def test_malformed_driving_or_lattice_field_is_config_error(
+    def test_malformed_config_field_is_config_error(
             self, tmp_path, capsys, command, name, path, value):
         cfg = _edited(tmp_path, name, path, value)
         assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and ".".join(path) in err
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_growth_constant_key_is_config_error(self, tmp_path, capsys, key):
+        # (a, b) are derived from sigma: a config that sets them is
+        # refused, not silently overridden
+        cfg = _edited(tmp_path, "absorbing.json",
+                      ("model", "nonlinearity", key), 0.01)
+        assert cli.main(["contraction", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.nonlinearity.a and .b")
+        assert "derived from sigma" in err
 
     def test_every_bundled_scenario_key_is_read(self):
         for name in {name for _, name in BUNDLED}:
@@ -351,16 +368,27 @@ class TestCli:
         assert texts[0] != texts[1]
 
     # values the schema takes that no run can use: a g1 amplitude whose
-    # entry time overflows, and a lattice beyond memory (72.8 TiB asked for
-    # at once, so nothing is reserved)
+    # entry time overflows, one whose absorbing radius K = 1.08e-10 lies
+    # below 4*atol*sqrt(N) (||psi|| stalls near atol*sqrt(N) = 1.6e-10),
+    # a lattice beyond memory (72.8 TiB asked for at once, so nothing is
+    # reserved) and a sample grid beyond memory
     @pytest.mark.parametrize("path, value", [
         (("driving", "g1", "profile", "amplitude"), 1e-320),
-        (("lattice", "n_sites"), 1e13)])
+        (("driving", "g1", "profile", "amplitude"), 1e-10),
+        (("lattice", "n_sites"), 1e13),
+        (("integrator", "sample_stride"), 1e-300)])
     def test_unrunnable_config_is_config_error(self, tmp_path, capsys, path,
                                                value):
         cfg = _edited(tmp_path, "absorbing.json", path, value)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_absorbing_radius_above_atol_floor_passes(self, tmp_path):
+        # K = 1.08e-9 against atol*sqrt(N) = 1.6e-10: ||psi|| enters and
+        # stays below K (an amplitude 10x smaller is refused above)
+        cfg = _edited(tmp_path, "absorbing.json",
+                      ("driving", "g1", "profile", "amplitude"), 1e-9)
+        assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_PASS
 
     @pytest.mark.parametrize("command, name", BUNDLED)
     def test_negative_seed_flag_is_config_error(self, capsys, command, name):
@@ -377,8 +405,7 @@ class TestCli:
                               nonlinearity=NonlinearitySpec.cubic(-1)),
             n_sites=32, bc="dirichlet", driving=DrivingSpec(g1=g1),
             integrator=IntegratorConfig(),
-            scenario={"tol": 1e-8, "oracle_rtol": 1e-9,
-                      "oracle_atol": 1e-11})
+            scenario={"tol": 1e-8})
         path = _write(tmp_path, cfg)
         report = tmp_path / "breather.json"
         assert cli.main(["breather", "--config", path,

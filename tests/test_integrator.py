@@ -16,7 +16,7 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   step)
 from dnls.diagnostics import predict_absorbing
 from dnls.errors import DomainError, StiffnessError
-from dnls.integrator import ORACLE_CONFIG, _Dopri5, _gronwall, _sample_count
+from dnls.integrator import ORACLE_CONFIG, _Dopri5, _gronwall, _sample_times
 from dnls.lattice import make_rhs, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -209,11 +209,12 @@ class TestStreaming:
         cfg = IntegratorConfig(sample_stride=stride)
         traj = integrate(random_state(16, 0), t0, t1, params, spec, cfg)
         # reference: t0, each t0 + k*stride < t1, then t1
-        interior = [k for k in range(1, int((t1 - t0) / stride) + 2)
+        interior = [t0 + k * stride for k in range(1, int((t1 - t0) / stride) + 3)
                     if t0 + k * stride < t1]
-        expected = 1 if t1 == t0 else len(interior) + 2
-        assert _sample_count(t0, t1, stride) == expected
-        assert traj.n_samples == traj.values.shape[0] == expected
+        expected = np.array([t0] if t1 == t0 else [t0, *interior, t1])
+        assert _sample_times(t0, t1, stride).size == expected.size
+        assert traj.times.tobytes() == expected.tobytes()
+        assert traj.n_samples == traj.values.shape[0] == expected.size
 
     def test_dropping_states_keeps_memory_flat(self):
         cfg = load_config(CONFIGS / "simulate.json")

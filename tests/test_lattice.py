@@ -133,19 +133,23 @@ class TestNonlinearity:
     def test_validation(self):
         with pytest.raises(DomainError):
             NonlinearitySpec(sigma=0.0)
+        with pytest.raises(DomainError):  # a = 2*sigma + 1 overflows
+            NonlinearitySpec(sigma=1e308)
         with pytest.raises(DomainError):
             NonlinearitySpec(sigma=1.0, sign=2)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0])
     @settings(max_examples=200, deadline=None)
     @given(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                               allow_infinity=False),
            st.complex_numbers(max_magnitude=3.0, allow_nan=False,
                               allow_infinity=False))
-    def test_cubic_two_sided_growth_bound(self, x, y):
-        # |F(|x|^2)x - F(|y|^2)y| <= a*(|x|^b + |y|^b)*|x - y|
-        spec = NonlinearitySpec.cubic()
-        fx = abs(x) ** 2 * x
-        fy = abs(y) ** 2 * y
+    def test_two_sided_growth_bound(self, sigma, sign, x, y):
+        # |F(|x|^2)x - F(|y|^2)y| <= a*(|x|^b + |y|^b)*|x - y| with the
+        # (a, b) derived from sigma
+        spec = NonlinearitySpec(sigma=sigma, sign=sign)
+        fx, fy = (sign * abs(z) ** (2 * sigma) * z for z in (x, y))
         bound = spec.a * (abs(x) ** spec.b + abs(y) ** spec.b) * abs(x - y)
         assert abs(fx - fy) <= bound + 1e-12
 
