@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Per-layer timings of the stepping kernel: one right-hand-side (RHS)
 evaluation and one DOPRI5 step attempt (six RHS calls plus the stage and
-error arithmetic) at N = 64, 256, 1024 and 4096 sites, on the model and
-driving of ``scripts/configs/simulate.json``.
+error arithmetic) at N = 64, 256, 1024 and 4096 sites, on two models:
+``simulate`` (scripts/configs/simulate.json: periodic g1, constant-law
+single-site g2) and ``dimension`` (scripts/configs/dimension.json: a
+two-harmonic g1 and no g2, the model ``dnls dimension`` steps).
 
 Each figure is the median over ``REPEATS`` timed blocks of the
 perf_counter time per call.  The result is written as one named column of
@@ -35,7 +37,8 @@ from dnls.integrator import _Dopri5  # noqa: E402
 from dnls.lattice import make_rhs, random_state  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-CONFIG = ROOT / "scripts" / "configs" / "simulate.json"
+CONFIGS = {model: ROOT / "scripts" / "configs" / f"{model}.json"
+           for model in ("simulate", "dimension")}
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 21
 
@@ -48,29 +51,30 @@ def _per_call_us(fn, number: int) -> float:
 
 
 def measure() -> dict:
-    cfg = load_config(CONFIG)
-    cases = []  # (entry, N, callable, calls per timed block)
-    for n in SIZES:
-        f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc)
-        v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
-        out = np.empty(n, dtype=np.complex128)
-        kernel = _Dopri5(f, v, 0.0)
-        cases.append(("rhs_us", n, lambda f=f, v=v, out=out: f(0.3, v, out),
-                      1000))
-        cases.append(("attempt_us", n,
-                      lambda k=kernel: k.attempt(0.0, 1e-3, cfg.integrator),
-                      100))
-    for _, _, fn, _ in cases:
+    cases = []  # (model, entry, N, callable, calls per timed block)
+    for model, path in CONFIGS.items():
+        cfg = load_config(path)
+        for n in SIZES:
+            f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc)
+            v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
+            out = np.empty(n, dtype=np.complex128)
+            kernel = _Dopri5(f, v, 0.0)
+            cases.append((model, "rhs_us", n,
+                          lambda f=f, v=v, out=out: f(0.3, v, out), 1000))
+            cases.append((model, "attempt_us", n,
+                          lambda k=kernel, c=cfg.integrator: k.attempt(0.0, 1e-3, c),
+                          100))
+    for *_, fn, _ in cases:
         fn()
     # each repeat times every case once, so a drift in machine speed over
     # the run reaches all cases alike
-    samples = {(entry, n): [] for entry, n, _, _ in cases}
+    samples = {case[:3]: [] for case in cases}
     for _ in range(REPEATS):
-        for entry, n, fn, number in cases:
-            samples[entry, n].append(_per_call_us(fn, number))
-    result = {"rhs_us": {}, "attempt_us": {}}
-    for (entry, n), us in samples.items():
-        result[entry][str(n)] = statistics.median(us)
+        for model, entry, n, fn, number in cases:
+            samples[model, entry, n].append(_per_call_us(fn, number))
+    result = {model: {"rhs_us": {}, "attempt_us": {}} for model in CONFIGS}
+    for (model, entry, n), us in samples.items():
+        result[model][entry][str(n)] = statistics.median(us)
     return {
         **result,
         "repeats": REPEATS,
@@ -92,16 +96,18 @@ def main(argv=None) -> int:
     path = pathlib.Path(args.out)
     bench = json.loads(path.read_text()) if path.exists() else {
         "what": "median perf_counter time of one RHS call and one DOPRI5 "
-                "step attempt, per lattice size N, on simulate.json's model",
-        "config": str(CONFIG.relative_to(ROOT)),
+                "step attempt, per model and lattice size N",
+        "configs": {m: str(p.relative_to(ROOT)) for m, p in CONFIGS.items()},
         "columns": {},
     }
     column = measure()
     bench["columns"][args.column] = column
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    for key in ("rhs_us", "attempt_us"):
-        row = "  ".join(f"N={n}: {us:8.2f}" for n, us in column[key].items())
-        print(f"{args.column:>8} {key:>10}  {row}")
+    for model in CONFIGS:
+        for key in ("rhs_us", "attempt_us"):
+            row = "  ".join(f"N={n}: {us:8.2f}"
+                            for n, us in column[model][key].items())
+            print(f"{args.column:>8} {model:>9} {key:>10}  {row}")
     return 0
 
 

@@ -285,8 +285,13 @@ SCENARIO_FIELDS = {
 
 def parse_scenario(command: str, scenario: dict) -> SimpleNamespace:
     """The fields ``command`` reads from a scenario block, defaults filled
-    in; other keys are ignored, since commands share configs.  Raises
-    DomainError on a field of the wrong type or out of range."""
+    in; other commands' keys are ignored, since commands share configs.
+    Raises DomainError on a key no command reads, or on a field of the
+    wrong type or out of range."""
+    unknown = sorted(scenario.keys() - set().union(*SCENARIO_FIELDS.values()))
+    if unknown:
+        raise DomainError("unknown scenario field(s), read by no command: "
+                          + ", ".join(f"scenario.{k}" for k in unknown))
     out = {}
     for name, (parse, default) in SCENARIO_FIELDS[command].items():
         value = scenario.get(name, default)

@@ -232,12 +232,14 @@ class HarmonicSumLaw:
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "_terms", tuple(zip(freqs, amps, phases)))
 
     def __call__(self, t: float) -> float:
-        return math.fsum([
-            a * math.cos(w * t + p)
-            for w, a, p in zip(self.frequencies, self.amplitudes, self.phases)
-        ])
+        terms = self._terms
+        if len(terms) == 2:  # one float addition rounds as fsum does
+            (w0, a0, p0), (w1, a1, p1) = terms
+            return a0 * math.cos(w0 * t + p0) + a1 * math.cos(w1 * t + p1)
+        return math.fsum([a * math.cos(w * t + p) for w, a, p in terms])
 
     def amp_bound(self) -> float:
         # triangle inequality; certified overestimate of sup_t |law(t)|

@@ -37,7 +37,7 @@ _A = np.array([
 ])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
-_E = _A[6] - _B4
+_AE = np.vstack([_A, _A[6] - _B4])  # row 7: the error weights E
 
 # 4th-order continuous extension y(t + theta*h) = y + h*(_P @ [theta^1..4]) @ K
 # (Shampine 1986, Math. Comp. 46; Hairer-Norsett-Wanner, Solving ODEs I, II.6)
@@ -105,45 +105,48 @@ class Trajectory:
 class _Dopri5:
     """DOPRI5 steps on preallocated buffers: S = [y; K], so each stage point
     is one real dot product of the row [1, h*A[i, :i]] of the coefficient
-    matrix M with the float64 view of S.  M, its stage rows, the row h*E
-    and the error and scale buffers are allocated once, so ``attempt``
-    allocates nothing."""
+    matrix M with the float64 view of S, and the error estimate that of the
+    row h*E.  M, its stage rows and the error and scale buffers are
+    allocated once, so ``attempt`` allocates nothing.  |y| is kept from the
+    accepted attempt's |y_new|."""
 
     def __init__(self, f, y: np.ndarray, t: float):
         self.f = f
         self.S = S = np.empty((8, y.size), dtype=np.complex128)
         self.Y = Y = np.empty((7, y.size), dtype=np.complex128)  # stage points
-        M = np.ones((7, 8))  # column 0 stays 1, the weight of y; then h*A
-        self._hA = M[:, 1:]
+        M = np.ones((8, 8))  # column 0 stays 1, the weight of y; then h*A, h*E
+        self._hAE = M[:, 1:]
         Sr, Yr = S.view(np.float64), Y.view(np.float64)
-        self._stages = [(M[i, :i + 1], Sr[:i + 1], Yr[i], Y[i], S[i + 1])
+        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i], Y[i], S[i + 1])
                         for i in range(1, 7)]
-        self._yr, self._y_new_r, self._Kr = Sr[0], Yr[6], Sr[1:]
-        self._hE = np.empty_like(_E)
-        self._err, self._scale, self._tmp = np.empty((3, 2 * y.size))
+        self._hE, self._y_new_r, self._Kr = M[7, 1:], Yr[6], Sr[1:]
+        self._err, self._scale, self._tmp, self._abs_y = np.empty((4, 2 * y.size))
         S[0] = y
+        np.abs(Sr[0], self._abs_y)
         f(t, y, S[1])
 
     def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
         """Stages of a step of size h from (t, S[0]); leaves the 5th-order
         solution in Y[6] and returns the weighted RMS error norm."""
-        np.multiply(h, _A, self._hA)
+        multiply, dot = np.multiply, np.dot
+        multiply(h, _AE, self._hAE)
         f = self.f
-        for i, (m, s, y_r, y_i, k) in enumerate(self._stages, 1):
-            np.dot(m, s, y_r)
-            f(t + _C[i] * h, y_i, k)
+        for c, m, s, y_r, y_i, k in self._stages:
+            dot(m, s, y_r)
+            f(t + c * h, y_i, k)
         err, scale, tmp = self._err, self._scale, self._tmp
-        np.dot(np.multiply(h, _E, self._hE), self._Kr, err)
+        dot(self._hE, self._Kr, err)
         # err /= atol + rtol * max(|y|, |y_new|), componentwise
-        np.maximum(np.abs(self._yr, scale), np.abs(self._y_new_r, tmp), out=scale)
-        np.multiply(config.rtol, scale, scale)
+        np.maximum(self._abs_y, np.abs(self._y_new_r, tmp), out=scale)
+        multiply(config.rtol, scale, scale)
         np.add(config.atol, scale, scale)
         np.divide(err, scale, err)
-        return math.sqrt(float(np.dot(err, err)) / err.size)
+        return math.sqrt(float(dot(err, err)) / err.size)
 
     def accept(self) -> None:
         self.S[0] = self.Y[6]
         self.S[1] = self.S[7]  # FSAL
+        self._abs_y, self._tmp = self._tmp, self._abs_y  # |y_new| of the step
 
     def sample(self, theta: float, h: float, out: np.ndarray) -> np.ndarray:
         """Continuous extension of the last attempted step at t + theta*h,
@@ -225,26 +228,27 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     if t1 > t0:
         t, dt = t0, min(config.dt_init, t1 - t0)
         kernel = _Dopri5(f, state.values, t)
-        stats.rhs_evals += 1
+        ts, late = times.tolist(), 1e-12 * stride
+        accepted = rejected = 0
         k = 1
         while t < t1:
             last = dt >= t1 - t
             h = t1 - t if last else dt
             err_norm = kernel.attempt(t, h, config)
-            stats.rhs_evals += 6
             if err_norm <= 1.0:
                 t_new = t1 if last else t + h
-                while k < n - 1 and (ts := times[k]) <= t_new + 1e-12 * stride:
-                    record(k, kernel.sample((ts - t) / h, h, slot(k)))
+                while k < n - 1 and ts[k] <= t_new + late:
+                    record(k, kernel.sample((ts[k] - t) / h, h, slot(k)))
                     k += 1
                 kernel.accept()
                 t = t_new
-                stats.accepted += 1
+                accepted += 1
             elif h <= config.dt_min * (1 + 1e-12):
                 raise StiffnessError(t, math.sqrt(norm_sq(kernel.S[0])))
             else:
-                stats.rejected += 1
+                rejected += 1
             dt = _next_dt(h, err_norm, config)
+        stats = StepStats(accepted, rejected, 1 + 6 * (accepted + rejected))
         record(n - 1, slot(n - 1, kernel.S[0]))
     return Trajectory(times=times, values=values, bc=bc, norms=norms,
                       stats=stats, config=config, tail_cutoff=tail_cutoff,

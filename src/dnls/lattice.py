@@ -202,23 +202,24 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
     not overlap).  The real part of c is written once; each call rewrites
     its imaginary part in one ufunc, then adds g2 on g2's sites only, as
     one complex update (with F present the real part there is first reset
-    to -gamma; for a real profile it adds +-0).  The couplings
-    are two whole-array adds of -i*kappa*psi, held in a buffer zero-padded
-    to N+2 sites, and g1 is added on g1's sites only.  Every sum is formed
-    in the order of the plain formula, so the result is the same bit for
-    bit.
+    to -gamma; for a real profile it adds +-0).  For a constant law, q2*law
+    is formed once, when the closure is built.  The couplings are two
+    whole-array adds of -i*kappa*psi, held in a buffer zero-padded to N+2
+    sites, and g1 is added on g1's sites only.  Every sum is formed in the
+    order of the plain formula, so the result is the same bit for bit.
     """
     if driving.n_sites != n_sites:
         raise DomainError(f"driving realized on {driving.n_sites} sites, "
                           f"the lattice has {n_sites}")
-    # constant operands as 0-d arrays: numpy converts a Python scalar
-    # operand on every ufunc call
+    # constant operands as 0-d arrays, and each law value written into one:
+    # numpy converts a Python scalar operand on every ufunc call
     hop = np.array(-1j * params.kappa)
     two_kappa = np.array(2.0 * params.kappa)
     diag = complex(-params.gamma, 2.0 * params.kappa)
     nl = params.nonlinearity
     g1, g2 = driving.g1_term, driving.g2_term
     periodic = bc == PERIODIC
+    absolute, multiply, add = np.abs, np.multiply, np.add
 
     pad = np.zeros(n_sites + 2, dtype=np.complex128)
     hv, right, left = pad[1:-1], pad[2:], pad[:-2]
@@ -236,13 +237,20 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
         else:
             base2, re2 = np.array(diag), None
         g2_buf = np.empty_like(q2)
+        law2_val = np.empty((), dtype=np.complex128)
+        const2 = law2.kind == "constant"
+        if const2:  # q2 * law, formed once
+            law2_val[()] = law2(off2)
+            multiply(q2, law2_val, g2_buf)
     if g1 is not None:
         sl1, q1, law1, off1 = g1
         g1_buf = np.empty_like(q1)
+        law1_val = np.empty((), dtype=np.complex128)
+        g1_part = sl1 != slice(0, n_sites)  # else no slice view is needed
 
     def f(t, v, out=None):
         if nl is not None:
-            s = np.abs(v, sq)
+            s = absolute(v, sq)
             s *= s
             if sigma != 1.0:
                 s **= sigma
@@ -250,21 +258,24 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
         if g2 is not None:
             if re2 is not None:
                 re2.fill(diag.real)
-            np.multiply(q2, law2(t + off2), g2_buf)
-            np.add(base2, g2_buf, c2)
-        out = np.multiply(coef, v, out)
-        np.multiply(hop, v, hv)
+            if not const2:
+                law2_val[()] = law2(t + off2)
+                multiply(q2, law2_val, g2_buf)
+            add(base2, g2_buf, c2)
+        out = multiply(coef, v, out)
+        multiply(hop, v, hv)
         if periodic:
             pad[0] = pad[n_sites]
-        np.add(out, right, out)
-        np.add(out, left, out)
+        add(out, right, out)
+        add(out, left, out)
         if periodic:
             # the wrap at site N-1 comes after both neighbours, as at site 0
             out[-1] += pad[1]
         if g1 is not None:
-            np.multiply(q1, law1(t + off1), g1_buf)
-            o = out[sl1]
-            np.add(o, g1_buf, o)
+            law1_val[()] = law1(t + off1)
+            multiply(q1, law1_val, g1_buf)
+            o = out[sl1] if g1_part else out
+            add(o, g1_buf, o)
         return out
 
     return f

@@ -3,6 +3,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +204,19 @@ class TestConfigValidation:
         assert err.startswith("config error: model.nonlinearity.a and .b")
         assert "derived from sigma" in err
 
+    @pytest.mark.parametrize("key", ["radious", "t_factor", "oracle_rtol"])
+    def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys, key):
+        # a typo, or a field that is gone, must not run on the default
+        cfg = _edited(tmp_path, "absorbing.json", ("scenario", key), 3.0)
+        assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"scenario.{key}" in err
+
+    def test_other_commands_scenario_key_is_accepted(self, tmp_path):
+        # commands share configs: absorbing passes over dimension's n_points
+        cfg = _edited(tmp_path, "absorbing.json", ("scenario", "n_points"), 10)
+        assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_PASS
+
     def test_every_bundled_scenario_key_is_read(self):
         for name in {name for _, name in BUNDLED}:
             read = set().union(*(SCENARIO_FIELDS[command]
@@ -389,6 +405,23 @@ class TestCli:
         cfg = _edited(tmp_path, "absorbing.json",
                       ("driving", "g1", "profile", "amplitude"), 1e-9)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_PASS
+
+    def test_closed_stdout_keeps_the_exit_code(self):
+        # `dnls absorbing ... | true`: the reader is gone before the verdict
+        # is printed, which is neither a failed check nor a traceback
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dnls.cli", "absorbing", "--config",
+                 str(CONFIGS / "absorbing.json")],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PASS, b"")
 
     @pytest.mark.parametrize("command, name", BUNDLED)
     def test_negative_seed_flag_is_config_error(self, capsys, command, name):

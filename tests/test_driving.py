@@ -116,6 +116,33 @@ class TestTemporalLaws:
             assert abs(law(t)) <= law.amp_bound() + 1e-12
         assert law.amp_bound() == pytest.approx(0.75)
 
+    def test_two_term_sum_equals_fsum(self):
+        # one float addition is correctly rounded, as fsum is
+        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
+                             amplitudes=(1.0, 0.8), phases=(0.1, -2.3))
+        rng = np.random.default_rng(7)
+        for t in np.concatenate([rng.uniform(-1e3, 1e3, 10 ** 4),
+                                 rng.uniform(0, 20, 10 ** 4)]).tolist():
+            terms = [a * math.cos(w * t + p) for w, a, p in
+                     zip(law.frequencies, law.amplitudes, law.phases)]
+            assert law(t) == math.fsum(terms), t
+
+    def test_three_term_sum_uses_fsum(self, monkeypatch):
+        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0), math.pi),
+                             amplitudes=(1.0, 0.8, 0.5),
+                             phases=(0.0, 0.3, 1.0))
+        calls = []
+
+        def fsum(terms):
+            calls.append(len(terms))
+            return 42.0
+        monkeypatch.setattr(math, "fsum", fsum)
+        assert law(1.7) == 42.0 and calls == [3]
+        two = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
+                             amplitudes=(1.0, 0.8))
+        two(1.7)
+        assert calls == [3]
+
     def test_harmonic_rejects_commensurate(self):
         with pytest.raises(DomainError):
             HarmonicSumLaw(frequencies=(1.0, 2.0), amplitudes=(1.0, 1.0))

@@ -183,6 +183,26 @@ class TestIntegrate:
         # one full-size temporary at N=4096 takes 32 KiB (real) or 64 KiB
         assert peak < 16 * 2 ** 10
 
+    def test_attempt_after_reject_and_accept_is_a_fresh_start(self):
+        # the kernel carries FSAL's slope and |y| from one attempt to the
+        # next; both must be what a kernel built at that state computes
+        cfg = load_config(CONFIGS / "dimension.json")
+        ic = cfg.integrator
+        f = make_rhs(cfg.model, cfg.driving.sampler(64), 64, cfg.bc)
+        kernel = _Dopri5(f, random_state(64, 0, norm=2.0).values, 0.0)
+
+        def attempt_matches_fresh(t, h):
+            fresh = _Dopri5(f, kernel.S[0].copy(), t)
+            err = kernel.attempt(t, h, ic)
+            assert err == fresh.attempt(t, h, ic)
+            assert kernel.Y[6].tobytes() == fresh.Y[6].tobytes()
+            return err
+
+        assert attempt_matches_fresh(0.0, 0.5) > 1.0  # rejected
+        assert attempt_matches_fresh(0.0, 1e-2) <= 1.0
+        kernel.accept()
+        assert attempt_matches_fresh(1e-2, 1e-2) <= 1.0
+
 
 class TestStreaming:
     @pytest.mark.parametrize("name", ["simulate.json", "absorbing.json"])

@@ -247,6 +247,18 @@ _RHS_CASES = {
                          amplitudes=(1.0, 0.8), phases=(0.1, 0.0)),
                          offset=1.7),
                      _SITE_G2),
+    # g2's law is constant: q2*law is formed once, when the closure is built
+    "constant custom g2": (NonlinearitySpec.cubic(1),
+                           DrivingField(_EXP, _PERIODIC),
+                           DrivingField(_CUSTOM, ConstantLaw(0.7), offset=0.2)),
+    "constant custom g2, F=0": (None, None,
+                                DrivingField(_CUSTOM, ConstantLaw(-1.3))),
+    "three harmonics": (NonlinearitySpec(sigma=1.5),
+                        DrivingField(_EXP, HarmonicSumLaw(
+                            frequencies=(1.0, math.sqrt(2.0), math.pi),
+                            amplitudes=(1.0, 0.8, 0.3),
+                            phases=(0.1, 0.0, -0.5))),
+                        None),
 }
 
 
@@ -285,10 +297,11 @@ class TestInPlaceRhs:
         assert a is not b and not np.shares_memory(a, b)
         assert np.array_equal(a, kept)
 
-    def test_in_place_evaluation_allocates_nothing(self):
+    @pytest.mark.parametrize("case", sorted(_RHS_CASES))
+    def test_in_place_evaluation_allocates_nothing(self, case):
         # one full-size temporary at N=4096 takes 32 KiB (real) or 64 KiB
         n = 4096
-        f, _ = _rhs_pair("harmonic law", n, "periodic")
+        f, _ = _rhs_pair(case, n, "periodic")
         v = random_state(n, 0, norm=2.0, localized=False).values
         out = np.empty(n, dtype=complex)
         f(0.0, v, out)
