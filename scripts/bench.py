@@ -4,7 +4,10 @@ evaluation and one DOPRI5 step attempt (six RHS calls plus the stage and
 error arithmetic) at N = 64, 256, 1024 and 4096 sites, on two models:
 ``simulate`` (scripts/configs/simulate.json: periodic g1, constant-law
 single-site g2) and ``dimension`` (scripts/configs/dimension.json: a
-two-harmonic g1 and no g2, the model ``dnls dimension`` steps).
+two-harmonic g1 and no g2, the model ``dnls dimension`` steps); and one
+breather solve: ``find_breather`` on scripts/configs/breather.json's model
+at N = 128 from the zero seed at the reference tolerance, with the number
+of period maps it makes.
 
 Each figure is the median over ``REPEATS`` timed blocks of the
 perf_counter time per call.  The result is written as one named column of
@@ -32,22 +35,49 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+from dnls import breather as br  # noqa: E402
 from dnls.config import load_config  # noqa: E402
-from dnls.integrator import _Dopri5  # noqa: E402
+from dnls.integrator import ORACLE_CONFIG, _Dopri5  # noqa: E402
 from dnls.lattice import make_rhs, random_state  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = {model: ROOT / "scripts" / "configs" / f"{model}.json"
            for model in ("simulate", "dimension")}
+BREATHER = ROOT / "scripts" / "configs" / "breather.json"
 SIZES = (64, 256, 1024, 4096)
+BREATHER_SITES = 128
 REPEATS = 21
+UNITS = {"rhs_us": 1e6, "attempt_us": 1e6, "solve_ms": 1e3}
 
 
-def _per_call_us(fn, number: int) -> float:
+def _per_call_s(fn, number: int) -> float:
     start = perf_counter()
     for _ in range(number):
         fn()
-    return 1e6 * (perf_counter() - start) / number
+    return (perf_counter() - start) / number
+
+
+def _breather_solve():
+    """One breather solve as a callable, and the period maps it makes
+    (counted through ``dnls.breather.period_map``)."""
+    cfg = load_config(BREATHER)
+
+    def solve():
+        br.find_breather(cfg.model, cfg.driving, tol=cfg.scenario["tol"],
+                         n_sites=BREATHER_SITES, config=ORACLE_CONFIG)
+
+    period_map, maps = br.period_map, []
+
+    def counted(*args, **kwargs):
+        maps.append(None)
+        return period_map(*args, **kwargs)
+
+    br.period_map = counted
+    try:
+        solve()
+    finally:
+        br.period_map = period_map
+    return solve, len(maps)
 
 
 def measure() -> dict:
@@ -64,6 +94,8 @@ def measure() -> dict:
             cases.append((model, "attempt_us", n,
                           lambda k=kernel, c=cfg.integrator: k.attempt(0.0, 1e-3, c),
                           100))
+    solve, maps = _breather_solve()
+    cases.append(("breather", "solve_ms", BREATHER_SITES, solve, 1))
     for *_, fn, _ in cases:
         fn()
     # each repeat times every case once, so a drift in machine speed over
@@ -71,10 +103,11 @@ def measure() -> dict:
     samples = {case[:3]: [] for case in cases}
     for _ in range(REPEATS):
         for model, entry, n, fn, number in cases:
-            samples[model, entry, n].append(_per_call_us(fn, number))
-    result = {model: {"rhs_us": {}, "attempt_us": {}} for model in CONFIGS}
-    for (model, entry, n), us in samples.items():
-        result[model][entry][str(n)] = statistics.median(us)
+            samples[model, entry, n].append(_per_call_s(fn, number))
+    result = {"breather": {"maps_per_solve": maps}}
+    for (model, entry, n), s in samples.items():
+        result.setdefault(model, {}).setdefault(entry, {})[str(n)] = \
+            UNITS[entry] * statistics.median(s)
     return {
         **result,
         "repeats": REPEATS,
@@ -96,8 +129,10 @@ def main(argv=None) -> int:
     path = pathlib.Path(args.out)
     bench = json.loads(path.read_text()) if path.exists() else {
         "what": "median perf_counter time of one RHS call and one DOPRI5 "
-                "step attempt, per model and lattice size N",
-        "configs": {m: str(p.relative_to(ROOT)) for m, p in CONFIGS.items()},
+                "step attempt, per model and lattice size N, and of one "
+                "breather solve with its period maps",
+        "configs": {m: str(p.relative_to(ROOT))
+                    for m, p in {**CONFIGS, "breather": BREATHER}.items()},
         "columns": {},
     }
     column = measure()
@@ -108,6 +143,10 @@ def main(argv=None) -> int:
             row = "  ".join(f"N={n}: {us:8.2f}"
                             for n, us in column[model][key].items())
             print(f"{args.column:>8} {model:>9} {key:>10}  {row}")
+    solve = column["breather"]
+    print(f"{args.column:>8}  breather   solve_ms  N={BREATHER_SITES}: "
+          f"{solve['solve_ms'][str(BREATHER_SITES)]:8.2f}  "
+          f"({solve['maps_per_solve']} period maps)")
     return 0
 
 

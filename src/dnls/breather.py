@@ -50,8 +50,10 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
                   seed: LatticeState | None = None,
                   period: float | None = None, n_sites: int = 256,
                   config: IntegratorConfig = ORACLE_CONFIG) -> BreatherSolution:
-    """Fixed-point iteration of the period map from phase t0 = 0, for at
-    most 1000 iterations.
+    """Fixed-point iteration of the period map from phase t0 = 0, with at
+    most 1000 updates of the iterate.  The iterate returned is the first
+    whose residual ||P(psi) - psi|| is at most ``tol``, so a solve makes
+    ``iterations + 1`` maps.
 
     Refuses to run unless the strong-damping inequality holds and the seed
     lies in the R_u-ball (which the flow keeps), since only then is the
@@ -76,27 +78,25 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     noise_floor = 100.0 * config.atol * math.sqrt(psi.n_sites)
     ratios = []
     prev_d = None
-    d = math.inf
     iterations = 0
-    while d > tol:
-        if iterations >= 1000:
-            raise NonconvergenceError(
-                f"no convergence after {iterations} iterations "
-                f"(last residual {d:.3g})", ratios=ratios)
+    while True:  # each map measures the residual d of the iterate psi
         nxt = period_map(psi, 0.0, params, spec, period, config)
         d = math.sqrt(norm_sq(nxt.values - psi.values))
         if prev_d is not None and prev_d > max(noise_floor, 10 * tol):
             ratios.append(d / prev_d)
-        prev_d = d
-        psi = nxt
+        if not d > tol:
+            break
+        if iterations >= 1000:
+            raise NonconvergenceError(
+                f"no convergence after {iterations} iterations "
+                f"(last residual {d:.3g})", ratios=ratios)
+        psi, prev_d = nxt, d
         iterations += 1
 
-    final = period_map(psi, 0.0, params, spec, period, config)
-    residual = math.sqrt(norm_sq(final.values - psi.values))
     rate, r2 = _localization_fit(psi)
     return BreatherSolution(
         state0=psi, period=period, phase_t0=0.0,
-        periodicity_residual=residual, iterations=iterations,
+        periodicity_residual=d, iterations=iterations,
         contraction_ratio=max(ratios) if ratios else 0.0, ratios=ratios,
         localization_rate=rate, localization_r2=r2)
 

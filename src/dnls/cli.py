@@ -250,14 +250,17 @@ def main(argv=None) -> int:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         sc = parse_scenario(args.command, cfg.scenario)
         ok, report, text = _COMMANDS[args.command](cfg, sc, args)
+        if args.json:
+            write_json(report, args.json)
     except (DomainError, MemoryError) as exc:  # MemoryError: lattice too large
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StiffnessError, NonconvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.json:
-        write_json(report, args.json)
+    except OSError as exc:  # an unwritable --out or --json path
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if text is not None:
         try:
             print(text, flush=True)

@@ -260,6 +260,15 @@ class DrivingField:
     law: object = field(default_factory=ConstantLaw)
     offset: float = 0.0
 
+    def __post_init__(self):
+        try:  # squares, sums and products of finite magnitudes can overflow
+            sup = self.sup_norm()
+        except OverflowError:
+            sup = math.inf
+        if not math.isfinite(sup):
+            raise DomainError(f"driving field bound sup||g|| = ||profile|| * "
+                              f"sup|law| = {sup} is not a finite float")
+
     def scalar(self, t: float) -> float:
         return self.law(t + self.offset)
 

@@ -1,18 +1,24 @@
 """Periodic breather solver and its verification."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dnls.breather
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, LatticeState,
                   ModelParams, NonlinearitySpec, PeriodicLaw, SpatialProfile,
                   certificate, find_breather, period_map, translate,
                   verify_breather)
 from dnls.breather import _envelope
-from dnls.errors import DomainError, StrongDampingError
-from dnls.integrator import IntegratorConfig
-from dnls.lattice import l2_norm, random_state
+from dnls.config import load_config
+from dnls.errors import DomainError, NonconvergenceError, StrongDampingError
+from dnls.integrator import ORACLE_CONFIG, IntegratorConfig
+from dnls.lattice import l2_norm, norm_sq, random_state
+
+BREATHER_JSON = (Path(__file__).resolve().parent.parent / "scripts"
+                 / "configs" / "breather.json")
 
 # a moderately tight tolerance keeps the unit suite fast; the acceptance
 # suite exercises the reference tolerance
@@ -143,6 +149,63 @@ class TestFindBreather:
             sol, state0=LatticeState(sol.state0.values + bump.values))
         report = verify_breather(fake, params, spec, tol=1e-9, config=FAST)
         assert not report.ok
+
+
+def _residual(state, image):
+    return math.sqrt(norm_sq(image.values - state.values))
+
+
+class TestMapAccounting:
+    """Each period map measures the residual of the iterate it is applied
+    to, and the solve stops at the first residual at or below tol."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_bundled_solve_maps_once_per_measured_residual(self, monkeypatch,
+                                                           seed):
+        cfg = load_config(BREATHER_JSON)
+        tol = cfg.scenario["tol"]
+        r_u = certificate(cfg.model, cfg.driving).breather_radius
+        start = None if seed is None else random_state(
+            cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc)
+        original = dnls.breather.period_map
+        residuals = []
+
+        def recording(state, *args, **kwargs):
+            image = original(state, *args, **kwargs)
+            residuals.append(_residual(state, image))
+            return image
+
+        monkeypatch.setattr(dnls.breather, "period_map", recording)
+        sol = find_breather(cfg.model, cfg.driving, tol=tol, seed=start,
+                            n_sites=cfg.n_sites, config=ORACLE_CONFIG)
+
+        assert len(residuals) == sol.iterations + 1
+        assert all(d > tol for d in residuals[:-1]) and residuals[-1] <= tol
+        again = period_map(sol.state0, 0.0, cfg.model, cfg.driving,
+                           config=ORACLE_CONFIG)
+        assert sol.periodicity_residual == residuals[-1] \
+            == _residual(sol.state0, again)
+        floor = max(100.0 * ORACLE_CONFIG.atol * math.sqrt(cfg.n_sites),
+                    10 * tol)
+        ratios = [d / prev for prev, d in zip(residuals, residuals[1:])
+                  if prev > floor]
+        assert sol.ratios == ratios
+
+    def test_nonconvergence_after_1000_updates(self, monkeypatch):
+        # a shift by one on every site never contracts: each map measures
+        # the residual sqrt(16) = 4, so the solver gives up after the cap
+        params, spec = _breather_scenario()
+        maps = []
+
+        def shift(state, *args, **kwargs):
+            maps.append(state)
+            return LatticeState(state.values + 1.0, state.bc)
+
+        monkeypatch.setattr(dnls.breather, "period_map", shift)
+        with pytest.raises(NonconvergenceError,
+                           match=r"after 1000 iterations \(last residual 4\)"):
+            find_breather(params, spec, n_sites=16)
+        assert len(maps) == 1001
 
 
 class TestEnvelope:

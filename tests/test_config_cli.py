@@ -387,17 +387,36 @@ class TestCli:
     # entry time overflows, one whose absorbing radius K = 1.08e-10 lies
     # below 4*atol*sqrt(N) (||psi|| stalls near atol*sqrt(N) = 1.6e-10),
     # a lattice beyond memory (72.8 TiB asked for at once, so nothing is
-    # reserved) and a sample grid beyond memory
+    # reserved), a sample grid beyond memory, and finite driving numbers
+    # whose sup||g1|| overflows: harmonic amplitudes that sum past the
+    # float range, a custom profile value whose square does
     @pytest.mark.parametrize("path, value", [
         (("driving", "g1", "profile", "amplitude"), 1e-320),
         (("driving", "g1", "profile", "amplitude"), 1e-10),
         (("lattice", "n_sites"), 1e13),
-        (("integrator", "sample_stride"), 1e-300)])
+        (("integrator", "sample_stride"), 1e-300),
+        (("driving", "g1", "law"),
+         {"kind": "harmonic", "frequencies": [1.0, 1.4142135623730951],
+          "amplitudes": [1e308, 1e308]}),
+        (("driving", "g1", "profile"),
+         {"kind": "custom", "values": [1e200, 1.0], "start": 0})])
     def test_unrunnable_config_is_config_error(self, tmp_path, capsys, path,
                                                value):
         cfg = _edited(tmp_path, "absorbing.json", path, value)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("flag, name", [("--json", "x.json"),
+                                            ("--out", "x.csv")])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, flag,
+                                               name):
+        out = tmp_path / "no_such_dir" / name
+        path = _write(tmp_path, _sample_config())
+        assert cli.main(["simulate", "--config", path,
+                         flag, str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and str(out) in err
+        assert err.count("\n") == 1
 
     def test_absorbing_radius_above_atol_floor_passes(self, tmp_path):
         # K = 1.08e-9 against atol*sqrt(N) = 1.6e-10: ||psi|| enters and

@@ -201,6 +201,19 @@ class TestDrivingSpec:
             assert np.allclose(a1.values, b1.values)
             assert np.allclose(a2.values, b2.values)
 
+    @pytest.mark.parametrize("profile, law", [
+        (SpatialProfile("custom", values=(1e200, 1.0)), ConstantLaw(1.0)),
+        (SpatialProfile("exponential", amplitude=1e200), ConstantLaw(1.0)),
+        (SpatialProfile("single_site"),
+         HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
+                        amplitudes=(1e308, 1e308))),
+        (SpatialProfile("single_site", amplitude=1e200),
+         PeriodicLaw(period=1.0, amplitude=1e200))])
+    def test_overflowing_magnitude_is_refused(self, profile, law):
+        # finite parts whose squares, sum or product leave the float range
+        with pytest.raises(DomainError, match="not a finite float"):
+            DrivingField(profile, law)
+
     def test_translate_preserves_sup_norm(self):
         spec = self._spec()
         assert certificate(CUBIC, translate(spec, 17.0)) == certificate(CUBIC, spec)
