@@ -14,16 +14,14 @@ from .diagnostics import (AbsorbingPrediction, ContractionReport,
                           verify_absorbing, verify_tail)
 from .driving import (Certificate, ConstantLaw, DrivingField, DrivingSpec,
                       HarmonicSumLaw, PeriodicLaw, SpatialProfile,
-                      certificate, sample_driving, translate)
+                      certificate, translate)
 from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
                      StiffnessError, StrongDampingError,
                      TruncationTooSmallError)
 from .integrator import (IntegratorConfig, Trajectory, integrate,
-                         monitor_dissipation, step)
-from .lattice import (LatticeState, ModelParams, NonlinearitySpec,
-                      apply_difference, apply_laplacian,
-                      evaluate_nonlinearity, l2_norm, random_state, rhs,
-                      tail_mass)
+                         monitor_dissipation)
+from .lattice import (LatticeState, ModelParams, NonlinearitySpec, l2_norm,
+                      random_state, tail_mass)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -89,7 +89,7 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
         if iterations >= 1000:
             raise NonconvergenceError(
                 f"no convergence after {iterations} iterations "
-                f"(last residual {d:.3g})", ratios=ratios)
+                f"(last residual {d:.3g})")
         psi, prev_d = nxt, d
         iterations += 1
 

@@ -42,6 +42,9 @@ def _initial_state(cfg: ScenarioConfig, init, seed_override=None) -> LatticeStat
     if init.kind == "random":
         seed = seed_override if seed_override is not None else init.seed
         return random_state(cfg.n_sites, seed, norm=init.norm, bc=cfg.bc)
+    if len(init.values) != cfg.n_sites:
+        raise DomainError(f"scenario.initial.values has {len(init.values)} "
+                          f"entries, lattice.n_sites is {cfg.n_sites}")
     return LatticeState(np.array(init.values), cfg.bc)
 
 

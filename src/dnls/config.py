@@ -39,10 +39,26 @@ class ScenarioConfig:
             raise DomainError(f"unknown boundary condition {self.bc!r}")
 
 
-def _object(value, where: str) -> dict:
+def _object(value, where: str, keys=None) -> dict:
+    """``value``, refused unless it is an object whose keys are all among
+    ``keys`` (when given): a misspelled key must not run on the default."""
     if not isinstance(value, dict):
         raise DomainError(f"{where} must be an object, got {value!r}")
+    unknown = sorted(value.keys() - set(keys)) if keys is not None else ()
+    if unknown:
+        raise DomainError("unknown config field(s): " + ", ".join(
+            f"{where}.{k}" if where else k for k in unknown))
     return value
+
+
+def _kind(d, where: str, what: str, kinds: dict, default=None) -> str:
+    """The ``kind`` of block ``d``, refused when ``kinds`` does not list it
+    or when ``d`` holds a key other than the fields that kind reads."""
+    kind = _object(d, where).get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise DomainError(f"unknown {what} kind {kind!r}")
+    _object(d, where, ("kind", *kinds[kind]))
+    return kind
 
 
 def _complex_pair(v) -> complex:
@@ -61,8 +77,14 @@ def _checked(d: dict, key: str, where: str, parse, *default):
     return value
 
 
+_PROFILE_FIELDS = {"exponential": ("amplitude", "rate"),
+                   "gaussian": ("amplitude", "width"),
+                   "single_site": ("amplitude", "site"),
+                   "custom": ("values", "start")}
+
+
 def _profile_from_dict(d: dict, where: str) -> SpatialProfile:
-    kind = _object(d, where).get("kind")
+    kind = _kind(d, where, "profile", _PROFILE_FIELDS)
     if kind == "custom":
         return SpatialProfile(kind=kind,
                               values=tuple(_complex_pair(v) for v in d["values"]),
@@ -74,10 +96,8 @@ def _profile_from_dict(d: dict, where: str) -> SpatialProfile:
     if kind == "gaussian":
         return SpatialProfile(kind=kind, amplitude=amplitude,
                               width=_checked(d, "width", where, _POSITIVE))
-    if kind == "single_site":
-        return SpatialProfile(kind=kind, amplitude=amplitude,
-                              site=int(_checked(d, "site", where, _INTEGER, 0)))
-    raise DomainError(f"unknown profile kind {kind!r}")
+    return SpatialProfile(kind=kind, amplitude=amplitude,
+                          site=int(_checked(d, "site", where, _INTEGER, 0)))
 
 
 def _profile_to_dict(p: SpatialProfile) -> dict:
@@ -91,22 +111,25 @@ def _profile_to_dict(p: SpatialProfile) -> dict:
             "values": [[v.real, v.imag] for v in p.values]}
 
 
+_LAW_FIELDS = {"constant": ("value",),
+               "periodic": ("period", "amplitude", "phase"),
+               "harmonic": ("frequencies", "amplitudes", "phases")}
+
+
 def _law_from_dict(d: dict, where: str):
-    kind = _object(d, where).get("kind")
+    kind = _kind(d, where, "temporal law", _LAW_FIELDS)
     if kind == "constant":
         return ConstantLaw(value=_checked(d, "value", where, _REAL, 1.0))
     if kind == "periodic":
         return PeriodicLaw(period=_checked(d, "period", where, _POSITIVE),
                            amplitude=_checked(d, "amplitude", where, _REAL, 1.0),
                            phase=_checked(d, "phase", where, _REAL, 0.0))
-    if kind == "harmonic":
-        reals = _list_of(_REAL)
-        phases = _checked(d, "phases", where, reals) if d.get("phases") else ()
-        return HarmonicSumLaw(
-            frequencies=tuple(_checked(d, "frequencies", where, reals)),
-            amplitudes=tuple(_checked(d, "amplitudes", where, reals)),
-            phases=tuple(phases))
-    raise DomainError(f"unknown temporal law kind {kind!r}")
+    reals = _list_of(_REAL)
+    phases = _checked(d, "phases", where, reals) if d.get("phases") else ()
+    return HarmonicSumLaw(
+        frequencies=tuple(_checked(d, "frequencies", where, reals)),
+        amplitudes=tuple(_checked(d, "amplitudes", where, reals)),
+        phases=tuple(phases))
 
 
 def _law_to_dict(law) -> dict:
@@ -122,7 +145,7 @@ def _law_to_dict(law) -> dict:
 
 
 def _field_from_dict(d: dict, where: str) -> DrivingField:
-    _object(d, where)
+    _object(d, where, ("profile", "law", "offset"))
     return DrivingField(
         profile=_profile_from_dict(d["profile"], f"{where}.profile"),
         law=_law_from_dict(d.get("law", {"kind": "constant"}), f"{where}.law"),
@@ -140,29 +163,31 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     version = d.get("version")
     if version != SCHEMA_VERSION:
         raise DomainError(f"unsupported config version {version!r}")
+    _object(d, "", ("version", "model", "lattice", "driving", "integrator",
+                    "scenario"))
     try:
-        m = _object(d["model"], "model")
+        m = _object(d["model"], "model", ("kappa", "gamma", "nonlinearity"))
         nl = m.get("nonlinearity")
         nonlinearity = None
         if nl is not None:
             where = "model.nonlinearity"
-            _object(nl, where)
-            if "a" in nl or "b" in nl:
+            if "a" in _object(nl, where) or "b" in nl:
                 raise DomainError(f"{where}.a and .b are derived from sigma, not set")
+            _object(nl, where, ("sigma", "sign"))
             nonlinearity = NonlinearitySpec(
                 sigma=_checked(nl, "sigma", where, _POSITIVE),
                 sign=_checked(nl, "sign", where, _INTEGER, 1))
         model = ModelParams(kappa=_checked(m, "kappa", "model", _REAL),
                             gamma=_checked(m, "gamma", "model", _POSITIVE),
                             nonlinearity=nonlinearity)
-        lat = _object(d["lattice"], "lattice")
-        dr = _object(d["driving"], "driving")
+        lat = _object(d["lattice"], "lattice", ("n_sites", "bc"))
+        dr = _object(d["driving"], "driving", ("g1", "g2"))
         g1, g2 = (_field_from_dict(dr[g], f"driving.{g}") if g in dr
                   else DrivingField.zero() for g in ("g1", "g2"))
-        integ = _object(d.get("integrator", {}), "integrator")
+        integ = _object(d.get("integrator", {}), "integrator",
+                        IntegratorConfig.__dataclass_fields__)
         cfg = IntegratorConfig(**{
-            k: _checked(integ, k, "integrator", _POSITIVE)
-            for k in IntegratorConfig.__dataclass_fields__ if k in integ})
+            k: _checked(integ, k, "integrator", _POSITIVE) for k in integ})
         n_sites = int(_checked(lat, "n_sites", "lattice", _SITES))
         return ScenarioConfig(model=model, n_sites=n_sites,
                               bc=lat.get("bc", DIRICHLET),
@@ -233,28 +258,28 @@ def _list_of(item, length: int | None = None):
     return parse
 
 
+_INITIAL_FIELDS = {"zero": (), "random": ("seed", "norm"),
+                   "values": ("values",)}
+
+
 def _initial(name: str, value) -> SimpleNamespace:
     """``{"kind": "zero"}``, ``{"kind": "random", "seed", "norm"}`` or
     ``{"kind": "values", "values": [[re, im], ...]}``."""
-    if not isinstance(value, dict):
-        raise DomainError(f"{name} must be an object, got {value!r}")
-    kind = value.get("kind", "zero")
+    kind = _kind(value, name, "initial state", _INITIAL_FIELDS, "zero")
     if kind == "zero":
         return SimpleNamespace(kind=kind)
     if kind == "random":
         return SimpleNamespace(
             kind=kind, seed=_COUNT(f"{name}.seed", value.get("seed", 0)),
             norm=_NONNEG(f"{name}.norm", value.get("norm", 1.0)))
-    if kind == "values":
-        values = value.get("values")
-        if not isinstance(values, list):
-            raise DomainError(f"{name}.values must be a list")
-        try:
-            return SimpleNamespace(kind=kind,
-                                   values=[_complex_pair(v) for v in values])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"{name}.values: {exc}") from exc
-    raise DomainError(f"unknown initial state kind {kind!r}")
+    values = value.get("values")
+    if not isinstance(values, list):
+        raise DomainError(f"{name}.values must be a list")
+    try:
+        return SimpleNamespace(kind=kind,
+                               values=[_complex_pair(v) for v in values])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name}.values: {exc}") from exc
 
 
 # Every scenario field each command reads: name -> (parser, default).  A
@@ -340,8 +365,3 @@ def loads_config(text: str) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_config(fh.read())
-
-
-def save_config(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_config(cfg))

@@ -10,7 +10,7 @@ pass/fail with margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class AbsorbingPrediction:
     gamma_eff: float
     radius: float  # K, with K^2 = 2 sup||g1||^2 / Gamma^2
     entry_time: float  # T(r), clamped to >= 0
-    initial_radius: float
 
 
 def predict_absorbing(params: ModelParams, spec: DrivingSpec,
@@ -91,7 +90,7 @@ def predict_absorbing(params: ModelParams, spec: DrivingSpec,
                           f"(sup||g1|| = {g1_sup:.6g}, r = {r:.6g})")
     return AbsorbingPrediction(gamma_eff=gamma_eff,
                                radius=cert.absorbing_radius,
-                               entry_time=entry, initial_radius=r)
+                               entry_time=entry)
 
 
 @dataclass
@@ -184,8 +183,6 @@ class ContractionReport:
     predicted_rate: float  # gamma - a*r^b - sup||g2||
     ball_radius: float
     pass_: bool
-    times: np.ndarray = field(repr=False, default=None)
-    log_dist: np.ndarray = field(repr=False, default=None)
 
 
 def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
@@ -217,13 +214,10 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
     mask = (dist > floor) & (np.arange(dist.size) >= int(0.2 * dist.size))
     if np.count_nonzero(mask) < 3:
         raise DomainError("distance decayed to noise before the fit window")
-    t_fit = tp.times[mask]
-    ld = np.log(dist[mask])
-    slope, _, _ = line_fit(t_fit, ld)
+    slope, _, _ = line_fit(tp.times[mask], np.log(dist[mask]))
     return ContractionReport(
         fitted_rate=float(slope), predicted_rate=float(predicted),
-        ball_radius=radius, pass_=bool(slope <= -0.95 * predicted),
-        times=t_fit, log_dist=ld)
+        ball_radius=radius, pass_=bool(slope <= -0.95 * predicted))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,6 @@ class DimensionEstimate:
     ci_high: float
     radii: np.ndarray
     correlations: np.ndarray
-    fit_radii: np.ndarray
     degenerate: bool = False
 
     @property
@@ -327,7 +320,7 @@ def correlation_dimension(points: np.ndarray,
         radii = np.geomspace(1e-3, 1.0, 8)
         return DimensionEstimate(slope=0.0, ci_low=0.0, ci_high=0.0,
                                  radii=radii, correlations=np.ones_like(radii),
-                                 fit_radii=radii, degenerate=True)
+                                 degenerate=True)
     radii = np.geomspace(max(_quantile(dists, 0.002), 1e-12 * dmax), dmax, 32)
     corr = np.array([np.count_nonzero(dists < eps) for eps in radii],
                     dtype=float) / dists.size
@@ -349,7 +342,7 @@ def correlation_dimension(points: np.ndarray,
     slope = max(0.0, float(fit_slope))
     return DimensionEstimate(slope=slope, ci_low=slope - half,
                              ci_high=slope + half, radii=radii,
-                             correlations=corr, fit_radii=radii[usable])
+                             correlations=corr)
 
 
 def _theiler_distances(pts: np.ndarray, window: int) -> np.ndarray:

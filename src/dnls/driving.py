@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DampingTooWeakError, DomainError
-from .lattice import DIRICHLET, LatticeState, ModelParams
+from .lattice import ModelParams
 
 _EPS = sys.float_info.epsilon
 # gaussian terms summed one by one before the rest is bounded by an integral
@@ -130,13 +130,6 @@ class SpatialProfile:
             for k, v in enumerate(self.values)
             if abs(self.start + k) > m
         )
-
-    def truncation_fraction(self, n_sites: int) -> float:
-        """Fraction of the profile's mass lost to the truncation."""
-        total = self.l2_norm_sq()
-        if total == 0.0:
-            return 0.0
-        return self.tail_sq(n_sites // 2 - 1) / total
 
     @staticmethod
     def zero() -> "SpatialProfile":
@@ -340,17 +333,6 @@ class DrivingSpec:
         if len(periods) == 2 and not math.isclose(periods[0], periods[1], rel_tol=1e-12):
             raise DomainError("g1 and g2 have different periods")
         return periods[0]
-
-
-def sample_driving(spec: DrivingSpec, t: float, n_sites: int,
-                   bc: str = DIRICHLET) -> tuple[LatticeState, LatticeState]:
-    """Both driving fields at time t, realized on the truncation."""
-    g1, g2 = spec.sampler(n_sites).sample_values(t, n_sites)
-    zero = np.zeros(n_sites, dtype=np.complex128)
-    return (
-        LatticeState(g1 if g1 is not None else zero, bc),
-        LatticeState(g2 if g2 is not None else zero.copy(), bc),
-    )
 
 
 def translate(spec: DrivingSpec, h: float) -> DrivingSpec:

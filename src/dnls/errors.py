@@ -32,7 +32,3 @@ class StiffnessError(RuntimeError):
 
 class NonconvergenceError(RuntimeError):
     """Fixed-point iteration exceeded its iteration cap."""
-
-    def __init__(self, message, ratios=None):
-        super().__init__(message)
-        self.ratios = list(ratios) if ratios is not None else []

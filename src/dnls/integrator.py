@@ -162,18 +162,6 @@ def _next_dt(h: float, err_norm: float, config: IntegratorConfig) -> float:
     return min(config.dt_max, max(config.dt_min, h * fac))
 
 
-def step(state: LatticeState, t: float, dt: float, params: ModelParams,
-         driving: DrivingSpec, config: IntegratorConfig):
-    """Single embedded step.  Returns (state', error_estimate, dt_next);
-    the step is accepted iff error_estimate <= 1."""
-    if not (config.dt_min <= dt <= config.dt_max):
-        raise DomainError("dt outside [dt_min, dt_max]")
-    f = make_rhs(params, driving.sampler(state.n_sites), state.n_sites, state.bc)
-    kernel = _Dopri5(f, state.values, t)
-    err = kernel.attempt(t, dt, config)
-    return state.with_values(kernel.Y[6].copy()), err, _next_dt(dt, err, config)
-
-
 def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
     """Sample times of ``integrate`` on [t0, t1]: t0, every t0 + k*stride < t1
     (k >= 1), then t1; only t0 when t1 == t0."""

@@ -1,5 +1,5 @@
-"""Truncated l^2 states and the lattice operators entering the equation of
-motion
+"""Truncated l^2 states, their norms, and the in-place right-hand side of
+the equation of motion
 
     i dpsi_n/dt = kappa*(psi_{n+1} - 2 psi_n + psi_{n-1}) - i*gamma*psi_n
                   + F(|psi_n|^2) psi_n + g1_n(t) + g2_n(t) psi_n
@@ -51,26 +51,9 @@ class LatticeState:
     def n_sites(self) -> int:
         return self.values.size
 
-    def site_index(self, n: int) -> int:
-        """Array index of lattice site n."""
-        i = n + self.n_sites // 2
-        if not 0 <= i < self.n_sites:
-            raise DomainError(f"site {n} outside truncation")
-        return i
-
-    def with_values(self, values: np.ndarray) -> "LatticeState":
-        return LatticeState(values, self.bc)
-
     @staticmethod
     def zeros(n_sites: int, bc: str = DIRICHLET) -> "LatticeState":
         return LatticeState(np.zeros(n_sites, dtype=np.complex128), bc)
-
-    @staticmethod
-    def single_site(n_sites: int, site: int, amplitude: complex = 1.0,
-                    bc: str = DIRICHLET) -> "LatticeState":
-        v = np.zeros(n_sites, dtype=np.complex128)
-        v[site + n_sites // 2] = amplitude
-        return LatticeState(v, bc)
 
 
 @dataclass(frozen=True)
@@ -138,47 +121,6 @@ def tail_mass(state: LatticeState, m: int) -> float:
     v = state.values
     outside = np.concatenate([v[: c - m], v[c + m + 1:]])
     return norm_sq(outside)
-
-
-def apply_laplacian(state: LatticeState) -> LatticeState:
-    """Discrete Laplacian (A psi)_n = psi_{n+1} - 2 psi_n + psi_{n-1}."""
-    v = state.values
-    out = -2.0 * v
-    if state.bc == PERIODIC:
-        out += np.roll(v, -1) + np.roll(v, 1)
-    else:
-        out[:-1] += v[1:]
-        out[1:] += v[:-1]
-    return state.with_values(out)
-
-
-def apply_difference(state: LatticeState, direction: str) -> LatticeState:
-    """Forward difference (B psi)_n = psi_{n+1} - psi_n or its adjoint
-    (B* psi)_n = psi_{n-1} - psi_n."""
-    v = state.values
-    out = np.empty_like(v)
-    if direction == "forward":
-        if state.bc == PERIODIC:
-            out[:] = np.roll(v, -1) - v
-        else:
-            out[:-1] = v[1:] - v[:-1]
-            out[-1] = -v[-1]
-    elif direction == "backward":
-        if state.bc == PERIODIC:
-            out[:] = np.roll(v, 1) - v
-        else:
-            out[1:] = v[:-1] - v[1:]
-            out[0] = -v[0]
-    else:
-        raise DomainError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    return state.with_values(out)
-
-
-def evaluate_nonlinearity(state: LatticeState, spec: NonlinearitySpec) -> LatticeState:
-    """Entrywise sign * |psi_n|^(2 sigma) * psi_n."""
-    v = state.values
-    s = (v.real * v.real + v.imag * v.imag) ** spec.sigma
-    return state.with_values(spec.sign * s * v)
 
 
 def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
@@ -279,12 +221,6 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
         return out
 
     return f
-
-
-def rhs(state: LatticeState, t: float, params: ModelParams, driving) -> LatticeState:
-    """Right-hand side of the equation of motion at time t."""
-    f = make_rhs(params, driving, state.n_sites, state.bc)
-    return state.with_values(f(t, state.values))
 
 
 def random_state(n_sites: int, seed: int, norm: float = 1.0,

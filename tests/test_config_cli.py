@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dnls import cli
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          config_to_dict, dumps_config, load_config,
-                         loads_config, parse_scenario, save_config)
+                         loads_config, parse_scenario)
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
                           HarmonicSumLaw, PeriodicLaw, SpatialProfile,
                           certificate)
@@ -144,7 +144,7 @@ class TestConfigRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.json"
-        save_config(_sample_config(), path)
+        path.write_text(dumps_config(_sample_config()))
         assert dumps_config(load_config(path)) == path.read_text()
 
     def test_semantic_round_trip(self):
@@ -180,6 +180,11 @@ class TestConfigValidation:
          ("driving", "g2", "profile", "site"), 0.5),
         ("simulate", "simulate.json", ("lattice", "n_sites"), 1e308),
         ("simulate", "simulate.json", ("lattice", "n_sites"), 100.7),
+        # 5 initial values on a 128-site lattice: verify-bounds ran (and
+        # passed) a 5-site lattice
+        *((command, "simulate.json", ("scenario", "initial"),
+           {"kind": "values", "values": [[0.1, 0.0]] * 5})
+          for command in ("simulate", "verify-bounds")),
         *(("absorbing", "absorbing.json", path, True) for path in [
             ("model", "gamma"), ("model", "kappa"),
             ("model", "nonlinearity", "sigma"),
@@ -211,6 +216,29 @@ class TestConfigValidation:
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"scenario.{key}" in err
+
+    # a key the block's parser does not read, one per block: a typo, a key
+    # of another kind (width is gaussian's, value the constant law's), or
+    # of another block
+    @pytest.mark.parametrize("command, name, path", [
+        ("absorbing", "absorbing.json", ("integratr",)),
+        ("absorbing", "absorbing.json", ("model", "kapa")),
+        ("absorbing", "absorbing.json", ("model", "nonlinearity", "sigm")),
+        ("absorbing", "absorbing.json", ("lattice", "nsites")),
+        ("absorbing", "absorbing.json", ("integrator", "rtoll")),
+        ("absorbing", "absorbing.json", ("driving", "g3")),
+        ("absorbing", "absorbing.json", ("driving", "g1", "ofset")),
+        ("absorbing", "absorbing.json", ("driving", "g1", "profile", "width")),
+        ("absorbing", "absorbing.json", ("driving", "g2", "law", "period")),
+        ("absorbing", "absorbing.json", ("driving", "g1", "law", "value")),
+        ("simulate", "simulate.json", ("scenario", "initial", "values")),
+    ])
+    def test_unknown_config_key_is_config_error(self, tmp_path, capsys,
+                                                command, name, path):
+        cfg = _edited(tmp_path, name, path, 1e-3)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and ".".join(path) in err
 
     def test_other_commands_scenario_key_is_accepted(self, tmp_path):
         # commands share configs: absorbing passes over dimension's n_points
@@ -279,7 +307,7 @@ class TestConfigValidation:
 
 def _write(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
-    save_config(cfg, path)
+    path.write_text(dumps_config(cfg))
     return str(path)
 
 

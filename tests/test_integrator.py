@@ -12,8 +12,7 @@ import pytest
 
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, PeriodicLaw,
-                  SpatialProfile, integrate, load_config, monitor_dissipation,
-                  step)
+                  SpatialProfile, integrate, load_config, monitor_dissipation)
 from dnls.diagnostics import predict_absorbing
 from dnls.errors import DomainError, StiffnessError
 from dnls.integrator import ORACLE_CONFIG, _Dopri5, _gronwall, _sample_times
@@ -155,17 +154,6 @@ class TestIntegrate:
                                dt_min=0.5, dt_max=0.5)
         with pytest.raises(StiffnessError):
             integrate(psi0, 0.0, 1.0, params, spec, cfg)
-
-    def test_single_step_accepts_and_matches_integrate(self):
-        params, spec, _ = _affine_setup()
-        psi0 = random_state(16, 0, norm=0.5)
-        cfg = IntegratorConfig(dt_init=1e-3)
-        nxt, err, dt_next = step(psi0, 0.0, 1e-3, params, spec, cfg)
-        assert err <= 1.0
-        assert dt_next >= 1e-3
-        traj = integrate(psi0, 0.0, 1e-3, params, spec, cfg)
-        assert traj.stats.accepted == 1 and traj.stats.rejected == 0
-        assert np.array_equal(nxt.values, traj.values[-1])
 
     def test_attempt_allocates_nothing(self):
         cfg = load_config(CONFIGS / "simulate.json")

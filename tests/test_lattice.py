@@ -1,6 +1,9 @@
-"""Lattice states, operators and the nonlinearity."""
+"""Lattice states, the operators of the right-hand side and the
+nonlinearity."""
 
+import inspect
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls import (LatticeState, ModelParams, NonlinearitySpec,
-                  apply_difference, apply_laplacian, evaluate_nonlinearity,
-                  l2_norm, random_state, rhs, tail_mass)
+from dnls import (LatticeState, ModelParams, NonlinearitySpec, l2_norm,
+                  random_state, tail_mass)
+from dnls import lattice
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
                           HarmonicSumLaw, PeriodicLaw, SpatialProfile)
 from dnls.errors import DomainError
-from dnls.lattice import make_rhs, norm_sq
+from dnls.lattice import make_rhs
 
 
 def _rand(n, seed, bc="dirichlet"):
@@ -22,8 +25,79 @@ def _rand(n, seed, bc="dirichlet"):
     return LatticeState(rng.standard_normal(n) + 1j * rng.standard_normal(n), bc)
 
 
-def _inner(a: LatticeState, b: LatticeState) -> complex:
-    return complex(np.vdot(b.values, a.values))
+_NO_DRIVING = DrivingSpec(g1=DrivingField.zero())
+
+
+def _coupling(n_sites, bc, build=make_rhs):
+    """A as the simulator applies it: with kappa = 1, F = 0 and no driving
+    the closure ``build`` returns is f(t, psi) = -i*A psi - gamma*psi, so
+    A psi = i*(f(0, psi) + gamma*psi)."""
+    params = ModelParams(kappa=1.0, gamma=1.0)
+    f = build(params, _NO_DRIVING.sampler(n_sites), n_sites, bc)
+    return lambda v: 1j * (f(0.0, v) + v)
+
+
+def _shifted(v, k, bc):
+    """psi_{n+k} at every site n, for k = +-1: wrapped around under
+    periodic, zero past the edge under Dirichlet."""
+    out = np.roll(v, -k)
+    if bc == "dirichlet":
+        out[-1 if k == 1 else 0] = 0.0
+    return out
+
+
+def _b(v, bc):  # (B psi)_n = psi_{n+1} - psi_n
+    return _shifted(v, 1, bc) - v
+
+
+def _b_star(v, bc):  # (B* psi)_n = psi_{n-1} - psi_n
+    return _shifted(v, -1, bc) - v
+
+
+def _lemma_ratios(apply_a, bc, n_sites=64, pairs=50):
+    """Worst ratio over random pairs (psi, theta) of each operator lemma:
+    ||A psi|| / (4 ||psi||), which is at most 1; |<B psi, theta> - <psi,
+    B* theta>| and |<A psi, theta> - <psi, A theta>| over ||psi|| ||theta||;
+    and, under periodic wrap-around, ||B*B psi + A psi|| / ||psi||.  The
+    last three are round-off on a correct coupling."""
+    worst = dict.fromkeys(["norm", "adjoint", "symmetric", "factorization"],
+                          0.0)
+    for seed in range(pairs):
+        psi = _rand(n_sites, 2 * seed).values
+        theta = _rand(n_sites, 2 * seed + 1).values
+        a_psi, a_theta = apply_a(psi), apply_a(theta)
+        npsi = np.linalg.norm(psi)
+        scale = npsi * np.linalg.norm(theta)
+        ratios = {
+            "norm": np.linalg.norm(a_psi) / (4.0 * npsi),
+            "adjoint": abs(np.vdot(theta, _b(psi, bc))
+                           - np.vdot(_b_star(theta, bc), psi)) / scale,
+            "symmetric": abs(np.vdot(theta, a_psi)
+                             - np.vdot(a_theta, psi)) / scale,
+        }
+        if bc == "periodic":
+            ratios["factorization"] = np.linalg.norm(
+                _b_star(_b(psi, bc), bc) + a_psi) / npsi
+        for key, r in ratios.items():
+            worst[key] = max(worst[key], float(r))
+    return worst
+
+
+def _lemmas_hold(worst) -> bool:
+    return (worst["norm"] <= 1 + 1e-12 and worst["adjoint"] <= 1e-12
+            and worst["symmetric"] <= 1e-12 and worst["factorization"] <= 1e-12)
+
+
+def _mutated_make_rhs(edits):
+    """``make_rhs`` compiled from its source with each (old, new) of
+    ``edits`` applied, in a copy of the module's namespace."""
+    src = textwrap.dedent(inspect.getsource(make_rhs))
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    namespace = dict(vars(lattice))
+    exec(compile(src, lattice.__file__, "exec"), namespace)
+    return namespace["make_rhs"]
 
 
 class TestLatticeState:
@@ -46,53 +120,49 @@ class TestLatticeState:
         with pytest.raises(DomainError):
             LatticeState(np.zeros(8, dtype=complex), bc="absorbing")
 
-    def test_site_index_centering(self):
-        s = LatticeState.zeros(8)
-        assert s.site_index(0) == 4
-        assert s.site_index(-4) == 0
-        assert s.site_index(3) == 7
-        with pytest.raises(DomainError):
-            s.site_index(4)
-
-    def test_single_site(self):
-        s = LatticeState.single_site(9, 2, amplitude=1j)
-        assert s.values[s.site_index(2)] == 1j
-        assert l2_norm(s) == 1.0
-
 
 class TestOperators:
+    """The lemmas the energy estimates rest on, checked on the coupling
+    ``make_rhs`` builds."""
+
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
     def test_laplacian_bounded_by_4(self, bc):
-        for seed in range(50):
-            s = _rand(64, seed, bc)
-            assert l2_norm(apply_laplacian(s)) <= 4.0 * l2_norm(s) * (1 + 1e-12)
+        assert _lemma_ratios(_coupling(64, bc), bc)["norm"] <= 1 + 1e-12
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
     def test_difference_adjoint(self, bc):
-        for seed in range(50):
-            psi = _rand(64, 2 * seed, bc)
-            theta = _rand(64, 2 * seed + 1, bc)
-            lhs = _inner(apply_difference(psi, "forward"), theta)
-            rhs_ = _inner(psi, apply_difference(theta, "backward"))
-            assert abs(lhs - rhs_) <= 1e-12 * l2_norm(psi) * l2_norm(theta)
+        assert _lemma_ratios(_coupling(64, bc), bc)["adjoint"] <= 1e-12
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_coupling_is_symmetric(self, bc):
+        # <A psi, theta> = <psi, A theta>: -i*kappa*A is skew, so the
+        # hopping neither adds nor removes l^2 mass
+        assert _lemma_ratios(_coupling(64, bc), bc)["symmetric"] <= 1e-12
 
     def test_laplacian_factorization_periodic(self):
         # -A = B*B holds exactly under periodic wrap-around
-        for seed in range(50):
-            psi = _rand(64, seed, "periodic")
-            bstar_b = apply_difference(apply_difference(psi, "forward"), "backward")
-            total = bstar_b.values + apply_laplacian(psi).values
-            assert math.sqrt(norm_sq(total)) <= 1e-12 * l2_norm(psi)
+        worst = _lemma_ratios(_coupling(64, "periodic"), "periodic")
+        assert worst["factorization"] <= 1e-12
 
     def test_laplacian_explicit_stencil(self):
-        s = LatticeState.single_site(8, 0)
-        out = apply_laplacian(s).values
-        i = s.site_index(0)
-        assert out[i] == -2.0 and out[i - 1] == 1.0 and out[i + 1] == 1.0
+        for bc in ("dirichlet", "periodic"):
+            for i in (0, 4, 7):  # an edge site, the center, the other edge
+                e = np.zeros(8, dtype=complex)
+                e[i] = 1.0
+                expect = _shifted(e, 1, bc) + _shifted(e, -1, bc) - 2.0 * e
+                assert np.array_equal(_coupling(8, bc)(e), expect), (bc, i)
 
-    def test_difference_rejects_bad_direction(self):
-        with pytest.raises(DomainError):
-            apply_difference(_rand(8, 0), "sideways")
+    # a wrong sign on the wrap at the last site, at the first, or at both
+    # (then A stays symmetric, but is no longer -B*B)
+    _LAST = ("out[-1] += pad[1]", "out[-1] -= pad[1]")
+    _FIRST = ("pad[0] = pad[n_sites]", "pad[0] = -pad[n_sites]")
+
+    @pytest.mark.parametrize("edits", [[_LAST], [_FIRST], [_LAST, _FIRST]],
+                             ids=["last", "first", "both"])
+    def test_lemmas_fail_on_a_wrong_periodic_wrap(self, edits):
+        mutated = _mutated_make_rhs(edits)
+        assert not _lemmas_hold(
+            _lemma_ratios(_coupling(64, "periodic", mutated), "periodic"))
 
 
 class TestNorms:
@@ -118,9 +188,13 @@ class TestNorms:
 
 class TestNonlinearity:
     def test_cubic_values(self):
+        # with kappa = 0 and no driving, f(t, psi) = -gamma*psi
+        # - i*F(|psi|^2)*psi
         s = _rand(16, 5)
-        spec = NonlinearitySpec.cubic(-1)
-        out = evaluate_nonlinearity(s, spec).values
+        params = ModelParams(kappa=0.0, gamma=1.0,
+                             nonlinearity=NonlinearitySpec.cubic(-1))
+        f = make_rhs(params, _NO_DRIVING.sampler(16), 16, "dirichlet")
+        out = 1j * (f(0.0, s.values) + s.values)
         expect = -np.abs(s.values) ** 2 * s.values
         assert np.allclose(out, expect, rtol=1e-13)
 
@@ -161,18 +235,19 @@ class TestRhs:
         spec = DrivingSpec(g1=g1)
         params = ModelParams(kappa=1.0, gamma=2.0,
                              nonlinearity=NonlinearitySpec.cubic())
-        s = LatticeState.zeros(16)
-        out = rhs(s, 0.0, params, spec.sampler(16))
+        f = make_rhs(params, spec.sampler(16), 16, "dirichlet")
+        out = f(0.0, LatticeState.zeros(16).values)
         expect = np.zeros(16, dtype=complex)
         expect[8] = -1j * 0.7
-        assert np.allclose(out.values, expect)
+        assert np.allclose(out, expect)
 
     def test_linear_terms(self):
         params = ModelParams(kappa=0.5, gamma=2.0)
-        s = _rand(16, 1)
-        out = rhs(s, 0.0, params, DrivingSpec(g1=DrivingField.zero()).sampler(16))
-        expect = -0.5j * apply_laplacian(s).values - 2.0 * s.values
-        assert np.allclose(out.values, expect)
+        v = _rand(16, 1).values
+        out = make_rhs(params, _NO_DRIVING.sampler(16), 16, "dirichlet")(0.0, v)
+        a_v = _shifted(v, 1, "dirichlet") + _shifted(v, -1, "dirichlet") - 2.0 * v
+        expect = -0.5j * a_v - 2.0 * v
+        assert np.allclose(out, expect)
 
     def test_model_params_validation(self):
         with pytest.raises(DomainError):
@@ -323,8 +398,6 @@ class TestInPlaceRhs:
         spec = DrivingSpec(g1=_SITE_G2)
         with pytest.raises(DomainError, match="realized on"):
             make_rhs(params, spec.sampler(sampled_at), 16, "dirichlet")
-        with pytest.raises(DomainError, match="realized on"):
-            rhs(_rand(16, 0), 0.0, params, spec.sampler(sampled_at))
 
 
 class TestRandomState:
