@@ -41,6 +41,7 @@ class BreatherSolution:
     periodicity_residual: float
     iterations: int
     contraction_ratio: float
+    gap_rate: float
     ratios: list = field(default_factory=list)
     localization_rate: float | None = None
     localization_r2: float | None = None
@@ -58,14 +59,20 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     Refuses to run unless the strong-damping inequality holds and the seed
     lies in the R_u-ball (which the flow keeps), since only then is the
     iteration certified to contract (and the orbit unique).
+
+    ``gap_rate`` is the certified rate rho = ``gap_rate(R_u)`` at which two
+    solutions in the R_u-ball approach.  ``ratios`` holds each quotient d_{k+1}/d_k of consecutive residuals
+    with d_k above max(noise_floor, 10*tol) and d_{k+1} above noise_floor
+    = 100*atol*sqrt(N), the round-off level of a map at tolerance atol: a
+    residual below it measures the integrator, not the contraction.
     """
     cert = drv.certificate(params, spec).dissipative()
     r_u = cert.breather_radius
-    rate = cert.gap_rate(r_u)
-    if not rate > 0:
+    gap = cert.gap_rate(r_u)
+    if not gap > 0:
         raise StrongDampingError(
             f"uniqueness not guaranteed: gamma={cert.gamma:.6g} <= "
-            f"a*R_u^b + sup||g2|| = {cert.gamma - rate:.6g}")
+            f"a*R_u^b + sup||g2|| = {cert.gamma - gap:.6g}")
     period = spec.period if period is None else period
     if period is None:
         raise DomainError("driving is not periodic; pass the period explicitly")
@@ -82,7 +89,8 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     while True:  # each map measures the residual d of the iterate psi
         nxt = period_map(psi, 0.0, params, spec, period, config)
         d = math.sqrt(norm_sq(nxt.values - psi.values))
-        if prev_d is not None and prev_d > max(noise_floor, 10 * tol):
+        if prev_d is not None and prev_d > max(noise_floor, 10 * tol) \
+                and d > noise_floor:
             ratios.append(d / prev_d)
         if not d > tol:
             break
@@ -97,7 +105,8 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     return BreatherSolution(
         state0=psi, period=period, phase_t0=0.0,
         periodicity_residual=d, iterations=iterations,
-        contraction_ratio=max(ratios) if ratios else 0.0, ratios=ratios,
+        contraction_ratio=max(ratios) if ratios else 0.0, gap_rate=gap,
+        ratios=ratios,
         localization_rate=rate, localization_r2=r2)
 
 
@@ -132,13 +141,21 @@ class BreatherReport:
     envelope_monotone: bool
     localization_r2: float | None
     localization_rate: float | None
+    certified_ratio: float
+    ratio_margin: float
 
 
 def verify_breather(sol: BreatherSolution, params: ModelParams,
                     spec: DrivingSpec, phases: int = 8, tol: float = 1e-10,
                     config: IntegratorConfig = ORACLE_CONFIG) -> BreatherReport:
     """Re-integrate over two periods and check periodicity at ``phases``
-    equispaced times, plus localization of the amplitude envelope."""
+    equispaced times, plus localization of the amplitude envelope, and
+    check the measured contraction ratio against the certificate: on the
+    R_u-ball two solutions approach at rate rho = ``sol.gap_rate``, so the
+    period map contracts by at least e^{-rho*T}.  ``ratio_margin`` is the
+    ratio over that bound; the check passes up to 1.  The comparison is
+    made in logarithms, since e^{-rho*T} underflows to 0 once rho*T
+    exceeds about 745."""
     period = sol.period
     stride = period / phases
     traj = integrate(sol.state0, sol.phase_t0, sol.phase_t0 + 2 * period,
@@ -161,11 +178,16 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
                           & (env[k] > 1e-10 * peak))
     loc_ok = peak == 0 or (sol.localization_r2 is not None
                            and sol.localization_r2 >= 0.99)
-    ok = periodic_ok and monotone and loc_ok
+    log_margin = (math.log(sol.contraction_ratio) + sol.gap_rate * period
+                  if sol.contraction_ratio > 0 else -math.inf)
+    ok = periodic_ok and monotone and loc_ok and log_margin <= 0.0
     return BreatherReport(ok=ok, max_phase_residual=max_res, tolerance=tol,
                           envelope_monotone=monotone,
                           localization_r2=sol.localization_r2,
-                          localization_rate=sol.localization_rate)
+                          localization_rate=sol.localization_rate,
+                          certified_ratio=math.exp(-sol.gap_rate * period),
+                          # capped below the float range: a finite JSON number
+                          ratio_margin=math.exp(min(log_margin, 700.0)))
 
 
 def _driving_core(spec: DrivingSpec) -> int:

@@ -191,9 +191,9 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     sol = sols[0]
     spread = max((float(np.linalg.norm(other.state0.values - sol.state0.values))
                   for other in sols[1:]), default=0.0)
-    verified = br.verify_breather(sol, cfg.model, cfg.driving,
-                                  phases=sc.phases, tol=tol,
-                                  config=ORACLE_CONFIG).ok
+    report = br.verify_breather(sol, cfg.model, cfg.driving,
+                                phases=sc.phases, tol=tol, config=ORACLE_CONFIG)
+    verified = report.ok
     if args.out:
         write_breather_profile_csv(sol, args.out)
     ok = verified and sol.periodicity_residual <= 10 * tol \
@@ -204,7 +204,11 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     if sol.localization_rate is not None:
         text += (f"\nlocalization rate {sol.localization_rate:.4f} "
                  f"(R^2 = {sol.localization_r2:.5f})")
+    text += (f"\ncontraction ratio {sol.contraction_ratio:.3g}, certified "
+             f"{report.certified_ratio:.3g} (margin {report.ratio_margin:.3f})")
     return ok, {**breather_to_dict(sol), "seed_spread": spread,
+                "certified_ratio": report.certified_ratio,
+                "ratio_margin": report.ratio_margin,
                 "verified": verified}, text
 
 

@@ -336,8 +336,14 @@ def correlation_dimension(points: np.ndarray,
         low = usable & (radii <= fit_r[0] * 10.0)
         if np.count_nonzero(low) >= 3:
             usable = low
-    fit_slope, _, stderr = line_fit(np.log(radii[usable]),
-                                    np.log(corr[usable]))
+    fit_r = radii[usable]  # ascending
+    if fit_r.size < 2 or fit_r[0] == fit_r[-1]:
+        # a section collapsed to one point up to round-off, with too few
+        # pairs apart to fit a scaling region: dimension 0
+        return DimensionEstimate(slope=0.0, ci_low=0.0, ci_high=0.0,
+                                 radii=radii, correlations=corr,
+                                 degenerate=True)
+    fit_slope, _, stderr = line_fit(np.log(fit_r), np.log(corr[usable]))
     half = 1.96 * (stderr if stderr == stderr else 0.0)
     slope = max(0.0, float(fit_slope))
     return DimensionEstimate(slope=slope, ci_low=slope - half,

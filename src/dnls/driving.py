@@ -67,7 +67,8 @@ class SpatialProfile:
         c = n_sites // 2
         n = np.arange(n_sites) - c
         if self.kind == "exponential":
-            out[:] = self.amplitude * np.exp(-self.rate * np.abs(n))
+            with np.errstate(over="ignore"):  # -rate*|n| = -inf: exp gives 0
+                out[:] = self.amplitude * np.exp(-self.rate * np.abs(n))
         elif self.kind == "gaussian":
             out[:] = self.amplitude * np.exp(-(n * n) / (2.0 * self.width ** 2))
         elif self.kind == "single_site":

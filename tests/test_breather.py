@@ -1,6 +1,7 @@
 """Periodic breather solver and its verification."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, LatticeState,
                   verify_breather)
 from dnls.breather import _envelope
 from dnls.config import load_config
+from dnls.driving import Certificate
 from dnls.errors import DomainError, NonconvergenceError, StrongDampingError
 from dnls.integrator import ORACLE_CONFIG, IntegratorConfig
 from dnls.lattice import l2_norm, norm_sq, random_state
@@ -185,10 +187,9 @@ class TestMapAccounting:
                            config=ORACLE_CONFIG)
         assert sol.periodicity_residual == residuals[-1] \
             == _residual(sol.state0, again)
-        floor = max(100.0 * ORACLE_CONFIG.atol * math.sqrt(cfg.n_sites),
-                    10 * tol)
+        noise = 100.0 * ORACLE_CONFIG.atol * math.sqrt(cfg.n_sites)
         ratios = [d / prev for prev, d in zip(residuals, residuals[1:])
-                  if prev > floor]
+                  if prev > max(noise, 10 * tol) and d > noise]
         assert sol.ratios == ratios
 
     def test_nonconvergence_after_1000_updates(self, monkeypatch):
@@ -206,6 +207,60 @@ class TestMapAccounting:
                            match=r"after 1000 iterations \(last residual 4\)"):
             find_breather(params, spec, n_sites=16)
         assert len(maps) == 1001
+
+
+class TestContractionCertificate:
+    """The measured contraction ratio of the period map against the
+    certified e^{-rho*T}, rho = gap_rate(R_u), on the bundled model."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        cfg = load_config(BREATHER_JSON)
+        sol = find_breather(cfg.model, cfg.driving, tol=cfg.scenario["tol"],
+                            n_sites=cfg.n_sites, config=ORACLE_CONFIG)
+        return cfg, sol
+
+    def _verify(self, cfg, sol):
+        return verify_breather(sol, cfg.model, cfg.driving,
+                               tol=cfg.scenario["tol"], config=ORACLE_CONFIG)
+
+    def test_ratio_is_below_the_certificate(self, bundled):
+        # the first ratio is 6.56e-9; a round-off ratio (last residual near
+        # 1e-16 over 1e-9) read 4e-8 to 9e-8 and must not be counted
+        cfg, sol = bundled
+        cert = certificate(cfg.model, cfg.driving)
+        assert sol.gap_rate == cert.gap_rate(cert.breather_radius)
+        certified = math.exp(-sol.gap_rate * sol.period)
+        assert sol.ratios and 0 < sol.contraction_ratio <= certified
+        report = self._verify(cfg, sol)
+        assert report.ok
+        assert report.certified_ratio == certified
+        assert report.ratio_margin == pytest.approx(
+            sol.contraction_ratio / certified, rel=1e-12)
+        assert 0.5 < report.ratio_margin < 0.9
+
+    def test_shrunk_certificate_fails(self, bundled, monkeypatch):
+        # doubling rho squares the certified ratio (9.2e-9 -> 8.4e-17)
+        cfg, sol = bundled
+        gap_rate = Certificate.gap_rate
+        monkeypatch.setattr(Certificate, "gap_rate",
+                            lambda self, r: 2.0 * gap_rate(self, r))
+        shrunk = find_breather(cfg.model, cfg.driving,
+                               tol=cfg.scenario["tol"], n_sites=cfg.n_sites,
+                               config=ORACLE_CONFIG)
+        assert shrunk.gap_rate == 2.0 * sol.gap_rate
+        assert shrunk.contraction_ratio == sol.contraction_ratio
+        report = self._verify(cfg, shrunk)
+        assert report.ratio_margin > 1 and not report.ok
+        assert report.max_phase_residual <= 10 * cfg.scenario["tol"]
+
+    def test_no_kept_ratio_passes(self, bundled):
+        # a map that contracts below the round-off floor at once keeps no
+        # ratio: contraction_ratio 0 is within any certificate
+        cfg, sol = bundled
+        report = self._verify(cfg, replace(sol, contraction_ratio=0.0,
+                                           ratios=[]))
+        assert report.ok and report.ratio_margin == 0.0
 
 
 class TestEnvelope:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,47 @@ class TestCli:
                       ("driving", "g1", "profile", "amplitude"), 1e-9)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_PASS
 
+    def test_huge_exponential_rate_runs_without_warnings(self, tmp_path):
+        # -rate*|n| overflows to -inf off site 0 for rate 1e308, and exp of
+        # it is the 0 the profile has there: nothing to warn about
+        cfg = _edited(tmp_path, "absorbing.json",
+                      ("driving", "g1", "profile", "rate"), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = load_config(cfg).driving.g1.profile
+            expected = np.zeros(16, dtype=complex)
+            expected[8] = profile.amplitude
+            assert np.array_equal(profile.realize(16), expected)
+            assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_PASS
+
+    @pytest.mark.parametrize("path, value", [
+        (("driving", "g1", "law", "period"), 300.0),  # rho*T about 885
+        (("model", "gamma"), 150.0),                  # rho*T about 940
+    ])
+    def test_breather_certificate_below_float_range(self, tmp_path, path,
+                                                    value):
+        # e^{-rho*T} underflows to 0, and the map contracts below the
+        # round-off floor at once, so no ratio is kept: a pass, with a
+        # finite margin in the report
+        cfg = _edited(tmp_path, "breather.json", path, value)
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config", cfg,
+                         "--json", str(report)]) == cli.EXIT_PASS
+        data = json.loads(report.read_text())
+        assert data["certified_ratio"] == 0.0
+        assert data["contraction_ratio"] == 0.0
+        assert data["ratio_margin"] == 0.0 and data["verified"] is True
+
+    def test_dimension_of_a_synchronized_section(self, tmp_path):
+        # absorbing.json's strongly damped model synchronizes its section to
+        # one point up to round-off: dimension 0, not a failed line fit
+        report = tmp_path / "dimension_report.json"
+        assert cli.main(["dimension", "--config",
+                         str(CONFIGS / "absorbing.json"),
+                         "--json", str(report)]) == cli.EXIT_PASS
+        data = json.loads(report.read_text())
+        assert data["degenerate"] is True and data["dimension"] == 0.0
+
     def test_closed_stdout_keeps_the_exit_code(self):
         # `dnls absorbing ... | true`: the reader is gone before the verdict
         # is printed, which is neither a failed check nor a traceback
@@ -493,3 +535,6 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["verified"] is True
         assert data["periodicity_residual"] <= 1e-7
+        assert 0 < data["ratio_margin"] <= 1
+        assert data["ratio_margin"] == pytest.approx(
+            data["contraction_ratio"] / data["certified_ratio"], rel=1e-12)

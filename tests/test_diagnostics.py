@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,17 @@ class TestCorrelationDimension:
         pts = np.zeros((200, 3))
         est = correlation_dimension(pts, theiler_window=0)
         assert est.degenerate and est.slope == 0.0
+
+    def test_one_point_apart_is_degenerate(self):
+        # a section synchronized up to round-off with one point off by
+        # 1e-10: 98% of the pairs are at distance 0, so no radius has a
+        # scaling region to fit
+        pts = np.ones((120, 3))
+        pts[50, 0] += 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = correlation_dimension(pts, theiler_window=10)
+        assert est.degenerate and est.slope == 0.0 and est.ci_width == 0.0
 
     def test_needs_enough_points(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,8 @@ from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   SpatialProfile, integrate, load_config, monitor_dissipation)
 from dnls.diagnostics import predict_absorbing
 from dnls.errors import DomainError, StiffnessError
-from dnls.integrator import ORACLE_CONFIG, _Dopri5, _gronwall, _sample_times
+from dnls.integrator import (ORACLE_CONFIG, _A, _AE, _C, _P, _gronwall,
+                             _sample_times, _Tsit5)
 from dnls.lattice import make_rhs, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -66,6 +67,53 @@ def _dft_setup(kappa=1.0, gamma=1.0, n_sites=64):
     return params, spec, exact
 
 
+def _trees(A):
+    """(order, elementary weight Phi, density gamma) of the 17 rooted trees
+    of order <= 5 (Hairer, Norsett & Wanner, Solving ODEs I, II.2), with the
+    nodes c the row sums of A: weights w have order p when w @ Phi =
+    1/gamma on every tree of order <= p."""
+    c = A.sum(axis=1)
+    Ac, Ac2 = A @ c, A @ c ** 2
+    AAc = A @ Ac
+    return [(1, np.ones_like(c), 1), (2, c, 2), (3, c ** 2, 3), (3, Ac, 6),
+            (4, c ** 3, 4), (4, c * Ac, 8), (4, Ac2, 12), (4, AAc, 24),
+            (5, c ** 4, 5), (5, c ** 2 * Ac, 10), (5, c * Ac2, 15),
+            (5, c * AAc, 30), (5, Ac * Ac, 20), (5, A @ c ** 3, 20),
+            (5, A @ (c * Ac), 40), (5, A @ Ac2, 60), (5, A @ AAc, 120)]
+
+
+class TestTableau:
+    """Order conditions of the kernel's coefficients, which a wrong digit
+    in any of them breaks by far more than round-off."""
+
+    b = _A[6]
+
+    def test_rows_sum_to_nodes(self):
+        assert np.abs(_A.sum(axis=1) - _C).max() <= 1e-15
+
+    def test_solution_weights_have_order_5(self):
+        trees = _trees(_A)
+        assert len(trees) == 17
+        for _, phi, gamma in trees:
+            assert abs(self.b @ phi - 1 / gamma) <= 1e-13
+
+    def test_embedded_weights_have_order_4_only(self):
+        b_hat = self.b - _AE[7]
+        res = {p: max(abs(b_hat @ phi - 1 / g) for q, phi, g in _trees(_A)
+                      if q == p) for p in range(1, 6)}
+        assert max(res[p] for p in range(1, 5)) <= 1e-13
+        assert res[5] > 1e-4  # else the error estimate would estimate nothing
+
+    @pytest.mark.parametrize("theta", [0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    def test_continuous_extension_has_order_4(self, theta):
+        w = _P @ theta ** np.arange(1, 5)
+        for order, phi, gamma in _trees(_A):
+            if order <= 4:
+                assert abs(w @ phi - theta ** order / gamma) <= 1e-13
+        if theta == 1.0:
+            assert np.abs(w - self.b).max() <= 1e-13
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -106,6 +154,24 @@ class TestOracles:
             traj = integrate(psi0, 0.0, 1.0, params, spec, cfg)
             errs.append(np.linalg.norm(traj.values[-1] - exact(1.0, psi0.values)))
         assert errs[1] <= 0.5 * errs[0]
+
+    def test_local_error_falls_with_the_order(self):
+        # one attempt against the DFT oracle: the local error is O(h^6) at
+        # the step's end and O(h^5) from the extension at its middle, so
+        # halving h divides them by about 64 and 32 (here 96, 81 and 49, 40)
+        params, spec, exact = _dft_setup()
+        psi0 = random_state(64, 1, norm=1.0, bc="periodic",
+                            localized=False).values
+        f = make_rhs(params, spec.sampler(64), 64, "periodic")
+        end, mid = [], []
+        for h in (0.1, 0.05, 0.025):
+            kernel = _Tsit5(f, psi0, 0.0)
+            kernel.attempt(0.0, h, ORACLE_CONFIG)
+            end.append(np.linalg.norm(kernel.Y[6] - exact(h, psi0)))
+            out = kernel.sample(0.5, h, np.empty(64, dtype=np.complex128))
+            mid.append(np.linalg.norm(out - exact(h / 2, psi0)))
+        assert end[0] > 40 * end[1] and end[1] > 40 * end[2]
+        assert mid[0] > 20 * mid[1] and mid[1] > 20 * mid[2]
 
 
 class TestIntegrate:
@@ -159,7 +225,7 @@ class TestIntegrate:
         cfg = load_config(CONFIGS / "simulate.json")
         psi0 = random_state(4096, 0, norm=2.0)
         f = make_rhs(cfg.model, cfg.driving.sampler(4096), 4096, cfg.bc)
-        kernel = _Dopri5(f, psi0.values, 0.0)
+        kernel = _Tsit5(f, psi0.values, 0.0)
         kernel.attempt(0.0, 1e-3, cfg.integrator)
         tracemalloc.start()
         try:
@@ -177,10 +243,10 @@ class TestIntegrate:
         cfg = load_config(CONFIGS / "dimension.json")
         ic = cfg.integrator
         f = make_rhs(cfg.model, cfg.driving.sampler(64), 64, cfg.bc)
-        kernel = _Dopri5(f, random_state(64, 0, norm=2.0).values, 0.0)
+        kernel = _Tsit5(f, random_state(64, 0, norm=2.0).values, 0.0)
 
         def attempt_matches_fresh(t, h):
-            fresh = _Dopri5(f, kernel.S[0].copy(), t)
+            fresh = _Tsit5(f, kernel.S[0].copy(), t)
             err = kernel.attempt(t, h, ic)
             assert err == fresh.attempt(t, h, ic)
             assert kernel.Y[6].tobytes() == fresh.Y[6].tobytes()
