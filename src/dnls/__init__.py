@@ -5,7 +5,7 @@ unique periodic breather under strong damping)."""
 
 from .breather import (BreatherSolution, find_breather, period_map,
                        verify_breather)
-from .config import ScenarioConfig, dumps_config, load_config, loads_config
+from .config import ScenarioConfig, load_config
 from .diagnostics import (AbsorbingPrediction, ContractionReport,
                           DimensionEstimate, TailPrediction,
                           check_apriori_bound, continuity_gap,

@@ -151,15 +151,12 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    period = sc.section_period
-    if period is None:
-        law = cfg.driving.g1.law
-        if getattr(law, "period", None):
-            period = law.period
-        elif hasattr(law, "frequencies"):
-            period = 2 * math.pi / law.frequencies[0]
-        else:
+    period = sc.section_period or cfg.driving.g1.law.period
+    if period is None:  # a harmonic sum: the period of its first term
+        harmonics = cfg.driving.g1.law.harmonics()
+        if not harmonics:
             raise DomainError("scenario.section_period required for this driving")
+        period = 2 * math.pi / harmonics[0][1]
     points = dg.poincare_points(cfg.model, cfg.driving,
                                 n_points=sc.n_points,
                                 section_period=period, n_sites=cfg.n_sites,
@@ -181,8 +178,9 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
 
     def solve(seed):
-        seed_state = None if seed is None else random_state(
-            cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc)
+        seed_state = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None
+                      else random_state(cfg.n_sites, seed, norm=0.5 * r_u,
+                                        bc=cfg.bc))
         return br.find_breather(cfg.model, cfg.driving, tol=tol,
                                 seed=seed_state, n_sites=cfg.n_sites,
                                 config=ORACLE_CONFIG)

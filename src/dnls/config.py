@@ -1,9 +1,12 @@
-"""JSON scenario configuration: schema-validated parsing and canonical
-(byte-reproducible) emission.
+"""JSON scenario configuration, checked on read.
 
-Complex numbers are stored as two-element [re, im] arrays.  Emission is
-canonical (sorted keys, fixed indentation), so dump(load(dump(x))) is
-byte-identical to dump(x).
+Each block of a config has one table, field name -> (parser, default), and
+``_read`` applies it: it refuses a key the table does not name and a missing
+field whose default is ``_REQUIRED``, and parses every value as its dotted
+path (``driving.g1.profile.rate``), so each message names its field.  A
+default is the parsed value itself.  Nested blocks are parsers too, and in
+a block with a ``kind`` the kind selects a (table, constructor) pair.
+Complex numbers are real numbers or two-element [re, im] arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from types import SimpleNamespace
 
 from .driving import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
@@ -21,6 +25,7 @@ from .integrator import IntegratorConfig
 from .lattice import DIRICHLET, PERIODIC, ModelParams, NonlinearitySpec
 
 SCHEMA_VERSION = 1
+_REQUIRED = object()  # the default of a field that must be given
 
 
 @dataclass(frozen=True)
@@ -32,184 +37,15 @@ class ScenarioConfig:
     integrator: IntegratorConfig
     scenario: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.n_sites < 3:
-            raise DomainError("lattice needs at least 3 sites")
-        if self.bc not in (DIRICHLET, PERIODIC):
-            raise DomainError(f"unknown boundary condition {self.bc!r}")
-
-
-def _object(value, where: str, keys=None) -> dict:
-    """``value``, refused unless it is an object whose keys are all among
-    ``keys`` (when given): a misspelled key must not run on the default."""
-    if not isinstance(value, dict):
-        raise DomainError(f"{where} must be an object, got {value!r}")
-    unknown = sorted(value.keys() - set(keys)) if keys is not None else ()
-    if unknown:
-        raise DomainError("unknown config field(s): " + ", ".join(
-            f"{where}.{k}" if where else k for k in unknown))
-    return value
-
-
-def _kind(d, where: str, what: str, kinds: dict, default=None) -> str:
-    """The ``kind`` of block ``d``, refused when ``kinds`` does not list it
-    or when ``d`` holds a key other than the fields that kind reads."""
-    kind = _object(d, where).get("kind", default)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise DomainError(f"unknown {what} kind {kind!r}")
-    _object(d, where, ("kind", *kinds[kind]))
-    return kind
-
-
-def _complex_pair(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise DomainError(f"expected [re, im] pair, got {v!r}")
-
-
-def _checked(d: dict, key: str, where: str, parse, *default):
-    """``d[key]`` (or ``default`` if given), checked by ``parse`` as
-    ``where.key`` but returned as read, so a dump shows it as written."""
-    value = d.get(key, *default) if default else d[key]
-    parse(f"{where}.{key}", value)
-    return value
-
-
-_PROFILE_FIELDS = {"exponential": ("amplitude", "rate"),
-                   "gaussian": ("amplitude", "width"),
-                   "single_site": ("amplitude", "site"),
-                   "custom": ("values", "start")}
-
-
-def _profile_from_dict(d: dict, where: str) -> SpatialProfile:
-    kind = _kind(d, where, "profile", _PROFILE_FIELDS)
-    if kind == "custom":
-        return SpatialProfile(kind=kind,
-                              values=tuple(_complex_pair(v) for v in d["values"]),
-                              start=int(_checked(d, "start", where, _INTEGER, 0)))
-    amplitude = _checked(d, "amplitude", where, _REAL, 1.0)
-    if kind == "exponential":
-        return SpatialProfile(kind=kind, amplitude=amplitude,
-                              rate=_checked(d, "rate", where, _POSITIVE))
-    if kind == "gaussian":
-        return SpatialProfile(kind=kind, amplitude=amplitude,
-                              width=_checked(d, "width", where, _POSITIVE))
-    return SpatialProfile(kind=kind, amplitude=amplitude,
-                          site=int(_checked(d, "site", where, _INTEGER, 0)))
-
-
-def _profile_to_dict(p: SpatialProfile) -> dict:
-    if p.kind == "exponential":
-        return {"kind": p.kind, "amplitude": p.amplitude, "rate": p.rate}
-    if p.kind == "gaussian":
-        return {"kind": p.kind, "amplitude": p.amplitude, "width": p.width}
-    if p.kind == "single_site":
-        return {"kind": p.kind, "amplitude": p.amplitude, "site": p.site}
-    return {"kind": p.kind, "start": p.start,
-            "values": [[v.real, v.imag] for v in p.values]}
-
-
-_LAW_FIELDS = {"constant": ("value",),
-               "periodic": ("period", "amplitude", "phase"),
-               "harmonic": ("frequencies", "amplitudes", "phases")}
-
-
-def _law_from_dict(d: dict, where: str):
-    kind = _kind(d, where, "temporal law", _LAW_FIELDS)
-    if kind == "constant":
-        return ConstantLaw(value=_checked(d, "value", where, _REAL, 1.0))
-    if kind == "periodic":
-        return PeriodicLaw(period=_checked(d, "period", where, _POSITIVE),
-                           amplitude=_checked(d, "amplitude", where, _REAL, 1.0),
-                           phase=_checked(d, "phase", where, _REAL, 0.0))
-    reals = _list_of(_REAL)
-    phases = _checked(d, "phases", where, reals) if d.get("phases") else ()
-    return HarmonicSumLaw(
-        frequencies=tuple(_checked(d, "frequencies", where, reals)),
-        amplitudes=tuple(_checked(d, "amplitudes", where, reals)),
-        phases=tuple(phases))
-
-
-def _law_to_dict(law) -> dict:
-    if isinstance(law, ConstantLaw):
-        return {"kind": "constant", "value": law.value}
-    if isinstance(law, PeriodicLaw):
-        return {"kind": "periodic", "period": law.period,
-                "amplitude": law.amplitude, "phase": law.phase}
-    if isinstance(law, HarmonicSumLaw):
-        return {"kind": "harmonic", "frequencies": list(law.frequencies),
-                "amplitudes": list(law.amplitudes), "phases": list(law.phases)}
-    raise DomainError(f"cannot serialize law {law!r}")
-
-
-def _field_from_dict(d: dict, where: str) -> DrivingField:
-    _object(d, where, ("profile", "law", "offset"))
-    return DrivingField(
-        profile=_profile_from_dict(d["profile"], f"{where}.profile"),
-        law=_law_from_dict(d.get("law", {"kind": "constant"}), f"{where}.law"),
-        offset=_checked(d, "offset", where, _REAL, 0.0))
-
-
-def _field_to_dict(f: DrivingField) -> dict:
-    return {"profile": _profile_to_dict(f.profile),
-            "law": _law_to_dict(f.law), "offset": f.offset}
-
-
-def config_from_dict(d: dict) -> ScenarioConfig:
-    if not isinstance(d, dict):
-        raise DomainError("config must be a JSON object")
-    version = d.get("version")
-    if version != SCHEMA_VERSION:
-        raise DomainError(f"unsupported config version {version!r}")
-    _object(d, "", ("version", "model", "lattice", "driving", "integrator",
-                    "scenario"))
-    try:
-        m = _object(d["model"], "model", ("kappa", "gamma", "nonlinearity"))
-        nl = m.get("nonlinearity")
-        nonlinearity = None
-        if nl is not None:
-            where = "model.nonlinearity"
-            if "a" in _object(nl, where) or "b" in nl:
-                raise DomainError(f"{where}.a and .b are derived from sigma, not set")
-            _object(nl, where, ("sigma", "sign"))
-            nonlinearity = NonlinearitySpec(
-                sigma=_checked(nl, "sigma", where, _POSITIVE),
-                sign=_checked(nl, "sign", where, _INTEGER, 1))
-        model = ModelParams(kappa=_checked(m, "kappa", "model", _REAL),
-                            gamma=_checked(m, "gamma", "model", _POSITIVE),
-                            nonlinearity=nonlinearity)
-        lat = _object(d["lattice"], "lattice", ("n_sites", "bc"))
-        dr = _object(d["driving"], "driving", ("g1", "g2"))
-        g1, g2 = (_field_from_dict(dr[g], f"driving.{g}") if g in dr
-                  else DrivingField.zero() for g in ("g1", "g2"))
-        integ = _object(d.get("integrator", {}), "integrator",
-                        IntegratorConfig.__dataclass_fields__)
-        cfg = IntegratorConfig(**{
-            k: _checked(integ, k, "integrator", _POSITIVE) for k in integ})
-        n_sites = int(_checked(lat, "n_sites", "lattice", _SITES))
-        return ScenarioConfig(model=model, n_sites=n_sites,
-                              bc=lat.get("bc", DIRICHLET),
-                              driving=DrivingSpec(g1=g1, g2=g2),
-                              integrator=cfg,
-                              scenario=dict(d.get("scenario", {})))
-    except KeyError as exc:
-        raise DomainError(f"config missing required key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, DomainError):
-            raise
-        raise DomainError(f"malformed config: {exc}") from exc
-
 
 # ---------------------------------------------------------------------------
-# typed fields of the driving, lattice and scenario blocks, checked on read
+# field parsers: ``parse(name, value)`` checks ``value`` as the field
+# ``name`` (its dotted path) and returns it parsed
 
 def _number(minimum: float = -math.inf, maximum: float = math.inf, *,
             strict: bool = False, integer: bool = False):
     """Parser of a finite number >= ``minimum`` (> with ``strict``) and
-    <= ``maximum``, integral with ``integer``; ``name`` is the field's
-    dotted path."""
+    <= ``maximum``, integral with ``integer``."""
     def parse(name: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DomainError(f"{name} must be a number, got {value!r}")
@@ -241,6 +77,15 @@ _COUNT = _number(0, integer=True)
 _POSITIVE_COUNT = _number(1, integer=True)
 
 
+def _one_of(*choices):
+    def parse(name: str, value):
+        if value not in choices:
+            raise DomainError(f"{name} must be one of "
+                              f"{', '.join(map(repr, choices))}, got {value!r}")
+        return value
+    return parse
+
+
 def _optional(item):
     def parse(name: str, value):
         return None if value is None else item(name, value)
@@ -258,52 +103,168 @@ def _list_of(item, length: int | None = None):
     return parse
 
 
-_INITIAL_FIELDS = {"zero": (), "random": ("seed", "norm"),
-                   "values": ("values",)}
+_REALS = _list_of(_REAL)
 
 
-def _initial(name: str, value) -> SimpleNamespace:
-    """``{"kind": "zero"}``, ``{"kind": "random", "seed", "norm"}`` or
-    ``{"kind": "values", "values": [[re, im], ...]}``."""
-    kind = _kind(value, name, "initial state", _INITIAL_FIELDS, "zero")
-    if kind == "zero":
-        return SimpleNamespace(kind=kind)
-    if kind == "random":
-        return SimpleNamespace(
-            kind=kind, seed=_COUNT(f"{name}.seed", value.get("seed", 0)),
-            norm=_NONNEG(f"{name}.norm", value.get("norm", 1.0)))
-    values = value.get("values")
-    if not isinstance(values, list):
-        raise DomainError(f"{name}.values must be a list")
+def _complex(name: str, value) -> complex:
+    if isinstance(value, list):
+        return complex(*_list_of(_REAL, 2)(name, value))
+    return complex(_REAL(name, value))
+
+
+def _object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise DomainError(f"{name} must be an object, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# blocks
+
+def _read(block, where: str, table: dict, known=None) -> dict:
+    """The fields of ``table`` read from ``block``, parsed, with defaults
+    filled in.  A key outside ``known`` (default: the table's keys) is
+    refused: a misspelled key must not run on the default."""
+    unknown = sorted(_object(where or "config", block).keys()
+                     - set(table if known is None else known))
+    if unknown:
+        raise DomainError("unknown config field(s): " + ", ".join(
+            f"{where}.{k}" if where else k for k in unknown))
+    out = {}
+    for name, (parse, default) in table.items():
+        path = f"{where}.{name}" if where else name
+        if name in block:
+            out[name] = parse(path, block[name])
+        elif default is _REQUIRED:
+            raise DomainError(f"{path} is required")
+        else:
+            out[name] = default
+    return out
+
+
+def _block(table: dict, make=dict):
+    """Parser of a block that ``table`` reads into ``make(**fields)``."""
+    return lambda where, value: make(**_read(value, where, table))
+
+
+def _kind(kinds: dict, default=None):
+    """Parser of a block whose ``kind`` (``default`` when absent) selects
+    the pair (table, make) of ``kinds`` that reads it."""
+    def parse(where: str, value):
+        kind = _one_of(*kinds)(f"{where}.kind",
+                               _object(where, value).get("kind", default))
+        table, make = kinds[kind]
+        return make(**_read(value, where, table, known=("kind", *table)))
+    return parse
+
+
+_PROFILE = _kind({
+    "exponential": ({"amplitude": (_REAL, 1.0), "rate": (_POSITIVE, _REQUIRED)},
+                    partial(SpatialProfile, "exponential")),
+    "gaussian": ({"amplitude": (_REAL, 1.0), "width": (_POSITIVE, _REQUIRED)},
+                 partial(SpatialProfile, "gaussian")),
+    "single_site": ({"amplitude": (_REAL, 1.0), "site": (_INTEGER, 0)},
+                    partial(SpatialProfile, "single_site")),
+    "custom": ({"values": (_list_of(_complex), _REQUIRED),
+                "start": (_INTEGER, 0)}, partial(SpatialProfile, "custom")),
+})
+
+_LAW = _kind({
+    "constant": ({"value": (_REAL, 1.0)}, ConstantLaw),
+    "periodic": ({"period": (_POSITIVE, _REQUIRED), "amplitude": (_REAL, 1.0),
+                  "phase": (_REAL, 0.0)}, PeriodicLaw),
+    "harmonic": ({"frequencies": (_REALS, _REQUIRED),
+                  "amplitudes": (_REALS, _REQUIRED), "phases": (_REALS, ())},
+                 HarmonicSumLaw),
+})
+
+_FIELD = _block({"profile": (_PROFILE, _REQUIRED),
+                 "law": (_LAW, ConstantLaw()), "offset": (_REAL, 0.0)},
+                DrivingField)
+
+
+def _nonlinearity(where: str, value) -> NonlinearitySpec:
+    if "a" in _object(where, value) or "b" in value:
+        raise DomainError(f"{where}.a and .b are derived from sigma, not set")
+    return NonlinearitySpec(**_read(value, where, {
+        "sigma": (_POSITIVE, _REQUIRED), "sign": (_INTEGER, 1)}))
+
+
+_CONFIG = {
+    "version": (_one_of(SCHEMA_VERSION), _REQUIRED),
+    "model": (_block({"kappa": (_REAL, _REQUIRED),
+                      "gamma": (_POSITIVE, _REQUIRED),
+                      "nonlinearity": (_optional(_nonlinearity), None)},
+                     ModelParams), _REQUIRED),
+    "lattice": (_block({"n_sites": (_SITES, _REQUIRED),
+                        "bc": (_one_of(DIRICHLET, PERIODIC), DIRICHLET)}),
+                _REQUIRED),
+    "driving": (_block({"g1": (_FIELD, DrivingField.zero()),
+                        "g2": (_FIELD, DrivingField.zero())}, DrivingSpec),
+                _REQUIRED),
+    "integrator": (_block({f.name: (_POSITIVE, f.default)
+                           for f in fields(IntegratorConfig)},
+                          IntegratorConfig), IntegratorConfig()),
+    "scenario": (_object, {}),
+}
+
+
+def config_from_dict(d: dict) -> ScenarioConfig:
     try:
-        return SimpleNamespace(kind=kind,
-                               values=[_complex_pair(v) for v in values])
+        c = _read(d, "", _CONFIG)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{name}.values: {exc}") from exc
+        if isinstance(exc, DomainError):
+            raise
+        raise DomainError(f"malformed config: {exc}") from exc
+    return ScenarioConfig(model=c["model"], n_sites=c["lattice"]["n_sites"],
+                          bc=c["lattice"]["bc"], driving=c["driving"],
+                          integrator=c["integrator"],
+                          scenario=dict(c["scenario"]))
 
+
+def load_config(path) -> ScenarioConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DomainError(f"invalid JSON: {exc}") from exc
+    return config_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# scenario blocks
+
+_INITIAL = _kind({
+    "zero": ({}, partial(SimpleNamespace, kind="zero")),
+    "random": ({"seed": (_COUNT, 0), "norm": (_NONNEG, 1.0)},
+               partial(SimpleNamespace, kind="random")),
+    "values": ({"values": (_list_of(_complex), _REQUIRED)},
+               partial(SimpleNamespace, kind="values")),
+}, default="zero")
 
 # Every scenario field each command reads: name -> (parser, default).  A
 # default of None marks a field the command derives when it is absent.
 SCENARIO_FIELDS = {
     "simulate": {"t0": (_REAL, 0.0), "t1": (_REAL, 10.0),
-                 "tail_cutoff": (_COUNT, None),
-                 "initial": (_initial, {"kind": "zero"})},
+                 "tail_cutoff": (_optional(_COUNT), None),
+                 "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
     "verify-bounds": {"t0": (_REAL, 0.0), "t1": (_REAL, 50.0),
-                      "initial": (_initial, {"kind": "zero"})},
+                      "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
     "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_COUNT, 0)},
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
              "seed": (_COUNT, 0)},
-    "contraction": {"seeds": (_list_of(_COUNT, 2), [1, 2]),
+    "contraction": {"seeds": (_list_of(_COUNT, 2), (1, 2)),
                     "horizon": (_POSITIVE, 3.0)},
     "continuity": {"seed": (_COUNT, 0), "theta_norm": (_NONNEG, 0.5),
                    "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0),
                    "horizon": (_POSITIVE, 5.0)},
-    "dimension": {"section_period": (_POSITIVE, None), "seed": (_COUNT, 0),
+    "dimension": {"section_period": (_optional(_POSITIVE), None),
+                  "seed": (_COUNT, 0),
                   "n_points": (_POSITIVE_COUNT, 2000),
                   "theiler_window": (_COUNT, 10),
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),
-                 "seeds": (_list_of(_optional(_COUNT)), [None]),
+                 "seeds": (_list_of(_optional(_COUNT)), (None,)),
                  "phases": (_POSITIVE_COUNT, 8)},
 }
 
@@ -313,55 +274,6 @@ def parse_scenario(command: str, scenario: dict) -> SimpleNamespace:
     in; other commands' keys are ignored, since commands share configs.
     Raises DomainError on a key no command reads, or on a field of the
     wrong type or out of range."""
-    unknown = sorted(scenario.keys() - set().union(*SCENARIO_FIELDS.values()))
-    if unknown:
-        raise DomainError("unknown scenario field(s), read by no command: "
-                          + ", ".join(f"scenario.{k}" for k in unknown))
-    out = {}
-    for name, (parse, default) in SCENARIO_FIELDS[command].items():
-        value = scenario.get(name, default)
-        if value is None and default is None:
-            out[name] = None
-        else:
-            out[name] = parse(f"scenario.{name}", value)
-    return SimpleNamespace(**out)
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    nl = cfg.model.nonlinearity
-    return {
-        "version": SCHEMA_VERSION,
-        "model": {
-            "kappa": cfg.model.kappa,
-            "gamma": cfg.model.gamma,
-            "nonlinearity": None if nl is None else {
-                "sigma": nl.sigma, "sign": nl.sign},
-        },
-        "lattice": {"n_sites": cfg.n_sites, "bc": cfg.bc},
-        "driving": {"g1": _field_to_dict(cfg.driving.g1),
-                    "g2": _field_to_dict(cfg.driving.g2)},
-        "integrator": {
-            "rtol": cfg.integrator.rtol, "atol": cfg.integrator.atol,
-            "dt_init": cfg.integrator.dt_init, "dt_min": cfg.integrator.dt_min,
-            "dt_max": cfg.integrator.dt_max,
-            "sample_stride": cfg.integrator.sample_stride,
-        },
-        "scenario": cfg.scenario,
-    }
-
-
-def dumps_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
-
-
-def loads_config(text: str) -> ScenarioConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from exc
-    return config_from_dict(data)
-
-
-def load_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_config(fh.read())
+    return SimpleNamespace(**_read(
+        scenario, "scenario", SCENARIO_FIELDS[command],
+        known=set().union(*SCENARIO_FIELDS.values())))

@@ -23,6 +23,7 @@ from .errors import DampingTooWeakError, DomainError
 from .lattice import ModelParams
 
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the smallest normal float
 # gaussian terms summed one by one before the rest is bounded by an integral
 # (all of them while width < 36, so those sums are exact)
 _GAUSSIAN_TERMS = 1000
@@ -70,7 +71,12 @@ class SpatialProfile:
             with np.errstate(over="ignore"):  # -rate*|n| = -inf: exp gives 0
                 out[:] = self.amplitude * np.exp(-self.rate * np.abs(n))
         elif self.kind == "gaussian":
-            out[:] = self.amplitude * np.exp(-(n * n) / (2.0 * self.width ** 2))
+            w2 = self.width ** 2
+            if w2 < _TINY:  # exp(-n^2/(2 width^2)) underflows off site 0
+                out[c] = self.amplitude
+            else:
+                with np.errstate(over="ignore"):  # -n^2/(2 w2) = -inf: 0
+                    out[:] = self.amplitude * np.exp(-(n * n) / (2.0 * w2))
         elif self.kind == "single_site":
             i = self.site + c
             if not 0 <= i < n_sites:
@@ -105,6 +111,8 @@ class SpatialProfile:
         rest is at most its integral from M:
         (width*sqrt(pi)/2) * erfc(M/width)."""
         w2 = self.width * self.width
+        if w2 < _TINY:  # every term underflows
+            return 0.0
         total = 0.0
         stop = m + _GAUSSIAN_TERMS
         for n in range(m + 1, stop + 1):
@@ -121,7 +129,7 @@ class SpatialProfile:
         a2 = self.amplitude * self.amplitude
         if self.kind == "exponential":
             r = self.rate
-            return a2 * 2.0 * math.exp(-2.0 * r * (m + 1)) / (1.0 - math.exp(-2.0 * r))
+            return a2 * 2.0 * math.exp(-2.0 * r * (m + 1)) / -math.expm1(-2.0 * r)
         if self.kind == "gaussian":
             return a2 * self._gaussian_sum(m)
         if self.kind == "single_site":
@@ -162,7 +170,6 @@ def check_rationally_independent(frequencies) -> None:
 class ConstantLaw:
     value: float = 1.0
 
-    kind = "constant"
     period = None
 
     def __call__(self, t: float) -> float:
@@ -183,8 +190,6 @@ class PeriodicLaw:
     period: float
     amplitude: float = 1.0
     phase: float = 0.0
-
-    kind = "periodic"
 
     def __post_init__(self):
         if self.period <= 0:
@@ -211,7 +216,6 @@ class HarmonicSumLaw:
     amplitudes: tuple
     phases: tuple = ()
 
-    kind = "harmonic"
     period = None
 
     def __post_init__(self):

@@ -180,7 +180,7 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
             base2, re2 = np.array(diag), None
         g2_buf = np.empty_like(q2)
         law2_val = np.empty((), dtype=np.complex128)
-        const2 = law2.kind == "constant"
+        const2 = not law2.harmonics()
         if const2:  # q2 * law, formed once
             law2_val[()] = law2(off2)
             multiply(q2, law2_val, g2_buf)

@@ -11,13 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dnls import cli
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
-                         config_to_dict, dumps_config, load_config,
-                         loads_config, parse_scenario)
+                         load_config, parse_scenario)
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
                           HarmonicSumLaw, PeriodicLaw, SpatialProfile,
                           certificate)
@@ -39,17 +38,22 @@ def _bundled_scenario(name):
     return json.loads((CONFIGS / name).read_text())["scenario"]
 
 
-def _edited(tmp_path, name, path, value) -> str:
-    """Bundled config ``name`` with the value at key ``path`` replaced,
-    written under ``tmp_path``."""
+def _edited_data(name, path, value) -> tuple:
+    """(name, bundled config ``name`` with the value at key ``path``
+    replaced)."""
     data = json.loads((CONFIGS / name).read_text())
     *parents, key = path
     parent = data
     for k in parents:
         parent = parent[k]
     parent[key] = value
+    return name, data
+
+
+def _edited(tmp_path, name, path, value) -> str:
+    """``_edited_data`` written under ``tmp_path``."""
     out = tmp_path / name
-    out.write_text(json.dumps(data))
+    out.write_text(json.dumps(_edited_data(name, path, value)[1]))
     return str(out)
 
 
@@ -67,10 +71,11 @@ def _malformed_fields():
 
 
 # replacements for one field: every JSON type, and numbers at the edges
+# (1e-20 and 1e-200 reach the profile sums' small-rate and small-width cases)
 _ODD_VALUES = ["x", "", None, True, [], {}, [1, 2], {"kind": "x"},
                0, -1, 0.5]
-_HUGE_VALUES = [1e308, -1e308, 10 ** 400, -10 ** 400, math.inf, -math.inf,
-                math.nan]
+_EDGE_VALUES = [1e308, -1e308, 10 ** 400, -10 ** 400, math.inf, -math.inf,
+                math.nan, 1e-20, 1e-200]
 
 
 def _key_paths(node, prefix=()):
@@ -85,7 +90,7 @@ def _key_paths(node, prefix=()):
 @st.composite
 def _mutated_bundled_config(draw):
     """A bundled config with one to three fields dropped, swapped for
-    another type, sign-flipped or set huge."""
+    another type, sign-flipped or set to a number at the edges."""
     name = draw(st.sampled_from(sorted({name for _, name in BUNDLED})))
     data = json.loads((CONFIGS / name).read_text())
     for _ in range(draw(st.integers(1, 3))):
@@ -97,61 +102,80 @@ def _mutated_bundled_config(draw):
         for k in parents:
             parent = parent[k]
         value = parent[key]
-        op = draw(st.sampled_from(["drop", "swap", "flip", "huge"]))
+        op = draw(st.sampled_from(["drop", "swap", "flip", "edge"]))
         if op == "drop":
             del parent[key]
         elif op == "flip" and isinstance(value, (int, float)) \
                 and not isinstance(value, bool):
             parent[key] = -value
-        elif op == "huge":
-            parent[key] = draw(st.sampled_from(_HUGE_VALUES))
+        elif op == "edge":
+            parent[key] = draw(st.sampled_from(_EDGE_VALUES))
         else:
             parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
     return name, data
 
 
-def _sample_config():
-    g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5, rate=1.0),
-                      PeriodicLaw(period=2 * math.pi))
-    g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
-                      ConstantLaw(1.0))
-    return ScenarioConfig(
-        model=ModelParams(kappa=1.0, gamma=2.0,
-                          nonlinearity=NonlinearitySpec.cubic(-1)),
-        n_sites=32, bc="dirichlet",
-        driving=DrivingSpec(g1=g1, g2=g2),
-        integrator=IntegratorConfig(),
-        scenario={"t1": 1.0, "initial": {"kind": "zero"}})
+def _sample_config() -> dict:
+    return {
+        "version": 1,
+        "model": {"kappa": 1.0, "gamma": 2.0,
+                  "nonlinearity": {"sigma": 1.0, "sign": -1}},
+        "lattice": {"n_sites": 32, "bc": "dirichlet"},
+        "driving": {
+            "g1": {"profile": {"kind": "exponential", "amplitude": 0.5,
+                               "rate": 1.0},
+                   "law": {"kind": "periodic", "period": 2 * math.pi}},
+            "g2": {"profile": {"kind": "single_site", "amplitude": 0.1},
+                   "law": {"kind": "constant", "value": 1.0}}},
+        "scenario": {"t1": 1.0, "initial": {"kind": "zero"}}}
 
 
-class TestConfigRoundTrip:
-    def test_canonical_round_trip_is_byte_identical(self):
-        text = dumps_config(_sample_config())
-        again = dumps_config(loads_config(text))
-        assert again == text
+class TestConfigParse:
+    def test_sample_config_reads_to_its_fields(self, tmp_path):
+        g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5,
+                                         rate=1.0),
+                          PeriodicLaw(period=2 * math.pi))
+        g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
+                          ConstantLaw(1.0))
+        expected = ScenarioConfig(
+            model=ModelParams(kappa=1.0, gamma=2.0,
+                              nonlinearity=NonlinearitySpec.cubic(-1)),
+            n_sites=32, bc="dirichlet", driving=DrivingSpec(g1=g1, g2=g2),
+            integrator=IntegratorConfig(),
+            scenario={"t1": 1.0, "initial": {"kind": "zero"}})
+        assert load_config(_write(tmp_path, _sample_config())) == expected
 
-    def test_harmonic_law_round_trip(self):
-        cfg = _sample_config()
-        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                             amplitudes=(1.0, 0.5))
-        g1 = DrivingField(cfg.driving.g1.profile, law)
-        cfg2 = ScenarioConfig(model=cfg.model, n_sites=cfg.n_sites, bc=cfg.bc,
-                              driving=DrivingSpec(g1=g1),
-                              integrator=cfg.integrator, scenario=cfg.scenario)
-        text = dumps_config(cfg2)
-        back = loads_config(text)
-        assert back.driving.g1.law == law
-        assert dumps_config(back) == text
+    def test_optional_fields_read_as_given(self):
+        d = _sample_config()
+        d["lattice"]["bc"] = "periodic"
+        d["model"]["nonlinearity"] = None
+        d["driving"]["g1"]["offset"] = 0.25
+        d["integrator"] = {"rtol": 1e-9, "sample_stride": 0.5}
+        cfg = config_from_dict(d)
+        assert cfg.bc == "periodic" and cfg.model.nonlinearity is None
+        assert cfg.driving.g1.offset == 0.25
+        assert cfg.integrator == IntegratorConfig(rtol=1e-9, sample_stride=0.5)
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(dumps_config(_sample_config()))
-        assert dumps_config(load_config(path)) == path.read_text()
+    @pytest.mark.parametrize("phases", [None, [0.5, -1.0]])
+    def test_harmonic_law_reads_to_its_fields(self, phases):
+        d = _sample_config()
+        block = {"kind": "harmonic", "frequencies": [1.0, math.sqrt(2.0)],
+                 "amplitudes": [1.0, 0.5]}
+        if phases is not None:
+            block["phases"] = phases
+        d["driving"]["g1"]["law"] = block
+        law = config_from_dict(d).driving.g1.law
+        assert law == HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
+                                     amplitudes=(1.0, 0.5),
+                                     phases=tuple(phases or ()))
+        assert law.phases == tuple(phases or (0.0, 0.0))
 
-    def test_semantic_round_trip(self):
-        cfg = _sample_config()
-        back = config_from_dict(config_to_dict(cfg))
-        assert back == cfg
+    def test_custom_profile_values_read_as_complex(self):
+        d = _sample_config()
+        d["driving"]["g1"]["profile"] = {"kind": "custom", "start": -1,
+                                         "values": [[0.5, -0.25], 2]}
+        assert config_from_dict(d).driving.g1.profile == SpatialProfile(
+            "custom", values=(0.5 - 0.25j, 2.0), start=-1)
 
 
 class TestConfigValidation:
@@ -256,6 +280,10 @@ class TestConfigValidation:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=_mutated_bundled_config())
+    @example(case=_edited_data("absorbing.json",
+                               ("driving", "g1", "profile", "rate"), 1e-20))
+    @example(case=_edited_data("absorbing.json", ("driving", "g1", "profile"),
+                               {"kind": "gaussian", "width": 1e-200}))
     def test_mutated_bundled_config_raises_only_domain_error(
             self, tmp_path_factory, case):
         # loading, parsing, the certificate and the RHS: no command runs
@@ -267,6 +295,8 @@ class TestConfigValidation:
         except DomainError:
             return
         certificate(cfg.model, cfg.driving)
+        for g in (cfg.driving.g1, cfg.driving.g2):
+            g.profile.tail_sq(0)
         try:
             make_rhs(cfg.model, cfg.driving.sampler(cfg.n_sites), cfg.n_sites,
                      cfg.bc)
@@ -279,36 +309,60 @@ class TestConfigValidation:
                 except DomainError:
                     pass
 
+    # a required field that is missing, named by its dotted path
+    @pytest.mark.parametrize("path", [("model", "kappa"),
+                                      ("driving", "g1", "profile", "rate")])
+    def test_missing_required_field_is_config_error(self, tmp_path, capsys,
+                                                    path):
+        data = _sample_config()
+        *parents, key = path
+        parent = data
+        for k in parents:
+            parent = parent[k]
+        del parent[key]
+        assert cli.main(["absorbing", "--config",
+                         _write(tmp_path, data)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and ".".join(path) in err
+
+    @pytest.mark.parametrize("g", ["g1", "g2"])
+    def test_null_driving_field_is_config_error(self, tmp_path, capsys, g):
+        # an absent field is the zero field; an explicit null is no field
+        cfg = _edited(tmp_path, "absorbing.json", ("driving", g), None)
+        assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"driving.{g}" in err
+
     def test_rejects_bad_version(self):
-        d = config_to_dict(_sample_config())
+        d = _sample_config()
         d["version"] = 99
         with pytest.raises(DomainError):
             config_from_dict(d)
 
     def test_rejects_missing_model(self):
-        d = config_to_dict(_sample_config())
+        d = _sample_config()
         del d["model"]
         with pytest.raises(DomainError):
             config_from_dict(d)
 
     def test_rejects_unknown_profile_kind(self):
-        d = config_to_dict(_sample_config())
+        d = _sample_config()
         d["driving"]["g1"]["profile"]["kind"] = "plateau"
         with pytest.raises(DomainError):
             config_from_dict(d)
 
-    def test_rejects_invalid_json(self):
+    @pytest.mark.parametrize("text", [b"{not json", b"[1, 2, 3]",
+                                      b'{"version": 1, "model": "\xff"}'])
+    def test_rejects_invalid_json_or_non_object(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
         with pytest.raises(DomainError):
-            loads_config("{not json")
-
-    def test_rejects_non_object(self):
-        with pytest.raises(DomainError):
-            loads_config("[1, 2, 3]")
+            load_config(path)
 
 
-def _write(tmp_path, cfg, name="cfg.json"):
+def _write(tmp_path, data: dict, name="cfg.json"):
     path = tmp_path / name
-    path.write_text(dumps_config(cfg))
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -335,15 +389,14 @@ class TestCli:
 
     def test_verify_bounds_passes(self, tmp_path):
         cfg = _sample_config()
-        cfg.scenario.update({"t1": 5.0,
-                             "initial": {"kind": "random", "norm": 1.0}})
+        cfg["scenario"].update({"t1": 5.0,
+                                "initial": {"kind": "random", "norm": 1.0}})
         path = _write(tmp_path, cfg)
         assert cli.main(["verify-bounds", "--config", path]) == cli.EXIT_PASS
 
     def test_absorbing_passes(self, tmp_path):
         cfg = _sample_config()
-        cfg.scenario.clear()
-        cfg.scenario.update({"radius": 2.0})
+        cfg["scenario"] = {"radius": 2.0}
         path = _write(tmp_path, cfg)
         report = tmp_path / "abs.json"
         assert cli.main(["absorbing", "--config", path,
@@ -363,12 +416,9 @@ class TestCli:
         assert cli.main(["frobnicate", "--config", "x"]) == cli.EXIT_CONFIG
 
     def test_weak_damping_is_usage_error(self, tmp_path):
-        cfg = _sample_config()
-        weak = ScenarioConfig(
-            model=ModelParams(kappa=1.0, gamma=0.1,
-                              nonlinearity=NonlinearitySpec.cubic(-1)),
-            n_sites=32, bc="dirichlet", driving=cfg.driving,
-            integrator=cfg.integrator, scenario={})
+        weak = _sample_config()
+        weak["model"]["gamma"] = 0.1
+        weak["scenario"] = {}
         path = _write(tmp_path, weak)
         assert cli.main(["absorbing", "--config", path]) == cli.EXIT_CONFIG
 
@@ -388,12 +438,12 @@ class TestCli:
                          path]) == cli.EXIT_CHECK_FAILED
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        cfg = _sample_config()
-        stiff = ScenarioConfig(
-            model=ModelParams(kappa=50.0, gamma=2.0),
-            n_sites=32, bc="periodic", driving=cfg.driving,
-            integrator=IntegratorConfig(rtol=1e-13, atol=1e-13, dt_init=0.5,
-                                        dt_min=0.5, dt_max=0.5),
+        stiff = _sample_config()
+        stiff.update(
+            model={"kappa": 50.0, "gamma": 2.0},
+            lattice={"n_sites": 32, "bc": "periodic"},
+            integrator={"rtol": 1e-13, "atol": 1e-13, "dt_init": 0.5,
+                        "dt_min": 0.5, "dt_max": 0.5},
             scenario={"t1": 1.0,
                       "initial": {"kind": "random", "norm": 1.0}})
         path = _write(tmp_path, stiff)
@@ -401,8 +451,8 @@ class TestCli:
 
     def test_seed_flag_changes_random_initial(self, tmp_path):
         cfg = _sample_config()
-        cfg.scenario.update({"initial": {"kind": "random", "norm": 1.0},
-                             "t1": 0.5})
+        cfg["scenario"].update({"initial": {"kind": "random", "norm": 1.0},
+                                "t1": 0.5})
         path = _write(tmp_path, cfg)
         texts = []
         for seed in ("1", "2"):
@@ -519,15 +569,10 @@ class TestCli:
         assert "config error: --seed" in capsys.readouterr().err
 
     def test_breather_command(self, tmp_path):
-        g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5,
-                                         rate=1.0),
-                          PeriodicLaw(period=2 * math.pi))
-        cfg = ScenarioConfig(
-            model=ModelParams(kappa=1.0, gamma=3.0,
-                              nonlinearity=NonlinearitySpec.cubic(-1)),
-            n_sites=32, bc="dirichlet", driving=DrivingSpec(g1=g1),
-            integrator=IntegratorConfig(),
-            scenario={"tol": 1e-8})
+        cfg = _sample_config()
+        cfg["model"]["gamma"] = 3.0
+        del cfg["driving"]["g2"]
+        cfg["scenario"] = {"tol": 1e-8}
         path = _write(tmp_path, cfg)
         report = tmp_path / "breather.json"
         assert cli.main(["breather", "--config", path,
@@ -538,3 +583,28 @@ class TestCli:
         assert 0 < data["ratio_margin"] <= 1
         assert data["ratio_margin"] == pytest.approx(
             data["contraction_ratio"] / data["certified_ratio"], rel=1e-12)
+
+    def test_breather_zero_seed_keeps_the_boundary_condition(self, tmp_path):
+        # the null seed solves the periodic problem, as seeds 1 and 2 do
+        cfg = _edited(tmp_path, "breather.json", ("lattice",),
+                      {"n_sites": 16, "bc": "periodic"})
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config", cfg,
+                         "--json", str(report)]) == cli.EXIT_PASS
+        assert json.loads(report.read_text())["seed_spread"] <= 1e-9
+
+    # profile sums at scales whose floats underflow: 1 - exp(-2 rate) is 0
+    # for this rate, and width^2 is 0 for this width
+    @pytest.mark.parametrize("command, profile", [
+        ("tail", {"kind": "exponential", "amplitude": 0.8727, "rate": 1e-20}),
+        ("absorbing",
+         {"kind": "gaussian", "amplitude": 0.8727, "width": 1e-200})])
+    def test_tiny_profile_scale_runs_without_warnings(self, tmp_path, capsys,
+                                                      command, profile):
+        cfg = _edited(tmp_path, "absorbing.json", ("driving", "g1", "profile"),
+                      profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", cfg])
+        assert code in (cli.EXIT_PASS, cli.EXIT_CONFIG)
+        assert "Traceback" not in capsys.readouterr().err

@@ -53,6 +53,22 @@ class TestSpatialProfile:
         assert p.l2_norm_sq() > 1e307 and p.tail_sq(10) > 1e307
         assert time.perf_counter() - start < 1.0
 
+    def test_exponential_tail_at_small_rate(self):
+        # sum_{|n|>0} exp(-2r|n|) = coth(r) - 1; a denominator formed as
+        # 1 - exp(-2r) is off by about 5e-8 relative at this rate
+        p = SpatialProfile("exponential", rate=1e-9)
+        assert p.tail_sq(0) == pytest.approx(1 / math.tanh(1e-9) - 1,
+                                             rel=1e-12)
+
+    def test_gaussian_whose_width_squared_underflows(self):
+        # width^2 = 0 in floats: every site but 0 underflows to 0
+        p = SpatialProfile("gaussian", amplitude=2.0, width=1e-200)
+        expected = np.zeros(16, dtype=complex)
+        expected[8] = 2.0
+        with np.errstate(all="raise"):
+            assert np.array_equal(p.realize(16), expected)
+        assert p.l2_norm_sq() == 4.0 and p.tail_sq(0) == 0.0
+
     def test_single_site_and_custom(self):
         p = SpatialProfile("single_site", amplitude=0.4, site=3)
         assert p.l2_norm_sq() == pytest.approx(0.16)
