@@ -45,8 +45,8 @@ import numpy as np  # noqa: E402
 
 from dnls import breather as br  # noqa: E402
 from dnls.config import load_config  # noqa: E402
-from dnls.integrator import ORACLE_CONFIG, _Tsit5, integrate  # noqa: E402
-from dnls.lattice import make_rhs, random_state  # noqa: E402
+from dnls.integrator import _Tsit5, integrate  # noqa: E402
+from dnls.lattice import LatticeState, make_rhs, random_state  # noqa: E402
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = {model: ROOT / "scripts" / "configs" / f"{model}.json"
@@ -70,26 +70,16 @@ def _per_call_s(fn, number: int) -> float:
 
 
 def _breather_solve():
-    """One breather solve as a callable, and the period maps it makes
-    (counted through ``dnls.breather.period_map``)."""
+    """One breather solve as a callable, and the period maps it makes:
+    ``iterations + 1``, as ``find_breather`` documents."""
     cfg = load_config(BREATHER)
+    seed = LatticeState.zeros(BREATHER_SITES, cfg.bc)
 
     def solve():
-        br.find_breather(cfg.model, cfg.driving, tol=cfg.scenario["tol"],
-                         n_sites=BREATHER_SITES, config=ORACLE_CONFIG)
+        return br.find_breather(cfg.model, cfg.driving, seed,
+                                tol=cfg.scenario["tol"])
 
-    period_map, maps = br.period_map, []
-
-    def counted(*args, **kwargs):
-        maps.append(None)
-        return period_map(*args, **kwargs)
-
-    br.period_map = counted
-    try:
-        solve()
-    finally:
-        br.period_map = period_map
-    return solve, len(maps)
+    return solve, solve().iterations + 1
 
 
 def measure() -> dict:

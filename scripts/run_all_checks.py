@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Run the full verification battery against the bundled example configs.
+"""Run all eight `dnls` commands against the bundled example configs.
 
-Each check is one `dnls` CLI invocation; the script prints a summary table
+Each check is one `dnls` CLI invocation that writes its JSON report, and
+its CSV if it has one, to `--out-dir`; the script prints a summary table
 (exit code, wall time, and the process's peak resident memory after the
 check) and exits nonzero if any check fails.  The checks run in order in
 one process, so the peak memory column only grows: a check raised it when
@@ -19,6 +20,7 @@ from dnls import cli
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 
 CHECKS = [
+    ("simulate", "simulate.json"),
     ("verify-bounds", "simulate.json"),
     ("absorbing", "absorbing.json"),
     ("tail", "absorbing.json"),
@@ -27,12 +29,14 @@ CHECKS = [
     ("breather", "breather.json"),
     ("dimension", "dimension.json"),
 ]
+# the commands whose --out writes a CSV
+WRITES_CSV = {"simulate", "breather", "dimension"}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="reports",
-                        help="directory for per-check JSON reports")
+                        help="directory for per-check JSON reports and CSVs")
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -40,10 +44,12 @@ def main() -> int:
 
     results = []
     for command, config in CHECKS:
-        report = out_dir / f"{command}.json"
+        argv = [command, "--config", str(CONFIG_DIR / config),
+                "--json", str(out_dir / f"{command}.json")]
+        if command in WRITES_CSV:
+            argv += ["--out", str(out_dir / f"{command}.csv")]
         start = time.perf_counter()
-        code = cli.main([command, "--config", str(CONFIG_DIR / config),
-                         "--json", str(report)])
+        code = cli.main(argv)
         wall = time.perf_counter() - start
         # ru_maxrss is in KiB on Linux
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -21,16 +21,16 @@ from .integrator import ORACLE_CONFIG, IntegratorConfig, integrate
 from .lattice import LatticeState, ModelParams, l2_norm, norm_sq
 
 
+_PHASES = 8  # equispaced times per period that ``verify_breather`` checks
+
+
 def period_map(state: LatticeState, t0: float, params: ModelParams,
-               spec: DrivingSpec, period: float | None = None,
+               spec: DrivingSpec, period: float,
                config: IntegratorConfig = ORACLE_CONFIG) -> LatticeState:
     """Flow over one driving period at reference tolerance."""
-    period = spec.period if period is None else period
-    if period is None:
-        raise DomainError("driving is not periodic; pass the period explicitly")
     traj = integrate(state, t0, t0 + period, params, spec,
                      replace(config, sample_stride=period))
-    return traj.state(traj.n_samples - 1)
+    return LatticeState(traj.values[-1], state.bc)
 
 
 @dataclass
@@ -47,14 +47,14 @@ class BreatherSolution:
     localization_r2: float | None = None
 
 
-def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
-                  seed: LatticeState | None = None,
-                  period: float | None = None, n_sites: int = 256,
+def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
+                  tol: float = 1e-10, period: float | None = None,
                   config: IntegratorConfig = ORACLE_CONFIG) -> BreatherSolution:
-    """Fixed-point iteration of the period map from phase t0 = 0, with at
-    most 1000 updates of the iterate.  The iterate returned is the first
-    whose residual ||P(psi) - psi|| is at most ``tol``, so a solve makes
-    ``iterations + 1`` maps.
+    """Fixed-point iteration of the period map from ``seed`` at phase t0 = 0
+    (``period`` defaults to the driving's), with at most 1000 updates of the
+    iterate.  The iterate returned is the first whose residual
+    ||P(psi) - psi|| is at most ``tol``, so a solve makes ``iterations + 1``
+    maps.
 
     Refuses to run unless the strong-damping inequality holds and the seed
     lies in the R_u-ball (which the flow keeps), since only then is the
@@ -76,13 +76,13 @@ def find_breather(params: ModelParams, spec: DrivingSpec, tol: float = 1e-10,
     period = spec.period if period is None else period
     if period is None:
         raise DomainError("driving is not periodic; pass the period explicitly")
-    psi = seed if seed is not None else LatticeState.zeros(n_sites, "dirichlet")
-    if l2_norm(psi) > r_u * (1 + 1e-9):
+    if l2_norm(seed) > r_u * (1 + 1e-9):
         raise DomainError(
-            f"seed norm {l2_norm(psi):.6g} outside the certified ball of "
+            f"seed norm {l2_norm(seed):.6g} outside the certified ball of "
             f"radius R_u = {r_u:.6g}")
 
-    noise_floor = 100.0 * config.atol * math.sqrt(psi.n_sites)
+    noise_floor = 100.0 * config.atol * math.sqrt(seed.n_sites)
+    psi = seed
     ratios = []
     prev_d = None
     iterations = 0
@@ -146,9 +146,9 @@ class BreatherReport:
 
 
 def verify_breather(sol: BreatherSolution, params: ModelParams,
-                    spec: DrivingSpec, phases: int = 8, tol: float = 1e-10,
+                    spec: DrivingSpec, tol: float = 1e-10,
                     config: IntegratorConfig = ORACLE_CONFIG) -> BreatherReport:
-    """Re-integrate over two periods and check periodicity at ``phases``
+    """Re-integrate over two periods and check periodicity at ``_PHASES``
     equispaced times, plus localization of the amplitude envelope, and
     check the measured contraction ratio against the certificate: on the
     R_u-ball two solutions approach at rate rho = ``sol.gap_rate``, so the
@@ -157,16 +157,11 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     made in logarithms, since e^{-rho*T} underflows to 0 once rho*T
     exceeds about 745."""
     period = sol.period
-    stride = period / phases
     traj = integrate(sol.state0, sol.phase_t0, sol.phase_t0 + 2 * period,
-                     params, spec, replace(config, sample_stride=stride))
-    max_res = 0.0
-    for i in range(phases):
-        t_i = sol.phase_t0 + i * stride
-        j = int(np.argmin(np.abs(traj.times - t_i)))
-        k = int(np.argmin(np.abs(traj.times - (t_i + period))))
-        res = math.sqrt(norm_sq(traj.values[k] - traj.values[j]))
-        max_res = max(max_res, res)
+                     params, spec, replace(config, sample_stride=period / _PHASES))
+    # sample i is at t0 + i*period/_PHASES, one period before sample i + _PHASES
+    max_res = max(math.sqrt(norm_sq(traj.values[i + _PHASES] - traj.values[i]))
+                  for i in range(_PHASES))
     periodic_ok = max_res <= 10 * tol
 
     env = _envelope(sol.state0)

@@ -19,7 +19,7 @@ from . import diagnostics as dg
 from . import driving as drv
 from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
-from .integrator import ORACLE_CONFIG, integrate, monitor_dissipation
+from .integrator import integrate, monitor_dissipation
 from .lattice import LatticeState, random_state
 from .output import (breather_to_dict, trajectory_summary,
                      write_breather_profile_csv, write_dimension_csv,
@@ -156,7 +156,7 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
         harmonics = cfg.driving.g1.law.harmonics()
         if not harmonics:
             raise DomainError("scenario.section_period required for this driving")
-        period = 2 * math.pi / harmonics[0][1]
+        period = 2 * math.pi / abs(harmonics[0][1])  # cos is even
     points = dg.poincare_points(cfg.model, cfg.driving,
                                 n_points=sc.n_points,
                                 section_period=period, n_sites=cfg.n_sites,
@@ -174,28 +174,22 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    tol = sc.tol
     r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
 
-    def solve(seed):
-        seed_state = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None
-                      else random_state(cfg.n_sites, seed, norm=0.5 * r_u,
-                                        bc=cfg.bc))
-        return br.find_breather(cfg.model, cfg.driving, tol=tol,
-                                seed=seed_state, n_sites=cfg.n_sites,
-                                config=ORACLE_CONFIG)
+    def solve(seed):  # at the reference tolerance, find_breather's default
+        state = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None else
+                 random_state(cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc))
+        return br.find_breather(cfg.model, cfg.driving, state, tol=sc.tol)
 
     sols = [solve(s) for s in sc.seeds]
     sol = sols[0]
     spread = max((float(np.linalg.norm(other.state0.values - sol.state0.values))
                   for other in sols[1:]), default=0.0)
-    report = br.verify_breather(sol, cfg.model, cfg.driving,
-                                phases=sc.phases, tol=tol, config=ORACLE_CONFIG)
-    verified = report.ok
+    report = br.verify_breather(sol, cfg.model, cfg.driving, tol=sc.tol)
     if args.out:
         write_breather_profile_csv(sol, args.out)
-    ok = verified and sol.periodicity_residual <= 10 * tol \
-        and (len(sols) < 2 or spread <= 10 * tol)
+    ok = report.ok and sol.periodicity_residual <= 10 * sc.tol \
+        and (len(sols) < 2 or spread <= 10 * sc.tol)
     text = (f"breather: residual {sol.periodicity_residual:.3g}, "
             f"{sol.iterations} iterations, seed spread {spread:.3g}: "
             f"{'ok' if ok else 'FAILED'}")
@@ -207,7 +201,7 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     return ok, {**breather_to_dict(sol), "seed_spread": spread,
                 "certified_ratio": report.certified_ratio,
                 "ratio_margin": report.ratio_margin,
-                "verified": verified}, text
+                "verified": report.ok}, text
 
 
 _COMMANDS = {

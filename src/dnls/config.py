@@ -179,8 +179,7 @@ _LAW = _kind({
 })
 
 _FIELD = _block({"profile": (_PROFILE, _REQUIRED),
-                 "law": (_LAW, ConstantLaw()), "offset": (_REAL, 0.0)},
-                DrivingField)
+                 "law": (_LAW, ConstantLaw())}, DrivingField)
 
 
 def _nonlinearity(where: str, value) -> NonlinearitySpec:
@@ -264,8 +263,7 @@ SCENARIO_FIELDS = {
                   "theiler_window": (_COUNT, 10),
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),
-                 "seeds": (_list_of(_optional(_COUNT)), (None,)),
-                 "phases": (_POSITIVE_COUNT, 8)},
+                 "seeds": (_list_of(_optional(_COUNT)), (None,))},
 }
 
 

@@ -20,7 +20,7 @@ class TruncationTooSmallError(DomainError):
 
 
 class StiffnessError(RuntimeError):
-    """Step size underflowed below dt_min."""
+    """A step of the smallest size the controller takes was rejected."""
 
     def __init__(self, t, norm):
         super().__init__(

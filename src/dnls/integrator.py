@@ -52,26 +52,26 @@ _P = np.array([
 ])
 
 
+# first step, and the limits of the step controller: a step rejected at
+# _DT_MIN raises StiffnessError
+_DT_INIT, _DT_MIN, _DT_MAX = 1e-2, 1e-12, 1.0
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-8
     atol: float = 1e-11
-    dt_init: float = 1e-2
-    dt_min: float = 1e-12
-    dt_max: float = 1.0
     sample_stride: float = 0.1
 
     def __post_init__(self):
         if not (0 < self.atol <= self.rtol):
             raise DomainError("need 0 < atol <= rtol")
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise DomainError("need dt_min <= dt_init <= dt_max")
         if self.sample_stride <= 0:
             raise DomainError("sample_stride must be positive")
 
 
 # reference tolerances for oracle runs and the breather solver
-ORACLE_CONFIG = IntegratorConfig(rtol=1e-11, atol=1e-13, dt_init=1e-3)
+ORACLE_CONFIG = IntegratorConfig(rtol=1e-11, atol=1e-13)
 
 
 @dataclass
@@ -87,15 +87,11 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray  # (n_samples, n_sites) complex; (0, n_sites) if not kept
-    bc: str
     norms: np.ndarray
     stats: StepStats
     config: IntegratorConfig
     tail_cutoff: int | None = None
     tails: np.ndarray | None = None
-
-    def state(self, i: int) -> LatticeState:
-        return LatticeState(self.values[i], self.bc)
 
     @property
     def n_samples(self) -> int:
@@ -157,9 +153,9 @@ class _Tsit5:
         return out
 
 
-def _next_dt(h: float, err_norm: float, config: IntegratorConfig) -> float:
+def _next_dt(h: float, err_norm: float) -> float:
     fac = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-    return min(config.dt_max, max(config.dt_min, h * fac))
+    return min(_DT_MAX, max(_DT_MIN, h * fac))
 
 
 def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
@@ -214,7 +210,7 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     stats = StepStats()
     record(0, slot(0, state.values))
     if t1 > t0:
-        t, dt = t0, min(config.dt_init, t1 - t0)
+        t, dt = t0, min(_DT_INIT, t1 - t0)
         kernel = _Tsit5(f, state.values, t)
         ts, late = times.tolist(), 1e-12 * stride
         accepted = rejected = 0
@@ -231,14 +227,14 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
                 kernel.accept()
                 t = t_new
                 accepted += 1
-            elif h <= config.dt_min * (1 + 1e-12):
+            elif h <= _DT_MIN * (1 + 1e-12):
                 raise StiffnessError(t, math.sqrt(norm_sq(kernel.S[0])))
             else:
                 rejected += 1
-            dt = _next_dt(h, err_norm, config)
+            dt = _next_dt(h, err_norm)
         stats = StepStats(accepted, rejected, 1 + 6 * (accepted + rejected))
         record(n - 1, slot(n - 1, kernel.S[0]))
-    return Trajectory(times=times, values=values, bc=bc, norms=norms,
+    return Trajectory(times=times, values=values, norms=norms,
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
                       tails=tails)
 

@@ -12,22 +12,14 @@ from .breather import BreatherSolution
 from .integrator import Trajectory
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Header t,re_0,im_0,...; one sample per row."""
-    n_sites = traj.values.shape[1]
-    cols = ["t"] + [f"{part}_{i}" for i in range(n_sites)
+    cols = ["t"] + [f"{part}_{i}" for i in range(traj.values.shape[1])
                     for part in ("re", "im")]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(traj.n_samples):
-            row = [_fmt(traj.times[i])]
-            for z in traj.values[i]:
-                row += [_fmt(z.real), _fmt(z.imag)]
-            fh.write(",".join(row) + "\n")
+    # the float64 view of a complex row interleaves re_i, im_i
+    rows = np.column_stack([traj.times, traj.values.view(np.float64)])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(cols),
+               comments="")
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
@@ -65,20 +57,18 @@ def breather_to_dict(sol: BreatherSolution) -> dict:
 def write_breather_profile_csv(sol: BreatherSolution, path) -> None:
     """Site amplitude profile for plotting: n, |psi_n|, re, im."""
     v = sol.state0.values
-    c = v.size // 2
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,abs,re,im\n")
-        for i, z in enumerate(v):
-            fh.write(",".join([str(i - c), _fmt(abs(z)), _fmt(z.real),
-                               _fmt(z.imag)]) + "\n")
+    # the scalar abs(z): numpy's array abs differs from it in the last bit
+    rows = np.column_stack([np.arange(v.size) - v.size // 2,
+                            [abs(z) for z in v], v.real, v.imag])
+    np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * 3, delimiter=",",
+               header="n,abs,re,im", comments="")
 
 
 def write_dimension_csv(estimate, path) -> None:
     """(radius, correlation integral) table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epsilon,correlation\n")
-        for eps, c in zip(estimate.radii, estimate.correlations):
-            fh.write(f"{_fmt(eps)},{_fmt(c)}\n")
+    rows = np.column_stack([estimate.radii, estimate.correlations])
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header="epsilon,correlation", comments="")
 
 
 def _jsonable(obj):

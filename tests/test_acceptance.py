@@ -254,9 +254,9 @@ def test_criterion_7_breather(report):
 
     sols = []
     for seed in (None, 1, 2):
-        s = (None if seed is None else
+        s = (LatticeState.zeros(256) if seed is None else
              random_state(256, seed, norm=0.5 * cert.breather_radius))
-        sols.append(find_breather(params, spec, tol=tol, seed=s, n_sites=256))
+        sols.append(find_breather(params, spec, s, tol=tol))
     sol = sols[0]
 
     theo_ratio = math.exp(-cert.gap_rate(cert.breather_radius) * sol.period)
@@ -274,7 +274,8 @@ def test_criterion_7_breather(report):
     lin = ModelParams(kappa=0.0, gamma=2.0)
     lin_spec = DrivingSpec(g1=DrivingField(
         SpatialProfile("custom", values=(g,), start=0), ConstantLaw(1.0)))
-    lin_sol = find_breather(lin, lin_spec, tol=1e-12, period=1.0, n_sites=16)
+    lin_sol = find_breather(lin, lin_spec, LatticeState.zeros(16), tol=1e-12,
+                            period=1.0)
     expect = np.zeros(16, dtype=complex)
     expect[8] = -1j * g / 2.0
     analytic_err = float(np.linalg.norm(lin_sol.state0.values - expect))
@@ -363,8 +364,9 @@ def test_criterion_9_mutation_tests(report):
 
     # breather periodicity: a perturbed state is not a periodic orbit
     bparams, bspec = _breather_scenario()
-    fast = IntegratorConfig(rtol=1e-9, atol=1e-11, dt_init=1e-3)
-    sol = find_breather(bparams, bspec, tol=1e-8, n_sites=64, config=fast)
+    fast = IntegratorConfig(rtol=1e-9, atol=1e-11)
+    sol = find_breather(bparams, bspec, LatticeState.zeros(64), tol=1e-8,
+                        config=fast)
     bump = random_state(64, 9, norm=1e-3)
     fake = dataclasses.replace(
         sol, state0=LatticeState(sol.state0.values + bump.values))

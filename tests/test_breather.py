@@ -24,7 +24,9 @@ BREATHER_JSON = (Path(__file__).resolve().parent.parent / "scripts"
 
 # a moderately tight tolerance keeps the unit suite fast; the acceptance
 # suite exercises the reference tolerance
-FAST = IntegratorConfig(rtol=1e-10, atol=1e-12, dt_init=1e-3)
+FAST = IntegratorConfig(rtol=1e-10, atol=1e-12)
+# the zero seed of the N = 64 solves
+ZERO = LatticeState.zeros(64)
 
 
 def _breather_scenario(gamma=3.0, amp=0.5):
@@ -58,22 +60,20 @@ class TestStrongDampingCheck:
     def test_solver_refuses_without_certificate(self):
         params, spec = _breather_scenario(gamma=3.0, amp=50.0)
         with pytest.raises(StrongDampingError):
-            find_breather(params, spec, n_sites=32)
+            find_breather(params, spec, LatticeState.zeros(32))
 
 
-class TestPeriodMap:
+class TestFindBreather:
     def test_requires_period_for_aperiodic_driving(self):
         params = ModelParams(kappa=0.0, gamma=1.0)
         spec = DrivingSpec(g1=DrivingField(
             SpatialProfile("single_site", amplitude=0.1), ConstantLaw(1.0)))
-        state = LatticeState.zeros(16)
-        with pytest.raises(DomainError):
-            period_map(state, 0.0, params, spec)
-        out = period_map(state, 0.0, params, spec, period=1.0, config=FAST)
-        assert out.n_sites == 16
+        seed = LatticeState.zeros(16)
+        with pytest.raises(DomainError, match="not periodic"):
+            find_breather(params, spec, seed)
+        sol = find_breather(params, spec, seed, period=1.0, config=FAST)
+        assert sol.period == 1.0 and sol.state0.n_sites == 16
 
-
-class TestFindBreather:
     def test_analytic_single_site_fixed_point(self):
         # kappa = 0, F = 0, constant drive g at one site: the unique
         # periodic orbit is the constant state -i*g/gamma
@@ -82,15 +82,15 @@ class TestFindBreather:
         params = ModelParams(kappa=0.0, gamma=gamma)
         spec = DrivingSpec(g1=DrivingField(
             SpatialProfile("custom", values=(g,), start=0), ConstantLaw(1.0)))
-        sol = find_breather(params, spec, tol=1e-12, period=1.0, n_sites=16,
-                            config=FAST)
+        sol = find_breather(params, spec, LatticeState.zeros(16), tol=1e-12,
+                            period=1.0, config=FAST)
         expect = np.zeros(16, dtype=complex)
         expect[8] = -1j * g / gamma
         assert np.linalg.norm(sol.state0.values - expect) <= 1e-10
 
     def test_converges_and_verifies(self):
         params, spec = _breather_scenario()
-        sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)
+        sol = find_breather(params, spec, ZERO, tol=1e-9, config=FAST)
         assert sol.periodicity_residual <= 1e-8
         cert = certificate(params, spec)
         theo = math.exp(-cert.gap_rate(cert.breather_radius) * sol.period)
@@ -103,11 +103,8 @@ class TestFindBreather:
         params, spec = _breather_scenario()
         r_u = certificate(params, spec).breather_radius
         sols = []
-        for seed in (None, 7):
-            s = (None if seed is None else
-                 random_state(64, seed, norm=0.5 * r_u))
-            sols.append(find_breather(params, spec, tol=1e-9, n_sites=64,
-                                      seed=s, config=FAST))
+        for s in (ZERO, random_state(64, 7, norm=0.5 * r_u)):
+            sols.append(find_breather(params, spec, s, tol=1e-9, config=FAST))
         spread = np.linalg.norm(sols[0].state0.values - sols[1].state0.values)
         assert spread <= 1e-8
 
@@ -115,10 +112,10 @@ class TestFindBreather:
         # the breather of the translated driving is the time-h flow of the
         # original breather
         params, spec = _breather_scenario()
-        sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)
+        sol = find_breather(params, spec, ZERO, tol=1e-9, config=FAST)
         h = sol.period / 3.0
-        sol_h = find_breather(params, translate(spec, h), tol=1e-9,
-                              n_sites=64, config=FAST)
+        sol_h = find_breather(params, translate(spec, h), ZERO, tol=1e-9,
+                              config=FAST)
         flowed = period_map(sol.state0, 0.0, params, spec, period=h,
                             config=FAST)
         assert np.linalg.norm(sol_h.state0.values - flowed.values) <= 1e-7
@@ -127,7 +124,7 @@ class TestFindBreather:
         params, spec = _breather_scenario()
         big = random_state(64, 0, norm=100.0)
         with pytest.raises(DomainError):
-            find_breather(params, spec, seed=big, n_sites=64)
+            find_breather(params, spec, big)
 
     def test_seed_ball_is_the_certificate_ball(self):
         # the contraction exponent holds on the R_u-ball: a seed on its
@@ -135,16 +132,15 @@ class TestFindBreather:
         params, spec = _breather_scenario()
         r_u = certificate(params, spec).breather_radius
         on = random_state(64, 3, norm=r_u)
-        sol = find_breather(params, spec, tol=1e-9, seed=on, n_sites=64,
-                            config=FAST)
+        sol = find_breather(params, spec, on, tol=1e-9, config=FAST)
         assert sol.periodicity_residual <= 1e-8
         with pytest.raises(DomainError):
-            find_breather(params, spec, seed=random_state(64, 3, norm=1.01 * r_u),
-                          n_sites=64, config=FAST)
+            find_breather(params, spec, random_state(64, 3, norm=1.01 * r_u),
+                          config=FAST)
 
     def test_verify_fails_on_perturbed_state(self):
         params, spec = _breather_scenario()
-        sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)
+        sol = find_breather(params, spec, ZERO, tol=1e-9, config=FAST)
         bump = random_state(64, 3, norm=1e-3)
         import dataclasses
         fake = dataclasses.replace(
@@ -167,8 +163,8 @@ class TestMapAccounting:
         cfg = load_config(BREATHER_JSON)
         tol = cfg.scenario["tol"]
         r_u = certificate(cfg.model, cfg.driving).breather_radius
-        start = None if seed is None else random_state(
-            cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc)
+        start = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None
+                 else random_state(cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc))
         original = dnls.breather.period_map
         residuals = []
 
@@ -178,13 +174,13 @@ class TestMapAccounting:
             return image
 
         monkeypatch.setattr(dnls.breather, "period_map", recording)
-        sol = find_breather(cfg.model, cfg.driving, tol=tol, seed=start,
-                            n_sites=cfg.n_sites, config=ORACLE_CONFIG)
+        sol = find_breather(cfg.model, cfg.driving, start, tol=tol,
+                            config=ORACLE_CONFIG)
 
         assert len(residuals) == sol.iterations + 1
         assert all(d > tol for d in residuals[:-1]) and residuals[-1] <= tol
         again = period_map(sol.state0, 0.0, cfg.model, cfg.driving,
-                           config=ORACLE_CONFIG)
+                           sol.period, config=ORACLE_CONFIG)
         assert sol.periodicity_residual == residuals[-1] \
             == _residual(sol.state0, again)
         noise = 100.0 * ORACLE_CONFIG.atol * math.sqrt(cfg.n_sites)
@@ -205,7 +201,7 @@ class TestMapAccounting:
         monkeypatch.setattr(dnls.breather, "period_map", shift)
         with pytest.raises(NonconvergenceError,
                            match=r"after 1000 iterations \(last residual 4\)"):
-            find_breather(params, spec, n_sites=16)
+            find_breather(params, spec, LatticeState.zeros(16))
         assert len(maps) == 1001
 
 
@@ -216,8 +212,9 @@ class TestContractionCertificate:
     @pytest.fixture(scope="class")
     def bundled(self):
         cfg = load_config(BREATHER_JSON)
-        sol = find_breather(cfg.model, cfg.driving, tol=cfg.scenario["tol"],
-                            n_sites=cfg.n_sites, config=ORACLE_CONFIG)
+        sol = find_breather(cfg.model, cfg.driving,
+                            LatticeState.zeros(cfg.n_sites, cfg.bc),
+                            tol=cfg.scenario["tol"], config=ORACLE_CONFIG)
         return cfg, sol
 
     def _verify(self, cfg, sol):
@@ -246,8 +243,8 @@ class TestContractionCertificate:
         monkeypatch.setattr(Certificate, "gap_rate",
                             lambda self, r: 2.0 * gap_rate(self, r))
         shrunk = find_breather(cfg.model, cfg.driving,
-                               tol=cfg.scenario["tol"], n_sites=cfg.n_sites,
-                               config=ORACLE_CONFIG)
+                               LatticeState.zeros(cfg.n_sites, cfg.bc),
+                               tol=cfg.scenario["tol"], config=ORACLE_CONFIG)
         assert shrunk.gap_rate == 2.0 * sol.gap_rate
         assert shrunk.contraction_ratio == sol.contraction_ratio
         report = self._verify(cfg, shrunk)
@@ -274,7 +271,7 @@ class TestEnvelope:
     def test_monotone_flag_ignores_rises_below_the_floor(self):
         import dataclasses
         params, spec = _breather_scenario()
-        sol = find_breather(params, spec, tol=1e-9, n_sites=64, config=FAST)
+        sol = find_breather(params, spec, ZERO, tol=1e-9, config=FAST)
         peak = float(np.max(np.abs(sol.state0.values)))
         for bump, monotone in ((1e-12 * peak, True), (1e-6 * peak, False)):
             values = sol.state0.values.copy()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +16,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dnls import cli
+from dnls.breather import BreatherSolution
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          load_config, parse_scenario)
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
                           HarmonicSumLaw, PeriodicLaw, SpatialProfile,
                           certificate)
 from dnls.errors import DomainError
-from dnls.integrator import IntegratorConfig
-from dnls.lattice import ModelParams, NonlinearitySpec, make_rhs
+from dnls.integrator import IntegratorConfig, integrate
+from dnls.lattice import (LatticeState, ModelParams, NonlinearitySpec,
+                          make_rhs, random_state)
+from dnls.output import (write_breather_profile_csv, write_dimension_csv,
+                         write_trajectory_csv)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -149,11 +154,9 @@ class TestConfigParse:
         d = _sample_config()
         d["lattice"]["bc"] = "periodic"
         d["model"]["nonlinearity"] = None
-        d["driving"]["g1"]["offset"] = 0.25
         d["integrator"] = {"rtol": 1e-9, "sample_stride": 0.5}
         cfg = config_from_dict(d)
         assert cfg.bc == "periodic" and cfg.model.nonlinearity is None
-        assert cfg.driving.g1.offset == 0.25
         assert cfg.integrator == IntegratorConfig(rtol=1e-9, sample_stride=0.5)
 
     @pytest.mark.parametrize("phases", [None, [0.5, -1.0]])
@@ -196,7 +199,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, name, path, value", [
         ("absorbing", "absorbing.json",
          ("driving", "g1", "profile", "amplitude"), "x"),
-        ("absorbing", "absorbing.json", ("driving", "g1", "offset"), [1]),
+        ("absorbing", "absorbing.json",
+         ("driving", "g1", "law", "amplitude"), [1]),
         ("absorbing", "absorbing.json",
          ("driving", "g2", "law", "value"), "x"),
         ("absorbing", "absorbing.json",
@@ -214,7 +218,7 @@ class TestConfigValidation:
             ("model", "gamma"), ("model", "kappa"),
             ("model", "nonlinearity", "sigma"),
             ("model", "nonlinearity", "sign"),
-            ("integrator", "rtol"), ("integrator", "dt_init")]),
+            ("integrator", "rtol"), ("integrator", "sample_stride")]),
     ])
     def test_malformed_config_field_is_config_error(
             self, tmp_path, capsys, command, name, path, value):
@@ -234,17 +238,21 @@ class TestConfigValidation:
         assert err.startswith("config error: model.nonlinearity.a and .b")
         assert "derived from sigma" in err
 
-    @pytest.mark.parametrize("key", ["radious", "t_factor", "oracle_rtol"])
+    @pytest.mark.parametrize("key", ["radious", "t_factor", "oracle_rtol",
+                                     "phases"])
     def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys, key):
-        # a typo, or a field that is gone, must not run on the default
+        # a typo, or a field that is gone (the breather's phases are a
+        # constant of its verifier), must not run on the default
         cfg = _edited(tmp_path, "absorbing.json", ("scenario", key), 3.0)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"scenario.{key}" in err
 
     # a key the block's parser does not read, one per block: a typo, a key
-    # of another kind (width is gaussian's, value the constant law's), or
-    # of another block
+    # of another kind (width is gaussian's, value the constant law's), of
+    # another block, or a key that is gone (the step-size limits, which are
+    # the kernel's constants, and a field's offset, which its law's phase
+    # expresses)
     @pytest.mark.parametrize("command, name, path", [
         ("absorbing", "absorbing.json", ("integratr",)),
         ("absorbing", "absorbing.json", ("model", "kapa")),
@@ -257,6 +265,10 @@ class TestConfigValidation:
         ("absorbing", "absorbing.json", ("driving", "g2", "law", "period")),
         ("absorbing", "absorbing.json", ("driving", "g1", "law", "value")),
         ("simulate", "simulate.json", ("scenario", "initial", "values")),
+        *(("absorbing", "absorbing.json", ("integrator", key))
+          for key in ("dt_init", "dt_min", "dt_max")),
+        *(("absorbing", "absorbing.json", ("driving", g, "offset"))
+          for g in ("g1", "g2")),
     ])
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys,
                                                 command, name, path):
@@ -366,6 +378,49 @@ def _write(tmp_path, data: dict, name="cfg.json"):
     return str(path)
 
 
+def _csv_reference(header: str, rows) -> str:
+    """CSV text written value by value: each float on its own with 17
+    significant digits, strings as they are."""
+    return "".join(",".join(v if isinstance(v, str) else format(float(v), ".17g")
+                            for v in row) + "\n" for row in [[header], *rows])
+
+
+class TestCsvOutput:
+    """The three CSV writers against a per-value reference."""
+
+    # complex values over the whole exponent range, where numpy's array
+    # abs and Python's abs(z) can differ in the last bit
+    VALUES = (np.random.default_rng(3).standard_normal((2, 64))
+              * 10.0 ** np.random.default_rng(4).integers(-300, 300, (2, 64)))
+
+    def test_trajectory_csv(self, tmp_path):
+        cfg = config_from_dict(_sample_config())
+        traj = integrate(random_state(8, 0), 0.0, 0.25, cfg.model, cfg.driving)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        header = ",".join(["t"] + [f"{p}_{i}" for i in range(8)
+                                   for p in ("re", "im")])
+        assert path.read_text() == _csv_reference(header, [
+            [t, *(x for c in z for x in (c.real, c.imag))]
+            for t, z in zip(traj.times, traj.values)])
+
+    def test_breather_profile_csv(self, tmp_path):
+        v = self.VALUES[0] + 1j * self.VALUES[1]
+        v[0] = complex(-0.0, 0.0)
+        sol = BreatherSolution(LatticeState(v), 1.0, 0.0, 0.0, 0, 0.0, 1.0)
+        path = tmp_path / "profile.csv"
+        write_breather_profile_csv(sol, path)
+        assert path.read_text() == _csv_reference("n,abs,re,im", [
+            [str(i - 32), abs(z), z.real, z.imag] for i, z in enumerate(v)])
+
+    def test_dimension_csv(self, tmp_path):
+        est = SimpleNamespace(radii=self.VALUES[0], correlations=self.VALUES[1])
+        path = tmp_path / "corr.csv"
+        write_dimension_csv(est, path)
+        assert path.read_text() == _csv_reference(
+            "epsilon,correlation", zip(*self.VALUES))
+
+
 class TestCli:
     def test_simulate_deterministic_csv(self, tmp_path):
         path = _write(tmp_path, _sample_config())
@@ -438,16 +493,20 @@ class TestCli:
                          path]) == cli.EXIT_CHECK_FAILED
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        # no step meets tolerances of 1e-100, so the controller shrinks the
+        # step to its smallest size and gives up, without a warning
         stiff = _sample_config()
         stiff.update(
             model={"kappa": 50.0, "gamma": 2.0},
             lattice={"n_sites": 32, "bc": "periodic"},
-            integrator={"rtol": 1e-13, "atol": 1e-13, "dt_init": 0.5,
-                        "dt_min": 0.5, "dt_max": 0.5},
+            integrator={"rtol": 1e-100, "atol": 1e-100},
             scenario={"t1": 1.0,
                       "initial": {"kind": "random", "norm": 1.0}})
         path = _write(tmp_path, stiff)
-        assert cli.main(["simulate", "--config", path]) == cli.EXIT_NUMERICAL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", path])
+        assert code == cli.EXIT_NUMERICAL
 
     def test_seed_flag_changes_random_initial(self, tmp_path):
         cfg = _sample_config()
@@ -544,6 +603,23 @@ class TestCli:
                          "--json", str(report)]) == cli.EXIT_PASS
         data = json.loads(report.read_text())
         assert data["degenerate"] is True and data["dimension"] == 0.0
+
+    def test_dimension_section_period_of_a_negative_frequency(self, tmp_path):
+        # with no section_period the section is sampled every 2*pi/|w_1|;
+        # cos(-wt) = cos(wt), so w_1 = -1 and 1 give the same report
+        reports = []
+        for w in (1.0, -1.0):
+            data = json.loads((CONFIGS / "dimension.json").read_text())
+            data["lattice"]["n_sites"] = 16
+            data["driving"]["g1"]["law"]["frequencies"][0] = w
+            del data["scenario"]["section_period"]
+            data["scenario"]["n_points"] = 150
+            report = tmp_path / f"dimension{w:+g}.json"
+            assert cli.main(["dimension", "--config",
+                             _write(tmp_path, data, f"cfg{w:+g}.json"),
+                             "--json", str(report)]) == cli.EXIT_PASS
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_closed_stdout_keeps_the_exit_code(self):
         # `dnls absorbing ... | true`: the reader is gone before the verdict
