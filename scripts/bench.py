@@ -10,14 +10,20 @@ the step attempts and RHS calls it takes, on one run of each model at its
 config's tolerances from a random state of norm 2 (``dimension`` at N = 64
 over [0, 100] sampled every 2*pi, as ``dnls dimension`` samples;
 ``simulate`` at N = 4096 over [0, 50] sampled every 0.1 without keeping
-states); and one breather solve: ``find_breather`` on
+states); one breather solve: ``find_breather`` on
 scripts/configs/breather.json's model at N = 128 from the zero seed at the
-reference tolerance, with the number of period maps it makes.
+reference tolerance, with the number of period maps it makes; and the
+stroboscopic section of ``dnls dimension``: ``poincare_points`` on
+dimension.json's model at N = 64 for 150 and 2,000 points, with the
+members B of the batch it steps, and one step attempt of a batch of B
+members at N = 64 per member (a member-step), for B = 1 and each B the
+section picks.  A source tree without batches gets B = 1 only.
 
-Each figure is the median over ``REPEATS`` timed blocks of the
-perf_counter time per call.  The result is written as one named column of
-a BENCH JSON file, next to the columns already there, so the same script
-run against two checkouts gives a before/after table:
+Each figure is the median over ``REPEATS`` timed blocks (``SECTION_REPEATS``
+for the sections) of the perf_counter time per call.  The result is
+written as one named column of a BENCH JSON file, next to the columns
+already there, so the same script run against two checkouts gives a
+before/after table:
 
     PYTHONPATH=<parent>/src python scripts/bench.py --out BENCH_<n>.json --column parent
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json --column change
@@ -44,6 +50,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from dnls import breather as br  # noqa: E402
+from dnls import diagnostics as dg  # noqa: E402
 from dnls.config import load_config  # noqa: E402
 from dnls.integrator import _Tsit5, integrate  # noqa: E402
 from dnls.lattice import LatticeState, make_rhs, random_state  # noqa: E402
@@ -58,8 +65,12 @@ BREATHER_SITES = 128
 RUNS = {"dimension": (64, 100.0, 2 * math.pi, True),
         "simulate": (4096, 50.0, 0.1, False)}
 REPEATS = 21
+# the sections: points, on dimension.json's model at N = SECTION_SITES
+SECTION_POINTS = (150, 2000)
+SECTION_SITES = 64
+SECTION_REPEATS = 3
 UNITS = {"rhs_us": 1e6, "attempt_us": 1e6, "unit_time_us": 1e6,
-         "solve_ms": 1e3}
+         "solve_ms": 1e3, "member_step_us": 1e6, "section_s": 1.0}
 
 
 def _per_call_s(fn, number: int) -> float:
@@ -80,6 +91,46 @@ def _breather_solve():
                                 tol=cfg.scenario["tol"])
 
     return solve, solve().iterations + 1
+
+
+def _sections(cfg):
+    """Each section on ``cfg``'s model as a callable, with the members of
+    the batch that its ``poincare_points`` call steps (1 for one orbit)."""
+    members = []
+    integrate_ = dg.integrate
+
+    def spy(*args, **kwargs):
+        members.append(len(kwargs.get("shifts") or (None,)))
+        return integrate_(*args, **kwargs)
+
+    sections = {}
+    for points in SECTION_POINTS:
+        run = functools.partial(dg.poincare_points, cfg.model, cfg.driving,
+                                points, cfg.scenario["section_period"],
+                                SECTION_SITES, config=cfg.integrator)
+        dg.integrate = spy
+        try:
+            run()
+        finally:
+            dg.integrate = integrate_
+        sections[points] = (run, members[-1])
+    return sections
+
+
+def _member_step(cfg, members: int):
+    """One step attempt of a batch of ``members`` at N = SECTION_SITES (one
+    state for 1), as a callable."""
+    n = SECTION_SITES
+    v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
+    if members == 1:
+        f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc)
+    else:
+        shifts = [b * cfg.scenario["section_period"] for b in range(members)]
+        f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc,
+                     shifts=shifts)
+        v = np.repeat(v, members).reshape(n, members)
+    kernel = _Tsit5(f, v, 0.0)
+    return lambda: kernel.attempt(0.0, 1e-3, cfg.integrator)
 
 
 def measure() -> dict:
@@ -110,6 +161,12 @@ def measure() -> dict:
                           100))
     solve, maps = _breather_solve()
     cases.append(("breather", "solve_ms", BREATHER_SITES, solve, 1))
+    cfg = load_config(CONFIGS["dimension"])
+    sections = _sections(cfg)
+    for members in sorted({1} | {b for _, b in sections.values()}):
+        # keyed by B; per member below
+        cases.append(("dimension", "member_step_us", members,
+                      _member_step(cfg, members), 100))
     for *_, fn, _ in cases:
         fn()
     # each repeat times every case once, so a drift in machine speed over
@@ -118,13 +175,23 @@ def measure() -> dict:
     for _ in range(REPEATS):
         for model, entry, n, fn, number in cases:
             samples[model, entry, n].append(_per_call_s(fn, number))
+    for points in SECTION_POINTS:
+        samples["dimension", "section_s", points] = []
+    for _ in range(SECTION_REPEATS):
+        for points, (run, _) in sections.items():
+            samples["dimension", "section_s", points].append(
+                _per_call_s(run, 1))
     result = {"breather": {"maps_per_solve": maps}}
     for model, run in runs.items():
         result[model] = {"integration_run": run}
+    result["dimension"]["section_members"] = {
+        str(points): members for points, (_, members) in sections.items()}
     for (model, entry, n), s in samples.items():
         value = UNITS[entry] * statistics.median(s)
         if entry == "unit_time_us":  # per unit of simulated time
             value /= runs[model]["t1"]
+        elif entry == "member_step_us":
+            value /= n
         result.setdefault(model, {}).setdefault(entry, {})[str(n)] = value
     return {
         **result,
@@ -149,8 +216,10 @@ def main(argv=None) -> int:
         "what": "median perf_counter time of one RHS call and one step "
                 "attempt of the stepping kernel, per model and lattice size N; "
                 "of integration per unit of simulated time, with the step "
-                "attempts and RHS calls of that run; and of one breather "
-                "solve with its period maps",
+                "attempts and RHS calls of that run; of one breather "
+                "solve with its period maps; of a member-step (a batch's step "
+                "attempt per member) at N = 64 by batch size B; and of the "
+                "poincare_points section by points, with its B",
         "configs": {m: str(p.relative_to(ROOT))
                     for m, p in {**CONFIGS, "breather": BREATHER}.items()},
         "columns": {},
@@ -172,6 +241,14 @@ def main(argv=None) -> int:
     print(f"{args.column:>8}  breather   solve_ms  N={BREATHER_SITES}: "
           f"{solve['solve_ms'][str(BREATHER_SITES)]:8.2f}  "
           f"({solve['maps_per_solve']} period maps)")
+    dim = column["dimension"]
+    row = "  ".join(f"B={b}: {us:8.2f}"
+                    for b, us in dim["member_step_us"].items())
+    print(f"{args.column:>8} dimension member_step_us  "
+          f"N={SECTION_SITES}: {row}")
+    for points, sec in dim["section_s"].items():
+        print(f"{args.column:>8} dimension  section_s  {points} points: "
+              f"{sec:8.3f}  (B={dim['section_members'][points]})")
     return 0
 
 

@@ -157,11 +157,15 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
         if not harmonics:
             raise DomainError("scenario.section_period required for this driving")
         period = 2 * math.pi / abs(harmonics[0][1])  # cos is even
-    points = dg.poincare_points(cfg.model, cfg.driving,
-                                n_points=sc.n_points,
-                                section_period=period, n_sites=cfg.n_sites,
-                                seed=_seed(sc, args), config=cfg.integrator)
-    est = dg.correlation_dimension(points, theiler_window=sc.theiler_window)
+    _, points = dg.poincare_points(cfg.model, cfg.driving,
+                                   n_points=sc.n_points,
+                                   section_period=period, n_sites=cfg.n_sites,
+                                   seed=_seed(sc, args), config=cfg.integrator)
+    # the points carry the integrator's error, about rtol*||psi|| each
+    resolution = 10 * cfg.integrator.rtol * float(
+        np.max(np.linalg.norm(points, axis=1)))
+    est = dg.correlation_dimension(points, theiler_window=sc.theiler_window,
+                                   resolution=resolution)
     if args.out:
         write_dimension_csv(est, args.out)
     return est.degenerate or est.ci_width < sc.max_ci_width, {
@@ -174,6 +178,10 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
+    if cfg.driving.period is None:
+        raise DomainError("driving is not periodic: breather needs a "
+                          "periodic law (kind \"periodic\") in driving.g1.law "
+                          "or driving.g2.law")
     r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
 
     def solve(seed):  # at the reference tolerance, find_breather's default

@@ -281,7 +281,7 @@ def _driving_gap(spec: DrivingSpec, h: float,
     return tuple(
         math.sqrt(norm_sq(f.profile.realize(n_sites)))
         * math.fsum(2.0 * abs(a * math.sin(w * h / 2.0))
-                    for a, w in f.law.harmonics())
+                    for a, w, _ in f.law.harmonics())
         for f in (spec.g1, spec.g2))
 
 
@@ -302,21 +302,24 @@ class DimensionEstimate:
         return self.ci_high - self.ci_low
 
 
-def correlation_dimension(points: np.ndarray,
-                          theiler_window: int = 10) -> DimensionEstimate:
+def correlation_dimension(points: np.ndarray, theiler_window: int = 10,
+                          resolution: float = 0.0) -> DimensionEstimate:
     """Correlation-integral dimension estimate of a point cloud.
 
     ``points`` is (n_points >= 100, dim) real.  C(eps) is the fraction of
     pairs closer than eps, excluding pairs of temporal index distance up to
     the Theiler window; the dimension is the log-log slope over the central
     scaling region, with a 95% confidence interval from the regression.
+    A cloud whose pairs all lie within ``resolution`` (the error of the
+    points) or round-off is one point: degenerate, dimension 0.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 100:
         raise DomainError("need at least 100 points")
     dists = _theiler_distances(pts, theiler_window)
     dmax = float(np.max(dists))
-    if dmax <= 1e3 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts)))):
+    if dmax <= max(resolution, 1e3 * np.finfo(float).eps
+                   * max(1.0, float(np.max(np.abs(pts))))):
         radii = np.geomspace(1e-3, 1.0, 8)
         return DimensionEstimate(slope=0.0, ci_low=0.0, ci_high=0.0,
                                  radii=radii, correlations=np.ones_like(radii),
@@ -380,20 +383,51 @@ def _quantile(x: np.ndarray, q: float) -> float:
 
 def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
                     section_period: float, n_sites: int = 64,
-                    seed: int = 0,
-                    config: IntegratorConfig | None = None) -> np.ndarray:
-    """Stroboscopic section of the driven dynamics: states sampled once per
-    ``section_period`` after a burn-in of T(1) + 20/Gamma, by when the
-    trajectory has settled into the absorbing ball.  Returns
-    (n_points, 2*n_sites) real coordinates."""
+                    seed: int = 0, config: IntegratorConfig | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Stroboscopic section of the driven dynamics: the states at the
+    multiples of ``section_period`` T from the first one past a burn-in of
+    T(1) + 20/Gamma, by when the trajectory has settled into the absorbing
+    ball.  Returns their times (n_points,) and (n_points, 2*n_sites) real
+    coordinates.
+
+    The orbit is cut into B chunks of c points, stepped side by side as one
+    batch (``integrate`` with hull shifts): member b starts from the orbit's
+    initial state under the driving translated by b*c*T and runs for the
+    burn-in plus c - 1 periods.  Where orbits from different states
+    synchronize, as on dimension.json's model, member b's k-th point past
+    the burn-in is the orbit's point b*c + k, so the points keep the
+    orbit's order and the Theiler window its meaning.  ``_section_batch``
+    picks B and c."""
     if config is None:
         config = IntegratorConfig(rtol=1e-7, atol=1e-10)
     config = replace(config, sample_stride=section_period)
     pred = predict_absorbing(params, spec, r=1.0)
-    burn_in = pred.entry_time + 20.0 / pred.gamma_eff
+    burn = math.ceil((pred.entry_time + 20.0 / pred.gamma_eff) / section_period
+                     - 1e-9)  # in periods
+    members, chunk = _section_batch(n_points, burn, n_sites)
+    shifts = [b * chunk * section_period for b in range(members)]
     psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred.radius, 0.1)))
-    t1 = burn_in + n_points * section_period
-    traj = integrate(psi0, 0.0, t1, params, spec, config)
-    keep = traj.times >= burn_in - 1e-9
-    vals = traj.values[keep][-n_points:]
-    return vals.view(np.float64).reshape(vals.shape[0], -1)
+    traj = integrate(psi0, 0.0, (burn + chunk - 1) * section_period, params,
+                     spec, config, shifts=shifts if members > 1 else None)
+    # sample burn + k of member b is point b*chunk + k: member-major order
+    times = (traj.times[burn:, None] + shifts).T.reshape(-1)[:n_points]
+    vals = traj.values[burn:].reshape(chunk, members, n_sites)
+    vals = vals.transpose(1, 0, 2).reshape(-1, n_sites)[:n_points]
+    return times, vals.view(np.float64)
+
+
+# the most lattice sites, B members times N, that one section batch steps:
+# up to about this size a step's cost is mostly its fixed overhead
+_SECTION_SITES = 2048
+
+
+def _section_batch(n_points: int, burn: int, n_sites: int) -> tuple[int, int]:
+    """Members B and points per member c of a section of ``n_points`` after
+    ``burn`` periods of burn-in at N = ``n_sites``.  B members step
+    B*(burn + c) member-periods in burn + c steps of B*N sites, so B is
+    about n_points/burn, which spends as many periods per member sampling
+    as settling, within B*N <= _SECTION_SITES; B = 1 from N = 1025 on."""
+    members = max(1, min(round(n_points / burn), _SECTION_SITES // n_sites))
+    chunk = -(-n_points // members)
+    return -(-n_points // chunk), chunk

@@ -179,7 +179,7 @@ class ConstantLaw:
         return abs(self.value)
 
     def harmonics(self) -> tuple:
-        """(amplitude, angular frequency) of each cosine term."""
+        """(amplitude, angular frequency, phase) of each cosine term."""
         return ()
 
 
@@ -202,7 +202,7 @@ class PeriodicLaw:
         return abs(self.amplitude)
 
     def harmonics(self) -> tuple:
-        return ((self.amplitude, 2.0 * math.pi / self.period),)
+        return ((self.amplitude, 2.0 * math.pi / self.period, self.phase),)
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ class HarmonicSumLaw:
         return math.fsum(abs(a) for a in self.amplitudes)
 
     def harmonics(self) -> tuple:
-        return tuple(zip(self.amplitudes, self.frequencies))
+        return tuple(zip(self.amplitudes, self.frequencies, self.phases))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ class DrivingField:
     def interval_sup(self, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Bound on ||g(s)|| over each [t, t + dt]: the law's derivative is
         at most sum_j |a_j w_j|, and the law never exceeds amp_bound."""
-        slope = math.fsum(abs(a * w) for a, w in self.law.harmonics())
+        slope = math.fsum(abs(a * w) for a, w, _ in self.law.harmonics())
         law = np.abs([self.scalar(s) for s in t]) + slope * dt
         return math.sqrt(self.profile.l2_norm_sq()) * np.minimum(
             self.law.amp_bound(), law)

@@ -86,7 +86,7 @@ class Trajectory:
     """Sampled solution: times, raw state values, norm series."""
 
     times: np.ndarray
-    values: np.ndarray  # (n_samples, n_sites) complex; (0, n_sites) if not kept
+    values: np.ndarray  # (n_samples, [B,] n_sites) complex; no samples if not kept
     norms: np.ndarray
     stats: StepStats
     config: IntegratorConfig
@@ -104,7 +104,13 @@ class _Tsit5:
     coefficient matrix M with the float64 view of S, and the error estimate
     that of the row h*E.  M, its stage rows and the error and scale buffers
     are allocated once, so ``attempt`` allocates nothing.  |y| is kept from
-    the accepted attempt's |y_new|."""
+    the accepted attempt's |y_new|.
+
+    ``y`` is one state (N,) or a batch (N, B) of B members in the columns,
+    for an ``f`` from ``make_rhs`` with B hull shifts.  The rows of S hold
+    y flattened either way, and ``f`` sees them in y's shape.  A batch
+    shares each step, and its error norm is the largest of the members' RMS
+    norms, so every member meets the tolerance it would meet alone."""
 
     def __init__(self, f, y: np.ndarray, t: float):
         self.f = f
@@ -113,13 +119,18 @@ class _Tsit5:
         M = np.ones((8, 8))  # column 0 stays 1, the weight of y; then h*A, h*E
         self._hAE = M[:, 1:]
         Sr, Yr = S.view(np.float64), Y.view(np.float64)
-        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i], Y[i], S[i + 1])
+        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i],
+                         Y[i].reshape(y.shape), S[i + 1].reshape(y.shape))
                         for i in range(1, 7)]
         self._hE, self._y_new_r, self._Kr = M[7, 1:], Yr[6], Sr[1:]
         self._err, self._scale, self._tmp, self._abs_y = np.empty((4, 2 * y.size))
-        S[0] = y
+        # a batch's error by (site, member, real/imaginary part), and the
+        # members' sums of squares
+        self._members = None if y.ndim == 1 else (
+            self._err.reshape(*y.shape, 2), np.empty(y.shape[1]))
+        S[0] = y.reshape(-1)
         np.abs(Sr[0], self._abs_y)
-        f(t, y, S[1])
+        f(t, y, S[1].reshape(y.shape))
 
     def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
         """Stages of a step of size h from (t, S[0]); leaves the 5th-order
@@ -137,7 +148,11 @@ class _Tsit5:
         multiply(config.rtol, scale, scale)
         np.add(config.atol, scale, scale)
         np.divide(err, scale, err)
-        return math.sqrt(float(dot(err, err)) / err.size)
+        if self._members is None:
+            return math.sqrt(float(dot(err, err)) / err.size)
+        e, sq = self._members
+        np.einsum("ibk,ibk->b", e, e, out=sq)
+        return math.sqrt(float(sq.max()) / (err.size // sq.size))
 
     def accept(self) -> None:
         self.S[0] = self.Y[6]
@@ -174,44 +189,62 @@ def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
               driving: DrivingSpec, config: IntegratorConfig = IntegratorConfig(),
               tail_cutoff: int | None = None,
-              keep_states: bool = True) -> Trajectory:
+              keep_states: bool = True, shifts=None) -> Trajectory:
     """Integrate from t0 to t1, sampling at t0 + k*``config.sample_stride``
     (plus the endpoint) from the continuous extension of each step.
 
     The norm (and tail) series are reduced at each sample time.  Without
     ``keep_states`` the sample states are dropped once reduced, so memory
-    stays O(N) over any horizon and ``values`` is an empty (0, N) array."""
+    stays O(N) over any horizon and ``values`` is an empty (0, N) array.
+
+    With ``shifts`` (hull shifts h_0 .. h_{B-1}) one call steps B members
+    side by side, each from ``state`` and driven by ``translate(driving,
+    h_b)``: ``values`` is then (n_samples, B, N) and the norm and tail
+    series (n_samples, B).  The members share the steps (see ``_Tsit5``)
+    and ``stats`` counts them once."""
     if t1 < t0:
         raise DomainError("t1 must be >= t0")
     n_sites, bc = state.n_sites, state.bc
+    n_members = 1 if shifts is None else len(shifts)
     stride = config.sample_stride
     times = _sample_times(t0, t1, stride)
     n = times.size
-    norms = np.empty(n)
-    tails = None if tail_cutoff is None else np.empty(n)
-    values = np.empty((n if keep_states else 0, n_sites), dtype=np.complex128)
-    scratch = None if keep_states else np.empty(n_sites, dtype=np.complex128)
+    series = (n,) if shifts is None else (n, n_members)
+    norms = np.empty(series)
+    tails = None if tail_cutoff is None else np.empty(series)
+    # sample rows hold the kernel's flat state: site-major, members fastest
+    size = n_sites * n_members
+    values = np.empty((n if keep_states else 0, size), dtype=np.complex128)
+    scratch = None if keep_states else np.empty(size, dtype=np.complex128)
+    y0 = state.values if shifts is None else \
+        np.repeat(state.values, n_members).reshape(n_sites, n_members)
 
     def slot(i: int, src: np.ndarray | None = None) -> np.ndarray:
         """Where sample i goes, filled from ``src`` if given."""
         out = values[i] if keep_states else scratch
         if src is not None:
-            out[...] = src
+            out[...] = src.reshape(-1)
         return out
 
-    def record(i: int, v: np.ndarray) -> None:
+    def record_state(i, v: np.ndarray) -> None:
         norms[i] = math.sqrt(norm_sq(v))
         if tails is not None:
             # a fresh view: LatticeState marks its array read-only, and v
             # may be the scratch row the next sample is written into
             tails[i] = tail_mass(LatticeState(v[:], bc), tail_cutoff)
 
-    f = make_rhs(params, driving.sampler(n_sites), n_sites, bc)
+    def record_members(i: int, v: np.ndarray) -> None:
+        for b, u in enumerate(v.reshape(n_sites, n_members).T):
+            record_state((i, b), u)  # member b is column b
+
+    record = record_state if shifts is None else record_members
+
+    f = make_rhs(params, driving.sampler(n_sites), n_sites, bc, shifts=shifts)
     stats = StepStats()
-    record(0, slot(0, state.values))
+    record(0, slot(0, y0))
     if t1 > t0:
         t, dt = t0, min(_DT_INIT, t1 - t0)
-        kernel = _Tsit5(f, state.values, t)
+        kernel = _Tsit5(f, y0, t)
         ts, late = times.tolist(), 1e-12 * stride
         accepted = rejected = 0
         k = 1
@@ -234,6 +267,8 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             dt = _next_dt(h, err_norm)
         stats = StepStats(accepted, rejected, 1 + 6 * (accepted + rejected))
         record(n - 1, slot(n - 1, kernel.S[0]))
+    if shifts is not None:  # members on axis 1
+        values = values.reshape(-1, n_sites, n_members).transpose(0, 2, 1)
     return Trajectory(times=times, values=values, norms=norms,
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
                       tails=tails)

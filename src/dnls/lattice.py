@@ -123,7 +123,8 @@ def tail_mass(state: LatticeState, m: int) -> float:
     return norm_sq(outside)
 
 
-def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
+def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
+             shifts=None):
     """Build f(t, values, out=None) -> dvalues/dt on raw arrays, written to
     ``out`` (which must not alias ``values``) when given.
 
@@ -149,10 +150,24 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
     whole-array adds of -i*kappa*psi, held in a buffer zero-padded to N+2
     sites, and g1 is added on g1's sites only.  Every sum is formed in the
     order of the plain formula, so the result is the same bit for bit.
+
+    With ``shifts`` (hull shifts h_0 .. h_{B-1}) f evaluates a batch of B
+    members: ``values`` and ``out`` are (N, B), sites along axis 0 as for
+    one member, so member b is column b, and the couplings and the periodic
+    wrap act along each column.  Member b is driven by the driving
+    translated by h_b (``translate``).  Every member's law value comes from
+    one product per field, since with phi = w*h_b + p
+
+        a*cos(w*(t + h_b) + p) = a*cos(phi)*cos(w*t) - a*sin(phi)*sin(w*t):
+
+    the values of e^{i*w_j*t} for the law's harmonics (a constant law is
+    one with w = 0) times a table of q * those coefficients, formed once.
     """
     if driving.n_sites != n_sites:
         raise DomainError(f"driving realized on {driving.n_sites} sites, "
                           f"the lattice has {n_sites}")
+    batch = shifts is not None
+    shape = (n_sites, len(shifts)) if batch else (n_sites,)
     # constant operands as 0-d arrays, and each law value written into one:
     # numpy converts a Python scalar operand on every ufunc call
     hop = np.array(-1j * params.kappa)
@@ -163,13 +178,35 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
     periodic = bc == PERIODIC
     absolute, multiply, add = np.abs, np.multiply, np.add
 
-    pad = np.zeros(n_sites + 2, dtype=np.complex128)
+    def member_laws(term):
+        """For a batch: a (sites, B) buffer for a field's q * law(t + offset
+        + h_b) in column b, and a function of t that writes it, as x @ table
+        with x the float64 view of e^{i*w*t}."""
+        _, q, law, off = term
+        a, w, p = np.array(law.harmonics() or ((law(off), 0.0, 0.0),)).T
+        phase = np.multiply.outer(off + np.asarray(shifts, dtype=float), w) + p
+        # row 2j (2j + 1) multiplies cos(w_j*t) (sin(w_j*t)), as in x
+        coeff = np.stack([a * np.cos(phase), -a * np.sin(phase)], axis=-1)
+        table = q[:, None, None] * coeff.reshape(len(shifts), -1)
+        table = np.ascontiguousarray(np.moveaxis(table, -1, 0))
+        table = table.view(np.float64).reshape(2 * w.size, -1)
+        buf = np.empty((q.size, len(shifts)), dtype=np.complex128)
+        out = buf.reshape(-1).view(np.float64)
+        iw, z = 1j * w, np.empty(w.size, dtype=np.complex128)
+        x = z.view(np.float64)
+
+        def update(t):
+            np.exp(multiply(iw, t, z), z)
+            np.dot(x, table, out)
+        return buf, update
+
+    pad = np.zeros((n_sites + 2,) + shape[1:], dtype=np.complex128)
     hv, right, left = pad[1:-1], pad[2:], pad[:-2]
-    coef = np.full(n_sites, diag)
+    coef = np.full(shape, diag)
     coef_im = coef.imag
     if nl is not None:
         sigma = nl.sigma
-        sq = np.empty(n_sites)
+        sq = np.empty(shape)
         nl_op = np.subtract if nl.sign == 1 else np.add
     if g2 is not None:
         sl2, q2, law2, off2 = g2
@@ -178,16 +215,23 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
             base2, re2 = c2, coef.real[sl2]  # call, its real part reset
         else:
             base2, re2 = np.array(diag), None
-        g2_buf = np.empty_like(q2)
-        law2_val = np.empty((), dtype=np.complex128)
         const2 = not law2.harmonics()
-        if const2:  # q2 * law, formed once
-            law2_val[()] = law2(off2)
-            multiply(q2, law2_val, g2_buf)
+        if batch:
+            g2_buf, update2 = member_laws(g2)
+            update2(0.0)  # all that a constant law needs
+        else:
+            g2_buf = np.empty_like(q2)
+            law2_val = np.empty((), dtype=np.complex128)
+            if const2:  # q2 * law, formed once
+                law2_val[()] = law2(off2)
+                multiply(q2, law2_val, g2_buf)
     if g1 is not None:
         sl1, q1, law1, off1 = g1
-        g1_buf = np.empty_like(q1)
-        law1_val = np.empty((), dtype=np.complex128)
+        if batch:
+            g1_buf, update1 = member_laws(g1)
+        else:
+            g1_buf = np.empty_like(q1)
+            law1_val = np.empty((), dtype=np.complex128)
         g1_part = sl1 != slice(0, n_sites)  # else no slice view is needed
 
     def f(t, v, out=None):
@@ -201,8 +245,11 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
             if re2 is not None:
                 re2.fill(diag.real)
             if not const2:
-                law2_val[()] = law2(t + off2)
-                multiply(q2, law2_val, g2_buf)
+                if batch:
+                    update2(t)
+                else:
+                    law2_val[()] = law2(t + off2)
+                    multiply(q2, law2_val, g2_buf)
             add(base2, g2_buf, c2)
         out = multiply(coef, v, out)
         multiply(hop, v, hv)
@@ -214,8 +261,11 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str):
             # the wrap at site N-1 comes after both neighbours, as at site 0
             out[-1] += pad[1]
         if g1 is not None:
-            law1_val[()] = law1(t + off1)
-            multiply(q1, law1_val, g1_buf)
+            if batch:
+                update1(t)
+            else:
+                law1_val[()] = law1(t + off1)
+                multiply(q1, law1_val, g1_buf)
             o = out[sl1] if g1_part else out
             add(o, g1_buf, o)
         return out

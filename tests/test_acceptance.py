@@ -311,8 +311,8 @@ def test_criterion_8_dimension_estimates(report):
     spec = DrivingSpec(g1=g1)
     params = ModelParams(kappa=1.0, gamma=0.5,
                          nonlinearity=NonlinearitySpec.cubic(-1))
-    pts = poincare_points(params, spec, n_points=2000,
-                          section_period=2 * math.pi, n_sites=64, seed=0)
+    _, pts = poincare_points(params, spec, n_points=2000,
+                             section_period=2 * math.pi, n_sites=64, seed=0)
     est_dnls = correlation_dimension(pts)
 
     circle_ok = abs(est_circle.slope - 1.0) <= 0.1

@@ -660,6 +660,16 @@ class TestCli:
         assert data["ratio_margin"] == pytest.approx(
             data["contraction_ratio"] / data["certified_ratio"], rel=1e-12)
 
+    def test_breather_names_the_laws_when_none_is_periodic(self, tmp_path,
+                                                          capsys):
+        # no config field carries a period, so the message points at the
+        # laws that could
+        cfg = _edited(tmp_path, "breather.json", ("driving", "g1", "law"),
+                      {"kind": "constant", "value": 1.0})
+        assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "driving.g1.law" in err and "periodic law" in err
+
     def test_breather_zero_seed_keeps_the_boundary_condition(self, tmp_path):
         # the null seed solves the periodic problem, as seeds 1 and 2 do
         cfg = _edited(tmp_path, "breather.json", ("lattice",),

@@ -362,6 +362,14 @@ class TestCorrelationDimension:
             est = correlation_dimension(pts, theiler_window=10)
         assert est.degenerate and est.slope == 0.0 and est.ci_width == 0.0
 
+    def test_spread_within_the_resolution_is_one_point(self):
+        # noise of 1e-9 around one point: fitted as a cloud of its own,
+        # unless the points are known to carry errors of 1e-7
+        pts = 0.3 + 1e-9 * np.random.default_rng(3).normal(size=(200, 4))
+        assert not correlation_dimension(pts).degenerate
+        est = correlation_dimension(pts, resolution=1e-7)
+        assert est.degenerate and est.slope == 0.0
+
     def test_needs_enough_points(self):
         with pytest.raises(DomainError):
             correlation_dimension(np.zeros((10, 2)))
@@ -370,3 +378,55 @@ class TestCorrelationDimension:
         pts = np.random.default_rng(2).normal(size=(120, 2))
         with pytest.raises(DomainError):
             correlation_dimension(pts, theiler_window=500)
+
+
+class TestSection:
+    """``poincare_points`` on dimension.json's model at N = 16, whose
+    burn-in is 20/Gamma = 40, between the 6th and 7th multiple of 2*pi."""
+
+    T = 2 * math.pi
+
+    @pytest.fixture(autouse=True)
+    def _integrate_calls(self, monkeypatch):
+        """Record the hull shifts of each ``integrate`` call."""
+        self.shifts = []
+
+        def spy(*args, shifts=None, **kwargs):
+            self.shifts.append(shifts)
+            return integrate(*args, shifts=shifts, **kwargs)
+        monkeypatch.setattr(dg, "integrate", spy)
+
+    def _section(self, n_points):
+        cfg = load_config(CONFIGS / "dimension.json")
+        return dg.poincare_points(cfg.model, cfg.driving, n_points, self.T,
+                                  n_sites=16, seed=0)
+
+    @pytest.mark.parametrize("n_points, batched", [(5, False), (100, True)])
+    def test_times_are_consecutive_multiples_of_the_period(self, n_points,
+                                                           batched):
+        # one orbit, and one batch: the last point is on the grid too, not
+        # at burn-in + n_points*T
+        times, points = self._section(n_points)
+        [shifts] = self.shifts
+        if batched:  # B chunks of c points: shift b is b*c*T
+            c = round(shifts[1] / self.T)
+            assert shifts == [b * c * self.T for b in range(len(shifts))]
+            assert (len(shifts) - 1) * c < n_points <= len(shifts) * c
+        else:
+            assert shifts is None
+        k = times / self.T
+        assert np.max(np.abs(k - np.rint(k))) <= 1e-12 * k[-1]
+        assert np.array_equal(np.diff(np.rint(k)), np.ones(n_points - 1))
+        assert np.rint(k[0]) == 7 and points.shape == (n_points, 32)
+
+    def test_chunked_section_matches_one_long_orbit(self):
+        times, points = self._section(100)
+        assert len(self.shifts[0]) > 1
+        k = np.rint(times / self.T).astype(int)
+        cfg = load_config(CONFIGS / "dimension.json")
+        orbit = integrate(random_state(16, 0, norm=1.0), 0.0, k[-1] * self.T,
+                          cfg.model, cfg.driving,
+                          IntegratorConfig(rtol=1e-7, atol=1e-10,
+                                           sample_stride=self.T))
+        ref = orbit.values[k].view(np.float64)
+        assert np.max(np.linalg.norm(points - ref, axis=1)) <= 1e-6

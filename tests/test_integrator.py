@@ -2,7 +2,9 @@
 monitor."""
 
 import dataclasses
+import inspect
 import math
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,7 +15,9 @@ import pytest
 from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, PeriodicLaw,
                   SpatialProfile, integrate, load_config, monitor_dissipation)
+from dnls import integrator
 from dnls.diagnostics import predict_absorbing
+from dnls.driving import translate
 from dnls.errors import DomainError, StiffnessError
 from dnls.integrator import (ORACLE_CONFIG, _A, _AE, _C, _P, _gronwall,
                              _sample_times, _Tsit5)
@@ -256,6 +260,86 @@ class TestIntegrate:
         assert attempt_matches_fresh(0.0, 1e-2) <= 1.0
         kernel.accept()
         assert attempt_matches_fresh(1e-2, 1e-2) <= 1.0
+
+
+def _mutated_kernel(old, new):
+    """``_Tsit5`` compiled from its source with ``old`` replaced by ``new``,
+    in a copy of the module's namespace."""
+    src = textwrap.dedent(inspect.getsource(_Tsit5))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(integrator))
+    exec(compile(src.replace(old, new), integrator.__file__, "exec"),
+         namespace)
+    return namespace["_Tsit5"]
+
+
+class TestBatch:
+    """Members stepped side by side under hull shifts (``shifts``)."""
+
+    @pytest.mark.parametrize("name, bc", [("dimension.json", "dirichlet"),
+                                          ("simulate.json", "periodic")])
+    def test_members_match_their_single_runs(self, name, bc):
+        # the batch shares its steps, so a member's samples differ from its
+        # own run's at the tolerance's level, not bit for bit
+        cfg = load_config(CONFIGS / name)
+        ic = dataclasses.replace(cfg.integrator, sample_stride=0.5)
+        psi0 = random_state(32, 4, norm=1.5, bc=bc)
+        shifts = (0.0, 0.3, 2 * math.pi * 7, -11.0)
+        batch = integrate(psi0, 0.0, 6.0, cfg.model, cfg.driving, ic,
+                          tail_cutoff=4, shifts=shifts)
+        assert batch.values.shape == (batch.n_samples, 4, 32)
+        assert batch.norms.shape == batch.tails.shape == (batch.n_samples, 4)
+        assert batch.stats.rhs_evals == 1 + 6 * (batch.stats.accepted
+                                                 + batch.stats.rejected)
+        for b, h in enumerate(shifts):
+            one = integrate(psi0, 0.0, 6.0, cfg.model,
+                            translate(cfg.driving, h), ic, tail_cutoff=4)
+            assert np.array_equal(batch.times, one.times)
+            bound = 10 * ic.rtol * (1 + one.norms)
+            assert np.all(np.linalg.norm(batch.values[:, b] - one.values,
+                                         axis=1) <= bound), b
+            assert np.all(np.abs(batch.norms[:, b] - one.norms) <= bound)
+            assert np.all(np.abs(batch.tails[:, b] - one.tails) <= bound)
+            assert batch.norms[:, b] == pytest.approx(
+                np.linalg.norm(batch.values[:, b], axis=1), rel=1e-14)
+
+    def test_dropping_states_keeps_the_member_series(self):
+        cfg = load_config(CONFIGS / "dimension.json")
+        psi0 = random_state(16, 0, norm=1.0)
+        kept, dropped = (integrate(psi0, 0.0, 2.0, cfg.model, cfg.driving,
+                                   cfg.integrator, keep_states=keep,
+                                   shifts=(0.0, 1.0))
+                         for keep in (True, False))
+        assert dropped.values.shape == (0, 2, 16)
+        assert np.array_equal(kept.norms, dropped.norms)
+
+    @staticmethod
+    def _error_norms(kernel_cls):
+        """A batch attempt's error norm, and those of its members alone:
+        three states far apart in size, so their errors differ."""
+        cfg = load_config(CONFIGS / "dimension.json")
+        states = [np.zeros(32, dtype=complex),
+                  random_state(32, 1, norm=0.1).values,
+                  random_state(32, 2, norm=3.0).values]
+        one = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc)
+        batch = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc,
+                         shifts=(0.0,) * len(states))
+        alone = [kernel_cls(one, y, 0.0).attempt(0.0, 0.05, cfg.integrator)
+                 for y in states]
+        together = kernel_cls(batch, np.stack(states, axis=1), 0.0).attempt(
+            0.0, 0.05, cfg.integrator)
+        return together, alone
+
+    def test_error_norm_is_the_worst_members(self):
+        together, alone = self._error_norms(_Tsit5)
+        assert max(alone) > 2 * min(alone)
+        assert together == pytest.approx(max(alone), rel=1e-9)
+
+    def test_mean_error_norm_is_caught(self):
+        # the RMS over all members lets the worst one exceed its tolerance
+        together, alone = self._error_norms(
+            _mutated_kernel("sq.max()", "sq.mean()"))
+        assert together != pytest.approx(max(alone), rel=1e-9)
 
 
 class TestStreaming:

@@ -15,7 +15,8 @@ from dnls import (LatticeState, ModelParams, NonlinearitySpec, l2_norm,
                   random_state, tail_mass)
 from dnls import lattice
 from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
-                          HarmonicSumLaw, PeriodicLaw, SpatialProfile)
+                          HarmonicSumLaw, PeriodicLaw, SpatialProfile,
+                          translate)
 from dnls.errors import DomainError
 from dnls.lattice import make_rhs
 
@@ -322,6 +323,8 @@ _RHS_CASES = {
                          amplitudes=(1.0, 0.8), phases=(0.1, 0.0)),
                          offset=1.7),
                      _SITE_G2),
+    "constant g1": (NonlinearitySpec.cubic(1),
+                    DrivingField(_CUSTOM, ConstantLaw(0.5), offset=0.4), None),
     # g2's law is constant: q2*law is formed once, when the closure is built
     "constant custom g2": (NonlinearitySpec.cubic(1),
                            DrivingField(_EXP, _PERIODIC),
@@ -398,6 +401,33 @@ class TestInPlaceRhs:
         spec = DrivingSpec(g1=_SITE_G2)
         with pytest.raises(DomainError, match="realized on"):
             make_rhs(params, spec.sampler(sampled_at), 16, "dirichlet")
+
+
+class TestBatchRhs:
+    """``make_rhs`` with hull shifts: column b of a batch is the one-member
+    right-hand side under the driving translated by h_b."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    @pytest.mark.parametrize("case", sorted(_RHS_CASES))
+    def test_column_b_is_the_translated_member(self, case, bc):
+        nl, g1, g2 = _RHS_CASES[case]
+        params = ModelParams(kappa=0.7, gamma=1.3, nonlinearity=nl)
+        spec = DrivingSpec(g1=g1 or DrivingField.zero(),
+                           g2=g2 or DrivingField.zero())
+        shifts = (0.0, 0.77, -3.1, 80 * math.pi)
+        n = 32
+        f = make_rhs(params, spec.sampler(n), n, bc, shifts=shifts)
+        v = np.stack([_rand(n, seed).values for seed in range(len(shifts))],
+                     axis=1)
+        out = np.empty_like(v)
+        for t in (0.0, 0.77, 13.1):
+            got = f(t, v, out)
+            assert got is out
+            for b, h in enumerate(shifts):
+                one = make_rhs(params, translate(spec, h).sampler(n), n,
+                               bc)(t, v[:, b].copy())
+                assert np.max(np.abs(got[:, b] - one)) <= \
+                    1e-12 * (1 + np.max(np.abs(one))), (t, b)
 
 
 class TestRandomState:
