@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Per-layer timings of the stepping kernel: one right-hand-side (RHS)
-evaluation and one step attempt of the Tsitouras 5(4) kernel (six RHS
-calls plus the stage and error arithmetic) at N = 64, 256, 1024 and 4096
-sites, on two models: ``simulate`` (scripts/configs/simulate.json:
-periodic g1, constant-law single-site g2) and ``dimension``
-(scripts/configs/dimension.json: a two-harmonic g1 and no g2, the model
-``dnls dimension`` steps); integration per unit of simulated time, with
-the step attempts and RHS calls it takes, on one run of each model at its
-config's tolerances from a random state of norm 2 (``dimension`` at N = 64
-over [0, 100] sampled every 2*pi, as ``dnls dimension`` samples;
-``simulate`` at N = 4096 over [0, 50] sampled every 0.1 without keeping
-states); one breather solve: ``find_breather`` on
-scripts/configs/breather.json's model at N = 128 from the zero seed at the
-reference tolerance, with the number of period maps it makes; and the
-stroboscopic section of ``dnls dimension``: ``poincare_points`` on
-dimension.json's model at N = 64 for 150 and 2,000 points, with the
-members B of the batch it steps, and one step attempt of a batch of B
-members at N = 64 per member (a member-step), for B = 1 and each B the
-section picks.  A source tree without batches gets B = 1 only.
+evaluation, at a new time on each call, and one step attempt of the
+Tsitouras 5(4) kernel (six RHS calls plus the stage and error
+arithmetic) at N = 64, 256, 1024 and 4096 sites, on two models:
+``simulate`` (scripts/configs/simulate.json: periodic g1, constant-law
+single-site g2) and ``dimension`` (scripts/configs/dimension.json: a
+two-harmonic g1 and no g2, the model ``dnls dimension`` steps);
+integration per unit of simulated time, with the step attempts and RHS
+calls it takes, on one run of each model at its config's tolerances from
+a random state of norm 2 (``dimension`` at N = 64 over [0, 100] sampled
+every 2*pi, as ``dnls dimension`` samples; ``simulate`` at N = 4096 over
+[0, 50] sampled every 0.1 without keeping states); one breather solve:
+``find_breather`` on scripts/configs/breather.json's model at N = 128
+from the zero seed at the reference tolerance, with the number of period
+maps it makes; and the stroboscopic section of ``dnls dimension``:
+``poincare_points`` on dimension.json's model at N = 64 for 150 and
+2,000 points, with the members B of the batch it steps, and one step
+attempt of a batch of B members at N = 64 per member (a member-step),
+for B = 1 and each B the section picks.
 
 Each figure is the median over ``REPEATS`` timed blocks (``SECTION_REPEATS``
 for the sections) of the perf_counter time per call.  The result is
@@ -35,6 +35,7 @@ source tree PYTHONPATH names.  BLAS runs on one thread.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -100,7 +101,7 @@ def _sections(cfg):
     integrate_ = dg.integrate
 
     def spy(*args, **kwargs):
-        members.append(len(kwargs.get("shifts") or (None,)))
+        members.append(len(kwargs["shifts"]))
         return integrate_(*args, **kwargs)
 
     sections = {}
@@ -118,18 +119,13 @@ def _sections(cfg):
 
 
 def _member_step(cfg, members: int):
-    """One step attempt of a batch of ``members`` at N = SECTION_SITES (one
-    state for 1), as a callable."""
+    """One step attempt of a batch of ``members`` at N = SECTION_SITES, as
+    a callable."""
     n = SECTION_SITES
     v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
-    if members == 1:
-        f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc)
-    else:
-        shifts = [b * cfg.scenario["section_period"] for b in range(members)]
-        f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc,
-                     shifts=shifts)
-        v = np.repeat(v, members).reshape(n, members)
-    kernel = _Tsit5(f, v, 0.0)
+    shifts = [b * cfg.scenario["section_period"] for b in range(members)]
+    f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc, shifts=shifts)
+    kernel = _Tsit5(f, np.repeat(v, members).reshape(n, members), 0.0)
     return lambda: kernel.attempt(0.0, 1e-3, cfg.integrator)
 
 
@@ -154,8 +150,11 @@ def measure() -> dict:
             v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
             out = np.empty(n, dtype=np.complex128)
             kernel = _Tsit5(f, v, 0.0)
+            # a new time on every call, as in a step's stages
+            ts = itertools.cycle((0.3, 0.4))
             cases.append((model, "rhs_us", n,
-                          lambda f=f, v=v, out=out: f(0.3, v, out), 1000))
+                          lambda f=f, v=v, out=out, ts=ts: f(next(ts), v, out),
+                          1000))
             cases.append((model, "attempt_us", n,
                           lambda k=kernel, c=cfg.integrator: k.attempt(0.0, 1e-3, c),
                           100))

@@ -409,7 +409,7 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     shifts = [b * chunk * section_period for b in range(members)]
     psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred.radius, 0.1)))
     traj = integrate(psi0, 0.0, (burn + chunk - 1) * section_period, params,
-                     spec, config, shifts=shifts if members > 1 else None)
+                     spec, config, shifts=shifts)
     # sample burn + k of member b is point b*chunk + k: member-major order
     times = (traj.times[burn:, None] + shifts).T.reshape(-1)[:n_points]
     vals = traj.values[burn:].reshape(chunk, members, n_sites)

@@ -233,11 +233,7 @@ class HarmonicSumLaw:
         object.__setattr__(self, "_terms", tuple(zip(freqs, amps, phases)))
 
     def __call__(self, t: float) -> float:
-        terms = self._terms
-        if len(terms) == 2:  # one float addition rounds as fsum does
-            (w0, a0, p0), (w1, a1, p1) = terms
-            return a0 * math.cos(w0 * t + p0) + a1 * math.cos(w1 * t + p1)
-        return math.fsum([a * math.cos(w * t + p) for w, a, p in terms])
+        return math.fsum([a * math.cos(w * t + p) for w, a, p in self._terms])
 
     def amp_bound(self) -> float:
         # triangle inequality; certified overestimate of sup_t |law(t)|

@@ -21,7 +21,7 @@ import numpy as np
 
 from .driving import DrivingSpec, certificate
 from .errors import DomainError, StiffnessError
-from .lattice import LatticeState, ModelParams, make_rhs, norm_sq, tail_mass
+from .lattice import LatticeState, ModelParams, make_rhs, norm_sq
 
 # Tsitouras 5(4) tableau (Ch. Tsitouras, Comput. Math. Appl. 62 (2011)
 # 770-775): _A by rows of its strictly lower triangle, whose row 6 is the
@@ -106,11 +106,12 @@ class _Tsit5:
     are allocated once, so ``attempt`` allocates nothing.  |y| is kept from
     the accepted attempt's |y_new|.
 
-    ``y`` is one state (N,) or a batch (N, B) of B members in the columns,
-    for an ``f`` from ``make_rhs`` with B hull shifts.  The rows of S hold
-    y flattened either way, and ``f`` sees them in y's shape.  A batch
-    shares each step, and its error norm is the largest of the members' RMS
-    norms, so every member meets the tolerance it would meet alone."""
+    ``y`` is a batch (N, B) of B members in the columns, or one state (N,),
+    a batch of one, for an ``f`` from ``make_rhs`` with B hull shifts.  The
+    rows of S hold y flattened, site-major with the members fastest, as
+    ``f`` takes them.  The members share each step, and its error norm is
+    the largest of the members' RMS norms, so every member meets the
+    tolerance it would meet alone."""
 
     def __init__(self, f, y: np.ndarray, t: float):
         self.f = f
@@ -119,18 +120,18 @@ class _Tsit5:
         M = np.ones((8, 8))  # column 0 stays 1, the weight of y; then h*A, h*E
         self._hAE = M[:, 1:]
         Sr, Yr = S.view(np.float64), Y.view(np.float64)
-        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i],
-                         Y[i].reshape(y.shape), S[i + 1].reshape(y.shape))
+        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i], Y[i], S[i + 1])
                         for i in range(1, 7)]
         self._hE, self._y_new_r, self._Kr = M[7, 1:], Yr[6], Sr[1:]
         self._err, self._scale, self._tmp, self._abs_y = np.empty((4, 2 * y.size))
-        # a batch's error by (site, member, real/imaginary part), and the
-        # members' sums of squares
-        self._members = None if y.ndim == 1 else (
-            self._err.reshape(*y.shape, 2), np.empty(y.shape[1]))
+        # the error by member and site, and the members' sums of squares
+        n_sites = len(y)
+        self._err_members = self._err.view(np.complex128).reshape(n_sites, -1).T
+        self._sq = np.empty(y.size // n_sites, dtype=np.complex128)
+        self._sq_re, self._n_err = self._sq.real, 2 * n_sites
         S[0] = y.reshape(-1)
         np.abs(Sr[0], self._abs_y)
-        f(t, y, S[1].reshape(y.shape))
+        f(t, S[0], S[1])
 
     def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
         """Stages of a step of size h from (t, S[0]); leaves the 5th-order
@@ -148,11 +149,9 @@ class _Tsit5:
         multiply(config.rtol, scale, scale)
         np.add(config.atol, scale, scale)
         np.divide(err, scale, err)
-        if self._members is None:
-            return math.sqrt(float(dot(err, err)) / err.size)
-        e, sq = self._members
-        np.einsum("ibk,ibk->b", e, e, out=sq)
-        return math.sqrt(float(sq.max()) / (err.size // sq.size))
+        e = self._err_members
+        np.vecdot(e, e, out=self._sq)
+        return math.sqrt(max(self._sq_re.tolist()) / self._n_err)
 
     def accept(self) -> None:
         self.S[0] = self.Y[6]
@@ -195,29 +194,33 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
 
     The norm (and tail) series are reduced at each sample time.  Without
     ``keep_states`` the sample states are dropped once reduced, so memory
-    stays O(N) over any horizon and ``values`` is an empty (0, N) array.
+    stays O(N) over any horizon and ``values`` has no samples.
 
     With ``shifts`` (hull shifts h_0 .. h_{B-1}) one call steps B members
     side by side, each from ``state`` and driven by ``translate(driving,
     h_b)``: ``values`` is then (n_samples, B, N) and the norm and tail
     series (n_samples, B).  The members share the steps (see ``_Tsit5``)
-    and ``stats`` counts them once."""
+    and ``stats`` counts them once.  Without ``shifts`` the state is a
+    batch of one with h_0 = 0, returned without the member axis: ``values``
+    is (n_samples, N) and the series (n_samples,)."""
     if t1 < t0:
         raise DomainError("t1 must be >= t0")
     n_sites, bc = state.n_sites, state.bc
-    n_members = 1 if shifts is None else len(shifts)
+    hull, one = ((0.0,), 0) if shifts is None else (shifts, slice(None))
+    members = len(hull)
+    c = n_sites // 2
+    if tail_cutoff is not None and not 0 <= tail_cutoff < c:
+        raise DomainError(f"cutoff m={tail_cutoff} out of range [0, {c})")
     stride = config.sample_stride
     times = _sample_times(t0, t1, stride)
     n = times.size
-    series = (n,) if shifts is None else (n, n_members)
-    norms = np.empty(series)
-    tails = None if tail_cutoff is None else np.empty(series)
+    norms = np.empty((n, members))
+    tails = None if tail_cutoff is None else np.empty((n, members))
     # sample rows hold the kernel's flat state: site-major, members fastest
-    size = n_sites * n_members
+    size = n_sites * members
     values = np.empty((n if keep_states else 0, size), dtype=np.complex128)
     scratch = None if keep_states else np.empty(size, dtype=np.complex128)
-    y0 = state.values if shifts is None else \
-        np.repeat(state.values, n_members).reshape(n_sites, n_members)
+    y0 = np.repeat(state.values, members).reshape(n_sites, members)
 
     def slot(i: int, src: np.ndarray | None = None) -> np.ndarray:
         """Where sample i goes, filled from ``src`` if given."""
@@ -226,20 +229,14 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             out[...] = src.reshape(-1)
         return out
 
-    def record_state(i, v: np.ndarray) -> None:
-        norms[i] = math.sqrt(norm_sq(v))
+    def record(i: int, v: np.ndarray) -> None:
+        u = v.reshape(n_sites, members).T  # member b is row b
+        np.sqrt(np.vecdot(u, u).real, out=norms[i])
         if tails is not None:
-            # a fresh view: LatticeState marks its array read-only, and v
-            # may be the scratch row the next sample is written into
-            tails[i] = tail_mass(LatticeState(v[:], bc), tail_cutoff)
+            lo, hi = u[:, :c - tail_cutoff], u[:, c + tail_cutoff + 1:]
+            tails[i] = (np.vecdot(lo, lo) + np.vecdot(hi, hi)).real
 
-    def record_members(i: int, v: np.ndarray) -> None:
-        for b, u in enumerate(v.reshape(n_sites, n_members).T):
-            record_state((i, b), u)  # member b is column b
-
-    record = record_state if shifts is None else record_members
-
-    f = make_rhs(params, driving.sampler(n_sites), n_sites, bc, shifts=shifts)
+    f = make_rhs(params, driving.sampler(n_sites), n_sites, bc, shifts=hull)
     stats = StepStats()
     record(0, slot(0, y0))
     if t1 > t0:
@@ -248,30 +245,32 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
         ts, late = times.tolist(), 1e-12 * stride
         accepted = rejected = 0
         k = 1
-        while t < t1:
-            last = dt >= t1 - t
-            h = t1 - t if last else dt
-            err_norm = kernel.attempt(t, h, config)
-            if err_norm <= 1.0:
-                t_new = t1 if last else t + h
-                while k < n - 1 and ts[k] <= t_new + late:
-                    record(k, kernel.sample((ts[k] - t) / h, h, slot(k)))
-                    k += 1
-                kernel.accept()
-                t = t_new
-                accepted += 1
-            elif h <= _DT_MIN * (1 + 1e-12):
-                raise StiffnessError(t, math.sqrt(norm_sq(kernel.S[0])))
-            else:
-                rejected += 1
-            dt = _next_dt(h, err_norm)
+        # a trial step may overflow: its error norm is then inf or nan,
+        # which rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            while t < t1:
+                last = dt >= t1 - t
+                h = t1 - t if last else dt
+                err_norm = kernel.attempt(t, h, config)
+                if err_norm <= 1.0:
+                    t_new = t1 if last else t + h
+                    while k < n - 1 and ts[k] <= t_new + late:
+                        record(k, kernel.sample((ts[k] - t) / h, h, slot(k)))
+                        k += 1
+                    kernel.accept()
+                    t = t_new
+                    accepted += 1
+                elif h <= _DT_MIN * (1 + 1e-12):
+                    raise StiffnessError(t, math.sqrt(norm_sq(kernel.S[0])))
+                else:
+                    rejected += 1
+                dt = _next_dt(h, err_norm)
         stats = StepStats(accepted, rejected, 1 + 6 * (accepted + rejected))
         record(n - 1, slot(n - 1, kernel.S[0]))
-    if shifts is not None:  # members on axis 1
-        values = values.reshape(-1, n_sites, n_members).transpose(0, 2, 1)
-    return Trajectory(times=times, values=values, norms=norms,
+    values = values.reshape(-1, n_sites, members).transpose(0, 2, 1)
+    return Trajectory(times=times, values=values[:, one], norms=norms[:, one],
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
-                      tails=tails)
+                      tails=None if tails is None else tails[:, one])
 
 
 # ---------------------------------------------------------------------------

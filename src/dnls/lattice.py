@@ -123,10 +123,60 @@ def tail_mass(state: LatticeState, m: int) -> float:
     return norm_sq(outside)
 
 
+def _field(term, shifts):
+    """A driving field's slice of the flat arrays of a batch with hull
+    ``shifts``, a buffer for -i*g(t + h_b) on it, and a function of t that
+    writes the buffer: None for a constant law, whose buffer is written
+    here.  ``term`` is (sl, q, law, offset), as ``make_rhs`` takes it.
+
+    The values of all members come from one product, since with
+    phi = w*(offset + h_b) + p
+
+        a*cos(w*(t + offset + h_b) + p) = a*cos(phi)*cos(w*t) - a*sin(phi)*sin(w*t):
+
+    x @ table, with x the cos(w_j*t) and sin(w_j*t) of the law's harmonics
+    and a table of q * those coefficients, formed once.  Rows of zeros
+    (the sines of one member at phase 0) are left out."""
+    sl, q, law, off = term
+    members = len(shifts)
+    sl = slice(sl.start * members, sl.stop * members)
+    harmonics = law.harmonics()
+    if not harmonics:
+        return sl, np.repeat(q * law(off), members), None
+    a, w, p = np.array(harmonics).T
+    phase = np.multiply.outer(off + np.asarray(shifts, dtype=float), w) + p
+    # row 2j (2j + 1) multiplies cos(w_j*t) (sin(w_j*t))
+    coeff = np.stack([a * np.cos(phase), -a * np.sin(phase)], axis=-1)
+    table = q[:, None, None] * coeff.reshape(members, -1)
+    table = np.ascontiguousarray(np.moveaxis(table, -1, 0))
+    table = table.view(np.float64).reshape(2 * w.size, -1)
+    # a subnormal entry, as in the far tail of an exponential profile, adds
+    # nothing to a normal psi but slows every product it enters
+    table[np.abs(table) < np.finfo(np.float64).tiny] = 0.0
+    rows = np.flatnonzero(table.any(axis=1))
+    table, w = table[rows], w.tolist()
+    terms = [(i, w[r // 2], (math.cos, math.sin)[r % 2])
+             for i, r in enumerate(rows.tolist())]
+    buf = np.empty(q.size * members, dtype=np.complex128)
+    out, x, dot = buf.view(np.float64), np.empty(rows.size), np.dot
+
+    def write(t):
+        for i, wj, trig in terms:
+            x[i] = trig(wj * t)
+        dot(x, table, out)
+    return sl, buf, write
+
+
 def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
-             shifts=None):
+             shifts=(0.0,)):
     """Build f(t, values, out=None) -> dvalues/dt on raw arrays, written to
     ``out`` (which must not alias ``values``) when given.
+
+    f evaluates a batch of B = len(``shifts``) members, member b driven by
+    the driving translated by the hull shift h_b (``translate``).
+    ``values`` and ``out`` are flat arrays of N*B entries, site-major with
+    the members fastest (entry n*B + b is site n of member b), so B = 1 is
+    one state.
 
     ``driving`` must provide ``g1_term`` and ``g2_term``: None for a zero
     field, else (sl, q, law, offset) with -i*g(t) = q * law(t + offset) on
@@ -145,31 +195,21 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
     not overlap).  The real part of c is written once; each call rewrites
     its imaginary part in one ufunc, then adds g2 on g2's sites only, as
     one complex update (with F present the real part there is first reset
-    to -gamma; for a real profile it adds +-0).  For a constant law, q2*law
-    is formed once, when the closure is built.  The couplings are two
-    whole-array adds of -i*kappa*psi, held in a buffer zero-padded to N+2
-    sites, and g1 is added on g1's sites only.  Every sum is formed in the
-    order of the plain formula, so the result is the same bit for bit.
-
-    With ``shifts`` (hull shifts h_0 .. h_{B-1}) f evaluates a batch of B
-    members: ``values`` and ``out`` are (N, B), sites along axis 0 as for
-    one member, so member b is column b, and the couplings and the periodic
-    wrap act along each column.  Member b is driven by the driving
-    translated by h_b (``translate``).  Every member's law value comes from
-    one product per field, since with phi = w*h_b + p
-
-        a*cos(w*(t + h_b) + p) = a*cos(phi)*cos(w*t) - a*sin(phi)*sin(w*t):
-
-    the values of e^{i*w_j*t} for the law's harmonics (a constant law is
-    one with w = 0) times a table of q * those coefficients, formed once.
+    to -gamma; for a real profile it adds +-0).  The couplings are two
+    whole-array adds of -i*kappa*psi, held in a buffer zero-padded by one
+    site at each end, so a site's neighbours sit B entries away, and g1 is
+    added on g1's sites only.  Every sum is formed in the order of the
+    plain formula.  The fields' values (``_field``) are formed once per
+    distinct t, as the last two stages of a step share theirs, and for a
+    constant law once, when the closure is built.
     """
     if driving.n_sites != n_sites:
         raise DomainError(f"driving realized on {driving.n_sites} sites, "
                           f"the lattice has {n_sites}")
-    batch = shifts is not None
-    shape = (n_sites, len(shifts)) if batch else (n_sites,)
-    # constant operands as 0-d arrays, and each law value written into one:
-    # numpy converts a Python scalar operand on every ufunc call
+    members = len(shifts)
+    size = n_sites * members
+    # constant operands as 0-d arrays: numpy converts a Python scalar
+    # operand on every ufunc call
     hop = np.array(-1j * params.kappa)
     two_kappa = np.array(2.0 * params.kappa)
     diag = complex(-params.gamma, 2.0 * params.kappa)
@@ -177,64 +217,39 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
     g1, g2 = driving.g1_term, driving.g2_term
     periodic = bc == PERIODIC
     absolute, multiply, add = np.abs, np.multiply, np.add
-
-    def member_laws(term):
-        """For a batch: a (sites, B) buffer for a field's q * law(t + offset
-        + h_b) in column b, and a function of t that writes it, as x @ table
-        with x the float64 view of e^{i*w*t}."""
-        _, q, law, off = term
-        a, w, p = np.array(law.harmonics() or ((law(off), 0.0, 0.0),)).T
-        phase = np.multiply.outer(off + np.asarray(shifts, dtype=float), w) + p
-        # row 2j (2j + 1) multiplies cos(w_j*t) (sin(w_j*t)), as in x
-        coeff = np.stack([a * np.cos(phase), -a * np.sin(phase)], axis=-1)
-        table = q[:, None, None] * coeff.reshape(len(shifts), -1)
-        table = np.ascontiguousarray(np.moveaxis(table, -1, 0))
-        table = table.view(np.float64).reshape(2 * w.size, -1)
-        buf = np.empty((q.size, len(shifts)), dtype=np.complex128)
-        out = buf.reshape(-1).view(np.float64)
-        iw, z = 1j * w, np.empty(w.size, dtype=np.complex128)
-        x = z.view(np.float64)
-
-        def update(t):
-            np.exp(multiply(iw, t, z), z)
-            np.dot(x, table, out)
-        return buf, update
-
-    pad = np.zeros((n_sites + 2,) + shape[1:], dtype=np.complex128)
-    hv, right, left = pad[1:-1], pad[2:], pad[:-2]
-    coef = np.full(shape, diag)
+    pad = np.zeros(size + 2 * members, dtype=np.complex128)
+    hv, right, left = pad[members:-members], pad[2 * members:], pad[:-2 * members]
+    # the periodic wrap: the last site's -i*kappa*psi before the first
+    # site, and the first site's, added to the last after both neighbours
+    wrap_in, wrap_from = pad[:members], pad[size:-members]
+    first = pad[members:2 * members]
+    coef = np.full(size, diag)
     coef_im = coef.imag
     if nl is not None:
         sigma = nl.sigma
-        sq = np.empty(shape)
+        sq = np.empty(size)
         nl_op = np.subtract if nl.sign == 1 else np.add
+    # each field's slice, its buffer, and the writers of those with a law in t
+    fields = [None if g is None else _field(g, shifts) for g in (g1, g2)]
+    timed = [field[2] for field in fields if field is not None and field[2]]
     if g2 is not None:
-        sl2, q2, law2, off2 = g2
+        sl2, g2_buf, _ = fields[1]
         c2 = coef[sl2]
         if nl is not None:  # the imaginary part of c2 is fresh on every
             base2, re2 = c2, coef.real[sl2]  # call, its real part reset
         else:
             base2, re2 = np.array(diag), None
-        const2 = not law2.harmonics()
-        if batch:
-            g2_buf, update2 = member_laws(g2)
-            update2(0.0)  # all that a constant law needs
-        else:
-            g2_buf = np.empty_like(q2)
-            law2_val = np.empty((), dtype=np.complex128)
-            if const2:  # q2 * law, formed once
-                law2_val[()] = law2(off2)
-                multiply(q2, law2_val, g2_buf)
     if g1 is not None:
-        sl1, q1, law1, off1 = g1
-        if batch:
-            g1_buf, update1 = member_laws(g1)
-        else:
-            g1_buf = np.empty_like(q1)
-            law1_val = np.empty((), dtype=np.complex128)
-        g1_part = sl1 != slice(0, n_sites)  # else no slice view is needed
+        sl1, g1_buf, _ = fields[0]
+        g1_part = sl1 != slice(0, size)  # else no slice view is needed
+    t_laws = math.nan  # the time the timed fields were last formed at
 
     def f(t, v, out=None):
+        nonlocal t_laws
+        if t != t_laws:
+            t_laws = t
+            for write in timed:
+                write(t)
         if nl is not None:
             s = absolute(v, sq)
             s *= s
@@ -244,28 +259,17 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
         if g2 is not None:
             if re2 is not None:
                 re2.fill(diag.real)
-            if not const2:
-                if batch:
-                    update2(t)
-                else:
-                    law2_val[()] = law2(t + off2)
-                    multiply(q2, law2_val, g2_buf)
             add(base2, g2_buf, c2)
         out = multiply(coef, v, out)
         multiply(hop, v, hv)
         if periodic:
-            pad[0] = pad[n_sites]
+            wrap_in[...] = wrap_from
         add(out, right, out)
         add(out, left, out)
         if periodic:
-            # the wrap at site N-1 comes after both neighbours, as at site 0
-            out[-1] += pad[1]
+            last = out[-members:]
+            add(last, first, last)
         if g1 is not None:
-            if batch:
-                update1(t)
-            else:
-                law1_val[()] = law1(t + off1)
-                multiply(q1, law1_val, g1_buf)
             o = out[sl1] if g1_part else out
             add(o, g1_buf, o)
         return out

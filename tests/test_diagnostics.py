@@ -412,8 +412,8 @@ class TestSection:
             c = round(shifts[1] / self.T)
             assert shifts == [b * c * self.T for b in range(len(shifts))]
             assert (len(shifts) - 1) * c < n_points <= len(shifts) * c
-        else:
-            assert shifts is None
+        else:  # one orbit: a batch of one
+            assert shifts == [0.0]
         k = times / self.T
         assert np.max(np.abs(k - np.rint(k))) <= 1e-12 * k[-1]
         assert np.array_equal(np.diff(np.rint(k)), np.ones(n_points - 1))

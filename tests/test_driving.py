@@ -159,8 +159,8 @@ class TestTemporalLaws:
         assert law(1.7) == 42.0 and calls == [3]
         two = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
                              amplitudes=(1.0, 0.8))
-        two(1.7)
-        assert calls == [3]
+        two(1.7)  # two terms take the same sum
+        assert calls == [3, 2]
 
     def test_harmonic_rejects_commensurate(self):
         with pytest.raises(DomainError):

@@ -225,6 +225,19 @@ class TestIntegrate:
             warnings.simplefilter("error")
             integrate(psi0, 0.0, 1.0, params, spec, cfg)
 
+    def test_overflow_on_a_rejected_step_is_silent(self):
+        # at kappa = 1e6 some trial steps overflow; their error norm is not
+        # finite, so they are rejected, and no warning is raised
+        cfg = load_config(CONFIGS / "simulate.json")
+        params = dataclasses.replace(cfg.model, kappa=1e6)
+        psi0 = random_state(cfg.n_sites, 0, norm=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(psi0, 0.0, 1e-4, params, cfg.driving,
+                             cfg.integrator)
+        assert traj.stats.rejected > 0
+        assert np.all(np.isfinite(traj.values)) and traj.times[-1] == 1e-4
+
     def test_attempt_allocates_nothing(self):
         cfg = load_config(CONFIGS / "simulate.json")
         psi0 = random_state(4096, 0, norm=2.0)
@@ -271,6 +284,35 @@ def _mutated_kernel(old, new):
     exec(compile(src.replace(old, new), integrator.__file__, "exec"),
          namespace)
     return namespace["_Tsit5"]
+
+
+class TestOneState:
+    """One state is a batch of one, returned without the member axis."""
+
+    def test_shapes(self):
+        cfg = load_config(CONFIGS / "dimension.json")
+        psi0 = random_state(32, 0, norm=1.0)
+        kept, dropped = (integrate(psi0, 0.0, 2.0, cfg.model, cfg.driving,
+                                   cfg.integrator, tail_cutoff=4,
+                                   keep_states=keep)
+                         for keep in (True, False))
+        n = kept.n_samples
+        assert kept.values.shape == (n, 32) and dropped.values.shape == (0, 32)
+        for traj in (kept, dropped):
+            assert traj.norms.shape == traj.tails.shape == (n,)
+
+    @pytest.mark.parametrize("name", ["dimension.json", "simulate.json"])
+    def test_equals_the_batch_of_one_bit_for_bit(self, name):
+        cfg = load_config(CONFIGS / name)
+        psi0 = random_state(32, 3, norm=1.5, bc=cfg.bc)
+        ic = dataclasses.replace(cfg.integrator, sample_stride=0.5)
+        one, batch = (integrate(psi0, 0.0, 6.0, cfg.model, cfg.driving, ic,
+                                tail_cutoff=4, **kwargs)
+                      for kwargs in ({}, {"shifts": [0.0]}))
+        assert one.stats == batch.stats
+        for attr in ("values", "norms", "tails"):
+            assert getattr(one, attr).tobytes() == \
+                np.ascontiguousarray(getattr(batch, attr)[:, 0]).tobytes()
 
 
 class TestBatch:
@@ -321,10 +363,12 @@ class TestBatch:
         states = [np.zeros(32, dtype=complex),
                   random_state(32, 1, norm=0.1).values,
                   random_state(32, 2, norm=3.0).values]
-        one = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc)
+        one = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc,
+                       shifts=(0.0,))
         batch = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc,
                          shifts=(0.0,) * len(states))
-        alone = [kernel_cls(one, y, 0.0).attempt(0.0, 0.05, cfg.integrator)
+        alone = [kernel_cls(one, y[:, None], 0.0).attempt(0.0, 0.05,
+                                                          cfg.integrator)
                  for y in states]
         together = kernel_cls(batch, np.stack(states, axis=1), 0.0).attempt(
             0.0, 0.05, cfg.integrator)
@@ -338,7 +382,7 @@ class TestBatch:
     def test_mean_error_norm_is_caught(self):
         # the RMS over all members lets the worst one exceed its tolerance
         together, alone = self._error_norms(
-            _mutated_kernel("sq.max()", "sq.mean()"))
+            _mutated_kernel("max(self._sq_re.tolist())", "self._sq_re.mean()"))
         assert together != pytest.approx(max(alone), rel=1e-9)
 
 

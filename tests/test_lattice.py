@@ -155,8 +155,8 @@ class TestOperators:
 
     # a wrong sign on the wrap at the last site, at the first, or at both
     # (then A stays symmetric, but is no longer -B*B)
-    _LAST = ("out[-1] += pad[1]", "out[-1] -= pad[1]")
-    _FIRST = ("pad[0] = pad[n_sites]", "pad[0] = -pad[n_sites]")
+    _LAST = ("add(last, first, last)", "np.subtract(last, first, last)")
+    _FIRST = ("wrap_in[...] = wrap_from", "wrap_in[...] = -wrap_from")
 
     @pytest.mark.parametrize("edits", [[_LAST], [_FIRST], [_LAST, _FIRST]],
                              ids=["last", "first", "both"])
@@ -257,18 +257,44 @@ class TestRhs:
             ModelParams(kappa=math.inf, gamma=1.0)
 
 
-def _reference_rhs(params, spec, n_sites, bc):
+def _plain_fields(spec, n_sites):
+    """-i*g1(t) and -i*g2(t) on every site as functions of t, each field's
+    profile times its law's value; None for a zero field."""
+    def field(g):
+        p = g.profile.realize(n_sites)
+        return lambda t: -1j * (p * g.scalar(t))
+    return [field(g) if g.sup_norm() > 0 else None for g in (spec.g1, spec.g2)]
+
+
+def _product_fields(spec, n_sites):
+    """The fields of ``_plain_fields`` with the law values of ``make_rhs``:
+    its harmonic product (``lattice._field``), with no shift."""
+    def field(term):
+        sl, buf, write = lattice._field(term, (0.0,))
+
+        def g(t):
+            if write is not None:
+                write(t)
+            out = np.zeros(n_sites, dtype=np.complex128)
+            out[sl] = buf
+            return out
+        return g
+    sampler = spec.sampler(n_sites)
+    return [None if term is None else field(term)
+            for term in (sampler.g1_term, sampler.g2_term)]
+
+
+def _reference_rhs(params, spec, n_sites, bc, fields=_plain_fields):
     """The right-hand side written plainly: both fields realized on every
-    site at every call, one diagonal coefficient times psi, the couplings
-    as shifted adds, then the wrap terms and g1."""
-    p1, p2 = [g.profile.realize(n_sites) if g.sup_norm() > 0 else None
-              for g in (spec.g1, spec.g2)]
+    site at every call (by ``fields``), one diagonal coefficient times psi,
+    the couplings as shifted adds, then the wrap terms and g1."""
+    field1, field2 = fields(spec, n_sites)
     diag = complex(-params.gamma, 2.0 * params.kappa)
     nl = params.nonlinearity
 
     def f(t, v):
-        g1 = None if p1 is None else p1 * spec.g1.scalar(t)
-        g2 = None if p2 is None else p2 * spec.g2.scalar(t)
+        g1 = None if field1 is None else field1(t)
+        g2 = None if field2 is None else field2(t)
         d = diag
         if nl is not None:
             s = np.abs(v)
@@ -278,7 +304,7 @@ def _reference_rhs(params, spec, n_sites, bc):
             d = s * (-1j * nl.sign)
             d += diag
         if g2 is not None:
-            d = d - 1j * g2
+            d = d + g2
         out = d * v
         hv = -1j * params.kappa * v
         out[:-1] += hv[1:]
@@ -287,7 +313,7 @@ def _reference_rhs(params, spec, n_sites, bc):
             out[-1] += hv[0]
             out[0] += hv[-1]
         if g1 is not None:
-            out -= 1j * g1
+            out += g1
         return out
 
     return f
@@ -340,14 +366,20 @@ _RHS_CASES = {
 }
 
 
-def _rhs_pair(case, n_sites, bc, kappa=0.7):
-    """The closure from ``make_rhs`` and the reference, for one case."""
+def _case(case, kappa=0.7):
+    """Model and driving of one case."""
     nl, g1, g2 = _RHS_CASES[case]
-    params = ModelParams(kappa=kappa, gamma=1.3, nonlinearity=nl)
-    spec = DrivingSpec(g1=g1 or DrivingField.zero(),
-                       g2=g2 or DrivingField.zero())
+    return (ModelParams(kappa=kappa, gamma=1.3, nonlinearity=nl),
+            DrivingSpec(g1=g1 or DrivingField.zero(),
+                        g2=g2 or DrivingField.zero()))
+
+
+def _rhs_pair(case, n_sites, bc, kappa=0.7):
+    """The closure from ``make_rhs`` and the reference with its law
+    values, for one case."""
+    params, spec = _case(case, kappa)
     return (make_rhs(params, spec.sampler(n_sites), n_sites, bc),
-            _reference_rhs(params, spec, n_sites, bc))
+            _reference_rhs(params, spec, n_sites, bc, _product_fields))
 
 
 class TestInPlaceRhs:
@@ -404,29 +436,28 @@ class TestInPlaceRhs:
 
 
 class TestBatchRhs:
-    """``make_rhs`` with hull shifts: column b of a batch is the one-member
-    right-hand side under the driving translated by h_b."""
+    """``make_rhs`` with hull shifts: member b of a batch is the plain
+    right-hand side, with its laws' own values, under the driving
+    translated by h_b."""
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
     @pytest.mark.parametrize("case", sorted(_RHS_CASES))
     def test_column_b_is_the_translated_member(self, case, bc):
-        nl, g1, g2 = _RHS_CASES[case]
-        params = ModelParams(kappa=0.7, gamma=1.3, nonlinearity=nl)
-        spec = DrivingSpec(g1=g1 or DrivingField.zero(),
-                           g2=g2 or DrivingField.zero())
+        params, spec = _case(case)
         shifts = (0.0, 0.77, -3.1, 80 * math.pi)
         n = 32
         f = make_rhs(params, spec.sampler(n), n, bc, shifts=shifts)
+        # site-major with the members fastest: member b is column b
         v = np.stack([_rand(n, seed).values for seed in range(len(shifts))],
                      axis=1)
-        out = np.empty_like(v)
+        out = np.empty(v.size, dtype=complex)
         for t in (0.0, 0.77, 13.1):
-            got = f(t, v, out)
+            got = f(t, v.reshape(-1), out)
             assert got is out
             for b, h in enumerate(shifts):
-                one = make_rhs(params, translate(spec, h).sampler(n), n,
-                               bc)(t, v[:, b].copy())
-                assert np.max(np.abs(got[:, b] - one)) <= \
+                one = _reference_rhs(params, translate(spec, h), n, bc)(
+                    t, v[:, b].copy())
+                assert np.max(np.abs(got.reshape(n, -1)[:, b] - one)) <= \
                     1e-12 * (1 + np.max(np.abs(one))), (t, b)
 
 
