@@ -124,7 +124,7 @@ def _member_step(cfg, members: int):
     n = SECTION_SITES
     v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
     shifts = [b * cfg.scenario["section_period"] for b in range(members)]
-    f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc, shifts=shifts)
+    f = make_rhs(cfg.model, cfg.driving.sampler(n), cfg.bc, shifts=shifts)
     kernel = _Tsit5(f, np.repeat(v, members).reshape(n, members), 0.0)
     return lambda: kernel.attempt(0.0, 1e-3, cfg.integrator)
 
@@ -146,7 +146,7 @@ def measure() -> dict:
                        "rhs_calls": stats.rhs_evals}
         cases.append((model, "unit_time_us", n, run, 1))
         for n in SIZES:
-            f = make_rhs(cfg.model, cfg.driving.sampler(n), n, cfg.bc)
+            f = make_rhs(cfg.model, cfg.driving.sampler(n), cfg.bc)
             v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
             out = np.empty(n, dtype=np.complex128)
             kernel = _Tsit5(f, v, 0.0)

@@ -12,16 +12,15 @@ from .diagnostics import (AbsorbingPrediction, ContractionReport,
                           contraction_rate, correlation_dimension,
                           poincare_points, predict_absorbing, predict_tail,
                           verify_absorbing, verify_tail)
-from .driving import (Certificate, ConstantLaw, DrivingField, DrivingSpec,
-                      HarmonicSumLaw, PeriodicLaw, SpatialProfile,
-                      certificate, translate)
+from .driving import (Certificate, CosineLaw, DrivingField, DrivingSpec,
+                      SpatialProfile, certificate, translate)
 from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
                      StiffnessError, StrongDampingError,
                      TruncationTooSmallError)
 from .integrator import (IntegratorConfig, Trajectory, integrate,
                          monitor_dissipation)
 from .lattice import (LatticeState, ModelParams, NonlinearitySpec, l2_norm,
-                      random_state, tail_mass)
+                      random_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -51,10 +51,11 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
                   tol: float = 1e-10, period: float | None = None,
                   config: IntegratorConfig = ORACLE_CONFIG) -> BreatherSolution:
     """Fixed-point iteration of the period map from ``seed`` at phase t0 = 0
-    (``period`` defaults to the driving's), with at most 1000 updates of the
-    iterate.  The iterate returned is the first whose residual
-    ||P(psi) - psi|| is at most ``tol``, so a solve makes ``iterations + 1``
-    maps.
+    over the driving's period, with at most 1000 updates of the iterate.
+    ``period`` is for a constant driving only, which has none of its own;
+    a harmonic sum, which has no period, is refused.  The iterate returned
+    is the first whose residual ||P(psi) - psi|| is at most ``tol``, so a
+    solve makes ``iterations + 1`` maps.
 
     Refuses to run unless the strong-damping inequality holds and the seed
     lies in the R_u-ball (which the flow keeps), since only then is the
@@ -73,9 +74,17 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
         raise StrongDampingError(
             f"uniqueness not guaranteed: gamma={cert.gamma:.6g} <= "
             f"a*R_u^b + sup||g2|| = {cert.gamma - gap:.6g}")
-    period = spec.period if period is None else period
+    if spec.aperiodic:
+        raise DomainError(f"{spec.aperiodic[0][0]} is a harmonic sum, which "
+                          f"has no period")
     if period is None:
-        raise DomainError("driving is not periodic; pass the period explicitly")
+        period = spec.period
+        if period is None:
+            raise DomainError("driving is not periodic; pass the period "
+                              "explicitly")
+    elif spec.period is not None:
+        raise DomainError(f"the driving has period {spec.period:.6g}; an "
+                          f"explicit period is for a constant driving only")
     if l2_norm(seed) > r_u * (1 + 1e-9):
         raise DomainError(
             f"seed norm {l2_norm(seed):.6g} outside the certified ball of "

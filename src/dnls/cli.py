@@ -151,12 +151,13 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    period = sc.section_period or cfg.driving.g1.law.period
+    period = sc.section_period or cfg.driving.period
     if period is None:  # a harmonic sum: the period of its first term
-        harmonics = cfg.driving.g1.law.harmonics()
-        if not harmonics:
+        if not cfg.driving.aperiodic:
             raise DomainError("scenario.section_period required for this driving")
-        period = 2 * math.pi / abs(harmonics[0][1])  # cos is even
+        _, law = cfg.driving.aperiodic[0]
+        _, w, _ = law.terms[0]
+        period = 2 * math.pi / abs(w)  # cos is even
     _, points = dg.poincare_points(cfg.model, cfg.driving,
                                    n_points=sc.n_points,
                                    section_period=period, n_sites=cfg.n_sites,
@@ -179,6 +180,11 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     if cfg.driving.period is None:
+        if cfg.driving.aperiodic:
+            path, _ = cfg.driving.aperiodic[0]
+            raise DomainError(f"{path} is a harmonic sum, which has no "
+                              f"period: breather needs periodic or constant "
+                              f"laws")
         raise DomainError("driving is not periodic: breather needs a "
                           "periodic law (kind \"periodic\") in driving.g1.law "
                           "or driving.g2.law")
@@ -212,16 +218,20 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
                 "verified": report.ok}, text
 
 
+# each command, and the flags it reads besides --config, --json and
+# --verbose: a flag a command would ignore is a usage error
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "verify-bounds": _cmd_verify_bounds,
-    "absorbing": _cmd_absorbing,
-    "tail": _cmd_tail,
-    "contraction": _cmd_contraction,
-    "continuity": _cmd_continuity,
-    "dimension": _cmd_dimension,
-    "breather": _cmd_breather,
+    "simulate": (_cmd_simulate, ("--out", "--seed")),
+    "verify-bounds": (_cmd_verify_bounds, ("--seed",)),
+    "absorbing": (_cmd_absorbing, ("--seed",)),
+    "tail": (_cmd_tail, ("--seed",)),
+    "contraction": (_cmd_contraction, ()),
+    "continuity": (_cmd_continuity, ("--seed",)),
+    "dimension": (_cmd_dimension, ("--out", "--seed")),
+    "breather": (_cmd_breather, ("--out",)),
 }
+_FLAGS = {"--out": {"help": "CSV output path"},
+          "--seed": {"type": int, "help": "seed of the initial state"}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -229,12 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dnls",
         description="Damped driven lattice simulator and theorem checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(out=None, seed=None)
         p.add_argument("--config", required=True, help="scenario JSON")
-        p.add_argument("--out", help="CSV output path")
         p.add_argument("--json", help="JSON report path")
-        p.add_argument("--seed", type=int, default=None)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--verbose", action="store_true")
     return parser
 
@@ -256,7 +267,7 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")
         sc = parse_scenario(args.command, cfg.scenario)
-        ok, report, text = _COMMANDS[args.command](cfg, sc, args)
+        ok, report, text = _COMMANDS[args.command][0](cfg, sc, args)
         if args.json:
             write_json(report, args.json)
     except (DomainError, MemoryError) as exc:  # MemoryError: lattice too large

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from types import SimpleNamespace
 
-from .driving import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
-                      PeriodicLaw, SpatialProfile)
+from .driving import CosineLaw, DrivingField, DrivingSpec, SpatialProfile
 from .errors import DomainError
 from .integrator import IntegratorConfig
 from .lattice import DIRICHLET, PERIODIC, ModelParams, NonlinearitySpec
@@ -170,16 +169,16 @@ _PROFILE = _kind({
 })
 
 _LAW = _kind({
-    "constant": ({"value": (_REAL, 1.0)}, ConstantLaw),
+    "constant": ({"value": (_REAL, 1.0)}, CosineLaw.constant),
     "periodic": ({"period": (_POSITIVE, _REQUIRED), "amplitude": (_REAL, 1.0),
-                  "phase": (_REAL, 0.0)}, PeriodicLaw),
+                  "phase": (_REAL, 0.0)}, CosineLaw.periodic),
     "harmonic": ({"frequencies": (_REALS, _REQUIRED),
                   "amplitudes": (_REALS, _REQUIRED), "phases": (_REALS, ())},
-                 HarmonicSumLaw),
+                 CosineLaw.harmonic),
 })
 
 _FIELD = _block({"profile": (_PROFILE, _REQUIRED),
-                 "law": (_LAW, ConstantLaw())}, DrivingField)
+                 "law": (_LAW, CosineLaw.constant())}, DrivingField)
 
 
 def _nonlinearity(where: str, value) -> NonlinearitySpec:

@@ -281,7 +281,7 @@ def _driving_gap(spec: DrivingSpec, h: float,
     return tuple(
         math.sqrt(norm_sq(f.profile.realize(n_sites)))
         * math.fsum(2.0 * abs(a * math.sin(w * h / 2.0))
-                    for a, w, _ in f.law.harmonics())
+                    for a, w, _ in f.law.terms)
         for f in (spec.g1, spec.g2))
 
 

@@ -1,13 +1,15 @@
 """External driving fields g1 (additive) and g2 (multiplicative).
 
 A field is separable: a spatial profile realized on the truncation times a
-scalar temporal law.  Temporal laws come in three classes: constant /
-periodic (single harmonic) / finite harmonic sums with pairwise rationally
-independent frequencies (quasiperiodic; three or more harmonics serve as
-the almost-periodic class).  Translation by h shifts the time argument and
-stays inside the hull of the original field.  ``certificate`` collects the
-constants every estimate rests on (effective damping, absorbing radius,
-breather ball, gap rate) in one place.
+scalar temporal law.  Every law is a finite cosine sum (``CosineLaw``):
+one constant term, one periodic harmonic, or a sum of harmonics with
+pairwise rationally independent frequencies (quasiperiodic; three or more
+serve as the almost-periodic class).  Translation by h in the hull of a
+field adds w*h to the phase of each harmonic of frequency w, so a
+translate is again such a law; ``translate`` and the batched right-hand
+side (``lattice.make_rhs``) both use that phase shift.  ``certificate``
+collects the constants every estimate rests on (effective damping,
+absorbing radius, breather ball, gap rate) in one place.
 """
 
 from __future__ import annotations
@@ -167,80 +169,63 @@ def check_rationally_independent(frequencies) -> None:
 
 
 @dataclass(frozen=True)
-class ConstantLaw:
-    value: float = 1.0
+class CosineLaw:
+    """sum_j a_j*cos(w_j*t + p_j) over ``terms`` (a_j, w_j, p_j); a term
+    with w_j = 0 is the constant a_j*cos(p_j).  ``constant``, ``periodic``
+    and ``harmonic`` build the three classes of the config; the last one
+    checks that its frequencies are pairwise rationally independent, so
+    two or more nonzero frequencies have no common period."""
 
-    period = None
+    terms: tuple = ()
 
-    def __call__(self, t: float) -> float:
-        return self.value
+    @classmethod
+    def constant(cls, value: float = 1.0) -> "CosineLaw":
+        return cls(((float(value), 0.0, 0.0),))
 
-    def amp_bound(self) -> float:
-        return abs(self.value)
-
-    def harmonics(self) -> tuple:
-        """(amplitude, angular frequency, phase) of each cosine term."""
-        return ()
-
-
-@dataclass(frozen=True)
-class PeriodicLaw:
-    """amplitude * cos(2 pi t / period + phase)"""
-
-    period: float
-    amplitude: float = 1.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.period <= 0:
+    @classmethod
+    def periodic(cls, period: float, amplitude: float = 1.0,
+                 phase: float = 0.0) -> "CosineLaw":
+        """amplitude * cos(2 pi t / period + phase)"""
+        if period <= 0:
             raise DomainError("period must be positive")
+        return cls(((float(amplitude), 2.0 * math.pi / period, float(phase)),))
 
-    def __call__(self, t: float) -> float:
-        return self.amplitude * math.cos(2.0 * math.pi * t / self.period + self.phase)
-
-    def amp_bound(self) -> float:
-        return abs(self.amplitude)
-
-    def harmonics(self) -> tuple:
-        return ((self.amplitude, 2.0 * math.pi / self.period, self.phase),)
-
-
-@dataclass(frozen=True)
-class HarmonicSumLaw:
-    """sum_j amplitudes[j] * cos(frequencies[j]*t + phases[j]) with pairwise
-    rationally independent frequencies.  Two harmonics give the
-    quasiperiodic class; three or more with pairwise irrational ratios
-    realize the almost-periodic class."""
-
-    frequencies: tuple
-    amplitudes: tuple
-    phases: tuple = ()
-
-    period = None
-
-    def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
-        amps = tuple(float(a) for a in self.amplitudes)
-        phases = tuple(float(p) for p in self.phases) if self.phases else (0.0,) * len(freqs)
+    @classmethod
+    def harmonic(cls, frequencies, amplitudes, phases=()) -> "CosineLaw":
+        """sum_j amplitudes[j] * cos(frequencies[j]*t + phases[j]).  Two
+        harmonics give the quasiperiodic class; three or more realize the
+        almost-periodic class."""
+        freqs = tuple(float(f) for f in frequencies)
+        amps = tuple(float(a) for a in amplitudes)
+        phases = tuple(float(p) for p in phases) if phases else (0.0,) * len(freqs)
         if len(freqs) < 2:
             raise DomainError("harmonic sum needs at least two frequencies")
         if len(amps) != len(freqs) or len(phases) != len(freqs):
             raise DomainError("frequencies/amplitudes/phases length mismatch")
         check_rationally_independent(freqs)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "_terms", tuple(zip(freqs, amps, phases)))
+        return cls(tuple(zip(amps, freqs, phases)))
+
+    @property
+    def period(self) -> float | None:
+        """None without a nonzero frequency, 2 pi/|w| with one, and inf (no
+        period) with more."""
+        freqs = [w for _, w, _ in self.terms if w != 0]
+        if not freqs:
+            return None
+        return 2.0 * math.pi / abs(freqs[0]) if len(freqs) == 1 else math.inf
 
     def __call__(self, t: float) -> float:
-        return math.fsum([a * math.cos(w * t + p) for w, a, p in self._terms])
+        return math.fsum([a * math.cos(w * t + p) for a, w, p in self.terms])
 
     def amp_bound(self) -> float:
-        # triangle inequality; certified overestimate of sup_t |law(t)|
-        return math.fsum(abs(a) for a in self.amplitudes)
+        # triangle inequality; certified overestimate of sup_t |law(t)|,
+        # exact for one term
+        return math.fsum(abs(a) for a, _, _ in self.terms)
 
-    def harmonics(self) -> tuple:
-        return tuple(zip(self.amplitudes, self.frequencies, self.phases))
+    def shifted(self, h: float) -> tuple:
+        """The terms of the law translated by h in its hull, t -> t + h:
+        each phase p_j becomes p_j + w_j*h."""
+        return tuple((a, w, p + w * h) for a, w, p in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +233,10 @@ class HarmonicSumLaw:
 
 @dataclass(frozen=True)
 class DrivingField:
-    """Separable field profile(n) * law(t + offset)."""
+    """Separable field profile(n) * law(t)."""
 
     profile: SpatialProfile
-    law: object = field(default_factory=ConstantLaw)
-    offset: float = 0.0
+    law: CosineLaw = field(default_factory=CosineLaw.constant)
 
     def __post_init__(self):
         try:  # squares, sums and products of finite magnitudes can overflow
@@ -263,41 +247,37 @@ class DrivingField:
             raise DomainError(f"driving field bound sup||g|| = ||profile|| * "
                               f"sup|law| = {sup} is not a finite float")
 
-    def scalar(self, t: float) -> float:
-        return self.law(t + self.offset)
-
     def sup_norm(self) -> float:
         return math.sqrt(self.profile.l2_norm_sq()) * self.law.amp_bound()
 
     def interval_sup(self, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Bound on ||g(s)|| over each [t, t + dt]: the law's derivative is
         at most sum_j |a_j w_j|, and the law never exceeds amp_bound."""
-        slope = math.fsum(abs(a * w) for a, w, _ in self.law.harmonics())
-        law = np.abs([self.scalar(s) for s in t]) + slope * dt
+        slope = math.fsum(abs(a * w) for a, w, _ in self.law.terms)
+        law = np.abs([self.law(s) for s in t]) + slope * dt
         return math.sqrt(self.profile.l2_norm_sq()) * np.minimum(
             self.law.amp_bound(), law)
 
     @staticmethod
     def zero() -> "DrivingField":
-        return DrivingField(SpatialProfile.zero(), ConstantLaw(0.0))
+        return DrivingField(SpatialProfile.zero(), CosineLaw.constant(0.0))
 
 
 def _rhs_term(g: DrivingField, p: np.ndarray | None):
-    """(sl, q, law, offset) with -i*g(t) = q * law(t + offset) on the sites
-    ``sl`` and zero off them, where ``p`` is g's realized profile; None for
-    a zero field."""
+    """(sl, q, law) with -i*g(t) = q * law(t) on the sites ``sl`` and zero
+    off them, where ``p`` is g's realized profile; None for a zero field."""
     nz = np.flatnonzero(p) if p is not None else ()
     if len(nz) == 0:
         return None
     sl = slice(int(nz[0]), int(nz[-1]) + 1)
-    return sl, -1j * p[sl], g.law, g.offset
+    return sl, -1j * p[sl], g.law
 
 
 class _Sampler:
     """Driving realized on a fixed truncation, for fast rhs evaluation.
 
     ``g1_term`` and ``g2_term`` hand the RHS each field as -i times its
-    profile, cut to the span of its nonzero sites, with its scalar law (see
+    profile, cut to the span of its nonzero sites, with its law (see
     ``_rhs_term``); ``sample_values`` gives the fields themselves."""
 
     def __init__(self, spec: "DrivingSpec", n_sites: int):
@@ -311,8 +291,8 @@ class _Sampler:
 
     def sample_values(self, t: float, n_sites: int):
         assert n_sites == self.n_sites
-        g1 = None if self._p1 is None else self._p1 * self._g1.scalar(t)
-        g2 = None if self._p2 is None else self._p2 * self._g2.scalar(t)
+        g1 = None if self._p1 is None else self._p1 * self._g1.law(t)
+        g2 = None if self._p2 is None else self._p2 * self._g2.law(t)
         return g1, g2
 
 
@@ -325,11 +305,19 @@ class DrivingSpec:
         return _Sampler(self, n_sites)
 
     @property
+    def aperiodic(self) -> tuple:
+        """(config path, law) of each field whose law has no period."""
+        return tuple((f"driving.{name}.law", g.law)
+                     for name, g in (("g1", self.g1), ("g2", self.g2))
+                     if g.law.period == math.inf)
+
+    @property
     def period(self) -> float | None:
-        """Common driving period, if the time dependence is periodic.
-        Constant laws are compatible with any period."""
+        """Common driving period: None if a law has none (``aperiodic``),
+        or if every law is constant, since constant laws are compatible
+        with any period."""
         periods = [f.law.period for f in (self.g1, self.g2) if f.law.period is not None]
-        if not periods:
+        if not periods or math.inf in periods:
             return None
         if len(periods) == 2 and not math.isclose(periods[0], periods[1], rel_tol=1e-12):
             raise DomainError("g1 and g2 have different periods")
@@ -337,12 +325,10 @@ class DrivingSpec:
 
 
 def translate(spec: DrivingSpec, h: float) -> DrivingSpec:
-    """Hull translation: samples of the result at t equal samples of the
-    original at t + h."""
-    return DrivingSpec(
-        g1=replace(spec.g1, offset=spec.g1.offset + h),
-        g2=replace(spec.g2, offset=spec.g2.offset + h),
-    )
+    """Hull translation: the result at t is the original at t + h (to
+    round-off), as each law's phases move by w_j*h (``CosineLaw.shifted``)."""
+    return DrivingSpec(*(replace(g, law=CosineLaw(g.law.shifted(h)))
+                         for g in (spec.g1, spec.g2)))
 
 
 @dataclass(frozen=True)

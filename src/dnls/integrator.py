@@ -236,7 +236,7 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
             lo, hi = u[:, :c - tail_cutoff], u[:, c + tail_cutoff + 1:]
             tails[i] = (np.vecdot(lo, lo) + np.vecdot(hi, hi)).real
 
-    f = make_rhs(params, driving.sampler(n_sites), n_sites, bc, shifts=hull)
+    f = make_rhs(params, driving.sampler(n_sites), bc, shifts=hull)
     stats = StepStats()
     record(0, slot(0, y0))
     if t1 > t0:

@@ -112,39 +112,29 @@ def norm_sq(values: np.ndarray) -> float:
     return float(x @ x)
 
 
-def tail_mass(state: LatticeState, m: int) -> float:
-    """sum_{|n|>m} |psi_n|^2 on the truncation."""
-    n_sites = state.n_sites
-    if not 0 <= m < n_sites // 2:
-        raise DomainError(f"cutoff m={m} out of range [0, {n_sites // 2})")
-    c = n_sites // 2
-    v = state.values
-    outside = np.concatenate([v[: c - m], v[c + m + 1:]])
-    return norm_sq(outside)
-
-
 def _field(term, shifts):
     """A driving field's slice of the flat arrays of a batch with hull
     ``shifts``, a buffer for -i*g(t + h_b) on it, and a function of t that
     writes the buffer: None for a constant law, whose buffer is written
-    here.  ``term`` is (sl, q, law, offset), as ``make_rhs`` takes it.
+    here.  ``term`` is (sl, q, law), as ``make_rhs`` takes it.
 
-    The values of all members come from one product, since with
-    phi = w*(offset + h_b) + p
+    The values of all members come from one product, since with phi the
+    phase of a harmonic translated by h_b (``CosineLaw.shifted``)
 
-        a*cos(w*(t + offset + h_b) + p) = a*cos(phi)*cos(w*t) - a*sin(phi)*sin(w*t):
+        a*cos(w*t + phi) = a*cos(phi)*cos(w*t) - a*sin(phi)*sin(w*t):
 
     x @ table, with x the cos(w_j*t) and sin(w_j*t) of the law's harmonics
     and a table of q * those coefficients, formed once.  Rows of zeros
     (the sines of one member at phase 0) are left out."""
-    sl, q, law, off = term
+    sl, q, law = term
     members = len(shifts)
     sl = slice(sl.start * members, sl.stop * members)
-    harmonics = law.harmonics()
-    if not harmonics:
-        return sl, np.repeat(q * law(off), members), None
-    a, w, p = np.array(harmonics).T
-    phase = np.multiply.outer(off + np.asarray(shifts, dtype=float), w) + p
+    if law.period is None:
+        return sl, np.repeat(q * law(0.0), members), None
+    # (members, harmonics) arrays; w is the same in every row
+    terms = np.array([law.shifted(h) for h in shifts])
+    a, w, phase = np.moveaxis(terms, -1, 0)
+    w = w[0]
     # row 2j (2j + 1) multiplies cos(w_j*t) (sin(w_j*t))
     coeff = np.stack([a * np.cos(phase), -a * np.sin(phase)], axis=-1)
     table = q[:, None, None] * coeff.reshape(members, -1)
@@ -167,8 +157,7 @@ def _field(term, shifts):
     return sl, buf, write
 
 
-def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
-             shifts=(0.0,)):
+def make_rhs(params: ModelParams, driving, bc: str, shifts=(0.0,)):
     """Build f(t, values, out=None) -> dvalues/dt on raw arrays, written to
     ``out`` (which must not alias ``values``) when given.
 
@@ -178,10 +167,11 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
     the members fastest (entry n*B + b is site n of member b), so B = 1 is
     one state.
 
-    ``driving`` must provide ``g1_term`` and ``g2_term``: None for a zero
-    field, else (sl, q, law, offset) with -i*g(t) = q * law(t + offset) on
-    the sites ``sl`` and zero off them (see ``DrivingSpec.sampler``).  The
-    equation of motion in d/dt form reads
+    ``driving`` is the driving realized on the N sites of the lattice
+    (``DrivingSpec.sampler``): it gives ``n_sites``, and ``g1_term`` and
+    ``g2_term``, None for a zero field, else (sl, q, law) with -i*g(t) =
+    q * law(t) on the sites ``sl`` and zero off them.  The equation of
+    motion in d/dt form reads
 
         dpsi/dt = -i*kappa*A psi - gamma*psi - i*F(|psi|^2) psi
                   - i*g1(t) - i*g2(t)*psi
@@ -203,11 +193,8 @@ def make_rhs(params: ModelParams, driving, n_sites: int, bc: str,
     distinct t, as the last two stages of a step share theirs, and for a
     constant law once, when the closure is built.
     """
-    if driving.n_sites != n_sites:
-        raise DomainError(f"driving realized on {driving.n_sites} sites, "
-                          f"the lattice has {n_sites}")
     members = len(shifts)
-    size = n_sites * members
+    size = driving.n_sites * members
     # constant operands as 0-d arrays: numpy converts a Python scalar
     # operand on every ufunc call
     hop = np.array(-1j * params.kappa)

@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
-                  IntegratorConfig, LatticeState, ModelParams,
-                  NonlinearitySpec, PeriodicLaw, SpatialProfile, certificate,
-                  check_apriori_bound, contraction_rate,
+from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
+                  LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
+                  certificate, check_apriori_bound, contraction_rate,
                   correlation_dimension, find_breather, integrate,
                   monitor_dissipation, poincare_points, predict_absorbing,
                   predict_tail, verify_absorbing, verify_breather, verify_tail)
@@ -56,9 +55,9 @@ def _unit_exp_profile(rate=1.0, sup=1.0):
 def _dissipative_scenario():
     """Cubic lattice with gamma=2, sup||g2||=0.25 and exponential additive
     driving of unit sup norm; effective damping 1.5."""
-    g1 = DrivingField(_unit_exp_profile(), PeriodicLaw(period=2 * math.pi))
+    g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
     g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
-                      ConstantLaw(1.0))
+                      CosineLaw.constant(1.0))
     spec = DrivingSpec(g1=g1, g2=g2)
     params = ModelParams(kappa=1.0, gamma=2.0,
                          nonlinearity=NonlinearitySpec.cubic())
@@ -67,7 +66,7 @@ def _dissipative_scenario():
 
 def _breather_scenario():
     g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5, rate=1.0),
-                      PeriodicLaw(period=2 * math.pi))
+                      CosineLaw.periodic(period=2 * math.pi))
     spec = DrivingSpec(g1=g1)
     params = ModelParams(kappa=1.0, gamma=3.0,
                          nonlinearity=NonlinearitySpec.cubic(-1))
@@ -86,7 +85,7 @@ def test_criterion_1_operator_suite(report):
     worst = dict.fromkeys(["norm", "adjoint", "symmetric", "factorization"],
                           0.0)
     for bc in ("periodic", "dirichlet"):
-        f = make_rhs(params, no_driving, 256, bc)
+        f = make_rhs(params, no_driving, bc)
 
         def shifted(v, k):  # psi_{n+k}: wrapped, or zero past the edge
             out = np.roll(v, -k)
@@ -130,7 +129,7 @@ def test_criterion_2_integration_oracles(report):
     gamma = 1.5
     params = ModelParams(kappa=0.0, gamma=gamma)
     spec = DrivingSpec(g1=DrivingField(
-        SpatialProfile("custom", values=(g,), start=0), ConstantLaw(1.0)))
+        SpatialProfile("custom", values=(g,), start=0), CosineLaw.constant(1.0)))
     psi0 = random_state(16, 0, norm=0.5)
     traj = integrate(psi0, 0.0, 10.0, params, spec, ORACLE_CONFIG)
     fp = -1j * g / gamma
@@ -225,7 +224,7 @@ def test_criterion_5_tail_decay(report):
 def test_criterion_6_contraction(report):
     t_start = time.perf_counter()
     # linear case: the distance must decay at exactly gamma
-    g1 = DrivingField(_unit_exp_profile(), PeriodicLaw(period=2 * math.pi))
+    g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
     lin_spec = DrivingSpec(g1=g1)
     lin = ModelParams(kappa=1.0, gamma=1.0)
     rep_lin = contraction_rate(lin, lin_spec, seeds=(1, 2), horizon=8.0)
@@ -233,7 +232,7 @@ def test_criterion_6_contraction(report):
 
     # cubic strong-damping case: decay at least gamma - a*K^b - sup||g2||
     g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
-                      ConstantLaw(1.0))
+                      CosineLaw.constant(1.0))
     cub_spec = DrivingSpec(g1=g1, g2=g2)
     cub = ModelParams(kappa=1.0, gamma=5.0,
                       nonlinearity=NonlinearitySpec.cubic())
@@ -273,7 +272,7 @@ def test_criterion_7_breather(report):
     g = 0.2 - 0.3j
     lin = ModelParams(kappa=0.0, gamma=2.0)
     lin_spec = DrivingSpec(g1=DrivingField(
-        SpatialProfile("custom", values=(g,), start=0), ConstantLaw(1.0)))
+        SpatialProfile("custom", values=(g,), start=0), CosineLaw.constant(1.0)))
     lin_sol = find_breather(lin, lin_spec, LatticeState.zeros(16), tol=1e-12,
                             period=1.0)
     expect = np.zeros(16, dtype=complex)
@@ -304,8 +303,8 @@ def test_criterion_8_dimension_estimates(report):
 
     # quasiperiodically driven lattice: the estimate must be finite with a
     # tight confidence interval (finite fractal dimension, empirically)
-    law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                         amplitudes=(1.0, 0.8))
+    law = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                             amplitudes=(1.0, 0.8))
     g1 = DrivingField(SpatialProfile("exponential", amplitude=1.0, rate=1.0),
                       law)
     spec = DrivingSpec(g1=g1)

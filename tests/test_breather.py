@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import dnls.breather
-from dnls import (ConstantLaw, DrivingField, DrivingSpec, LatticeState,
-                  ModelParams, NonlinearitySpec, PeriodicLaw, SpatialProfile,
+from dnls import (CosineLaw, DrivingField, DrivingSpec, LatticeState,
+                  ModelParams, NonlinearitySpec, SpatialProfile,
                   certificate, find_breather, period_map, translate,
                   verify_breather)
 from dnls.breather import _envelope
@@ -31,7 +31,7 @@ ZERO = LatticeState.zeros(64)
 
 def _breather_scenario(gamma=3.0, amp=0.5):
     g1 = DrivingField(SpatialProfile("exponential", amplitude=amp, rate=1.0),
-                      PeriodicLaw(period=2 * math.pi))
+                      CosineLaw.periodic(period=2 * math.pi))
     spec = DrivingSpec(g1=g1)
     params = ModelParams(kappa=1.0, gamma=gamma,
                          nonlinearity=NonlinearitySpec.cubic(-1))
@@ -67,12 +67,33 @@ class TestFindBreather:
     def test_requires_period_for_aperiodic_driving(self):
         params = ModelParams(kappa=0.0, gamma=1.0)
         spec = DrivingSpec(g1=DrivingField(
-            SpatialProfile("single_site", amplitude=0.1), ConstantLaw(1.0)))
+            SpatialProfile("single_site", amplitude=0.1), CosineLaw.constant(1.0)))
         seed = LatticeState.zeros(16)
         with pytest.raises(DomainError, match="not periodic"):
             find_breather(params, spec, seed)
         sol = find_breather(params, spec, seed, period=1.0, config=FAST)
         assert sol.period == 1.0 and sol.state0.n_sites == 16
+
+    @pytest.mark.parametrize("period", [None, 2 * math.pi])
+    def test_refuses_a_driving_with_no_period(self, period):
+        # g1 periodic and g2 a harmonic sum, however weak: there is no
+        # period map, whatever period is passed
+        cfg = load_config(BREATHER_JSON)
+        spec = replace(cfg.driving, g2=DrivingField(
+            SpatialProfile("single_site", amplitude=1e-13),
+            CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                               amplitudes=(1.0, 1.0))))
+        assert spec.period is None
+        with pytest.raises(DomainError, match="driving.g2.law is a harmonic"):
+            find_breather(cfg.model, spec, LatticeState.zeros(cfg.n_sites),
+                          period=period)
+
+    def test_explicit_period_is_for_a_constant_driving_only(self):
+        cfg = load_config(BREATHER_JSON)
+        with pytest.raises(DomainError, match="constant driving only"):
+            find_breather(cfg.model, cfg.driving,
+                          LatticeState.zeros(cfg.n_sites),
+                          period=cfg.driving.period)
 
     def test_analytic_single_site_fixed_point(self):
         # kappa = 0, F = 0, constant drive g at one site: the unique
@@ -81,7 +102,7 @@ class TestFindBreather:
         gamma = 2.0
         params = ModelParams(kappa=0.0, gamma=gamma)
         spec = DrivingSpec(g1=DrivingField(
-            SpatialProfile("custom", values=(g,), start=0), ConstantLaw(1.0)))
+            SpatialProfile("custom", values=(g,), start=0), CosineLaw.constant(1.0)))
         sol = find_breather(params, spec, LatticeState.zeros(16), tol=1e-12,
                             period=1.0, config=FAST)
         expect = np.zeros(16, dtype=complex)

@@ -19,9 +19,8 @@ from dnls import cli
 from dnls.breather import BreatherSolution
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          load_config, parse_scenario)
-from dnls.driving import (ConstantLaw, DrivingField, DrivingSpec,
-                          HarmonicSumLaw, PeriodicLaw, SpatialProfile,
-                          certificate)
+from dnls.driving import (CosineLaw, DrivingField, DrivingSpec,
+                          SpatialProfile, certificate)
 from dnls.errors import DomainError
 from dnls.integrator import IntegratorConfig, integrate
 from dnls.lattice import (LatticeState, ModelParams, NonlinearitySpec,
@@ -37,6 +36,10 @@ BUNDLED = [("simulate", "simulate.json"), ("verify-bounds", "simulate.json"),
            ("absorbing", "absorbing.json"), ("tail", "absorbing.json"),
            ("contraction", "absorbing.json"), ("continuity", "absorbing.json"),
            ("dimension", "dimension.json"), ("breather", "breather.json")]
+# the commands that read each flag besides --config, --json and --verbose
+READS = {"--out": ("simulate", "dimension", "breather"),
+         "--seed": ("simulate", "verify-bounds", "absorbing", "tail",
+                    "continuity", "dimension")}
 
 
 def _bundled_scenario(name):
@@ -139,9 +142,9 @@ class TestConfigParse:
     def test_sample_config_reads_to_its_fields(self, tmp_path):
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5,
                                          rate=1.0),
-                          PeriodicLaw(period=2 * math.pi))
+                          CosineLaw.periodic(period=2 * math.pi))
         g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
-                          ConstantLaw(1.0))
+                          CosineLaw.constant(1.0))
         expected = ScenarioConfig(
             model=ModelParams(kappa=1.0, gamma=2.0,
                               nonlinearity=NonlinearitySpec.cubic(-1)),
@@ -168,10 +171,10 @@ class TestConfigParse:
             block["phases"] = phases
         d["driving"]["g1"]["law"] = block
         law = config_from_dict(d).driving.g1.law
-        assert law == HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                                     amplitudes=(1.0, 0.5),
-                                     phases=tuple(phases or ()))
-        assert law.phases == tuple(phases or (0.0, 0.0))
+        assert law == CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                         amplitudes=(1.0, 0.5),
+                                         phases=tuple(phases or ()))
+        assert tuple(p for _, _, p in law.terms) == tuple(phases or (0.0, 0.0))
 
     def test_custom_profile_values_read_as_complex(self):
         d = _sample_config()
@@ -310,8 +313,7 @@ class TestConfigValidation:
         for g in (cfg.driving.g1, cfg.driving.g2):
             g.profile.tail_sq(0)
         try:
-            make_rhs(cfg.model, cfg.driving.sampler(cfg.n_sites), cfg.n_sites,
-                     cfg.bc)
+            make_rhs(cfg.model, cfg.driving.sampler(cfg.n_sites), cfg.bc)
         except DomainError:
             pass
         for command, config in BUNDLED:
@@ -621,6 +623,26 @@ class TestCli:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_dimension_section_period_is_the_driving_period(self, tmp_path,
+                                                            monkeypatch):
+        # a constant g1 and a periodic g2: the section is sampled at g2's
+        # period, with no section_period given
+        data = json.loads((CONFIGS / "absorbing.json").read_text())
+        data["driving"]["g1"]["law"] = {"kind": "constant", "value": 1.0}
+        data["driving"]["g2"]["law"] = {"kind": "periodic", "period": 3.0}
+        seen = []
+
+        class Sampled(Exception):
+            pass
+
+        def poincare_points(*args, section_period, **kwargs):
+            seen.append(section_period)
+            raise Sampled
+        monkeypatch.setattr(cli.dg, "poincare_points", poincare_points)
+        with pytest.raises(Sampled):
+            cli.main(["dimension", "--config", _write(tmp_path, data)])
+        assert seen == [pytest.approx(3.0, rel=1e-15)]
+
     def test_closed_stdout_keeps_the_exit_code(self):
         # `dnls absorbing ... | true`: the reader is gone before the verdict
         # is printed, which is neither a failed check nor a traceback
@@ -638,11 +660,23 @@ class TestCli:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (cli.EXIT_PASS, b"")
 
-    @pytest.mark.parametrize("command, name", BUNDLED)
+    @pytest.mark.parametrize("command, name", [
+        (c, n) for c, n in BUNDLED if c in READS["--seed"]])
     def test_negative_seed_flag_is_config_error(self, capsys, command, name):
         assert cli.main([command, "--config", str(CONFIGS / name),
                          "--seed", "-1"]) == cli.EXIT_CONFIG
         assert "config error: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, flag", [
+        (c, n, flag) for flag in READS for c, n in BUNDLED
+        if c not in READS[flag]])
+    def test_flag_the_command_ignores_is_usage_error(self, tmp_path, capsys,
+                                                    command, name, flag):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(CONFIGS / name),
+                         flag, str(out)]) == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_breather_command(self, tmp_path):
         cfg = _sample_config()
@@ -669,6 +703,19 @@ class TestCli:
         assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "driving.g1.law" in err and "periodic law" in err
+
+    @pytest.mark.parametrize("amplitude", [1e-13, 0.1])
+    def test_breather_names_a_law_with_no_period(self, tmp_path, capsys,
+                                                 amplitude):
+        # g1 is periodic and g2 a harmonic sum, however weak: the driving
+        # has no period to map over
+        cfg = _edited(tmp_path, "breather.json", ("driving", "g2"), {
+            "profile": {"kind": "single_site", "amplitude": amplitude},
+            "law": {"kind": "harmonic", "frequencies": [1.0, math.sqrt(2.0)],
+                    "amplitudes": [1.0, 1.0]}})
+        assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: driving.g2.law is a harmonic sum")
 
     def test_breather_zero_seed_keeps_the_boundary_condition(self, tmp_path):
         # the null seed solves the periodic problem, as seeds 1 and 2 do

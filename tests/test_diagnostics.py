@@ -9,13 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
-                  IntegratorConfig,
-                  LatticeState, ModelParams, NonlinearitySpec, PeriodicLaw,
-                  SpatialProfile, check_apriori_bound, continuity_gap,
-                  contraction_rate, correlation_dimension, integrate,
-                  predict_absorbing, predict_tail, translate, verify_absorbing,
-                  verify_tail)
+from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
+                  LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
+                  check_apriori_bound, continuity_gap, contraction_rate,
+                  correlation_dimension, integrate, predict_absorbing,
+                  predict_tail, translate, verify_absorbing, verify_tail)
 from dnls import cli
 from dnls import diagnostics as dg
 from dnls.config import load_config
@@ -35,9 +33,9 @@ def _unit_exp_profile(rate=1.0):
 
 
 def _scenario(gamma=2.0, g2_amp=0.25):
-    g1 = DrivingField(_unit_exp_profile(), PeriodicLaw(period=2 * math.pi))
+    g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
     g2 = DrivingField(SpatialProfile("single_site", amplitude=g2_amp),
-                      ConstantLaw(1.0))
+                      CosineLaw.constant(1.0))
     spec = DrivingSpec(g1=g1, g2=g2)
     params = ModelParams(kappa=1.0, gamma=gamma,
                          nonlinearity=NonlinearitySpec.cubic())
@@ -101,7 +99,7 @@ class TestAbsorbing:
         # through it
         params, _ = _scenario()
         tiny = DrivingSpec(g1=DrivingField(_unit_exp_profile(),
-                                           PeriodicLaw(2 * math.pi, 1e-160)))
+                                           CosineLaw.periodic(2 * math.pi, 1e-160)))
         pred = predict_absorbing(params, tiny, r=5.0)
         assert pred.entry_time == pytest.approx(
             2.0 * math.log(2.0 * 5.0 / 1e-160) / 2.0, rel=1e-12)
@@ -148,7 +146,7 @@ class TestTail:
 
 class TestContraction:
     def test_linear_rate_matches_gamma(self):
-        g1 = DrivingField(_unit_exp_profile(), PeriodicLaw(period=2 * math.pi))
+        g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
         spec = DrivingSpec(g1=g1)
         params = ModelParams(kappa=1.0, gamma=1.0)
         report = contraction_rate(params, spec, seeds=(1, 2), horizon=6.0,
@@ -164,7 +162,7 @@ class TestContraction:
     def test_rejects_weak_contraction(self):
         # gamma barely above 2*sup||g2|| but below a*K^b + sup||g2||
         g1 = DrivingField(SpatialProfile("exponential", rate=0.5,
-                                         amplitude=3.0), ConstantLaw(1.0))
+                                         amplitude=3.0), CosineLaw.constant(1.0))
         spec = DrivingSpec(g1=g1)
         params = ModelParams(kappa=1.0, gamma=1.0,
                              nonlinearity=NonlinearitySpec.cubic())
@@ -184,7 +182,7 @@ class TestContinuity:
         assert report.gap[0] == pytest.approx(1e-3, rel=1e-10)
 
     def test_gap_scales_linearly_in_initial_distance(self):
-        g1 = DrivingField(_unit_exp_profile(), PeriodicLaw(period=2 * math.pi))
+        g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
         spec = DrivingSpec(g1=g1)
         params = ModelParams(kappa=1.0, gamma=1.0)
         theta = random_state(64, 5, norm=0.5)
@@ -251,8 +249,8 @@ class TestDrivingGap:
         # expanded through the Gram matrix of the two profiles
         pa, pb = fa.profile.realize(n_sites), fb.profile.realize(n_sites)
         ts = np.linspace(0.0, t1, 10 ** 5)
-        a = np.array([fa.scalar(t) for t in ts])
-        b = np.array([fb.scalar(t) for t in ts])
+        a = np.array([fa.law(t) for t in ts])
+        b = np.array([fb.law(t) for t in ts])
         sq = (a * a * np.vdot(pa, pa).real + b * b * np.vdot(pb, pb).real
               - 2 * a * b * np.vdot(pa, pb).real)
         return math.sqrt(max(float(np.max(sq)), 0.0))
@@ -260,15 +258,16 @@ class TestDrivingGap:
     @pytest.mark.parametrize("seed", range(3))
     def test_translation_bound_covers_dense_scan(self, seed):
         rng = np.random.default_rng(seed)
-        laws = [PeriodicLaw(period=rng.uniform(1.0, 10.0),
-                            amplitude=rng.normal(),
-                            phase=rng.uniform(0, 2 * np.pi)),
-                HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                               amplitudes=tuple(rng.normal(size=2)),
-                               phases=tuple(rng.uniform(0, 2 * np.pi, 2)))]
+        laws = [CosineLaw.periodic(period=rng.uniform(1.0, 10.0),
+                                   amplitude=rng.normal(),
+                                   phase=rng.uniform(0, 2 * np.pi)),
+                CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                   amplitudes=tuple(rng.normal(size=2)),
+                                   phases=tuple(rng.uniform(0, 2 * np.pi, 2)))]
         for law in laws:
-            g1 = DrivingField(_unit_exp_profile(rng.uniform(0.5, 2.0)), law,
-                              offset=rng.uniform(-5.0, 5.0))
+            profile = _unit_exp_profile(rng.uniform(0.5, 2.0))
+            g1 = DrivingField(profile,
+                              CosineLaw(law.shifted(rng.uniform(-5.0, 5.0))))
             spec = DrivingSpec(g1=g1)
             h = rng.uniform(-10.0, 10.0)
             shifted = translate(spec, h)
@@ -280,9 +279,9 @@ class TestDrivingGap:
 
     def test_translation_closed_forms(self):
         profile = _unit_exp_profile()
-        periodic = DrivingField(profile, PeriodicLaw(period=4.0,
-                                                     amplitude=-0.7))
-        constant = DrivingField(profile, ConstantLaw(0.3))
+        periodic = DrivingField(profile, CosineLaw.periodic(period=4.0,
+                                                            amplitude=-0.7))
+        constant = DrivingField(profile, CosineLaw.constant(0.3))
         spec = DrivingSpec(g1=periodic, g2=constant)
         d1, d2 = _driving_gap(spec, 1.3, 64)
         norm = np.linalg.norm(profile.realize(64))

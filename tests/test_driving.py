@@ -3,15 +3,15 @@ certificate constants (sup norms, effective damping, radii, gap rate)."""
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls import (ConstantLaw, DrivingField, DrivingSpec, HarmonicSumLaw,
-                  ModelParams, NonlinearitySpec, PeriodicLaw, SpatialProfile,
-                  certificate, translate)
+from dnls import (CosineLaw, DrivingField, DrivingSpec, ModelParams,
+                  NonlinearitySpec, SpatialProfile, certificate, translate)
 from dnls.driving import check_rationally_independent
 from dnls.errors import DampingTooWeakError, DomainError
 from dnls.lattice import make_rhs, random_state
@@ -117,39 +117,38 @@ class TestSpatialProfile:
 
 class TestTemporalLaws:
     def test_constant(self):
-        law = ConstantLaw(0.3)
+        law = CosineLaw.constant(0.3)
         assert law(12.5) == 0.3
         assert law.amp_bound() == 0.3
 
     def test_periodic(self):
-        law = PeriodicLaw(period=2.0, amplitude=1.5, phase=0.25)
+        law = CosineLaw.periodic(period=2.0, amplitude=1.5, phase=0.25)
         assert law(0.7) == pytest.approx(1.5 * math.cos(math.pi * 0.7 + 0.25))
         assert law.amp_bound() == 1.5
         with pytest.raises(DomainError):
-            PeriodicLaw(period=0.0)
+            CosineLaw.periodic(period=0.0)
 
     def test_harmonic_sum(self):
-        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                             amplitudes=(0.5, 0.25))
+        law = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                 amplitudes=(0.5, 0.25))
         for t in np.linspace(0, 50, 500):
             assert abs(law(t)) <= law.amp_bound() + 1e-12
         assert law.amp_bound() == pytest.approx(0.75)
 
     def test_two_term_sum_equals_fsum(self):
         # one float addition is correctly rounded, as fsum is
-        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                             amplitudes=(1.0, 0.8), phases=(0.1, -2.3))
+        law = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                 amplitudes=(1.0, 0.8), phases=(0.1, -2.3))
         rng = np.random.default_rng(7)
         for t in np.concatenate([rng.uniform(-1e3, 1e3, 10 ** 4),
                                  rng.uniform(0, 20, 10 ** 4)]).tolist():
-            terms = [a * math.cos(w * t + p) for w, a, p in
-                     zip(law.frequencies, law.amplitudes, law.phases)]
+            terms = [a * math.cos(w * t + p) for a, w, p in law.terms]
             assert law(t) == math.fsum(terms), t
 
     def test_three_term_sum_uses_fsum(self, monkeypatch):
-        law = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0), math.pi),
-                             amplitudes=(1.0, 0.8, 0.5),
-                             phases=(0.0, 0.3, 1.0))
+        law = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0), math.pi),
+                                 amplitudes=(1.0, 0.8, 0.5),
+                                 phases=(0.0, 0.3, 1.0))
         calls = []
 
         def fsum(terms):
@@ -157,20 +156,37 @@ class TestTemporalLaws:
             return 42.0
         monkeypatch.setattr(math, "fsum", fsum)
         assert law(1.7) == 42.0 and calls == [3]
-        two = HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                             amplitudes=(1.0, 0.8))
+        two = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                 amplitudes=(1.0, 0.8))
         two(1.7)  # two terms take the same sum
         assert calls == [3, 2]
 
+    def test_period_from_the_frequencies(self):
+        assert CosineLaw.constant(0.3).period is None
+        assert CosineLaw.periodic(period=2.5).period == pytest.approx(
+            2.5, rel=1e-15)
+        assert CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                  amplitudes=(1.0, 0.0)).period == math.inf
+
+    def test_shift_moves_each_phase(self):
+        law = CosineLaw.harmonic(frequencies=(1.0, -math.sqrt(2.0)),
+                                 amplitudes=(1.0, 0.8), phases=(0.1, -2.3))
+        moved = CosineLaw(law.shifted(1.3))
+        assert [a for a, _, _ in moved.terms] == [1.0, 0.8]
+        for t in (0.0, 0.7, -5.1):
+            assert moved(t) == pytest.approx(law(t + 1.3), abs=1e-14)
+        constant = CosineLaw.constant(0.3)
+        assert constant.shifted(1.3) == constant.terms
+
     def test_harmonic_rejects_commensurate(self):
         with pytest.raises(DomainError):
-            HarmonicSumLaw(frequencies=(1.0, 2.0), amplitudes=(1.0, 1.0))
+            CosineLaw.harmonic(frequencies=(1.0, 2.0), amplitudes=(1.0, 1.0))
         with pytest.raises(DomainError):
-            HarmonicSumLaw(frequencies=(2.0 / 3.0, 1.0), amplitudes=(1.0, 1.0))
+            CosineLaw.harmonic(frequencies=(2.0 / 3.0, 1.0), amplitudes=(1.0, 1.0))
 
     def test_harmonic_needs_two(self):
         with pytest.raises(DomainError):
-            HarmonicSumLaw(frequencies=(1.0,), amplitudes=(1.0,))
+            CosineLaw.harmonic(frequencies=(1.0,), amplitudes=(1.0,))
 
     def test_rational_independence_check(self):
         check_rationally_independent((1.0, math.sqrt(2.0), math.pi))
@@ -187,9 +203,9 @@ CUBIC = ModelParams(kappa=1.0, gamma=1.0,
 class TestDrivingSpec:
     def _spec(self):
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5, rate=1.0),
-                          PeriodicLaw(period=2 * math.pi))
+                          CosineLaw.periodic(period=2 * math.pi))
         g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
-                          ConstantLaw(1.0))
+                          CosineLaw.constant(1.0))
         return DrivingSpec(g1=g1, g2=g2)
 
     def test_sup_norm(self):
@@ -206,10 +222,17 @@ class TestDrivingSpec:
         const = DrivingSpec(g1=DrivingField(SpatialProfile.zero()))
         assert const.period is None
         clash = DrivingSpec(
-            g1=DrivingField(SpatialProfile.zero(), PeriodicLaw(period=1.0)),
-            g2=DrivingField(SpatialProfile.zero(), PeriodicLaw(period=2.0)))
+            g1=DrivingField(SpatialProfile.zero(), CosineLaw.periodic(period=1.0)),
+            g2=DrivingField(SpatialProfile.zero(), CosineLaw.periodic(period=2.0)))
         with pytest.raises(DomainError):
             clash.period
+        # a harmonic sum has no period, which no other law can supply
+        mixed = replace(spec, g2=DrivingField(
+            SpatialProfile.zero(),
+            CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                               amplitudes=(1.0, 1.0))))
+        assert mixed.period is None
+        assert [path for path, _ in mixed.aperiodic] == ["driving.g2.law"]
 
     def test_translate_shifts_samples(self):
         # the right-hand side under the translate at t is the one under the
@@ -217,7 +240,7 @@ class TestDrivingSpec:
         spec = self._spec()
         shifted = translate(spec, 1.3)
         params = ModelParams(kappa=1.0, gamma=1.0)
-        f, f_shifted = (make_rhs(params, s.sampler(32), 32, "dirichlet")
+        f, f_shifted = (make_rhs(params, s.sampler(32), "dirichlet")
                         for s in (spec, shifted))
         for t in (0.0, 0.7, 5.1):
             for v in (np.zeros(32, dtype=complex),
@@ -225,13 +248,13 @@ class TestDrivingSpec:
                 assert np.allclose(f_shifted(t, v), f(t + 1.3, v))
 
     @pytest.mark.parametrize("profile, law", [
-        (SpatialProfile("custom", values=(1e200, 1.0)), ConstantLaw(1.0)),
-        (SpatialProfile("exponential", amplitude=1e200), ConstantLaw(1.0)),
+        (SpatialProfile("custom", values=(1e200, 1.0)), CosineLaw.constant(1.0)),
+        (SpatialProfile("exponential", amplitude=1e200), CosineLaw.constant(1.0)),
         (SpatialProfile("single_site"),
-         HarmonicSumLaw(frequencies=(1.0, math.sqrt(2.0)),
-                        amplitudes=(1e308, 1e308))),
+         CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                            amplitudes=(1e308, 1e308))),
         (SpatialProfile("single_site", amplitude=1e200),
-         PeriodicLaw(period=1.0, amplitude=1e200))])
+         CosineLaw.periodic(period=1.0, amplitude=1e200))])
     def test_overflowing_magnitude_is_refused(self, profile, law):
         # finite parts whose squares, sum or product leave the float range
         with pytest.raises(DomainError, match="not a finite float"):
@@ -253,7 +276,7 @@ class TestDrivingSpec:
 class TestCertificate:
     def _spec(self, g2_amp=0.1):
         g1 = DrivingField(SpatialProfile("single_site", amplitude=0.6),
-                          PeriodicLaw(period=3.0, amplitude=-0.5))
+                          CosineLaw.periodic(period=3.0, amplitude=-0.5))
         g2 = DrivingField(SpatialProfile("single_site", amplitude=g2_amp))
         return DrivingSpec(g1=g1, g2=g2)
 

@@ -53,8 +53,11 @@ def test_commands_import_nothing_on_first_use(tmp_path):
             ("continuity", CONFIGS / "absorbing.json"),
             ("breather", CONFIGS / "breather.json"),
             ("dimension", dim_path)]
-    argvs = [[cmd, "--config", str(cfg), "--json", str(tmp_path / f"{cmd}.json"),
-              "--out", str(tmp_path / f"{cmd}.csv")] for cmd, cfg in runs]
+    # --out where the command writes a CSV; the others refuse it
+    argvs = [[cmd, "--config", str(cfg), "--json", str(tmp_path / f"{cmd}.json")]
+             + (["--out", str(tmp_path / f"{cmd}.csv")]
+                if cmd in ("simulate", "breather", "dimension") else [])
+             for cmd, cfg in runs]
     result = _probe(argvs)
     assert result["codes"] == [0] * len(runs)
     assert result["at_import"] == [] and result["later"] == []

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnls import (ConstantLaw, DrivingField, DrivingSpec, IntegratorConfig,
-                  LatticeState, ModelParams, NonlinearitySpec, PeriodicLaw,
-                  SpatialProfile, integrate, load_config, monitor_dissipation)
+from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
+                  LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
+                  integrate, load_config, monitor_dissipation)
 from dnls import integrator
 from dnls.diagnostics import predict_absorbing
 from dnls.driving import translate
@@ -45,7 +45,7 @@ def _affine_setup(g=0.3 + 0.4j, gamma=1.5, n_sites=16):
     point psi* = -i*g/gamma and explicit exponential relaxation."""
     params = ModelParams(kappa=0.0, gamma=gamma)
     profile = SpatialProfile("custom", values=(g,), start=0)
-    spec = DrivingSpec(g1=DrivingField(profile, ConstantLaw(1.0)))
+    spec = DrivingSpec(g1=DrivingField(profile, CosineLaw.constant(1.0)))
 
     def exact(t, psi0):
         fp = -1j * g / gamma
@@ -164,7 +164,7 @@ class TestOracles:
         params, spec, exact = _dft_setup()
         psi0 = random_state(64, 1, norm=1.0, bc="periodic",
                             localized=False).values
-        f = make_rhs(params, spec.sampler(64), 64, "periodic")
+        f = make_rhs(params, spec.sampler(64), "periodic")
         end, mid = [], []
         for h in (0.1, 0.05, 0.025):
             kernel = _Tsit5(f, psi0, 0.0)
@@ -206,6 +206,24 @@ class TestIntegrate:
         assert traj.tails is not None and traj.tail_cutoff == 4
         assert np.all(traj.tails >= 0)
 
+    def test_tail_series_is_the_direct_sum(self):
+        # each sample's tail against sum_{|n|>m} |psi_n|^2 of its state
+        params, spec, _ = _dft_setup(n_sites=16)
+        psi0 = random_state(16, 3, bc="periodic", localized=False)
+        for m in range(8):
+            traj = integrate(psi0, 0.0, 0.3, params, spec, tail_cutoff=m)
+            for v, tail in zip(traj.values, traj.tails):
+                direct = sum(abs(z) ** 2 for i, z in enumerate(v)
+                             if abs(i - 8) > m)
+                assert tail == pytest.approx(direct, rel=1e-13), m
+
+    @pytest.mark.parametrize("m", [8, -1])
+    def test_tail_cutoff_out_of_range(self, m):
+        params, spec, _ = _affine_setup()
+        with pytest.raises(DomainError, match="out of range"):
+            integrate(random_state(16, 3), 0.0, 1.0, params, spec,
+                      tail_cutoff=m)
+
     def test_step_counts(self):
         params, spec, _ = _dft_setup()
         psi0 = random_state(64, 0, bc="periodic")
@@ -241,7 +259,7 @@ class TestIntegrate:
     def test_attempt_allocates_nothing(self):
         cfg = load_config(CONFIGS / "simulate.json")
         psi0 = random_state(4096, 0, norm=2.0)
-        f = make_rhs(cfg.model, cfg.driving.sampler(4096), 4096, cfg.bc)
+        f = make_rhs(cfg.model, cfg.driving.sampler(4096), cfg.bc)
         kernel = _Tsit5(f, psi0.values, 0.0)
         kernel.attempt(0.0, 1e-3, cfg.integrator)
         tracemalloc.start()
@@ -259,7 +277,7 @@ class TestIntegrate:
         # next; both must be what a kernel built at that state computes
         cfg = load_config(CONFIGS / "dimension.json")
         ic = cfg.integrator
-        f = make_rhs(cfg.model, cfg.driving.sampler(64), 64, cfg.bc)
+        f = make_rhs(cfg.model, cfg.driving.sampler(64), cfg.bc)
         kernel = _Tsit5(f, random_state(64, 0, norm=2.0).values, 0.0)
 
         def attempt_matches_fresh(t, h):
@@ -363,9 +381,9 @@ class TestBatch:
         states = [np.zeros(32, dtype=complex),
                   random_state(32, 1, norm=0.1).values,
                   random_state(32, 2, norm=3.0).values]
-        one = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc,
+        one = make_rhs(cfg.model, cfg.driving.sampler(32), cfg.bc,
                        shifts=(0.0,))
-        batch = make_rhs(cfg.model, cfg.driving.sampler(32), 32, cfg.bc,
+        batch = make_rhs(cfg.model, cfg.driving.sampler(32), cfg.bc,
                          shifts=(0.0,) * len(states))
         alone = [kernel_cls(one, y[:, None], 0.0).attempt(0.0, 0.05,
                                                           cfg.integrator)
@@ -452,9 +470,9 @@ class TestDissipationMonitor:
         g1 = DrivingField(
             SpatialProfile("exponential", rate=1.0,
                            amplitude=1.0 / math.sqrt(1.0 / math.tanh(1.0))),
-            PeriodicLaw(period=2 * math.pi))
+            CosineLaw.periodic(period=2 * math.pi))
         g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
-                          ConstantLaw(1.0))
+                          CosineLaw.constant(1.0))
         spec = DrivingSpec(g1=g1, g2=g2)
         params = ModelParams(kappa=1.0, gamma=2.0,
                              nonlinearity=NonlinearitySpec.cubic())
