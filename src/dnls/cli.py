@@ -37,6 +37,9 @@ _Outcome = tuple[bool, dict, str | None]
 
 
 def _initial_state(cfg: ScenarioConfig, init, seed_override=None) -> LatticeState:
+    if seed_override is not None and init.kind != "random":
+        raise DomainError(f"--seed needs a random initial state, but "
+                          f"scenario.initial.kind is {init.kind!r}")
     if init.kind == "zero":
         return LatticeState.zeros(cfg.n_sites, cfg.bc)
     if init.kind == "random":
@@ -124,7 +127,8 @@ def _cmd_tail(cfg: ScenarioConfig, sc, args) -> _Outcome:
 def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
     report = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
                                  horizon=sc.horizon,
-                                 n_sites=cfg.n_sites, config=cfg.integrator)
+                                 n_sites=cfg.n_sites, config=cfg.integrator,
+                                 bc=cfg.bc)
     return report.pass_, {
         "fitted_rate": report.fitted_rate,
         "predicted_rate": report.predicted_rate,
@@ -161,7 +165,8 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
     _, points = dg.poincare_points(cfg.model, cfg.driving,
                                    n_points=sc.n_points,
                                    section_period=period, n_sites=cfg.n_sites,
-                                   seed=_seed(sc, args), config=cfg.integrator)
+                                   seed=_seed(sc, args), config=cfg.integrator,
+                                   bc=cfg.bc)
     # the points carry the integrator's error, about rtol*||psi|| each
     resolution = 10 * cfg.integrator.rtol * float(
         np.max(np.linalg.norm(points, axis=1)))

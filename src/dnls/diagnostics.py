@@ -18,7 +18,7 @@ from . import driving as drv
 from .driving import DrivingSpec
 from .errors import DomainError, TruncationTooSmallError
 from .integrator import IntegratorConfig, Trajectory, _gronwall, integrate
-from .lattice import LatticeState, ModelParams, norm_sq, random_state
+from .lattice import DIRICHLET, LatticeState, ModelParams, norm_sq, random_state
 
 
 def line_fit(x, y):
@@ -187,11 +187,12 @@ class ContractionReport:
 
 def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
                      horizon: float, n_sites: int = 256,
-                     config: IntegratorConfig = IntegratorConfig()
-                     ) -> ContractionReport:
+                     config: IntegratorConfig = IntegratorConfig(),
+                     bc: str = DIRICHLET) -> ContractionReport:
     """Integrate two trajectories seeded inside the absorbing ball and fit
-    the decay rate of their distance.  Pass iff the fitted decay is at
-    least 95% of the predicted rate, the gap rate at R = K."""
+    the decay rate of their distance, taken as the second is sampled
+    against the stored first.  Pass iff the fitted decay is at least 95%
+    of the predicted rate, the gap rate at R = K."""
     s0, s1 = seeds
     if s0 == s1:
         raise DomainError("seeds must differ (degenerate fit)")
@@ -203,12 +204,11 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
             f"damping too weak for contraction: gamma - a*K^b - sup||g2|| "
             f"= {predicted:.6g} <= 0")
     r_init = 0.9 * radius if radius > 0 else 0.5
-    psi0 = random_state(n_sites, s0, norm=r_init)
-    phi0 = random_state(n_sites, s1, norm=r_init)
+    psi0 = random_state(n_sites, s0, norm=r_init, bc=bc)
+    phi0 = random_state(n_sites, s1, norm=r_init, bc=bc)
     tp = integrate(psi0, 0.0, horizon, params, spec, config)
-    tq = integrate(phi0, 0.0, horizon, params, spec, config)
-    dist = np.array([math.sqrt(norm_sq(tp.values[i] - tq.values[i]))
-                     for i in range(tp.n_samples)])
+    dist = integrate(phi0, 0.0, horizon, params, spec, config,
+                     keep_states=False, reference=tp).gaps
     # skip transients (first 20% of the window) and anything at noise level
     floor = 1e3 * config.rtol * max(1.0, radius)
     mask = (dist > floor) & (np.arange(dist.size) >= int(0.2 * dist.size))
@@ -252,18 +252,18 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     ``NonlinearitySpec`` forces b = 2 sigma and a >= sigma + 1/2, for every
     sigma (a user-set (a, b) is not checked).  So the bound is the recursion
     b_{i+1} = _gronwall(b_i, gap_rate(Rbar_i), dg1 + Rbar_i*dg2, dt_i) from
-    b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i)."""
-    ta = integrate(theta_n, 0.0, horizon, params, drv.translate(spec, h),
-                   config)
+    b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i).  Only
+    psi_b's states are stored: w is taken as psi_a is sampled."""
     tb = integrate(theta, 0.0, horizon, params, spec, config)
-    gap = np.array([math.sqrt(norm_sq(ta.values[i] - tb.values[i]))
-                    for i in range(ta.n_samples)])
+    ta = integrate(theta_n, 0.0, horizon, params, drv.translate(spec, h),
+                   config, keep_states=False, reference=tb)
+    gap = ta.gaps
     cert = drv.certificate(params, spec)
     env = _gronwall(max(ta.norms[0], tb.norms[0]), cert.gamma - cert.g2_sup,
                     cert.g1_sup, ta.times)
     r_bar = np.maximum(env[:-1], env[1:])
     rates = cert.gap_rate(r_bar)
-    dg1, dg2 = _driving_gap(spec, h, ta.values.shape[1])
+    dg1, dg2 = _driving_gap(spec, h, theta.n_sites)
     bound = [gap[0]]
     for rate, force, dt in zip(rates, dg1 + r_bar * dg2, np.diff(ta.times)):
         bound.append(float(_gronwall(bound[-1], rate, force, dt)))
@@ -383,8 +383,8 @@ def _quantile(x: np.ndarray, q: float) -> float:
 
 def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
                     section_period: float, n_sites: int = 64,
-                    seed: int = 0, config: IntegratorConfig | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    seed: int = 0, config: IntegratorConfig | None = None,
+                    bc: str = DIRICHLET) -> tuple[np.ndarray, np.ndarray]:
     """Stroboscopic section of the driven dynamics: the states at the
     multiples of ``section_period`` T from the first one past a burn-in of
     T(1) + 20/Gamma, by when the trajectory has settled into the absorbing
@@ -407,7 +407,8 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
                      - 1e-9)  # in periods
     members, chunk = _section_batch(n_points, burn, n_sites)
     shifts = [b * chunk * section_period for b in range(members)]
-    psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred.radius, 0.1)))
+    psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred.radius, 0.1)),
+                        bc=bc)
     traj = integrate(psi0, 0.0, (burn + chunk - 1) * section_period, params,
                      spec, config, shifts=shifts)
     # sample burn + k of member b is point b*chunk + k: member-major order

@@ -150,9 +150,12 @@ class SpatialProfile:
 # ---------------------------------------------------------------------------
 # temporal laws
 
+def _is_near(ratio: float, approx: float) -> bool:
+    return abs(ratio - approx) <= 16 * _EPS * max(1.0, abs(ratio))
+
+
 def _is_commensurate(ratio: float) -> bool:
-    approx = Fraction(ratio).limit_denominator(10 ** 6)
-    return abs(ratio - float(approx)) <= 16 * _EPS * max(1.0, abs(ratio))
+    return _is_near(ratio, float(Fraction(ratio).limit_denominator(10 ** 6)))
 
 
 def check_rationally_independent(frequencies) -> None:
@@ -315,12 +318,18 @@ class DrivingSpec:
     def period(self) -> float | None:
         """Common driving period: None if a law has none (``aperiodic``),
         or if every law is constant, since constant laws are compatible
-        with any period."""
+        with any period.  Of two periods one must be an integer multiple
+        of the other (to the tolerance of ``_is_commensurate``), and the
+        longer is the common one."""
         periods = [f.law.period for f in (self.g1, self.g2) if f.law.period is not None]
         if not periods or math.inf in periods:
             return None
         if len(periods) == 2 and not math.isclose(periods[0], periods[1], rel_tol=1e-12):
-            raise DomainError("g1 and g2 have different periods")
+            short, long = sorted(periods)
+            if not _is_near(long / short, round(long / short)):
+                raise DomainError(f"g1 and g2 have different periods {periods[0]:g} "
+                                  f"and {periods[1]:g}, neither a multiple of the other")
+            return long
         return periods[0]
 
 

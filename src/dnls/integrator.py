@@ -83,7 +83,8 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: times, raw state values, norm series."""
+    """Sampled solution: times, raw state values, norm series, and with a
+    reference its distance from it (``integrate``)."""
 
     times: np.ndarray
     values: np.ndarray  # (n_samples, [B,] n_sites) complex; no samples if not kept
@@ -92,6 +93,7 @@ class Trajectory:
     config: IntegratorConfig
     tail_cutoff: int | None = None
     tails: np.ndarray | None = None
+    gaps: np.ndarray | None = None
 
     @property
     def n_samples(self) -> int:
@@ -116,13 +118,15 @@ class _Tsit5:
     def __init__(self, f, y: np.ndarray, t: float):
         self.f = f
         self.S = S = np.empty((8, y.size), dtype=np.complex128)
-        self.Y = Y = np.empty((7, y.size), dtype=np.complex128)  # stage points
+        # stage points: stages 1-5 share row 0, each dead once f has read
+        # it; row 1 keeps stage 6, the 5th-order solution, for ``accept``
+        self.Y = Y = np.empty((2, y.size), dtype=np.complex128)
         M = np.ones((8, 8))  # column 0 stays 1, the weight of y; then h*A, h*E
         self._hAE = M[:, 1:]
         Sr, Yr = S.view(np.float64), Y.view(np.float64)
-        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i], Y[i], S[i + 1])
-                        for i in range(1, 7)]
-        self._hE, self._y_new_r, self._Kr = M[7, 1:], Yr[6], Sr[1:]
+        self._stages = [(_C[i], M[i, :i + 1], Sr[:i + 1], Yr[i // 6], Y[i // 6],
+                         S[i + 1]) for i in range(1, 7)]
+        self._hE, self._y_new_r, self._Kr = M[7, 1:], Yr[1], Sr[1:]
         self._err, self._scale, self._tmp, self._abs_y = np.empty((4, 2 * y.size))
         # the error by member and site, and the members' sums of squares
         n_sites = len(y)
@@ -135,7 +139,7 @@ class _Tsit5:
 
     def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
         """Stages of a step of size h from (t, S[0]); leaves the 5th-order
-        solution in Y[6] and returns the weighted RMS error norm."""
+        solution in Y[1] and returns the weighted RMS error norm."""
         multiply, dot = np.multiply, np.dot
         multiply(h, _AE, self._hAE)
         f = self.f
@@ -154,7 +158,7 @@ class _Tsit5:
         return math.sqrt(max(self._sq_re.tolist()) / self._n_err)
 
     def accept(self) -> None:
-        self.S[0] = self.Y[6]
+        self.S[0] = self.Y[1]
         self.S[1] = self.S[7]  # FSAL
         self._abs_y, self._tmp = self._tmp, self._abs_y  # |y_new| of the step
 
@@ -188,7 +192,8 @@ def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
               driving: DrivingSpec, config: IntegratorConfig = IntegratorConfig(),
               tail_cutoff: int | None = None,
-              keep_states: bool = True, shifts=None) -> Trajectory:
+              keep_states: bool = True, shifts=None,
+              reference: Trajectory | None = None) -> Trajectory:
     """Integrate from t0 to t1, sampling at t0 + k*``config.sample_stride``
     (plus the endpoint) from the continuous extension of each step.
 
@@ -196,10 +201,17 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     ``keep_states`` the sample states are dropped once reduced, so memory
     stays O(N) over any horizon and ``values`` has no samples.
 
+    With a ``reference``, a trajectory with stored states at the same
+    sample times and of the same shape, ``gaps`` holds
+    ||psi(t_i) - reference.values[i]|| at each sample, reduced by
+    ``norm_sq`` like the norms: a distance between two solutions needs
+    only one of them stored.
+
     With ``shifts`` (hull shifts h_0 .. h_{B-1}) one call steps B members
     side by side, each from ``state`` and driven by ``translate(driving,
     h_b)``: ``values`` is then (n_samples, B, N) and the norm and tail
-    series (n_samples, B).  The members share the steps (see ``_Tsit5``)
+    series (n_samples, B), ``gaps`` that of each member from the
+    reference's member b.  The members share the steps (see ``_Tsit5``)
     and ``stats`` counts them once.  Without ``shifts`` the state is a
     batch of one with h_0 = 0, returned without the member axis: ``values``
     is (n_samples, N) and the series (n_samples,)."""
@@ -221,6 +233,18 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     values = np.empty((n if keep_states else 0, size), dtype=np.complex128)
     scratch = None if keep_states else np.empty(size, dtype=np.complex128)
     y0 = np.repeat(state.values, members).reshape(n_sites, members)
+    gaps = None
+    if reference is not None:
+        if not np.array_equal(reference.times, times):
+            raise DomainError("reference trajectory has other sample times")
+        shape = reference.values.shape
+        if reference.values.size != n * size or shape[-1] != n_sites:
+            raise DomainError(f"reference states have shape {shape}, need "
+                              f"{n} stored samples of {members} x {n_sites}")
+        # the reference's rows in the kernel's layout, and w = psi - ref
+        ref = reference.values.reshape(n, -1, n_sites).transpose(0, 2, 1)
+        w = np.empty((n_sites, members), dtype=np.complex128)
+        gaps = np.empty((n, members))
 
     def slot(i: int, src: np.ndarray | None = None) -> np.ndarray:
         """Where sample i goes, filled from ``src`` if given."""
@@ -235,6 +259,10 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
         if tails is not None:
             lo, hi = u[:, :c - tail_cutoff], u[:, c + tail_cutoff + 1:]
             tails[i] = (np.vecdot(lo, lo) + np.vecdot(hi, hi)).real
+        if gaps is not None:
+            np.subtract(v.reshape(n_sites, members), ref[i], out=w)
+            for b in range(members):
+                gaps[i, b] = math.sqrt(norm_sq(w[:, b]))
 
     f = make_rhs(params, driving.sampler(n_sites), bc, shifts=hull)
     stats = StepStats()
@@ -270,7 +298,8 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     values = values.reshape(-1, n_sites, members).transpose(0, 2, 1)
     return Trajectory(times=times, values=values[:, one], norms=norms[:, one],
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
-                      tails=None if tails is None else tails[:, one])
+                      tails=None if tails is None else tails[:, one],
+                      gaps=None if gaps is None else gaps[:, one])
 
 
 # ---------------------------------------------------------------------------

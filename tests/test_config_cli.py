@@ -523,6 +523,36 @@ class TestCli:
             texts.append(out.read_text())
         assert texts[0] != texts[1]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+    @pytest.mark.parametrize("initial", [
+        {"kind": "zero"}, {"kind": "values", "values": [0.1] * 32}])
+    def test_seed_flag_needs_a_random_initial_state(self, tmp_path, capsys,
+                                                    command, initial):
+        cfg = _sample_config()
+        cfg["scenario"]["initial"] = initial
+        assert cli.main([command, "--config", _write(tmp_path, cfg),
+                         "--seed", "1"]) == cli.EXIT_CONFIG
+        assert "scenario.initial.kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, scenario", [
+        ("contraction", "absorbing.json", {}),
+        ("dimension", "dimension.json", {"n_points": 150})])
+    def test_boundary_condition_reaches_the_states(self, tmp_path, command,
+                                                   name, scenario):
+        # on a small lattice the ends of the states matter: the periodic
+        # and Dirichlet reports differ
+        reports = []
+        for bc in ("dirichlet", "periodic"):
+            data = json.loads((CONFIGS / name).read_text())
+            data["lattice"] = {"n_sites": 16, "bc": bc}
+            data["scenario"].update(scenario)
+            report = tmp_path / f"{bc}.json"
+            assert cli.main([command, "--config",
+                             _write(tmp_path, data, f"cfg_{bc}.json"),
+                             "--json", str(report)]) == cli.EXIT_PASS
+            reports.append(report.read_bytes())
+        assert reports[0] != reports[1]
+
     # values the schema takes that no run can use: a g1 amplitude whose
     # entry time overflows, one whose absorbing radius K = 1.08e-10 lies
     # below 4*atol*sqrt(N) (||psi|| stalls near atol*sqrt(N) = 1.6e-10),
@@ -716,6 +746,23 @@ class TestCli:
         assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: driving.g2.law is a harmonic sum")
+
+    @pytest.mark.parametrize("ratio, code", [(2, cli.EXIT_PASS),
+                                             (1.5, cli.EXIT_CONFIG)])
+    def test_breather_on_commensurate_periods(self, tmp_path, capsys, ratio,
+                                              code):
+        # g2 of period 2*pi/ratio: at an integer ratio the driving keeps
+        # g1's period 2*pi, at 1.5 it has none that both laws share
+        cfg = _edited(tmp_path, "breather.json", ("driving", "g2"), {
+            "profile": {"kind": "single_site", "amplitude": 0.01},
+            "law": {"kind": "periodic", "period": 2 * math.pi / ratio}})
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config", cfg,
+                         "--json", str(report)]) == code
+        if code == cli.EXIT_PASS:
+            assert json.loads(report.read_text())["period"] == 2 * math.pi
+        else:
+            assert "different periods" in capsys.readouterr().err
 
     def test_breather_zero_seed_keeps_the_boundary_condition(self, tmp_path):
         # the null seed solves the periodic problem, as seeds 1 and 2 do

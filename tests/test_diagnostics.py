@@ -21,7 +21,7 @@ from dnls.diagnostics import (_driving_gap, _quantile, _theiler_distances,
                               line_fit)
 from dnls.errors import (DampingTooWeakError, DomainError,
                          TruncationTooSmallError)
-from dnls.lattice import random_state
+from dnls.lattice import norm_sq, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -205,6 +205,40 @@ class TestContinuity:
         assert report.ok and report.gap[0] == pytest.approx(1e-3, rel=1e-10)
         with pytest.raises(DampingTooWeakError):
             predict_absorbing(params, spec, r=0.5)
+
+
+class TestPairReports:
+    """The pair checks store one trajectory and reduce the other against
+    it; their reports equal those from both trajectories stored and the
+    distances taken in a loop over the samples."""
+
+    @pytest.mark.parametrize("command", ["contraction", "continuity"])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_equal_those_of_two_stored_runs(self, tmp_path, monkeypatch,
+                                            command, bc):
+        data = json.loads((CONFIGS / "absorbing.json").read_text())
+        data["lattice"]["bc"] = bc
+        path = tmp_path / "absorbing.json"
+        path.write_text(json.dumps(data))
+
+        def report(name):
+            out = tmp_path / name
+            assert cli.main([command, "--config", str(path),
+                             "--json", str(out)]) == cli.EXIT_PASS
+            return out.read_bytes()
+
+        reduced = report("reduced.json")
+        real = dg.integrate
+
+        def stored(*args, reference=None, keep_states=True, **kwargs):
+            traj = real(*args, **kwargs)
+            if reference is not None:
+                traj.gaps = np.array([
+                    math.sqrt(norm_sq(traj.values[i] - reference.values[i]))
+                    for i in range(traj.n_samples)])
+            return traj
+        monkeypatch.setattr(dg, "integrate", stored)
+        assert report("stored.json") == reduced
 
 
 class TestContinuityBound:

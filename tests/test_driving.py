@@ -221,11 +221,16 @@ class TestDrivingSpec:
         assert spec.period == pytest.approx(2 * math.pi)
         const = DrivingSpec(g1=DrivingField(SpatialProfile.zero()))
         assert const.period is None
-        clash = DrivingSpec(
-            g1=DrivingField(SpatialProfile.zero(), CosineLaw.periodic(period=1.0)),
-            g2=DrivingField(SpatialProfile.zero(), CosineLaw.periodic(period=2.0)))
-        with pytest.raises(DomainError):
-            clash.period
+        def both(p1, p2):
+            return DrivingSpec(*(DrivingField(SpatialProfile.zero(),
+                                              CosineLaw.periodic(period=p))
+                                 for p in (p1, p2)))
+        # a period that is an integer multiple of the other is the common one
+        assert both(1.0, 2.0).period == both(2.0, 1.0).period == 2.0
+        assert both(2 * math.pi, math.pi).period == 2 * math.pi
+        assert both(0.1, 0.3).period == 0.3
+        with pytest.raises(DomainError, match="different periods"):
+            both(1.0, 1.5).period
         # a harmonic sum has no period, which no other law can supply
         mixed = replace(spec, g2=DrivingField(
             SpatialProfile.zero(),

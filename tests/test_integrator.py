@@ -21,7 +21,7 @@ from dnls.driving import translate
 from dnls.errors import DomainError, StiffnessError
 from dnls.integrator import (ORACLE_CONFIG, _A, _AE, _C, _P, _gronwall,
                              _sample_times, _Tsit5)
-from dnls.lattice import make_rhs, random_state
+from dnls.lattice import make_rhs, norm_sq, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -169,7 +169,7 @@ class TestOracles:
         for h in (0.1, 0.05, 0.025):
             kernel = _Tsit5(f, psi0, 0.0)
             kernel.attempt(0.0, h, ORACLE_CONFIG)
-            end.append(np.linalg.norm(kernel.Y[6] - exact(h, psi0)))
+            end.append(np.linalg.norm(kernel.Y[1] - exact(h, psi0)))
             out = kernel.sample(0.5, h, np.empty(64, dtype=np.complex128))
             mid.append(np.linalg.norm(out - exact(h / 2, psi0)))
         assert end[0] > 40 * end[1] and end[1] > 40 * end[2]
@@ -284,7 +284,7 @@ class TestIntegrate:
             fresh = _Tsit5(f, kernel.S[0].copy(), t)
             err = kernel.attempt(t, h, ic)
             assert err == fresh.attempt(t, h, ic)
-            assert kernel.Y[6].tobytes() == fresh.Y[6].tobytes()
+            assert kernel.Y[1].tobytes() == fresh.Y[1].tobytes()
             return err
 
         assert attempt_matches_fresh(0.0, 0.5) > 1.0  # rejected
@@ -402,6 +402,52 @@ class TestBatch:
         together, alone = self._error_norms(
             _mutated_kernel("max(self._sq_re.tolist())", "self._sq_re.mean()"))
         assert together != pytest.approx(max(alone), rel=1e-9)
+
+
+class TestReference:
+    """Distances from a stored trajectory, taken as the samples are made."""
+
+    @pytest.mark.parametrize("name", ["simulate.json", "absorbing.json"])
+    def test_gaps_are_the_stored_difference_bit_for_bit(self, name):
+        psi0, t1, cfg = _bundled_run(name)
+        phi0 = random_state(cfg.n_sites, 7, norm=1.0)
+        ref = integrate(psi0, 0.0, t1, cfg.model, cfg.driving, cfg.integrator)
+        kept, lean = (integrate(phi0, 0.0, t1, cfg.model, cfg.driving,
+                                cfg.integrator, keep_states=keep,
+                                reference=ref)
+                      for keep in (True, False))
+        loop = np.array([math.sqrt(norm_sq(ref.values[i] - kept.values[i]))
+                         for i in range(ref.n_samples)])
+        assert loop.tobytes() == kept.gaps.tobytes() == lean.gaps.tobytes()
+        assert ref.gaps is None
+
+    def test_batch_gaps_are_the_members(self):
+        cfg = load_config(CONFIGS / "dimension.json")
+        shifts = (0.0, 0.3, -2.0)
+        ref = integrate(random_state(16, 0, norm=1.0), 0.0, 2.0, cfg.model,
+                        cfg.driving, cfg.integrator, shifts=shifts)
+        run = integrate(random_state(16, 1, norm=1.0), 0.0, 2.0, cfg.model,
+                        cfg.driving, cfg.integrator, shifts=shifts,
+                        reference=ref)
+        assert run.gaps.shape == (run.n_samples, 3)
+        for i in range(run.n_samples):
+            for b in range(3):
+                assert run.gaps[i, b] == math.sqrt(
+                    norm_sq(run.values[i, b] - ref.values[i, b]))
+
+    @pytest.mark.parametrize("change", [
+        {"t1": 1.5}, {"stride": 0.2}, {"n_sites": 32}, {"keep_states": False},
+        {"shifts": (0.0, 1.0)}])
+    def test_refuses_other_times_or_sizes(self, change):
+        cfg = load_config(CONFIGS / "dimension.json")
+
+        def run(t1=1.0, stride=0.1, n_sites=16, **kwargs):
+            ic = dataclasses.replace(cfg.integrator, sample_stride=stride)
+            return integrate(random_state(n_sites, 0, norm=1.0), 0.0, t1,
+                             cfg.model, cfg.driving, ic, **kwargs)
+
+        with pytest.raises(DomainError, match="reference"):
+            run(reference=run(**change))
 
 
 class TestStreaming:
