@@ -17,7 +17,9 @@ maps it makes; and the stroboscopic section of ``dnls dimension``:
 ``poincare_points`` on dimension.json's model at N = 64 for 150 and
 2,000 points, with the members B of the batch it steps, and one step
 attempt of a batch of B members at N = 64 per member (a member-step),
-for B = 1 and each B the section picks.
+for B = 1 and each B the section picks; and pair counting:
+``correlation_dimension`` on each section's points at dimension.json's
+Theiler window (the pair distances, their counts and the fit).
 
 Each figure is the median over ``REPEATS`` timed blocks (``SECTION_REPEATS``
 for the sections) of the perf_counter time per call.  The result is
@@ -71,7 +73,8 @@ SECTION_POINTS = (150, 2000)
 SECTION_SITES = 64
 SECTION_REPEATS = 3
 UNITS = {"rhs_us": 1e6, "attempt_us": 1e6, "unit_time_us": 1e6,
-         "solve_ms": 1e3, "member_step_us": 1e6, "section_s": 1.0}
+         "solve_ms": 1e3, "member_step_us": 1e6, "section_s": 1.0,
+         "pair_count_ms": 1e3}
 
 
 def _per_call_s(fn, number: int) -> float:
@@ -96,7 +99,8 @@ def _breather_solve():
 
 def _sections(cfg):
     """Each section on ``cfg``'s model as a callable, with the members of
-    the batch that its ``poincare_points`` call steps (1 for one orbit)."""
+    the batch that its ``poincare_points`` call steps (1 for one orbit) and
+    the points it returns."""
     members = []
     integrate_ = dg.integrate
 
@@ -111,10 +115,10 @@ def _sections(cfg):
                                 SECTION_SITES, config=cfg.integrator)
         dg.integrate = spy
         try:
-            run()
+            _, cloud = run()
         finally:
             dg.integrate = integrate_
-        sections[points] = (run, members[-1])
+        sections[points] = (run, members[-1], cloud)
     return sections
 
 
@@ -162,10 +166,14 @@ def measure() -> dict:
     cases.append(("breather", "solve_ms", BREATHER_SITES, solve, 1))
     cfg = load_config(CONFIGS["dimension"])
     sections = _sections(cfg)
-    for members in sorted({1} | {b for _, b in sections.values()}):
+    for members in sorted({1} | {b for _, b, _ in sections.values()}):
         # keyed by B; per member below
         cases.append(("dimension", "member_step_us", members,
                       _member_step(cfg, members), 100))
+    for points, (*_, cloud) in sections.items():
+        cases.append(("dimension", "pair_count_ms", points, functools.partial(
+            dg.correlation_dimension, cloud,
+            theiler_window=cfg.scenario["theiler_window"]), 1))
     for *_, fn, _ in cases:
         fn()
     # each repeat times every case once, so a drift in machine speed over
@@ -177,14 +185,14 @@ def measure() -> dict:
     for points in SECTION_POINTS:
         samples["dimension", "section_s", points] = []
     for _ in range(SECTION_REPEATS):
-        for points, (run, _) in sections.items():
+        for points, (run, *_) in sections.items():
             samples["dimension", "section_s", points].append(
                 _per_call_s(run, 1))
     result = {"breather": {"maps_per_solve": maps}}
     for model, run in runs.items():
         result[model] = {"integration_run": run}
     result["dimension"]["section_members"] = {
-        str(points): members for points, (_, members) in sections.items()}
+        str(points): members for points, (_, members, _) in sections.items()}
     for (model, entry, n), s in samples.items():
         value = UNITS[entry] * statistics.median(s)
         if entry == "unit_time_us":  # per unit of simulated time
@@ -217,8 +225,9 @@ def main(argv=None) -> int:
                 "of integration per unit of simulated time, with the step "
                 "attempts and RHS calls of that run; of one breather "
                 "solve with its period maps; of a member-step (a batch's step "
-                "attempt per member) at N = 64 by batch size B; and of the "
-                "poincare_points section by points, with its B",
+                "attempt per member) at N = 64 by batch size B; of the "
+                "poincare_points section by points, with its B; and of "
+                "correlation_dimension on each section's points",
         "configs": {m: str(p.relative_to(ROOT))
                     for m, p in {**CONFIGS, "breather": BREATHER}.items()},
         "columns": {},
@@ -248,6 +257,9 @@ def main(argv=None) -> int:
     for points, sec in dim["section_s"].items():
         print(f"{args.column:>8} dimension  section_s  {points} points: "
               f"{sec:8.3f}  (B={dim['section_members'][points]})")
+    for points, ms in dim["pair_count_ms"].items():
+        print(f"{args.column:>8} dimension pair_count_ms {points} points: "
+              f"{ms:8.2f}")
     return 0
 
 

@@ -14,9 +14,7 @@ from .diagnostics import (AbsorbingPrediction, ContractionReport,
                           verify_absorbing, verify_tail)
 from .driving import (Certificate, CosineLaw, DrivingField, DrivingSpec,
                       SpatialProfile, certificate, translate)
-from .errors import (DampingTooWeakError, DomainError, NonconvergenceError,
-                     StiffnessError, StrongDampingError,
-                     TruncationTooSmallError)
+from .errors import DomainError, NonconvergenceError, StiffnessError
 from .integrator import (IntegratorConfig, Trajectory, integrate,
                          monitor_dissipation)
 from .lattice import (LatticeState, ModelParams, NonlinearitySpec, l2_norm,

@@ -16,7 +16,7 @@ import numpy as np
 from . import driving as drv
 from .diagnostics import line_fit
 from .driving import DrivingSpec
-from .errors import DomainError, NonconvergenceError, StrongDampingError
+from .errors import DomainError, NonconvergenceError
 from .integrator import ORACLE_CONFIG, IntegratorConfig, integrate
 from .lattice import LatticeState, ModelParams, l2_norm, norm_sq
 
@@ -57,9 +57,10 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     is the first whose residual ||P(psi) - psi|| is at most ``tol``, so a
     solve makes ``iterations + 1`` maps.
 
-    Refuses to run unless the strong-damping inequality holds and the seed
-    lies in the R_u-ball (which the flow keeps), since only then is the
-    iteration certified to contract (and the orbit unique).
+    Refuses a driving with no period first, then runs only if the
+    strong-damping inequality holds and the seed lies in the R_u-ball
+    (which the flow keeps), since only then is the iteration certified to
+    contract (and the orbit unique).
 
     ``gap_rate`` is the certified rate rho = ``gap_rate(R_u)`` at which two
     solutions in the R_u-ball approach.  ``ratios`` holds each quotient d_{k+1}/d_k of consecutive residuals
@@ -67,24 +68,26 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     = 100*atol*sqrt(N), the round-off level of a map at tolerance atol: a
     residual below it measures the integrator, not the contraction.
     """
+    if spec.aperiodic:
+        raise DomainError(f"{spec.aperiodic[0][0]} is a harmonic sum, which "
+                          f"has no period: breather needs periodic or "
+                          f"constant laws")
+    if period is None:
+        period = spec.period
+        if period is None:
+            raise DomainError("driving is not periodic: breather needs a "
+                              "periodic law (kind \"periodic\") in "
+                              "driving.g1.law or driving.g2.law")
+    elif spec.period is not None:
+        raise DomainError(f"the driving has period {spec.period:.6g}; an "
+                          f"explicit period is for a constant driving only")
     cert = drv.certificate(params, spec).dissipative()
     r_u = cert.breather_radius
     gap = cert.gap_rate(r_u)
     if not gap > 0:
-        raise StrongDampingError(
+        raise DomainError(
             f"uniqueness not guaranteed: gamma={cert.gamma:.6g} <= "
             f"a*R_u^b + sup||g2|| = {cert.gamma - gap:.6g}")
-    if spec.aperiodic:
-        raise DomainError(f"{spec.aperiodic[0][0]} is a harmonic sum, which "
-                          f"has no period")
-    if period is None:
-        period = spec.period
-        if period is None:
-            raise DomainError("driving is not periodic; pass the period "
-                              "explicitly")
-    elif spec.period is not None:
-        raise DomainError(f"the driving has period {spec.period:.6g}; an "
-                          f"explicit period is for a constant driving only")
     if l2_norm(seed) > r_u * (1 + 1e-9):
         raise DomainError(
             f"seed norm {l2_norm(seed):.6g} outside the certified ball of "
@@ -146,10 +149,7 @@ def _localization_fit(state: LatticeState) -> tuple[float | None,
 class BreatherReport:
     ok: bool
     max_phase_residual: float
-    tolerance: float
     envelope_monotone: bool
-    localization_r2: float | None
-    localization_rate: float | None
     certified_ratio: float
     ratio_margin: float
 
@@ -185,10 +185,8 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     log_margin = (math.log(sol.contraction_ratio) + sol.gap_rate * period
                   if sol.contraction_ratio > 0 else -math.inf)
     ok = periodic_ok and monotone and loc_ok and log_margin <= 0.0
-    return BreatherReport(ok=ok, max_phase_residual=max_res, tolerance=tol,
+    return BreatherReport(ok=ok, max_phase_residual=max_res,
                           envelope_monotone=monotone,
-                          localization_r2=sol.localization_r2,
-                          localization_rate=sol.localization_rate,
                           certified_ratio=math.exp(-sol.gap_rate * period),
                           # capped below the float range: a finite JSON number
                           ratio_margin=math.exp(min(log_margin, 700.0)))

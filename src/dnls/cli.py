@@ -184,20 +184,13 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    if cfg.driving.period is None:
-        if cfg.driving.aperiodic:
-            path, _ = cfg.driving.aperiodic[0]
-            raise DomainError(f"{path} is a harmonic sum, which has no "
-                              f"period: breather needs periodic or constant "
-                              f"laws")
-        raise DomainError("driving is not periodic: breather needs a "
-                          "periodic law (kind \"periodic\") in driving.g1.law "
-                          "or driving.g2.law")
-    r_u = drv.certificate(cfg.model, cfg.driving).dissipative().breather_radius
-
     def solve(seed):  # at the reference tolerance, find_breather's default
-        state = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None else
-                 random_state(cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc))
+        if seed is None:
+            state = LatticeState.zeros(cfg.n_sites, cfg.bc)
+        else:  # inside the R_u-ball, where find_breather's certificate holds
+            cert = drv.certificate(cfg.model, cfg.driving).dissipative()
+            state = random_state(cfg.n_sites, seed,
+                                 norm=0.5 * cert.breather_radius, bc=cfg.bc)
         return br.find_breather(cfg.model, cfg.driving, state, tol=sc.tol)
 
     sols = [solve(s) for s in sc.seeds]
@@ -207,8 +200,7 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     report = br.verify_breather(sol, cfg.model, cfg.driving, tol=sc.tol)
     if args.out:
         write_breather_profile_csv(sol, args.out)
-    ok = report.ok and sol.periodicity_residual <= 10 * sc.tol \
-        and (len(sols) < 2 or spread <= 10 * sc.tol)
+    ok = report.ok and spread <= 10 * sc.tol
     text = (f"breather: residual {sol.periodicity_residual:.3g}, "
             f"{sol.iterations} iterations, seed spread {spread:.3g}: "
             f"{'ok' if ok else 'FAILED'}")

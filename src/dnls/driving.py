@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DampingTooWeakError, DomainError
+from .errors import DomainError
 from .lattice import ModelParams
 
 _EPS = sys.float_info.epsilon
@@ -371,7 +371,7 @@ class Certificate:
     def dissipative(self) -> "Certificate":
         """This certificate, refused unless gamma_tilde > 0."""
         if self.gamma_tilde <= 0:
-            raise DampingTooWeakError(
+            raise DomainError(
                 f"need gamma > 2*sup||g2|| (gamma={self.gamma:.6g}, "
                 f"2*sup||g2||={2 * self.g2_sup:.6g})")
         return self

@@ -15,7 +15,7 @@ writes each stage in place, so a step attempt allocates nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -306,23 +306,13 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
 # dissipation monitoring
 
 @dataclass
-class DissipationViolation:
-    index: int
-    t: float
-    lhs: float
-    rhs: float
-    margin: float
-
-
-@dataclass
 class DissipationReport:
-    gamma_tilde: float
     checked: int
-    violations: list = field(default_factory=list)
+    violations: np.ndarray  # index i of each flagged interval [t_i, t_{i+1}]
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.violations.size == 0
 
 
 def _gronwall(y0, rate, forcing, dt):
@@ -353,7 +343,5 @@ def monitor_dissipation(traj: Trajectory, params: ModelParams,
     s = driving.g1.interval_sup(times[:-1], dt)
     bound = _gronwall(n2[:-1], gt, s * s / gt, dt)
     excess = n2[1:] - bound - 10 * traj.config.rtol * (1 + n2[:-1])
-    return DissipationReport(gamma_tilde=gt, checked=dt.size, violations=[
-        DissipationViolation(index=int(i), t=float(times[i]), lhs=float(n2[i + 1]),
-                             rhs=float(bound[i]), margin=float(excess[i]))
-        for i in np.flatnonzero(excess > 0)])
+    return DissipationReport(checked=dt.size,
+                             violations=np.flatnonzero(excess > 0))

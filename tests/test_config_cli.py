@@ -19,8 +19,8 @@ from dnls import cli
 from dnls.breather import BreatherSolution
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          load_config, parse_scenario)
-from dnls.driving import (CosineLaw, DrivingField, DrivingSpec,
-                          SpatialProfile, certificate)
+from dnls.driving import (Certificate, CosineLaw, DrivingField,
+                          DrivingSpec, SpatialProfile, certificate)
 from dnls.errors import DomainError
 from dnls.integrator import IntegratorConfig, integrate
 from dnls.lattice import (LatticeState, ModelParams, NonlinearitySpec,
@@ -486,13 +486,50 @@ class TestCli:
 
         def always_fail(traj, pred):
             return dg.AbsorbingReport(ok=False, first_entry_t=None,
-                                      max_norm_after_entry=math.inf,
-                                      predicted_entry_t=pred.entry_time,
-                                      radius=pred.radius)
+                                      max_norm_after_entry=math.inf)
 
         monkeypatch.setattr(cli.dg, "verify_absorbing", always_fail)
         assert cli.main(["absorbing", "--config",
                          path]) == cli.EXIT_CHECK_FAILED
+
+    def test_contraction_fails_above_its_fitted_rate(self, tmp_path,
+                                                     monkeypatch):
+        # absorbing.json fits a decay of 2.00; a predicted rate above
+        # 2.00/0.95 asks for more than the trajectories give
+        predicted = 1.01 * 2.0 / 0.95
+        monkeypatch.setattr(Certificate, "gap_rate",
+                            lambda self, r: predicted)
+        report = tmp_path / "contraction.json"
+        assert cli.main(["contraction", "--config",
+                         str(CONFIGS / "absorbing.json"), "--json",
+                         str(report)]) == cli.EXIT_CHECK_FAILED
+        data = json.loads(report.read_text())
+        assert data["pass"] is False and data["predicted_rate"] == predicted
+        assert -data["fitted_rate"] == pytest.approx(2.0, rel=1e-3)
+
+    def test_dimension_fails_below_its_ci_width(self, tmp_path):
+        # 150 points of dimension.json's section: its CI width passes the
+        # bundled max_ci_width and fails a bound just below that width
+        _, data = _edited_data("dimension.json", ("scenario", "n_points"), 150)
+        report = tmp_path / "dimension_report.json"
+        argv = ["dimension", "--config", _write(tmp_path, data),
+                "--json", str(report)]
+        assert cli.main(argv) == cli.EXIT_PASS
+        width = json.loads(report.read_text())["ci_width"]
+        data["scenario"]["max_ci_width"] = 0.99 * width
+        _write(tmp_path, data)  # over the config that argv names
+        assert cli.main(argv) == cli.EXIT_CHECK_FAILED
+        assert json.loads(report.read_text())["ci_width"] == width
+
+    @pytest.mark.xfail(strict=True, reason="M(xi) bounds the driving's own "
+                       "tail, not the mass the coupling carries past it")
+    def test_tail_cutoff_of_a_single_site_driving(self, tmp_path):
+        # g1 on site 0 alone has no tail, so M(xi) = 0; the hopping spreads
+        # the driven mass to the neighbours, and the tail beyond site 0
+        # reaches 0.0228 after the entry time, against xi = 1e-4
+        cfg = _edited(tmp_path, "absorbing.json", ("driving", "g1", "profile"),
+                      {"kind": "single_site", "amplitude": 0.8727})
+        assert cli.main(["tail", "--config", cfg]) == cli.EXIT_PASS
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # no step meets tolerances of 1e-100, so the controller shrinks the
