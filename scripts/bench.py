@@ -19,13 +19,20 @@ maps it makes; and the stroboscopic section of ``dnls dimension``:
 attempt of a batch of B members at N = 64 per member (a member-step),
 for B = 1 and each B the section picks; and pair counting:
 ``correlation_dimension`` on each section's points at dimension.json's
-Theiler window (the pair distances, their counts and the fit).
+Theiler window (the pair distances, their counts and the fit); and
+start-up: a fresh interpreter that imports ``dnls`` and ``dnls.cli`` and
+loads simulate.json, as every ``dnls`` command starts, in wall ms from
+spawn to exit and peak resident memory in MiB, beside a fresh interpreter
+that imports numpy alone, the floor of both.  The peak is the child's own
+``VmHWM``: its ``ru_maxrss`` would also hold the pages of this process,
+which a spawned child carries until it executes the interpreter.
 
 Each figure is the median over ``REPEATS`` timed blocks (``SECTION_REPEATS``
-for the sections) of the perf_counter time per call.  The result is
-written as one named column of a BENCH JSON file, next to the columns
-already there, so the same script run against two checkouts gives a
-before/after table:
+for the sections) of the perf_counter time per call, and each start-up
+figure the median over ``STARTUP_SPAWNS`` spawns of each kind, alternated.
+The result is written as one named column of a BENCH JSON file, next to
+the columns already there, so the same script run against two checkouts
+gives a before/after table:
 
     PYTHONPATH=<parent>/src python scripts/bench.py --out BENCH_<n>.json --column parent
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json --column change
@@ -44,6 +51,7 @@ import os
 import pathlib
 import platform
 import statistics
+import subprocess
 import sys
 from time import perf_counter
 
@@ -72,6 +80,13 @@ REPEATS = 21
 SECTION_POINTS = (150, 2000)
 SECTION_SITES = 64
 SECTION_REPEATS = 3
+STARTUP_SPAWNS = 15
+# what each kind of start-up spawn runs (sys.argv[1] is a config path),
+# before it prints its peak resident memory in KiB
+STARTUP = {"dnls": "import sys, dnls, dnls.cli; dnls.load_config(sys.argv[1])",
+           "numpy": "import numpy"}
+PEAK = ("; print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))")
 UNITS = {"rhs_us": 1e6, "attempt_us": 1e6, "unit_time_us": 1e6,
          "solve_ms": 1e3, "member_step_us": 1e6, "section_s": 1.0,
          "pair_count_ms": 1e3}
@@ -82,6 +97,25 @@ def _per_call_s(fn, number: int) -> float:
     for _ in range(number):
         fn()
     return (perf_counter() - start) / number
+
+
+def _startup() -> dict:
+    """Median wall ms and peak RSS MiB of each kind of start-up spawn."""
+    wall_ms = {kind: [] for kind in STARTUP}
+    peak_mib = {kind: [] for kind in STARTUP}
+    for _ in range(STARTUP_SPAWNS):
+        for kind, code in STARTUP.items():
+            argv = [sys.executable, "-c", code + PEAK,
+                    str(CONFIGS["simulate"])]
+            start = perf_counter()
+            out = subprocess.run(argv, stdout=subprocess.PIPE,
+                                 check=True).stdout
+            wall_ms[kind].append(1e3 * (perf_counter() - start))
+            peak_mib[kind].append(int(out) / 1024)
+    return {"spawns": STARTUP_SPAWNS,
+            "wall_ms": {k: statistics.median(v) for k, v in wall_ms.items()},
+            "peak_rss_mib": {k: statistics.median(v)
+                             for k, v in peak_mib.items()}}
 
 
 def _breather_solve():
@@ -188,7 +222,7 @@ def measure() -> dict:
         for points, (run, *_) in sections.items():
             samples["dimension", "section_s", points].append(
                 _per_call_s(run, 1))
-    result = {"breather": {"maps_per_solve": maps}}
+    result = {"breather": {"maps_per_solve": maps}, "startup": _startup()}
     for model, run in runs.items():
         result[model] = {"integration_run": run}
     result["dimension"]["section_members"] = {
@@ -227,7 +261,9 @@ def main(argv=None) -> int:
                 "solve with its period maps; of a member-step (a batch's step "
                 "attempt per member) at N = 64 by batch size B; of the "
                 "poincare_points section by points, with its B; and of "
-                "correlation_dimension on each section's points",
+                "correlation_dimension on each section's points; and the "
+                "median wall ms and peak RSS MiB of a fresh interpreter that "
+                "imports dnls and loads a config, beside numpy's import",
         "configs": {m: str(p.relative_to(ROOT))
                     for m, p in {**CONFIGS, "breather": BREATHER}.items()},
         "columns": {},
@@ -260,6 +296,11 @@ def main(argv=None) -> int:
     for points, ms in dim["pair_count_ms"].items():
         print(f"{args.column:>8} dimension pair_count_ms {points} points: "
               f"{ms:8.2f}")
+    start = column["startup"]
+    for kind in STARTUP:
+        print(f"{args.column:>8}   startup {kind:>10}  "
+              f"{start['wall_ms'][kind]:8.1f} ms  "
+              f"{start['peak_rss_mib'][kind]:6.1f} MiB")
     return 0
 
 

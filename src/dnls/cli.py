@@ -7,7 +7,6 @@ Exit codes: 0 pass, 1 theorem-check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
@@ -20,12 +19,10 @@ from . import driving as drv
 from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
 from .integrator import integrate, monitor_dissipation
-from .lattice import LatticeState, random_state
+from .lattice import SEED_LIMIT, LatticeState, random_state
 from .output import (breather_to_dict, trajectory_summary,
                      write_breather_profile_csv, write_dimension_csv,
                      write_json, write_trajectory_csv)
-
-log = logging.getLogger("dnls")
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -62,7 +59,9 @@ def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> _Outcome:
                      keep_states=bool(args.out))
     if args.out:
         write_trajectory_csv(traj, args.out)
-    log.info("simulated %d samples over [%g, %g]", traj.n_samples, sc.t0, sc.t1)
+    if args.verbose:
+        print(f"simulated {traj.n_samples} samples over "
+              f"[{sc.t0:g}, {sc.t1:g}]", file=sys.stderr)
     return True, trajectory_summary(traj), None
 
 
@@ -140,6 +139,10 @@ def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
     seed = _seed(sc, args)
+    if seed + 1 == SEED_LIMIT:  # the bump is drawn from seed + 1
+        name = "--seed" if args.seed is not None else "scenario.seed"
+        raise DomainError(f"{name} must be < 2**64 - 1 for continuity, which "
+                          f"draws its bump from seed + 1, got {seed}")
     theta = random_state(cfg.n_sites, seed, norm=sc.theta_norm, bc=cfg.bc)
     bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
@@ -253,16 +256,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config)
     except (OSError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.seed is not None and args.seed < 0:
-            raise DomainError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+            raise DomainError(f"--seed must be in [0, 2**64), got {args.seed}")
         sc = parse_scenario(args.command, cfg.scenario)
         ok, report, text = _COMMANDS[args.command][0](cfg, sc, args)
         if args.json:

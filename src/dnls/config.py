@@ -21,7 +21,8 @@ from types import SimpleNamespace
 from .driving import CosineLaw, DrivingField, DrivingSpec, SpatialProfile
 from .errors import DomainError
 from .integrator import IntegratorConfig
-from .lattice import DIRICHLET, PERIODIC, ModelParams, NonlinearitySpec
+from .lattice import (DIRICHLET, PERIODIC, SEED_LIMIT, ModelParams,
+                      NonlinearitySpec)
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # the default of a field that must be given
@@ -61,7 +62,7 @@ def _number(minimum: float = -math.inf, maximum: float = math.inf, *,
             raise DomainError(f"{name} must be {bound} {minimum:g}, "
                               f"got {value!r}")
         if value > maximum:
-            raise DomainError(f"{name} must be <= {maximum:g}, got {value!r}")
+            raise DomainError(f"{name} must be <= {maximum}, got {value!r}")
         return int(value) if integer else float(value)
     return parse
 
@@ -74,6 +75,7 @@ _NONNEG = _number(0.0)
 _POSITIVE = _number(0.0, strict=True)
 _COUNT = _number(0, integer=True)
 _POSITIVE_COUNT = _number(1, integer=True)
+_SEED = _number(0, SEED_LIMIT - 1, integer=True)  # random_state's range
 
 
 def _one_of(*choices):
@@ -234,7 +236,7 @@ def load_config(path) -> ScenarioConfig:
 
 _INITIAL = _kind({
     "zero": ({}, partial(SimpleNamespace, kind="zero")),
-    "random": ({"seed": (_COUNT, 0), "norm": (_NONNEG, 1.0)},
+    "random": ({"seed": (_SEED, 0), "norm": (_NONNEG, 1.0)},
                partial(SimpleNamespace, kind="random")),
     "values": ({"values": (_list_of(_complex), _REQUIRED)},
                partial(SimpleNamespace, kind="values")),
@@ -248,21 +250,21 @@ SCENARIO_FIELDS = {
                  "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
     "verify-bounds": {"t0": (_REAL, 0.0), "t1": (_REAL, 50.0),
                       "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
-    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_COUNT, 0)},
+    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_SEED, 0)},
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
-             "seed": (_COUNT, 0)},
-    "contraction": {"seeds": (_list_of(_COUNT, 2), (1, 2)),
+             "seed": (_SEED, 0)},
+    "contraction": {"seeds": (_list_of(_SEED, 2), (1, 2)),
                     "horizon": (_POSITIVE, 3.0)},
-    "continuity": {"seed": (_COUNT, 0), "theta_norm": (_NONNEG, 0.5),
+    "continuity": {"seed": (_SEED, 0), "theta_norm": (_NONNEG, 0.5),
                    "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0),
                    "horizon": (_POSITIVE, 5.0)},
     "dimension": {"section_period": (_optional(_POSITIVE), None),
-                  "seed": (_COUNT, 0),
+                  "seed": (_SEED, 0),
                   "n_points": (_POSITIVE_COUNT, 2000),
                   "theiler_window": (_COUNT, 10),
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),
-                 "seeds": (_list_of(_optional(_COUNT)), (None,))},
+                 "seeds": (_list_of(_optional(_SEED)), (None,))},
 }
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import DomainError
 
@@ -264,15 +263,45 @@ def make_rhs(params: ModelParams, driving, bc: str, shifts=(0.0,)):
     return f
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): output i >= 1 of seed s is
+# mix(s + i*_GAMMA mod 2^64), so a seed is any integer in [0, SEED_LIMIT)
+SEED_LIMIT = 2**64
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of SplitMix64 from ``seed``, formed from
+    the counter in wrapping uint64 arithmetic."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed)
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
 def random_state(n_sites: int, seed: int, norm: float = 1.0,
                  bc: str = DIRICHLET, localized: bool = True) -> LatticeState:
     """Deterministic pseudo-random state, scaled to the given l^2 norm.
 
-    With ``localized`` the amplitudes are damped by exp(-|n|/8) so the
-    state is compatible with the Dirichlet truncation.
+    Array entry k holds one standard complex normal (unit variance in its
+    real and in its imaginary part), by Box-Muller from the outputs k and
+    N + k (counting from 0) of SplitMix64 from ``seed``:
+    sqrt(-2 ln u1) * exp(2*pi*i*u2), with each output's top 53 bits as u
+    in (0, 1].  The stream is this arithmetic alone, so a seed gives the
+    same state on every numpy version; it replaced numpy's
+    ``default_rng``, which moved every seeded output of the package.  With
+    ``localized`` the amplitudes are damped by exp(-|n|/8) so the state is
+    compatible with the Dirichlet truncation.  ``seed`` must be in
+    [0, 2**64).
     """
-    rng = default_rng(seed)
-    v = rng.standard_normal(n_sites) + 1j * rng.standard_normal(n_sites)
+    if not 0 <= seed < SEED_LIMIT:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed!r}")
+    u = ((_splitmix64(seed, 2 * n_sites) >> 11) + 1) * 2.0**-53
+    v = np.sqrt(-2.0 * np.log(u[:n_sites])) * np.exp(2j * np.pi * u[n_sites:])
     if localized:
         n = np.arange(n_sites) - n_sites // 2
         v *= np.exp(-np.abs(n) / 8.0)

@@ -494,9 +494,10 @@ class TestCli:
 
     def test_contraction_fails_above_its_fitted_rate(self, tmp_path,
                                                      monkeypatch):
-        # absorbing.json fits a decay of 2.00; a predicted rate above
-        # 2.00/0.95 asks for more than the trajectories give
-        predicted = 1.01 * 2.0 / 0.95
+        # absorbing.json fits a decay of 2.0036; a predicted rate above
+        # fit/0.95 asks for more than the trajectories give
+        fit = 2.0036
+        predicted = 1.01 * fit / 0.95
         monkeypatch.setattr(Certificate, "gap_rate",
                             lambda self, r: predicted)
         report = tmp_path / "contraction.json"
@@ -505,7 +506,7 @@ class TestCli:
                          str(report)]) == cli.EXIT_CHECK_FAILED
         data = json.loads(report.read_text())
         assert data["pass"] is False and data["predicted_rate"] == predicted
-        assert -data["fitted_rate"] == pytest.approx(2.0, rel=1e-3)
+        assert -data["fitted_rate"] == pytest.approx(fit, rel=1e-3)
 
     def test_dimension_fails_below_its_ci_width(self, tmp_path):
         # 150 points of dimension.json's section: its CI width passes the
@@ -733,6 +734,65 @@ class TestCli:
         assert cli.main([command, "--config", str(CONFIGS / name),
                          "--seed", "-1"]) == cli.EXIT_CONFIG
         assert "config error: --seed" in capsys.readouterr().err
+
+    # each place a seed enters, set one past the end of random_state's
+    # stream, [0, 2**64): (command, config, key path, value, name reported)
+    @pytest.mark.parametrize("command, name, path, value, field", [
+        ("simulate", "simulate.json", ("scenario", "initial", "seed"),
+         2 ** 64, "scenario.initial.seed"),
+        ("verify-bounds", "simulate.json", ("scenario", "initial", "seed"),
+         2 ** 64, "scenario.initial.seed"),
+        ("absorbing", "absorbing.json", ("scenario", "seed"), 2 ** 64,
+         "scenario.seed"),
+        ("tail", "absorbing.json", ("scenario", "seed"), 2 ** 64,
+         "scenario.seed"),
+        ("continuity", "absorbing.json", ("scenario", "seed"), 2 ** 64,
+         "scenario.seed"),
+        ("dimension", "dimension.json", ("scenario", "seed"), 2 ** 64,
+         "scenario.seed"),
+        ("contraction", "absorbing.json", ("scenario", "seeds"),
+         [1, 2 ** 64], "scenario.seeds[1]"),
+        ("breather", "breather.json", ("scenario", "seeds"),
+         [None, 1, 2 ** 64], "scenario.seeds[2]"),
+        # continuity draws its bump from seed + 1
+        ("continuity", "absorbing.json", ("scenario", "seed"), 2 ** 64 - 1,
+         "scenario.seed"),
+    ])
+    def test_scenario_seed_beyond_the_stream_is_config_error(
+            self, tmp_path, capsys, command, name, path, value, field):
+        assert cli.main([command, "--config",
+                         _edited(tmp_path, name, path, value)
+                         ]) == cli.EXIT_CONFIG
+        assert f"config error: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [
+        (c, n) for c, n in BUNDLED if c in READS["--seed"]])
+    def test_seed_flag_beyond_the_stream_is_config_error(self, capsys,
+                                                         command, name):
+        seeds = [2 ** 64]
+        if command == "continuity":  # its bump seed + 1 is past the last
+            seeds.append(2 ** 64 - 1)
+        for seed in seeds:
+            assert cli.main([command, "--config", str(CONFIGS / name),
+                             "--seed", str(seed)]) == cli.EXIT_CONFIG
+            assert "config error: --seed must be" in capsys.readouterr().err
+
+    def test_verbose_prints_the_sample_count_of_simulate_only(self, capsys):
+        path = str(CONFIGS / "simulate.json")
+        assert cli.main(["simulate", "--config", path,
+                         "--verbose"]) == cli.EXIT_PASS
+        assert capsys.readouterr() == ("", "simulated 501 samples over "
+                                           "[0, 50]\n")
+        assert cli.main(["verify-bounds", "--config", path]) == cli.EXIT_PASS
+        quiet = capsys.readouterr()
+        assert cli.main(["verify-bounds", "--config", path,
+                         "--verbose"]) == cli.EXIT_PASS
+        assert capsys.readouterr() == quiet and quiet.err == ""
+
+    def test_last_seed_of_the_stream_runs(self, capsys):
+        assert cli.main(["absorbing", "--config",
+                         str(CONFIGS / "absorbing.json"),
+                         "--seed", str(2 ** 64 - 1)]) == cli.EXIT_PASS
 
     @pytest.mark.parametrize("command, name, flag", [
         (c, n, flag) for flag in READS for c, n in BUNDLED

@@ -1,6 +1,9 @@
 """numpy is the only third-party package ``dnls`` loads, and all of it that
 a command needs is loaded at import, so a command's own time holds no
-import work."""
+import work.  Neither the import nor any command loads ``numpy.random``
+(which brings in ``secrets``, ``hmac`` and ``hashlib``, so OpenSSL's
+libcrypto), ``hashlib`` or ``logging``: seeded states come from the
+package's own generator, and ``--verbose`` prints."""
 
 import json
 import os
@@ -11,18 +14,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
 
+# modules no run may load, with their submodules
+HEAVY = ("scipy", "numpy.random", "secrets", "hashlib", "logging")
+
 # import dnls, then run each argv in sys.argv[1] (a JSON list) through the
-# CLI; print the scipy modules present after the import and the scipy or
+# CLI; print the HEAVY modules present after the import, and the HEAVY or
 # numpy modules the commands imported on top of it
-PROBE = """
+PROBE = f"""
 import json, sys
+HEAVY = {HEAVY!r}
+def heavy(m):
+    return any(m == p or m.startswith(p + ".") for p in HEAVY)
 import dnls, dnls.cli
 loaded = set(sys.modules)
-at_import = sorted(m for m in loaded if m.split(".")[0] == "scipy")
+at_import = sorted(filter(heavy, loaded))
 codes = [dnls.cli.main(argv) for argv in json.loads(sys.argv[1])]
 later = sorted(m for m in set(sys.modules) - loaded
-               if m.split(".")[0] == "scipy" or m.startswith("numpy."))
-print(json.dumps({"at_import": at_import, "later": later, "codes": codes}))
+               if heavy(m) or m.startswith("numpy."))
+print(json.dumps({{"at_import": at_import, "later": later, "codes": codes}}))
 """
 
 
@@ -37,6 +46,10 @@ def _probe(argvs):
 
 
 def test_import_loads_no_scipy():
+    assert [m for m in _probe([])["at_import"] if m.startswith("scipy")] == []
+
+
+def test_import_loads_no_generator_hash_or_logging():
     assert _probe([])["at_import"] == []
 
 

@@ -451,3 +451,49 @@ class TestRandomState:
     def test_localization_envelope(self):
         s = random_state(256, 0, localized=True)
         assert abs(s.values[0]) < 1e-5 * max(abs(s.values))
+
+    # large enough that a moment off by 5/sqrt(N) is a real defect
+    MOMENT_SITES = 2 ** 16
+
+    def _components(self, seed):
+        """The real and imaginary parts of an unlocalized state scaled to
+        norm sqrt(2N), so each has variance 1 on average."""
+        n = self.MOMENT_SITES
+        v = random_state(n, seed, norm=math.sqrt(2 * n), localized=False)
+        return v.values.real, v.values.imag
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_moments_of_a_standard_complex_normal(self, seed):
+        x, y = self._components(seed)
+        # five standard errors of each sample moment of N(0, 1)
+        se = 5 / math.sqrt(self.MOMENT_SITES)
+        for part in (x, y):
+            assert abs(part.mean()) < se
+            # unit variance per component, Gaussian fourth moment 3
+            assert abs(np.mean(part ** 2) - 1) < math.sqrt(2) * se
+            assert abs(np.mean(part ** 4) - 3) < math.sqrt(96) * se
+        assert abs(np.corrcoef(x, y)[0, 1]) < se
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 2])
+    def test_consecutive_seeds_are_uncorrelated(self, seed):
+        # continuity draws theta from its seed and the bump from seed + 1
+        corr = np.corrcoef([*self._components(seed),
+                            *self._components(seed + 1)])
+        assert np.max(np.abs(corr[:2, 2:])) < 5 / math.sqrt(self.MOMENT_SITES)
+
+    def test_stream_is_pinned(self):
+        # SplitMix64's published outputs from seed 0, and the state they
+        # give: an edit to the stream moves every seeded output, so it
+        # must fail here first
+        assert [int(z) for z in lattice._splitmix64(0, 3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        v = random_state(3, 0, localized=False).values
+        assert v == pytest.approx([0.16153703547384232 - 0.029888053886611705j,
+                                   0.3355981185101644 + 0.26489497900906395j,
+                                   -0.41510193825713604 + 0.7860708773441412j],
+                                  rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_the_stream_is_refused(self, seed):
+        with pytest.raises(DomainError, match="seed must be in"):
+            random_state(8, seed)
