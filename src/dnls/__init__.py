@@ -6,9 +6,7 @@ unique periodic breather under strong damping)."""
 from .breather import (BreatherSolution, find_breather, period_map,
                        verify_breather)
 from .config import ScenarioConfig, load_config
-from .diagnostics import (AbsorbingPrediction, ContractionReport,
-                          DimensionEstimate, TailPrediction,
-                          check_apriori_bound, continuity_gap,
+from .diagnostics import (check_apriori_bound, continuity_gap,
                           contraction_rate, correlation_dimension,
                           poincare_points, predict_absorbing, predict_tail,
                           verify_absorbing, verify_tail)

@@ -145,18 +145,9 @@ def _localization_fit(state: LatticeState) -> tuple[float | None,
     return float(-slope), float(r ** 2)
 
 
-@dataclass
-class BreatherReport:
-    ok: bool
-    max_phase_residual: float
-    envelope_monotone: bool
-    certified_ratio: float
-    ratio_margin: float
-
-
 def verify_breather(sol: BreatherSolution, params: ModelParams,
                     spec: DrivingSpec, tol: float = 1e-10,
-                    config: IntegratorConfig = ORACLE_CONFIG) -> BreatherReport:
+                    config: IntegratorConfig = ORACLE_CONFIG) -> dict:
     """Re-integrate over two periods and check periodicity at ``_PHASES``
     equispaced times, plus localization of the amplitude envelope, and
     check the measured contraction ratio against the certificate: on the
@@ -164,7 +155,8 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     period map contracts by at least e^{-rho*T}.  ``ratio_margin`` is the
     ratio over that bound; the check passes up to 1.  The comparison is
     made in logarithms, since e^{-rho*T} underflows to 0 once rho*T
-    exceeds about 745."""
+    exceeds about 745.  The record holds the solution's fields, its site
+    ``amplitudes`` as [re, im] pairs, and the verdict as ``verified``."""
     period = sol.period
     traj = integrate(sol.state0, sol.phase_t0, sol.phase_t0 + 2 * period,
                      params, spec, replace(config, sample_stride=period / _PHASES))
@@ -184,12 +176,22 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
                            and sol.localization_r2 >= 0.99)
     log_margin = (math.log(sol.contraction_ratio) + sol.gap_rate * period
                   if sol.contraction_ratio > 0 else -math.inf)
-    ok = periodic_ok and monotone and loc_ok and log_margin <= 0.0
-    return BreatherReport(ok=ok, max_phase_residual=max_res,
-                          envelope_monotone=monotone,
-                          certified_ratio=math.exp(-sol.gap_rate * period),
-                          # capped below the float range: a finite JSON number
-                          ratio_margin=math.exp(min(log_margin, 700.0)))
+    return {
+        "period": period,
+        "phase_t0": sol.phase_t0,
+        "periodicity_residual": sol.periodicity_residual,
+        "iterations": sol.iterations,
+        "contraction_ratio": sol.contraction_ratio,
+        "localization_rate": sol.localization_rate,
+        "localization_r2": sol.localization_r2,
+        "amplitudes": [[z.real, z.imag] for z in sol.state0.values],
+        "max_phase_residual": max_res,
+        "envelope_monotone": monotone,
+        "certified_ratio": math.exp(-sol.gap_rate * period),
+        # capped below the float range: a finite JSON number
+        "ratio_margin": math.exp(min(log_margin, 700.0)),
+        "verified": periodic_ok and monotone and loc_ok and log_margin <= 0.0,
+    }
 
 
 def _driving_core(spec: DrivingSpec) -> int:

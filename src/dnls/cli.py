@@ -20,8 +20,7 @@ from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
 from .integrator import integrate, monitor_dissipation
 from .lattice import SEED_LIMIT, LatticeState, random_state
-from .output import (breather_to_dict, trajectory_summary,
-                     write_breather_profile_csv, write_dimension_csv,
+from .output import (write_breather_profile_csv, write_dimension_csv,
                      write_json, write_trajectory_csv)
 
 EXIT_PASS = 0
@@ -52,6 +51,10 @@ def _seed(sc, args) -> int:
     return args.seed if args.seed is not None else sc.seed
 
 
+def _verdict(ok, failed: str = "FAILED") -> str:
+    return "ok" if ok else failed
+
+
 def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
     traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
@@ -62,7 +65,7 @@ def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> _Outcome:
     if args.verbose:
         print(f"simulated {traj.n_samples} samples over "
               f"[{sc.t0:g}, {sc.t1:g}]", file=sys.stderr)
-    return True, trajectory_summary(traj), None
+    return True, traj.record(), None
 
 
 def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -71,16 +74,11 @@ def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> _Outcome:
                      cfg.integrator, keep_states=False)
     diss = monitor_dissipation(traj, cfg.model, cfg.driving)
     apriori = dg.check_apriori_bound(traj, cfg.model, cfg.driving)
-    report = {
-        "dissipation": {"ok": diss.ok, "checked": diss.checked,
-                        "violations": len(diss.violations)},
-        "apriori": {"ok": apriori.ok, "max_excess": apriori.max_excess},
-        "pass": diss.ok and apriori.ok,
-    }
-    return report["pass"], report, (
-        f"dissipation: {'ok' if diss.ok else 'VIOLATED'} "
-        f"({diss.checked} intervals); a-priori bound: "
-        f"{'ok' if apriori.ok else 'VIOLATED'}")
+    ok = diss["ok"] and apriori["ok"]
+    return ok, {"dissipation": diss, "apriori": apriori, "pass": ok}, (
+        f"dissipation: {_verdict(diss['ok'], 'VIOLATED')} "
+        f"({diss['checked']} intervals); a-priori bound: "
+        f"{_verdict(apriori['ok'], 'VIOLATED')}")
 
 
 def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -89,52 +87,40 @@ def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> _Outcome:
     # the error control lets ||psi|| settle near atol*sqrt(N), so a ball
     # within a few times that cannot be seen entered
     floor = 4 * cfg.integrator.atol * math.sqrt(cfg.n_sites)
-    if pred.radius < floor:
-        raise DomainError(f"absorbing radius K={pred.radius:.3g} is below "
+    if pred["radius"] < floor:
+        raise DomainError(f"absorbing radius K={pred['radius']:.3g} is below "
                           f"4*atol*sqrt(N) = {floor:.3g}, too small to resolve")
     state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
-    traj = integrate(state, 0.0, pred.entry_time * 6.0 + 1.0, cfg.model,
+    traj = integrate(state, 0.0, pred["entry_time"] * 6.0 + 1.0, cfg.model,
                      cfg.driving, cfg.integrator, keep_states=False)
-    report = dg.verify_absorbing(traj, pred)
-    return report.ok, {
-        "radius": pred.radius, "entry_time": pred.entry_time,
-        "gamma_eff": pred.gamma_eff, "first_entry_t": report.first_entry_t,
-        "max_norm_after_entry": report.max_norm_after_entry,
-        "pass": report.ok,
-    }, (f"absorbing ball K={pred.radius:.6g}, predicted entry "
-        f"T={pred.entry_time:.6g}, first entry at "
-        f"{report.first_entry_t}: {'ok' if report.ok else 'FAILED'}")
+    rec = {**pred, **dg.verify_absorbing(traj, pred)}
+    return rec["pass"], rec, (
+        f"absorbing ball K={rec['radius']:.6g}, predicted entry "
+        f"T={rec['entry_time']:.6g}, first entry at "
+        f"{rec['first_entry_t']}: {_verdict(rec['pass'])}")
 
 
 def _cmd_tail(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    xi, r = sc.xi, sc.radius
-    pred = dg.predict_tail(xi, r, cfg.model, cfg.driving, cfg.n_sites)
+    r = sc.radius
+    pred = dg.predict_tail(sc.xi, r, cfg.model, cfg.driving, cfg.n_sites)
     state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
-    traj = integrate(state, 0.0, pred.entry_time * 3.0 + 5.0, cfg.model,
-                     cfg.driving, cfg.integrator, tail_cutoff=pred.cutoff,
+    traj = integrate(state, 0.0, pred["entry_time"] * 3.0 + 5.0, cfg.model,
+                     cfg.driving, cfg.integrator, tail_cutoff=pred["cutoff"],
                      keep_states=False)
-    report = dg.verify_tail(traj, pred)
-    return report.ok, {
-        "xi": xi, "cutoff": pred.cutoff, "entry_time": pred.entry_time,
-        "max_tail_after_entry": report.max_tail_after_entry,
-        "pass": report.ok,
-    }, (f"tail beyond m={pred.cutoff} after T={pred.entry_time:.6g}: "
-        f"max {report.max_tail_after_entry:.3g} vs xi={xi:.3g}: "
-        f"{'ok' if report.ok else 'FAILED'}")
+    rec = {**pred, **dg.verify_tail(traj, pred)}
+    return rec["pass"], rec, (
+        f"tail beyond m={rec['cutoff']} after T={rec['entry_time']:.6g}: "
+        f"max {rec['max_tail_after_entry']:.3g} vs xi={rec['xi']:.3g}: "
+        f"{_verdict(rec['pass'])}")
 
 
 def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    report = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
-                                 horizon=sc.horizon,
-                                 n_sites=cfg.n_sites, config=cfg.integrator,
-                                 bc=cfg.bc)
-    return report.pass_, {
-        "fitted_rate": report.fitted_rate,
-        "predicted_rate": report.predicted_rate,
-        "ball_radius": report.ball_radius, "pass": report.pass_,
-    }, (f"contraction: fitted {-report.fitted_rate:.6g} vs predicted "
-        f">= {report.predicted_rate:.6g}: "
-        f"{'ok' if report.pass_ else 'FAILED'}")
+    rec = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
+                              horizon=sc.horizon, n_sites=cfg.n_sites,
+                              config=cfg.integrator, bc=cfg.bc)
+    return rec["pass"], rec, (
+        f"contraction: fitted {-rec['fitted_rate']:.6g} vs predicted "
+        f">= {rec['predicted_rate']:.6g}: {_verdict(rec['pass'])}")
 
 
 def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -146,15 +132,11 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
     theta = random_state(cfg.n_sites, seed, norm=sc.theta_norm, bc=cfg.bc)
     bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
-    report = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
-                               theta, theta_n, horizon=sc.horizon,
-                               config=cfg.integrator)
-    return report.ok, {
-        "ok": report.ok, "growth_rate": report.growth_rate,
-        "max_gap": float(np.max(report.gap)),
-        "max_bound": float(np.max(report.bound)),
-    }, (f"continuity: max gap {np.max(report.gap):.3g} within bound: "
-        f"{'ok' if report.ok else 'FAILED'}")
+    rec = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
+                            theta, theta_n, horizon=sc.horizon,
+                            config=cfg.integrator)
+    return rec["ok"], rec, (f"continuity: max gap {rec['max_gap']:.3g} "
+                            f"within bound: {_verdict(rec['ok'])}")
 
 
 def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -173,17 +155,14 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
     # the points carry the integrator's error, about rtol*||psi|| each
     resolution = 10 * cfg.integrator.rtol * float(
         np.max(np.linalg.norm(points, axis=1)))
-    est = dg.correlation_dimension(points, theiler_window=sc.theiler_window,
-                                   resolution=resolution)
+    rec, table = dg.correlation_dimension(
+        points, theiler_window=sc.theiler_window, resolution=resolution)
     if args.out:
-        write_dimension_csv(est, args.out)
-    return est.degenerate or est.ci_width < sc.max_ci_width, {
-        "dimension": est.slope, "ci_low": est.ci_low,
-        "ci_high": est.ci_high, "ci_width": est.ci_width,
-        "degenerate": est.degenerate,
-    }, (f"correlation dimension {est.slope:.3f} "
-        f"(95% CI [{est.ci_low:.3f}, {est.ci_high:.3f}])"
-        + (" [degenerate]" if est.degenerate else ""))
+        write_dimension_csv(table, args.out)
+    return rec["degenerate"] or rec["ci_width"] < sc.max_ci_width, rec, (
+        f"correlation dimension {rec['dimension']:.3f} "
+        f"(95% CI [{rec['ci_low']:.3f}, {rec['ci_high']:.3f}])"
+        + (" [degenerate]" if rec["degenerate"] else ""))
 
 
 def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -200,22 +179,20 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     sol = sols[0]
     spread = max((float(np.linalg.norm(other.state0.values - sol.state0.values))
                   for other in sols[1:]), default=0.0)
-    report = br.verify_breather(sol, cfg.model, cfg.driving, tol=sc.tol)
+    rec = {**br.verify_breather(sol, cfg.model, cfg.driving, tol=sc.tol),
+           "seed_spread": spread}
     if args.out:
         write_breather_profile_csv(sol, args.out)
-    ok = report.ok and spread <= 10 * sc.tol
-    text = (f"breather: residual {sol.periodicity_residual:.3g}, "
-            f"{sol.iterations} iterations, seed spread {spread:.3g}: "
-            f"{'ok' if ok else 'FAILED'}")
-    if sol.localization_rate is not None:
-        text += (f"\nlocalization rate {sol.localization_rate:.4f} "
-                 f"(R^2 = {sol.localization_r2:.5f})")
-    text += (f"\ncontraction ratio {sol.contraction_ratio:.3g}, certified "
-             f"{report.certified_ratio:.3g} (margin {report.ratio_margin:.3f})")
-    return ok, {**breather_to_dict(sol), "seed_spread": spread,
-                "certified_ratio": report.certified_ratio,
-                "ratio_margin": report.ratio_margin,
-                "verified": report.ok}, text
+    ok = rec["verified"] and spread <= 10 * sc.tol
+    text = (f"breather: residual {rec['periodicity_residual']:.3g}, "
+            f"{rec['iterations']} iterations, seed spread {spread:.3g}: "
+            f"{_verdict(ok)}")
+    if rec["localization_rate"] is not None:
+        text += (f"\nlocalization rate {rec['localization_rate']:.4f} "
+                 f"(R^2 = {rec['localization_r2']:.5f})")
+    text += (f"\ncontraction ratio {rec['contraction_ratio']:.3g}, certified "
+             f"{rec['certified_ratio']:.3g} (margin {rec['ratio_margin']:.3f})")
+    return ok, rec, text
 
 
 # each command, and the flags it reads besides --config, --json and

@@ -2,15 +2,17 @@
 absorbing ball, spatial tail decay, two-trajectory contraction, continuity
 in the driving, and an empirical correlation-dimension estimate.
 
-Each predict_* turns the closed-form constants into a prediction object;
-the matching verify_* tests a simulated trajectory against it and reports
-pass/fail with margins.
+Each check returns its record: a plain dict whose keys are those of its
+command's ``--json`` report, built where the numbers are computed.  A
+predict_* turns the closed-form constants into the prediction's record;
+the matching verify_* tests a simulated trajectory against it and returns
+what it measured with the verdict, and the command merges the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,14 +43,8 @@ def line_fit(x, y):
 # ---------------------------------------------------------------------------
 # a-priori bound
 
-@dataclass
-class BoundReport:
-    ok: bool
-    max_excess: float
-
-
 def check_apriori_bound(traj: Trajectory, params: ModelParams,
-                        spec: DrivingSpec) -> BoundReport:
+                        spec: DrivingSpec) -> dict:
     """||psi(t)||^2 <= e^{-Gt (t-t0)} ||psi(t0)||^2
     + (1 - e^{-Gt (t-t0)}) sup||g1||^2/Gt^2 at every sample, with slack
     1e-6*(1 + ||psi(t0)||^2): the dissipation inequality of
@@ -58,24 +54,18 @@ def check_apriori_bound(traj: Trajectory, params: ModelParams,
     gt, n0_sq = cert.gamma_tilde, traj.norms[0] ** 2
     bound = _gronwall(n0_sq, gt, cert.g1_sup ** 2 / gt, traj.times - traj.times[0])
     excess = traj.norms ** 2 - bound - 1e-6 * (1 + n0_sq)
-    return BoundReport(ok=not np.any(excess > 0),
-                       max_excess=float(np.max(excess[min(1, excess.size - 1):])))
+    return {"ok": not np.any(excess > 0),
+            "max_excess": float(np.max(excess[min(1, excess.size - 1):]))}
 
 
 # ---------------------------------------------------------------------------
 # absorbing ball
 
-@dataclass
-class AbsorbingPrediction:
-    gamma_eff: float
-    radius: float  # K, with K^2 = 2 sup||g1||^2 / Gamma^2
-    entry_time: float  # T(r), clamped to >= 0
-
-
 def predict_absorbing(params: ModelParams, spec: DrivingSpec,
-                      r: float) -> AbsorbingPrediction:
-    """Ball radius K and entry time T = 2 ln(Gamma r / sup||g1||)/Gamma
-    for initial data of norm <= r; refused when T is not finite."""
+                      r: float) -> dict:
+    """Ball radius K, with K^2 = 2 sup||g1||^2/Gamma^2, and entry time
+    T = 2 ln(Gamma r / sup||g1||)/Gamma, clamped to >= 0, for initial data
+    of norm <= r; refused when T is not finite."""
     cert = drv.certificate(params, spec).dissipative()
     gamma_eff, g1_sup = cert.gamma_tilde, cert.g1_sup
     ratio = gamma_eff * r / g1_sup if g1_sup > 0 else math.inf
@@ -83,52 +73,36 @@ def predict_absorbing(params: ModelParams, spec: DrivingSpec,
     if not math.isfinite(entry):
         raise DomainError(f"entry time into the absorbing ball is not finite "
                           f"(sup||g1|| = {g1_sup:.6g}, r = {r:.6g})")
-    return AbsorbingPrediction(gamma_eff=gamma_eff,
-                               radius=cert.absorbing_radius,
-                               entry_time=entry)
+    return {"gamma_eff": gamma_eff, "radius": cert.absorbing_radius,
+            "entry_time": entry}
 
 
-@dataclass
-class AbsorbingReport:
-    ok: bool
-    first_entry_t: float | None
-    max_norm_after_entry: float
-
-
-def verify_absorbing(traj: Trajectory,
-                     pred: AbsorbingPrediction) -> AbsorbingReport:
+def verify_absorbing(traj: Trajectory, pred: dict) -> dict:
     """Assert ||psi(t)|| <= K*(1 + 1e-6) for all samples past t0 + T."""
     t0 = traj.times[0]
-    deadline = t0 + pred.entry_time
+    deadline = t0 + pred["entry_time"]
     if traj.times[-1] < deadline:
         raise DomainError(
             f"trajectory ends at t={traj.times[-1]:.6g}, before the "
             f"predicted entry time {deadline:.6g}")
-    limit = pred.radius * (1 + 1e-6)
+    limit = pred["radius"] * (1 + 1e-6)
     inside = np.flatnonzero(traj.norms <= limit)
     first_entry = float(traj.times[inside[0]]) if inside.size else None
     after = traj.times >= deadline - 1e-12
     max_after = float(np.max(traj.norms[after])) if np.any(after) else 0.0
     ok = (first_entry is not None and first_entry <= deadline + 1e-12
           and max_after <= limit)
-    return AbsorbingReport(ok=ok, first_entry_t=first_entry,
-                           max_norm_after_entry=max_after)
+    return {"first_entry_t": first_entry, "max_norm_after_entry": max_after,
+            "pass": ok}
 
 
 # ---------------------------------------------------------------------------
 # tail decay
 
-@dataclass
-class TailPrediction:
-    xi: float
-    entry_time: float  # T(xi, r) = ln(2 r^2/xi)/Gamma, clamped to >= 0
-    cutoff: int        # M(xi): driving tail beyond it is <= Gamma^2 xi / 2
-    gamma_eff: float
-
-
 def predict_tail(xi: float, r: float, params: ModelParams,
-                 spec: DrivingSpec, n_sites: int) -> TailPrediction:
-    """M(xi) is the least m with sup_t sum_{|n|>m} |g1_n(t)|^2 <= Gamma^2
+                 spec: DrivingSpec, n_sites: int) -> dict:
+    """Entry time T(xi, r) = ln(2 r^2/xi)/Gamma, clamped to >= 0, and the
+    cutoff M(xi), the least m with sup_t sum_{|n|>m} |g1_n(t)|^2 <= Gamma^2
     xi/2.  It bounds only the forcing beyond m, not the mass the coupling
     carries there from the driven sites, so the tail of psi beyond M(xi)
     is checked against xi, not certified (a single-site g1 has M = 0)."""
@@ -145,47 +119,35 @@ def predict_tail(xi: float, r: float, params: ModelParams,
             raise DomainError(
                 f"driving tail needs cutoff >= {cutoff}, but truncation has "
                 f"only {n_sites // 2} sites per side")
-    return TailPrediction(xi=xi, entry_time=entry, cutoff=cutoff,
-                          gamma_eff=gamma_eff)
+    return {"xi": xi, "entry_time": entry, "cutoff": cutoff,
+            "gamma_eff": gamma_eff}
 
 
-@dataclass
-class TailReport:
-    ok: bool
-    max_tail_after_entry: float
-
-
-def verify_tail(traj: Trajectory, pred: TailPrediction) -> TailReport:
-    if traj.tails is None or traj.tail_cutoff != pred.cutoff:
+def verify_tail(traj: Trajectory, pred: dict) -> dict:
+    if traj.tails is None or traj.tail_cutoff != pred["cutoff"]:
         raise DomainError("trajectory lacks a tail series at the predicted cutoff")
     t0 = traj.times[0]
-    deadline = t0 + pred.entry_time
+    deadline = t0 + pred["entry_time"]
     if traj.times[-1] < deadline:
         raise DomainError("trajectory shorter than the predicted tail entry time")
     after = traj.times >= deadline - 1e-12
     max_tail = float(np.max(traj.tails[after])) if np.any(after) else 0.0
-    return TailReport(ok=max_tail <= pred.xi, max_tail_after_entry=max_tail)
+    return {"max_tail_after_entry": max_tail, "pass": max_tail <= pred["xi"]}
 
 
 # ---------------------------------------------------------------------------
 # two-trajectory contraction
 
-@dataclass
-class ContractionReport:
-    fitted_rate: float     # slope of ln||w(t)|| (negative when contracting)
-    predicted_rate: float  # gamma - a*r^b - sup||g2||
-    ball_radius: float
-    pass_: bool
-
-
 def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
                      horizon: float, n_sites: int = 256,
                      config: IntegratorConfig = IntegratorConfig(),
-                     bc: str = DIRICHLET) -> ContractionReport:
-    """Integrate two trajectories seeded inside the absorbing ball and fit
-    the decay rate of their distance, taken as the second is sampled
-    against the stored first.  Pass iff the fitted decay is at least 95%
-    of the predicted rate, the gap rate at R = K."""
+                     bc: str = DIRICHLET) -> dict:
+    """Integrate two trajectories seeded inside the absorbing ball of
+    radius K (``ball_radius``) and fit the decay rate of their distance,
+    taken as the second is sampled against the stored first: the slope of
+    ln||w(t)||, negative when contracting (``fitted_rate``).  Pass iff the
+    fitted decay is at least 95% of the predicted rate, the gap rate
+    gamma - a*K^b - sup||g2|| (``predicted_rate``)."""
     s0, s1 = seeds
     if s0 == s1:
         raise DomainError("seeds must differ (degenerate fit)")
@@ -208,25 +170,16 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
     if np.count_nonzero(mask) < 3:
         raise DomainError("distance decayed to noise before the fit window")
     slope, _, _ = line_fit(tp.times[mask], np.log(dist[mask]))
-    return ContractionReport(
-        fitted_rate=float(slope), predicted_rate=float(predicted),
-        ball_radius=radius, pass_=bool(slope <= -0.95 * predicted))
+    return {"fitted_rate": float(slope), "predicted_rate": float(predicted),
+            "ball_radius": radius, "pass": bool(slope <= -0.95 * predicted)}
 
 
 # ---------------------------------------------------------------------------
 # continuity in initial data and driving
 
-@dataclass
-class ContinuityReport:
-    ok: bool
-    gap: np.ndarray
-    bound: np.ndarray
-    growth_rate: float
-
-
 def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
                    theta: LatticeState, theta_n: LatticeState, horizon: float,
-                   config: IntegratorConfig = IntegratorConfig()) -> ContinuityReport:
+                   config: IntegratorConfig = IntegratorConfig()) -> dict:
     """Distance w = psi_a - psi_b of the evolution psi_a of ``theta_n``
     under the driving translated by ``h`` in its hull from psi_b, that of
     ``theta`` under ``spec``, against a Gronwall bound; needs no Gt > 0.
@@ -241,11 +194,12 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     Re(conj(x - y)*(-i)*(F(|x|^2)x - F(|y|^2)y)) = (F(|y|^2) - F(|x|^2))
     * Im(conj(y)*x) <= sigma*max(|x|, |y|)^{2 sigma}*|x - y|^2 (maximize
     over the phase, then |y|/|x|), and the growth bound of
-    ``NonlinearitySpec`` forces b = 2 sigma and a >= sigma + 1/2, for every
-    sigma (a user-set (a, b) is not checked).  So the bound is the recursion
+    ``NonlinearitySpec`` derives b = 2 sigma and a >= sigma + 1/2 from
+    sigma, for every sigma.  So the bound is the recursion
     b_{i+1} = _gronwall(b_i, gap_rate(Rbar_i), dg1 + Rbar_i*dg2, dt_i) from
     b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i).  Only
-    psi_b's states are stored: w is taken as psi_a is sampled."""
+    psi_b's states are stored: w is taken as psi_a is sampled.  The record
+    holds ``gap`` and ``bound`` at every sample, and their largest values."""
     tb = integrate(theta, 0.0, horizon, params, spec, config)
     ta = integrate(theta_n, 0.0, horizon, params, drv.translate(spec, h),
                    config, keep_states=False, reference=tb)
@@ -260,9 +214,10 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     for rate, force, dt in zip(rates, dg1 + r_bar * dg2, np.diff(ta.times)):
         bound.append(float(_gronwall(bound[-1], rate, force, dt)))
     bound = np.array(bound)
-    ok = bool(np.all(gap <= bound + 1e-9 * (1 + bound)))
-    return ContinuityReport(ok=ok, gap=gap, bound=bound,
-                            growth_rate=float(np.max(-rates)))
+    return {"ok": bool(np.all(gap <= bound + 1e-9 * (1 + bound))),
+            "growth_rate": float(np.max(-rates)),
+            "max_gap": float(np.max(gap)), "max_bound": float(np.max(bound)),
+            "gap": gap.tolist(), "bound": bound.tolist()}
 
 
 def _driving_gap(spec: DrivingSpec, h: float,
@@ -280,23 +235,18 @@ def _driving_gap(spec: DrivingSpec, h: float,
 # ---------------------------------------------------------------------------
 # correlation dimension (Grassberger-Procaccia)
 
-@dataclass
-class DimensionEstimate:
-    slope: float
-    ci_low: float
-    ci_high: float
-    radii: np.ndarray
-    correlations: np.ndarray
-    degenerate: bool = False
-
-    @property
-    def ci_width(self) -> float:
-        return self.ci_high - self.ci_low
+def _dimension(slope: float, half: float, radii: np.ndarray,
+               corr: np.ndarray, degenerate: bool) -> tuple[dict, np.ndarray]:
+    ci_low, ci_high = slope - half, slope + half
+    return ({"dimension": slope, "ci_low": ci_low, "ci_high": ci_high,
+             "ci_width": ci_high - ci_low, "degenerate": degenerate},
+            np.column_stack([radii, corr]))
 
 
 def correlation_dimension(points: np.ndarray, theiler_window: int = 10,
-                          resolution: float = 0.0) -> DimensionEstimate:
-    """Correlation-integral dimension estimate of a point cloud.
+                          resolution: float = 0.0) -> tuple[dict, np.ndarray]:
+    """Correlation-integral dimension estimate of a point cloud: its record
+    and the (radius, correlation) table, one row per radius.
 
     ``points`` is (n_points >= 100, dim) real.  C(eps) is the fraction of
     pairs closer than eps, excluding pairs of temporal index distance up to
@@ -314,9 +264,7 @@ def correlation_dimension(points: np.ndarray, theiler_window: int = 10,
     if dmax <= max(resolution, 1e3 * np.finfo(float).eps
                    * max(1.0, float(np.max(np.abs(pts))))):
         radii = np.geomspace(1e-3, 1.0, 8)
-        return DimensionEstimate(slope=0.0, ci_low=0.0, ci_high=0.0,
-                                 radii=radii, correlations=np.ones_like(radii),
-                                 degenerate=True)
+        return _dimension(0.0, 0.0, radii, np.ones_like(radii), True)
     # the 0.2% quantile, by np.quantile's default (linear) rule bit for bit
     k = (dists.size - 1) * 0.002
     i = int(k)
@@ -340,15 +288,10 @@ def correlation_dimension(points: np.ndarray, theiler_window: int = 10,
     if fit_r.size < 2 or fit_r[0] == fit_r[-1]:
         # a section collapsed to one point up to round-off, with too few
         # pairs apart to fit a scaling region: dimension 0
-        return DimensionEstimate(slope=0.0, ci_low=0.0, ci_high=0.0,
-                                 radii=radii, correlations=corr,
-                                 degenerate=True)
+        return _dimension(0.0, 0.0, radii, corr, True)
     fit_slope, _, stderr = line_fit(np.log(fit_r), np.log(corr[usable]))
     half = 1.96 * (stderr if stderr == stderr else 0.0)
-    slope = max(0.0, float(fit_slope))
-    return DimensionEstimate(slope=slope, ci_low=slope - half,
-                             ci_high=slope + half, radii=radii,
-                             correlations=corr)
+    return _dimension(max(0.0, float(fit_slope)), half, radii, corr, False)
 
 
 def _theiler_distances(pts: np.ndarray, window: int) -> np.ndarray:
@@ -389,11 +332,11 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
         config = IntegratorConfig(rtol=1e-7, atol=1e-10)
     config = replace(config, sample_stride=section_period)
     pred = predict_absorbing(params, spec, r=1.0)
-    burn = math.ceil((pred.entry_time + 20.0 / pred.gamma_eff) / section_period
-                     - 1e-9)  # in periods
+    burn = math.ceil((pred["entry_time"] + 20.0 / pred["gamma_eff"])
+                     / section_period - 1e-9)  # in periods
     members, chunk = _section_batch(n_points, burn, n_sites)
     shifts = [b * chunk * section_period for b in range(members)]
-    psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred.radius, 0.1)),
+    psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred["radius"], 0.1)),
                         bc=bc)
     traj = integrate(psi0, 0.0, (burn + chunk - 1) * section_period, params,
                      spec, config, shifts=shifts)

@@ -99,6 +99,26 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
+    def record(self) -> dict:
+        """``dnls simulate``'s report: the span, the norm (and tail) series
+        at the sample times, and the step counts."""
+        out = {
+            "t0": float(self.times[0]),
+            "t1": float(self.times[-1]),
+            "n_samples": int(self.n_samples),
+            "norms": [float(x) for x in self.norms],
+            "times": [float(x) for x in self.times],
+            "steps": {
+                "accepted": self.stats.accepted,
+                "rejected": self.stats.rejected,
+                "rhs_evals": self.stats.rhs_evals,
+            },
+        }
+        if self.tails is not None:
+            out["tail_cutoff"] = self.tail_cutoff
+            out["tails"] = [float(x) for x in self.tails]
+        return out
+
 
 class _Tsit5:
     """Tsitouras 5(4) steps on preallocated buffers: S = [y; K], so each
@@ -305,16 +325,6 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
 # ---------------------------------------------------------------------------
 # dissipation monitoring
 
-@dataclass
-class DissipationReport:
-    checked: int
-    violations: np.ndarray  # index i of each flagged interval [t_i, t_{i+1}]
-
-    @property
-    def ok(self) -> bool:
-        return self.violations.size == 0
-
-
 def _gronwall(y0, rate, forcing, dt):
     """Largest y(t0 + dt) under y' <= -rate*y + forcing, y(t0) = y0, for any
     sign of rate (Gronwall): e^{-rate*dt}*y0 + forcing*(1 - e^{-rate*dt})/rate,
@@ -325,7 +335,7 @@ def _gronwall(y0, rate, forcing, dt):
 
 
 def monitor_dissipation(traj: Trajectory, params: ModelParams,
-                        driving: DrivingSpec) -> DissipationReport:
+                        driving: DrivingSpec) -> dict:
     """Check the energy inequality
 
         d/dt ||psi||^2 + Gt*||psi||^2 <= (1/Gt)*||g1(t)||^2
@@ -336,12 +346,15 @@ def monitor_dissipation(traj: Trajectory, params: ModelParams,
     2*(gamma - sup||g2||) - Gt = gamma >= Gt.  With s_i >= ||g1|| on
     [t_i, t_{i+1}] (``DrivingField.interval_sup``) a sample is flagged when
     n^2_{i+1} > _gronwall(n^2_i, Gt, s_i^2/Gt, dt) + 10*rtol*(1 + n^2_i),
-    the integrator's error."""
+    the integrator's error.  The record counts the intervals ``checked``
+    and the ``violations``, and lists the index i of each flagged interval
+    [t_i, t_{i+1}] (``flagged``)."""
     gt = certificate(params, driving).dissipative().gamma_tilde
     n2, times = traj.norms ** 2, traj.times
     dt = np.diff(times)
     s = driving.g1.interval_sup(times[:-1], dt)
     bound = _gronwall(n2[:-1], gt, s * s / gt, dt)
     excess = n2[1:] - bound - 10 * traj.config.rtol * (1 + n2[:-1])
-    return DissipationReport(checked=dt.size,
-                             violations=np.flatnonzero(excess > 0))
+    flagged = np.flatnonzero(excess > 0).tolist()
+    return {"ok": not flagged, "checked": dt.size,
+            "violations": len(flagged), "flagged": flagged}

@@ -79,10 +79,6 @@ class NonlinearitySpec:
     def b(self) -> float:
         return 2.0 * self.sigma
 
-    @staticmethod
-    def cubic(sign: int = 1) -> "NonlinearitySpec":
-        return NonlinearitySpec(sigma=1.0, sign=sign)
-
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -1,6 +1,6 @@
-"""Deterministic artifact output: trajectory CSV, JSON reports, breather
-profiles.  Floats are written with 17 significant digits so they
-round-trip exactly."""
+"""Deterministic artifact output: the writers of the trajectory CSV, the
+JSON reports, the breather profile and the correlation table.  Floats are
+written with 17 significant digits so they round-trip exactly."""
 
 from __future__ import annotations
 
@@ -22,38 +22,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                comments="")
 
 
-def trajectory_summary(traj: Trajectory) -> dict:
-    out = {
-        "t0": float(traj.times[0]),
-        "t1": float(traj.times[-1]),
-        "n_samples": int(traj.n_samples),
-        "norms": [float(x) for x in traj.norms],
-        "times": [float(x) for x in traj.times],
-        "steps": {
-            "accepted": traj.stats.accepted,
-            "rejected": traj.stats.rejected,
-            "rhs_evals": traj.stats.rhs_evals,
-        },
-    }
-    if traj.tails is not None:
-        out["tail_cutoff"] = traj.tail_cutoff
-        out["tails"] = [float(x) for x in traj.tails]
-    return out
-
-
-def breather_to_dict(sol: BreatherSolution) -> dict:
-    return {
-        "period": sol.period,
-        "phase_t0": sol.phase_t0,
-        "periodicity_residual": sol.periodicity_residual,
-        "iterations": sol.iterations,
-        "contraction_ratio": sol.contraction_ratio,
-        "localization_rate": sol.localization_rate,
-        "localization_r2": sol.localization_r2,
-        "amplitudes": [[z.real, z.imag] for z in sol.state0.values],
-    }
-
-
 def write_breather_profile_csv(sol: BreatherSolution, path) -> None:
     """Site amplitude profile for plotting: n, |psi_n|, re, im."""
     v = sol.state0.values
@@ -64,10 +32,9 @@ def write_breather_profile_csv(sol: BreatherSolution, path) -> None:
                header="n,abs,re,im", comments="")
 
 
-def write_dimension_csv(estimate, path) -> None:
-    """(radius, correlation integral) table."""
-    rows = np.column_stack([estimate.radii, estimate.correlations])
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+def write_dimension_csv(table: np.ndarray, path) -> None:
+    """(radius, correlation integral) table, one row per radius."""
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
                header="epsilon,correlation", comments="")
 
 

@@ -60,7 +60,7 @@ def _dissipative_scenario():
                       CosineLaw.constant(1.0))
     spec = DrivingSpec(g1=g1, g2=g2)
     params = ModelParams(kappa=1.0, gamma=2.0,
-                         nonlinearity=NonlinearitySpec.cubic())
+                         nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
     return params, spec
 
 
@@ -69,7 +69,7 @@ def _breather_scenario():
                       CosineLaw.periodic(period=2 * math.pi))
     spec = DrivingSpec(g1=g1)
     params = ModelParams(kappa=1.0, gamma=3.0,
-                         nonlinearity=NonlinearitySpec.cubic(-1))
+                         nonlinearity=NonlinearitySpec(sigma=1.0, sign=-1))
     return params, spec
 
 
@@ -183,8 +183,8 @@ def test_criterion_3_dissipation_and_apriori(report):
     bound = check_apriori_bound(traj, params, spec)
     elapsed = time.perf_counter() - t_start
     report(3, "dissipation inequality and a-priori bound",
-            diss.ok and bound.ok and elapsed < 30.0,
-            f"{diss.checked} intervals, {len(diss.violations)} violations, "
+            diss["ok"] and bound["ok"] and elapsed < 30.0,
+            f"{diss['checked']} intervals, {diss['violations']} violations, "
             f"{elapsed:.1f}s")
 
 
@@ -192,16 +192,16 @@ def test_criterion_4_absorbing_ball(report):
     t_start = time.perf_counter()
     params, spec = _dissipative_scenario()
     probe = predict_absorbing(params, spec, r=1.0)
-    r = 10.0 * probe.radius
+    r = 10.0 * probe["radius"]
     pred = predict_absorbing(params, spec, r=r)
     psi0 = random_state(256, 0, norm=r)
-    traj = integrate(psi0, 0.0, 5.0 * pred.entry_time, params, spec)
+    traj = integrate(psi0, 0.0, 5.0 * pred["entry_time"], params, spec)
     result = verify_absorbing(traj, pred)
     elapsed = time.perf_counter() - t_start
     report(4, "absorbing ball",
-           result.ok and elapsed < 60.0,
-           f"K={pred.radius:.4f}, entry {result.first_entry_t:.2f} <= "
-           f"T={pred.entry_time:.2f}, {elapsed:.1f}s")
+           result["pass"] and elapsed < 60.0,
+           f"K={pred['radius']:.4f}, entry {result['first_entry_t']:.2f} <= "
+           f"T={pred['entry_time']:.2f}, {elapsed:.1f}s")
 
 
 def test_criterion_5_tail_decay(report):
@@ -211,13 +211,13 @@ def test_criterion_5_tail_decay(report):
     r = 1.0
     pred = predict_tail(xi, r, params, spec, n_sites=256)
     psi0 = random_state(256, 0, norm=r)
-    traj = integrate(psi0, 0.0, 3.0 * pred.entry_time + 5.0, params, spec,
-                     tail_cutoff=pred.cutoff)
+    traj = integrate(psi0, 0.0, 3.0 * pred["entry_time"] + 5.0, params, spec,
+                     tail_cutoff=pred["cutoff"])
     result = verify_tail(traj, pred)
     elapsed = time.perf_counter() - t_start
     report(5, "tail decay",
-           result.ok and elapsed < 60.0,
-           f"M={pred.cutoff}, max tail {result.max_tail_after_entry:.2e} "
+           result["pass"] and elapsed < 60.0,
+           f"M={pred['cutoff']}, max tail {result['max_tail_after_entry']:.2e} "
            f"<= xi={xi:.0e}, {elapsed:.1f}s")
 
 
@@ -228,20 +228,20 @@ def test_criterion_6_contraction(report):
     lin_spec = DrivingSpec(g1=g1)
     lin = ModelParams(kappa=1.0, gamma=1.0)
     rep_lin = contraction_rate(lin, lin_spec, seeds=(1, 2), horizon=8.0)
-    lin_ok = abs(-rep_lin.fitted_rate - 1.0) <= 0.01
+    lin_ok = abs(-rep_lin["fitted_rate"] - 1.0) <= 0.01
 
     # cubic strong-damping case: decay at least gamma - a*K^b - sup||g2||
     g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
                       CosineLaw.constant(1.0))
     cub_spec = DrivingSpec(g1=g1, g2=g2)
     cub = ModelParams(kappa=1.0, gamma=5.0,
-                      nonlinearity=NonlinearitySpec.cubic())
+                      nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
     rep_cub = contraction_rate(cub, cub_spec, seeds=(3, 4), horizon=2.0)
     elapsed = time.perf_counter() - t_start
     report(6, "two-trajectory contraction",
-            lin_ok and rep_cub.pass_ and elapsed < 60.0,
-            f"linear {-rep_lin.fitted_rate:.4f} vs 1.0, cubic "
-            f"{-rep_cub.fitted_rate:.3f} >= {rep_cub.predicted_rate:.3f}, "
+            lin_ok and rep_cub["pass"] and elapsed < 60.0,
+            f"linear {-rep_lin['fitted_rate']:.4f} vs 1.0, cubic "
+            f"{-rep_cub['fitted_rate']:.3f} >= {rep_cub['predicted_rate']:.3f}, "
             f"{elapsed:.1f}s")
 
 
@@ -265,7 +265,7 @@ def test_criterion_7_breather(report):
                  for a in sols for b in sols)
     seeds_ok = spread <= 1e-9
     check = verify_breather(sol, params, spec, tol=tol)
-    verified = check.ok  # includes ratio <= e^{-rho*T}, without the +0.05
+    verified = check["verified"]  # includes ratio <= e^{-rho*T}, without the +0.05
 
     # analytic witness: kappa=0, F=0, constant single-site drive has the
     # unique periodic orbit psi = -i*g/gamma
@@ -284,7 +284,7 @@ def test_criterion_7_breather(report):
             ratio_ok and residual_ok and seeds_ok and verified
             and analytic_err <= 1e-10 and elapsed < 120.0,
             f"ratio {sol.contraction_ratio:.2e} <= {theo_ratio:.2e}+0.05 "
-            f"(margin {check.ratio_margin:.2f} without it), "
+            f"(margin {check['ratio_margin']:.2f} without it), "
             f"residual {sol.periodicity_residual:.1e}, spread {spread:.1e}, "
             f"analytic {analytic_err:.1e}, {elapsed:.1f}s")
 
@@ -294,12 +294,12 @@ def test_criterion_8_dimension_estimates(report):
     rng = np.random.default_rng(0)
     ang = rng.uniform(0, 2 * np.pi, 2000)
     circle = np.column_stack([np.cos(ang), np.sin(ang)])
-    est_circle = correlation_dimension(circle, theiler_window=0)
+    est_circle, _ = correlation_dimension(circle, theiler_window=0)
 
     rad = np.sqrt(rng.uniform(0, 1, 2000))
     ang2 = rng.uniform(0, 2 * np.pi, 2000)
     disc = np.column_stack([rad * np.cos(ang2), rad * np.sin(ang2)])
-    est_disc = correlation_dimension(disc, theiler_window=0)
+    est_disc, _ = correlation_dimension(disc, theiler_window=0)
 
     # quasiperiodically driven lattice: the estimate must be finite with a
     # tight confidence interval (finite fractal dimension, empirically)
@@ -309,20 +309,23 @@ def test_criterion_8_dimension_estimates(report):
                       law)
     spec = DrivingSpec(g1=g1)
     params = ModelParams(kappa=1.0, gamma=0.5,
-                         nonlinearity=NonlinearitySpec.cubic(-1))
+                         nonlinearity=NonlinearitySpec(sigma=1.0, sign=-1))
     _, pts = poincare_points(params, spec, n_points=2000,
                              section_period=2 * math.pi, n_sites=64, seed=0)
-    est_dnls = correlation_dimension(pts)
+    est_dnls, _ = correlation_dimension(pts)
 
-    circle_ok = abs(est_circle.slope - 1.0) <= 0.1
-    disc_ok = abs(est_disc.slope - 2.0) <= 0.15
-    dnls_ok = (not est_dnls.degenerate and math.isfinite(est_dnls.slope)
-               and est_dnls.ci_width < 0.5)
+    circle_ok = abs(est_circle["dimension"] - 1.0) <= 0.1
+    disc_ok = abs(est_disc["dimension"] - 2.0) <= 0.15
+    dnls_ok = (not est_dnls["degenerate"]
+               and math.isfinite(est_dnls["dimension"])
+               and est_dnls["ci_width"] < 0.5)
     elapsed = time.perf_counter() - t_start
     report(8, "correlation dimension",
             circle_ok and disc_ok and dnls_ok and elapsed < 300.0,
-            f"circle {est_circle.slope:.3f}, disc {est_disc.slope:.3f}, "
-            f"lattice {est_dnls.slope:.3f} (ci {est_dnls.ci_width:.3f}), "
+            f"circle {est_circle['dimension']:.3f}, "
+            f"disc {est_disc['dimension']:.3f}, "
+            f"lattice {est_dnls['dimension']:.3f} "
+            f"(ci {est_dnls['ci_width']:.3f}), "
             f"{elapsed:.0f}s")
 
 
@@ -331,35 +334,35 @@ def test_criterion_9_mutation_tests(report):
     pred_abs = predict_absorbing(params, spec, r=2.0)
     pred_tail = predict_tail(1e-3, 2.0, params, spec, n_sites=128)
     psi0 = random_state(128, 0, norm=2.0)
-    horizon = 3.0 * max(pred_abs.entry_time, pred_tail.entry_time) + 2.0
+    horizon = 3.0 * max(pred_abs["entry_time"], pred_tail["entry_time"]) + 2.0
     traj = integrate(psi0, 0.0, horizon, params, spec,
-                     tail_cutoff=pred_tail.cutoff)
+                     tail_cutoff=pred_tail["cutoff"])
 
     # sanity: the honest trajectory passes everything
-    assert verify_absorbing(traj, pred_abs).ok
-    assert verify_tail(traj, pred_tail).ok
-    assert monitor_dissipation(traj, params, spec).ok
-    assert check_apriori_bound(traj, params, spec).ok
+    assert verify_absorbing(traj, pred_abs)["pass"]
+    assert verify_tail(traj, pred_tail)["pass"]
+    assert monitor_dissipation(traj, params, spec)["ok"]
+    assert check_apriori_bound(traj, params, spec)["ok"]
 
     # absorbing: push the late norms outside the ball
     norms = traj.norms.copy()
-    norms[traj.times > pred_abs.entry_time] += 2.0 * pred_abs.radius
+    norms[traj.times > pred_abs["entry_time"]] += 2.0 * pred_abs["radius"]
     abs_fails = not verify_absorbing(
-        dataclasses.replace(traj, norms=norms), pred_abs).ok
+        dataclasses.replace(traj, norms=norms), pred_abs)["pass"]
 
     # tail: inflate the tail series past xi
     tail_fails = not verify_tail(
-        dataclasses.replace(traj, tails=traj.tails + 1.0), pred_tail).ok
+        dataclasses.replace(traj, tails=traj.tails + 1.0), pred_tail)["pass"]
 
     # dissipation: inject an energy jump mid-trajectory
     jumped = traj.norms.copy()
     jumped[jumped.size // 2:] += 5.0
     diss_fails = not monitor_dissipation(
-        dataclasses.replace(traj, norms=jumped), params, spec).ok
+        dataclasses.replace(traj, norms=jumped), params, spec)["ok"]
 
     # a-priori bound: same inflated norms must violate the envelope
     apriori_fails = not check_apriori_bound(
-        dataclasses.replace(traj, norms=traj.norms + 10.0), params, spec).ok
+        dataclasses.replace(traj, norms=traj.norms + 10.0), params, spec)["ok"]
 
     # breather periodicity: a perturbed state is not a periodic orbit
     bparams, bspec = _breather_scenario()
@@ -370,7 +373,7 @@ def test_criterion_9_mutation_tests(report):
     fake = dataclasses.replace(
         sol, state0=LatticeState(sol.state0.values + bump.values))
     breather_fails = not verify_breather(fake, bparams, bspec, tol=1e-8,
-                                         config=fast).ok
+                                         config=fast)["verified"]
 
     report(9, "mutation tests",
             abs_fails and tail_fails and diss_fails and apriori_fails

@@ -34,7 +34,7 @@ def _breather_scenario(gamma=3.0, amp=0.5):
                       CosineLaw.periodic(period=2 * math.pi))
     spec = DrivingSpec(g1=g1)
     params = ModelParams(kappa=1.0, gamma=gamma,
-                         nonlinearity=NonlinearitySpec.cubic(-1))
+                         nonlinearity=NonlinearitySpec(sigma=1.0, sign=-1))
     return params, spec
 
 
@@ -118,7 +118,7 @@ class TestFindBreather:
         assert sol.contraction_ratio <= theo + 0.05
         assert sol.localization_r2 is not None and sol.localization_r2 >= 0.99
         report = verify_breather(sol, params, spec, tol=1e-9, config=FAST)
-        assert report.ok and report.envelope_monotone
+        assert report["verified"] and report["envelope_monotone"]
 
     def test_seed_independence(self):
         params, spec = _breather_scenario()
@@ -167,7 +167,7 @@ class TestFindBreather:
         fake = dataclasses.replace(
             sol, state0=LatticeState(sol.state0.values + bump.values))
         report = verify_breather(fake, params, spec, tol=1e-9, config=FAST)
-        assert not report.ok
+        assert not report["verified"]
 
 
 def _residual(state, image):
@@ -251,11 +251,11 @@ class TestContractionCertificate:
         certified = math.exp(-sol.gap_rate * sol.period)
         assert sol.ratios and 0 < sol.contraction_ratio <= certified
         report = self._verify(cfg, sol)
-        assert report.ok
-        assert report.certified_ratio == certified
-        assert report.ratio_margin == pytest.approx(
+        assert report["verified"]
+        assert report["certified_ratio"] == certified
+        assert report["ratio_margin"] == pytest.approx(
             sol.contraction_ratio / certified, rel=1e-12)
-        assert 0.5 < report.ratio_margin < 0.9
+        assert 0.5 < report["ratio_margin"] < 0.9
 
     def test_shrunk_certificate_fails(self, bundled, monkeypatch):
         # doubling rho squares the certified ratio (9.2e-9 -> 8.4e-17)
@@ -269,8 +269,8 @@ class TestContractionCertificate:
         assert shrunk.gap_rate == 2.0 * sol.gap_rate
         assert shrunk.contraction_ratio == sol.contraction_ratio
         report = self._verify(cfg, shrunk)
-        assert report.ratio_margin > 1 and not report.ok
-        assert report.max_phase_residual <= 10 * cfg.scenario["tol"]
+        assert report["ratio_margin"] > 1 and not report["verified"]
+        assert report["max_phase_residual"] <= 10 * cfg.scenario["tol"]
 
     def test_no_kept_ratio_passes(self, bundled):
         # a map that contracts below the round-off floor at once keeps no
@@ -278,7 +278,7 @@ class TestContractionCertificate:
         cfg, sol = bundled
         report = self._verify(cfg, replace(sol, contraction_ratio=0.0,
                                            ratios=[]))
-        assert report.ok and report.ratio_margin == 0.0
+        assert report["verified"] and report["ratio_margin"] == 0.0
 
 
 class TestEnvelope:
@@ -299,4 +299,4 @@ class TestEnvelope:
             values[-3] += bump
             fake = dataclasses.replace(sol, state0=LatticeState(values))
             report = verify_breather(fake, params, spec, tol=1e-9, config=FAST)
-            assert report.envelope_monotone is monotone
+            assert report["envelope_monotone"] is monotone

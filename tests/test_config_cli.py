@@ -8,7 +8,6 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,8 +145,9 @@ class TestConfigParse:
         g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
                           CosineLaw.constant(1.0))
         expected = ScenarioConfig(
-            model=ModelParams(kappa=1.0, gamma=2.0,
-                              nonlinearity=NonlinearitySpec.cubic(-1)),
+            model=ModelParams(
+                kappa=1.0, gamma=2.0,
+                nonlinearity=NonlinearitySpec(sigma=1.0, sign=-1)),
             n_sites=32, bc="dirichlet", driving=DrivingSpec(g1=g1, g2=g2),
             integrator=IntegratorConfig(),
             scenario={"t1": 1.0, "initial": {"kind": "zero"}})
@@ -416,9 +416,8 @@ class TestCsvOutput:
             [str(i - 32), abs(z), z.real, z.imag] for i, z in enumerate(v)])
 
     def test_dimension_csv(self, tmp_path):
-        est = SimpleNamespace(radii=self.VALUES[0], correlations=self.VALUES[1])
         path = tmp_path / "corr.csv"
-        write_dimension_csv(est, path)
+        write_dimension_csv(np.column_stack(self.VALUES), path)
         assert path.read_text() == _csv_reference(
             "epsilon,correlation", zip(*self.VALUES))
 
@@ -485,8 +484,8 @@ class TestCli:
         from dnls import diagnostics as dg
 
         def always_fail(traj, pred):
-            return dg.AbsorbingReport(ok=False, first_entry_t=None,
-                                      max_norm_after_entry=math.inf)
+            return {"first_entry_t": None, "max_norm_after_entry": math.inf,
+                    "pass": False}
 
         monkeypatch.setattr(cli.dg, "verify_absorbing", always_fail)
         assert cli.main(["absorbing", "--config",

@@ -197,7 +197,7 @@ class TestTemporalLaws:
 
 
 CUBIC = ModelParams(kappa=1.0, gamma=1.0,
-                    nonlinearity=NonlinearitySpec.cubic())
+                    nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
 
 
 class TestDrivingSpec:

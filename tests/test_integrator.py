@@ -37,7 +37,7 @@ def _bundled_run(name):
                 sc["t1"], cfg)
     pred = predict_absorbing(cfg.model, cfg.driving, sc["radius"])
     return (random_state(cfg.n_sites, sc["seed"], norm=sc["radius"]),
-            pred.entry_time * 6.0 + 1.0, cfg)
+            pred["entry_time"] * 6.0 + 1.0, cfg)
 
 
 def _affine_setup(g=0.3 + 0.4j, gamma=1.5, n_sites=16):
@@ -521,7 +521,7 @@ class TestDissipationMonitor:
                           CosineLaw.constant(1.0))
         spec = DrivingSpec(g1=g1, g2=g2)
         params = ModelParams(kappa=1.0, gamma=2.0,
-                             nonlinearity=NonlinearitySpec.cubic())
+                             nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
         return params, spec
 
     def test_no_violations_on_honest_trajectory(self):
@@ -529,8 +529,8 @@ class TestDissipationMonitor:
         psi0 = random_state(64, 0, norm=2.0)
         traj = integrate(psi0, 0.0, 5.0, params, spec)
         report = monitor_dissipation(traj, params, spec)
-        assert report.ok
-        assert report.checked == traj.n_samples - 1
+        assert report["ok"]
+        assert report["checked"] == traj.n_samples - 1
 
     def test_detects_injected_energy(self):
         params, spec = self._scenario()
@@ -539,7 +539,7 @@ class TestDissipationMonitor:
         norms = traj.norms.copy()
         norms[20:] += 5.0  # a jump no dissipative flow can produce
         bad = dataclasses.replace(traj, norms=norms)
-        assert not monitor_dissipation(bad, params, spec).ok
+        assert not monitor_dissipation(bad, params, spec)["ok"]
 
     def test_detects_realistic_energy_ramp(self):
         # simulate.json's scenario; after t = 25, ||psi||^2 gains 1% of the
@@ -548,12 +548,12 @@ class TestDissipationMonitor:
         traj = integrate(psi0, 0.0, t1, cfg.model, cfg.driving,
                          cfg.integrator, keep_states=False)
         honest = monitor_dissipation(traj, cfg.model, cfg.driving)
-        assert honest.ok
+        assert honest["ok"]
         gt = certificate(cfg.model, cfg.driving).gamma_tilde
         rate = 0.01 * cfg.driving.g1.sup_norm() ** 2 / gt
         n2 = traj.norms ** 2 + rate * np.maximum(traj.times - 25.0, 0.0)
         ramped = dataclasses.replace(traj, norms=np.sqrt(n2))
-        assert not monitor_dissipation(ramped, cfg.model, cfg.driving).ok
+        assert not monitor_dissipation(ramped, cfg.model, cfg.driving)["ok"]
 
     def test_detects_energy_step(self):
         # simulate.json's scenario with 0.05 added to ||psi||^2 from t = 25
@@ -565,12 +565,12 @@ class TestDissipationMonitor:
         stepped = dataclasses.replace(traj, norms=np.sqrt(n2))
         report = monitor_dissipation(stepped, cfg.model, cfg.driving)
         first = int(np.argmax(traj.times >= 25.0))
-        assert report.violations.tolist() == [first - 1]
+        assert report["flagged"] == [first - 1]
 
     def test_refuses_weak_damping(self):
         params, spec = self._scenario()
         weak = ModelParams(kappa=1.0, gamma=0.4,
-                           nonlinearity=NonlinearitySpec.cubic())
+                           nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
         psi0 = random_state(64, 0, norm=1.0)
         traj = integrate(psi0, 0.0, 1.0, weak, spec)
         with pytest.raises(DomainError, match=r"need gamma > 2\*sup"):

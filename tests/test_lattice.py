@@ -177,7 +177,7 @@ class TestNonlinearity:
         # - i*F(|psi|^2)*psi
         s = _rand(16, 5)
         params = ModelParams(kappa=0.0, gamma=1.0,
-                             nonlinearity=NonlinearitySpec.cubic(-1))
+                             nonlinearity=NonlinearitySpec(sigma=1.0, sign=-1))
         f = make_rhs(params, _NO_DRIVING.sampler(16), "dirichlet")
         out = 1j * (f(0.0, s.values) + s.values)
         expect = -np.abs(s.values) ** 2 * s.values
@@ -219,7 +219,7 @@ class TestRhs:
                           CosineLaw.constant(1.0))
         spec = DrivingSpec(g1=g1)
         params = ModelParams(kappa=1.0, gamma=2.0,
-                             nonlinearity=NonlinearitySpec.cubic())
+                             nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
         f = make_rhs(params, spec.sampler(16), "dirichlet")
         out = f(0.0, LatticeState.zeros(16).values)
         expect = np.zeros(16, dtype=complex)
@@ -312,32 +312,33 @@ _SITE_G2 = DrivingField(SpatialProfile("single_site", amplitude=0.25, site=3),
 # (nonlinearity, g1, g2) of each case; None is a zero field
 _RHS_CASES = {
     "F=0": (None, None, None),
-    "cubic+": (NonlinearitySpec.cubic(1), DrivingField(_EXP, _PERIODIC), None),
-    "cubic-": (NonlinearitySpec.cubic(-1), DrivingField(_EXP, _PERIODIC),
-               None),
+    "cubic+": (NonlinearitySpec(sigma=1.0, sign=1),
+               DrivingField(_EXP, _PERIODIC), None),
+    "cubic-": (NonlinearitySpec(sigma=1.0, sign=-1),
+               DrivingField(_EXP, _PERIODIC), None),
     "sigma=1.5": (NonlinearitySpec(sigma=1.5),
                   DrivingField(SpatialProfile("gaussian", amplitude=0.4,
                                               width=3.0), _PERIODIC), None),
     "g1 only": (None, DrivingField(_EXP, CosineLaw(_PERIODIC.shifted(0.3))),
                 None),
-    "single-site g2": (NonlinearitySpec.cubic(1), DrivingField(_EXP, _PERIODIC),
-                       _SITE_G2),
+    "single-site g2": (NonlinearitySpec(sigma=1.0, sign=1),
+                       DrivingField(_EXP, _PERIODIC), _SITE_G2),
     "single-site g2, F=0": (None, None, _SITE_G2),
-    "complex custom": (NonlinearitySpec.cubic(-1),
+    "complex custom": (NonlinearitySpec(sigma=1.0, sign=-1),
                        DrivingField(_CUSTOM, _PERIODIC),
                        DrivingField(_CUSTOM, CosineLaw.periodic(period=4.0))),
     "complex custom g2, F=0": (None, None,
                                DrivingField(_CUSTOM, CosineLaw.periodic(period=4.0))),
-    "harmonic law": (NonlinearitySpec.cubic(-1),
+    "harmonic law": (NonlinearitySpec(sigma=1.0, sign=-1),
                      DrivingField(_EXP, CosineLaw(CosineLaw.harmonic(
                          frequencies=(1.0, math.sqrt(2.0)),
                          amplitudes=(1.0, 0.8),
                          phases=(0.1, 0.0)).shifted(1.7))),
                      _SITE_G2),
-    "constant g1": (NonlinearitySpec.cubic(1),
+    "constant g1": (NonlinearitySpec(sigma=1.0, sign=1),
                     DrivingField(_CUSTOM, CosineLaw.constant(0.5)), None),
     # g2's law is constant: q2*law is formed once, when the closure is built
-    "constant custom g2": (NonlinearitySpec.cubic(1),
+    "constant custom g2": (NonlinearitySpec(sigma=1.0, sign=1),
                            DrivingField(_EXP, _PERIODIC),
                            DrivingField(_CUSTOM, CosineLaw.constant(0.7))),
     "constant custom g2, F=0": (None, None,
