@@ -271,36 +271,10 @@ def main(argv=None) -> int:
     column = measure()
     bench["columns"][args.column] = column
     path.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
-    for model in CONFIGS:
-        for key in ("rhs_us", "attempt_us"):
-            row = "  ".join(f"N={n}: {us:8.2f}"
-                            for n, us in column[model][key].items())
-            print(f"{args.column:>8} {model:>9} {key:>10}  {row}")
-        run = column[model]["integration_run"]
-        print(f"{args.column:>8} {model:>9} unit_time_us  N={run['n_sites']}: "
-              f"{column[model]['unit_time_us'][str(run['n_sites'])]:8.1f}  "
-              f"({run['attempts']} attempts, {run['rhs_calls']} RHS calls "
-              f"over [0, {run['t1']:g}])")
-    solve = column["breather"]
-    print(f"{args.column:>8}  breather   solve_ms  N={BREATHER_SITES}: "
-          f"{solve['solve_ms'][str(BREATHER_SITES)]:8.2f}  "
-          f"({solve['maps_per_solve']} period maps)")
-    dim = column["dimension"]
-    row = "  ".join(f"B={b}: {us:8.2f}"
-                    for b, us in dim["member_step_us"].items())
-    print(f"{args.column:>8} dimension member_step_us  "
-          f"N={SECTION_SITES}: {row}")
-    for points, sec in dim["section_s"].items():
-        print(f"{args.column:>8} dimension  section_s  {points} points: "
-              f"{sec:8.3f}  (B={dim['section_members'][points]})")
-    for points, ms in dim["pair_count_ms"].items():
-        print(f"{args.column:>8} dimension pair_count_ms {points} points: "
-              f"{ms:8.2f}")
-    start = column["startup"]
-    for kind in STARTUP:
-        print(f"{args.column:>8}   startup {kind:>10}  "
-              f"{start['wall_ms'][kind]:8.1f} ms  "
-              f"{start['peak_rss_mib'][kind]:6.1f} MiB")
+    for part, entries in column.items():  # the column, one entry a line
+        if isinstance(entries, dict):
+            for entry, value in entries.items():
+                print(f"{args.column:>8} {part:>9} {entry:>18}  {value}")
     return 0
 
 

@@ -167,8 +167,7 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
 
     env = _envelope(sol.state0)
     peak = float(np.max(env)) if env.size else 0.0
-    core = _driving_core(spec)
-    k = np.arange(core + 1, env.size)
+    k = np.arange(spec.g1.core(env.size) + 1, env.size)
     # a rise above the 1e-10 floor, where round-off ripple is ignored
     monotone = not np.any((env[k] > env[k - 1] * (1 + 1e-6) + 1e-12 * peak)
                           & (env[k] > 1e-10 * peak))
@@ -193,19 +192,3 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
         "verified": periodic_ok and monotone and loc_ok and log_margin <= 0.0,
     }
 
-
-def _driving_core(spec: DrivingSpec) -> int:
-    """Half-width of the region where the additive driving is concentrated."""
-    p = spec.g1.profile
-    if p.kind == "single_site":
-        return abs(p.site) + 1
-    if p.kind == "custom":
-        sites = [abs(p.start + k) for k, v in enumerate(p.values) if v != 0]
-        return (max(sites) + 1) if sites else 1
-    total = p.l2_norm_sq()
-    if total == 0:
-        return 1
-    m = 1
-    while p.tail_sq(m) > 1e-12 * total and m < 10 ** 6:
-        m += 1
-    return max(2, m // 4 + 1)

@@ -140,13 +140,9 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    period = sc.section_period or cfg.driving.period
-    if period is None:  # a harmonic sum: the period of its first term
-        if not cfg.driving.aperiodic:
-            raise DomainError("scenario.section_period required for this driving")
-        _, law = cfg.driving.aperiodic[0]
-        _, w, _ = law.terms[0]
-        period = 2 * math.pi / abs(w)  # cos is even
+    period = sc.section_period or cfg.driving.section_period
+    if period is None:
+        raise DomainError("scenario.section_period required for this driving")
     _, points = dg.poincare_points(cfg.model, cfg.driving,
                                    n_points=sc.n_points,
                                    section_period=period, n_sites=cfg.n_sites,

@@ -165,7 +165,7 @@ _PROFILE = _kind({
     "gaussian": ({"amplitude": (_REAL, 1.0), "width": (_POSITIVE, _REQUIRED)},
                  partial(SpatialProfile, "gaussian")),
     "single_site": ({"amplitude": (_REAL, 1.0), "site": (_INTEGER, 0)},
-                    partial(SpatialProfile, "single_site")),
+                    SpatialProfile.single_site),
     "custom": ({"values": (_list_of(_complex), _REQUIRED),
                 "start": (_INTEGER, 0)}, partial(SpatialProfile, "custom")),
 })

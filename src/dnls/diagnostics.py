@@ -20,7 +20,7 @@ from . import driving as drv
 from .driving import DrivingSpec
 from .errors import DomainError
 from .integrator import IntegratorConfig, Trajectory, _gronwall, integrate
-from .lattice import DIRICHLET, LatticeState, ModelParams, norm_sq, random_state
+from .lattice import DIRICHLET, LatticeState, ModelParams, random_state
 
 
 def line_fit(x, y):
@@ -110,15 +110,11 @@ def predict_tail(xi: float, r: float, params: ModelParams,
         raise DomainError("xi must be positive")
     gamma_eff = drv.certificate(params, spec).dissipative().gamma_tilde
     entry = max(0.0, math.log(2.0 * r * r / xi) / gamma_eff) if r > 0 else 0.0
-    target = gamma_eff ** 2 * xi / 2.0
-    amp1 = spec.g1.law.amp_bound()
-    cutoff = 0
-    while spec.g1.profile.tail_sq(cutoff) * amp1 ** 2 > target:
-        cutoff += 1
-        if cutoff >= n_sites // 2:
-            raise DomainError(
-                f"driving tail needs cutoff >= {cutoff}, but truncation has "
-                f"only {n_sites // 2} sites per side")
+    cutoff = spec.g1.tail_cutoff(gamma_eff ** 2 * xi / 2.0, n_sites // 2)
+    if cutoff >= n_sites // 2:
+        raise DomainError(
+            f"driving tail needs cutoff >= {cutoff}, but truncation has "
+            f"only {n_sites // 2} sites per side")
     return {"xi": xi, "entry_time": entry, "cutoff": cutoff,
             "gamma_eff": gamma_eff}
 
@@ -189,7 +185,7 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     below its monotone envelope R(t) from max(||theta||, ||theta_n||), and
     R <= Rbar_i = max(R(t_i), R(t_{i+1})) between samples.  There, with
     g2a*psi_a - g2b*psi_b = g2a*w + (g2a - g2b)*psi_b and the gaps dg1, dg2
-    of ``_driving_gap``, d/dt ||w|| <= -gap_rate(Rbar_i)*||w|| + dg1
+    of ``DrivingField.hull_gap``, d/dt ||w|| <= -gap_rate(Rbar_i)*||w|| + dg1
     + Rbar_i*dg2, since for F = +-s^sigma pointwise
     Re(conj(x - y)*(-i)*(F(|x|^2)x - F(|y|^2)y)) = (F(|y|^2) - F(|x|^2))
     * Im(conj(y)*x) <= sigma*max(|x|, |y|)^{2 sigma}*|x - y|^2 (maximize
@@ -209,7 +205,7 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
                     cert.g1_sup, ta.times)
     r_bar = np.maximum(env[:-1], env[1:])
     rates = cert.gap_rate(r_bar)
-    dg1, dg2 = _driving_gap(spec, h, theta.n_sites)
+    dg1, dg2 = spec.g1.hull_gap(h), spec.g2.hull_gap(h)
     bound = [gap[0]]
     for rate, force, dt in zip(rates, dg1 + r_bar * dg2, np.diff(ta.times)):
         bound.append(float(_gronwall(bound[-1], rate, force, dt)))
@@ -218,18 +214,6 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
             "growth_rate": float(np.max(-rates)),
             "max_gap": float(np.max(gap)), "max_bound": float(np.max(bound)),
             "gap": gap.tolist(), "bound": bound.tolist()}
-
-
-def _driving_gap(spec: DrivingSpec, h: float,
-                 n_sites: int) -> tuple[float, float]:
-    """sup_t ||g(t + h) - g(t)|| on the truncation, for g1 and for g2, in
-    closed form: ||p|| * sum_j |a_j| * 2|sin(w_j h/2)|, from
-    |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|."""
-    return tuple(
-        math.sqrt(norm_sq(f.profile.realize(n_sites)))
-        * math.fsum(2.0 * abs(a * math.sin(w * h / 2.0))
-                    for a, w, _ in f.law.terms)
-        for f in (spec.g1, spec.g2))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,11 @@ field adds w*h to the phase of each harmonic of frequency w, so a
 translate is again such a law; ``translate`` and the batched right-hand
 side (``lattice.make_rhs``) both use that phase shift.  ``certificate``
 collects the constants every estimate rests on (effective damping,
-absorbing radius, breather ball, gap rate) in one place.
+absorbing radius, breather ball, gap rate) in one place.  Every other
+fact a check reads from a driving is a method here too, with the
+profile's norm on l^2(Z): a field's tail cutoff, hull gap and core, and
+the period a section samples at.  Outside this module only
+``lattice._field`` reads a law's terms, to build the right-hand side.
 """
 
 from __future__ import annotations
@@ -41,20 +45,19 @@ class SpatialProfile:
     kinds:
       exponential  amplitude * exp(-rate*|n|)
       gaussian     amplitude * exp(-n^2 / (2*width^2))
-      single_site  amplitude at site ``site``, zero elsewhere
       custom       explicit table ``values`` starting at site ``start``
+                   (``single_site`` builds a one-entry table)
     """
 
     kind: str
     amplitude: float = 1.0
     rate: float = 1.0
     width: float = 1.0
-    site: int = 0
     values: tuple = ()
     start: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "gaussian", "single_site", "custom"):
+        if self.kind not in ("exponential", "gaussian", "custom"):
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "exponential" and self.rate <= 0:
             raise DomainError("exponential rate must be positive")
@@ -79,16 +82,11 @@ class SpatialProfile:
             else:
                 with np.errstate(over="ignore"):  # -n^2/(2 w2) = -inf: 0
                     out[:] = self.amplitude * np.exp(-(n * n) / (2.0 * w2))
-        elif self.kind == "single_site":
-            i = self.site + c
-            if not 0 <= i < n_sites:
-                raise DomainError(f"site {self.site} outside truncation")
-            out[i] = self.amplitude
         elif self.kind == "custom":
             for k, v in enumerate(self.values):
                 i = self.start + k + c
                 if not 0 <= i < n_sites:
-                    raise DomainError("custom table does not fit truncation")
+                    raise DomainError(f"profile site {i - c} outside truncation")
                 out[i] = v
         return out
 
@@ -101,8 +99,6 @@ class SpatialProfile:
             return a2 / math.tanh(self.rate)
         if self.kind == "gaussian":
             return a2 * self._gaussian_sum(0) + a2  # n=0 term plus both tails
-        if self.kind == "single_site":
-            return a2
         return math.fsum(abs(v) ** 2 for v in self.values)
 
     def _gaussian_sum(self, m: int) -> float:
@@ -134,8 +130,6 @@ class SpatialProfile:
             return a2 * 2.0 * math.exp(-2.0 * r * (m + 1)) / -math.expm1(-2.0 * r)
         if self.kind == "gaussian":
             return a2 * self._gaussian_sum(m)
-        if self.kind == "single_site":
-            return a2 if abs(self.site) > m else 0.0
         return math.fsum(
             abs(v) ** 2
             for k, v in enumerate(self.values)
@@ -143,8 +137,20 @@ class SpatialProfile:
         )
 
     @staticmethod
+    def single_site(amplitude: float = 1.0, site: int = 0) -> "SpatialProfile":
+        """``amplitude`` at site ``site`` and zero elsewhere: a one-entry
+        table."""
+        return SpatialProfile("custom", values=(amplitude,), start=site)
+
+    @staticmethod
     def zero() -> "SpatialProfile":
-        return SpatialProfile(kind="single_site", amplitude=0.0)
+        return SpatialProfile("custom")
+
+
+def _first_at_most(tail, bound: float, start: int, stop: int) -> int:
+    """The least m in [start, stop) with tail(m) <= ``bound``, else
+    ``stop``: the one tail scan, cut where the truncation stops using it."""
+    return next((m for m in range(start, stop) if not tail(m) > bound), stop)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,36 @@ class DrivingField:
     def sup_norm(self) -> float:
         return math.sqrt(self.profile.l2_norm_sq()) * self.law.amp_bound()
 
+    def tail_cutoff(self, bound: float, stop: int) -> int:
+        """The least m in [0, stop) with sup_t sum_{|n|>m} |g_n(t)|^2, the
+        profile's tail times sup|law|^2, at most ``bound``; else ``stop``."""
+        amp_sq = self.law.amp_bound() ** 2
+        return _first_at_most(lambda m: self.profile.tail_sq(m) * amp_sq,
+                              bound, 0, stop)
+
+    def core(self, sites: int) -> int:
+        """Half-width of the region where the field is concentrated: one
+        past the profile's outermost nonzero entry for a table, else one
+        plus a quarter of the least m >= 1 whose tail holds at most 1e-12
+        of the profile's squared norm, and at least 2.  The scan stops at
+        m = 4*``sites``, where the half-width passes ``sites``."""
+        p = self.profile
+        if p.kind == "custom":
+            nz = [abs(p.start + k) for k, v in enumerate(p.values) if v != 0]
+            return max(nz) + 1 if nz else 1
+        total = p.l2_norm_sq()
+        if total == 0:
+            return 1
+        return max(2, _first_at_most(p.tail_sq, 1e-12 * total, 1, 4 * sites)
+                   // 4 + 1)
+
+    def hull_gap(self, h: float) -> float:
+        """sup_t ||g(t + h) - g(t)|| in l^2(Z), in closed form:
+        ||p|| * sum_j 2|a_j sin(w_j h/2)|, from
+        |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|."""
+        return math.sqrt(self.profile.l2_norm_sq()) * math.fsum(
+            2.0 * abs(a * math.sin(w * h / 2.0)) for a, w, _ in self.law.terms)
+
     def interval_sup(self, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Bound on ||g(s)|| over each [t, t + dt]: the law's derivative is
         at most sum_j |a_j w_j|, and the law never exceeds amp_bound."""
@@ -313,6 +349,16 @@ class DrivingSpec:
         return tuple((f"driving.{name}.law", g.law)
                      for name, g in (("g1", self.g1), ("g2", self.g2))
                      if g.law.period == math.inf)
+
+    @property
+    def section_period(self) -> float | None:
+        """The period a stroboscopic section samples at: the driving's
+        ``period``, or for a harmonic sum, which has none, 2 pi/|w| of its
+        first harmonic (cos is even); None when every law is constant."""
+        if self.aperiodic:
+            _, law = self.aperiodic[0]
+            return 2 * math.pi / abs(law.terms[0][1])
+        return self.period
 
     @property
     def period(self) -> float | None:

@@ -288,11 +288,9 @@ def random_state(n_sites: int, seed: int, norm: float = 1.0,
     N + k (counting from 0) of SplitMix64 from ``seed``:
     sqrt(-2 ln u1) * exp(2*pi*i*u2), with each output's top 53 bits as u
     in (0, 1].  The stream is this arithmetic alone, so a seed gives the
-    same state on every numpy version; it replaced numpy's
-    ``default_rng``, which moved every seeded output of the package.  With
-    ``localized`` the amplitudes are damped by exp(-|n|/8) so the state is
-    compatible with the Dirichlet truncation.  ``seed`` must be in
-    [0, 2**64).
+    same state on every numpy version.  With ``localized`` the amplitudes
+    are damped by exp(-|n|/8) so the state is compatible with the
+    Dirichlet truncation.  ``seed`` must be in [0, 2**64).
     """
     if not 0 <= seed < SEED_LIMIT:
         raise DomainError(f"seed must be in [0, 2**64), got {seed!r}")

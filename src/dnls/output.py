@@ -38,17 +38,7 @@ def write_dimension_csv(table: np.ndarray, path) -> None:
                header="epsilon,correlation", comments="")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def write_json(data: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2, default=_jsonable)
+        json.dump(data, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -56,7 +56,7 @@ def _dissipative_scenario():
     """Cubic lattice with gamma=2, sup||g2||=0.25 and exponential additive
     driving of unit sup norm; effective damping 1.5."""
     g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
-    g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
+    g2 = DrivingField(SpatialProfile.single_site(0.25),
                       CosineLaw.constant(1.0))
     spec = DrivingSpec(g1=g1, g2=g2)
     params = ModelParams(kappa=1.0, gamma=2.0,
@@ -231,7 +231,7 @@ def test_criterion_6_contraction(report):
     lin_ok = abs(-rep_lin["fitted_rate"] - 1.0) <= 0.01
 
     # cubic strong-damping case: decay at least gamma - a*K^b - sup||g2||
-    g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
+    g2 = DrivingField(SpatialProfile.single_site(0.25),
                       CosineLaw.constant(1.0))
     cub_spec = DrivingSpec(g1=g1, g2=g2)
     cub = ModelParams(kappa=1.0, gamma=5.0,

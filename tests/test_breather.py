@@ -67,7 +67,7 @@ class TestFindBreather:
     def test_requires_period_for_aperiodic_driving(self):
         params = ModelParams(kappa=0.0, gamma=1.0)
         spec = DrivingSpec(g1=DrivingField(
-            SpatialProfile("single_site", amplitude=0.1), CosineLaw.constant(1.0)))
+            SpatialProfile.single_site(0.1), CosineLaw.constant(1.0)))
         seed = LatticeState.zeros(16)
         with pytest.raises(DomainError, match="not periodic"):
             find_breather(params, spec, seed)
@@ -80,7 +80,7 @@ class TestFindBreather:
         # period map, whatever period is passed
         cfg = load_config(BREATHER_JSON)
         spec = replace(cfg.driving, g2=DrivingField(
-            SpatialProfile("single_site", amplitude=1e-13),
+            SpatialProfile.single_site(1e-13),
             CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
                                amplitudes=(1.0, 1.0))))
         assert spec.period is None
@@ -300,3 +300,33 @@ class TestEnvelope:
             fake = dataclasses.replace(sol, state0=LatticeState(values))
             report = verify_breather(fake, params, spec, tol=1e-9, config=FAST)
             assert report["envelope_monotone"] is monotone
+
+    @pytest.mark.parametrize("width, unbounded", [(100.0, True),
+                                                  (3000.0, False)])
+    def test_core_scan_stops_at_the_truncation(self, monkeypatch, width,
+                                               unbounded):
+        # a gaussian g1 of either width holds more than 1e-12 of its mass
+        # beyond every site of N = 128, so the scan for its core stops at
+        # 2N tail sums, past which the half-width leaves the lattice; the
+        # unbounded scan makes about 530 and 15,000 sums to the same
+        # record, and is rerun here at the width where that is cheap
+        cfg = load_config(BREATHER_JSON)
+        g1 = replace(cfg.driving.g1, profile=SpatialProfile(
+            "gaussian", amplitude=0.01, width=width))
+        spec = replace(cfg.driving, g1=g1)
+        sol = find_breather(cfg.model, spec, LatticeState.zeros(128))
+        tail_sq, calls = SpatialProfile.tail_sq, []
+        monkeypatch.setattr(SpatialProfile, "tail_sq",
+                            lambda p, m: calls.append(m) or tail_sq(p, m))
+        report = verify_breather(sol, cfg.model, spec)
+        assert 0 < len(calls) <= 2 * 128
+        if unbounded:
+            def core(g, sites):
+                p, m = g.profile, 1
+                bound = 1e-12 * p.l2_norm_sq()
+                while p.tail_sq(m) > bound and m < 10 ** 6:
+                    m += 1
+                return max(2, m // 4 + 1)
+            monkeypatch.setattr(DrivingField, "core", core)
+            assert verify_breather(sol, cfg.model, spec) == report
+            assert len(calls) > 2 * 128 + 500

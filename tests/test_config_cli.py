@@ -142,7 +142,7 @@ class TestConfigParse:
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5,
                                          rate=1.0),
                           CosineLaw.periodic(period=2 * math.pi))
-        g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
+        g2 = DrivingField(SpatialProfile.single_site(0.1),
                           CosineLaw.constant(1.0))
         expected = ScenarioConfig(
             model=ModelParams(
@@ -459,6 +459,23 @@ class TestCli:
                          "--json", str(report)]) == cli.EXIT_PASS
         assert json.loads(report.read_text())["pass"] is True
 
+    @pytest.mark.parametrize("site", [0, 3])
+    def test_single_site_is_a_one_entry_table(self, tmp_path, site):
+        # g2 written as a single site and as its custom twin: the same
+        # reports, byte for byte
+        reports = []
+        for profile in ({"kind": "single_site", "amplitude": 0.25,
+                         "site": site},
+                        {"kind": "custom", "values": [0.25], "start": site}):
+            cfg = _edited(tmp_path, "absorbing.json",
+                          ("driving", "g2", "profile"), profile)
+            for command in ("absorbing", "continuity"):
+                report = tmp_path / f"{command}_report.json"
+                assert cli.main([command, "--config", cfg, "--json",
+                                 str(report)]) == cli.EXIT_PASS
+                reports.append(report.read_bytes())
+        assert reports[:2] == reports[2:]
+
     def test_missing_config_is_usage_error(self, tmp_path):
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.json")]) == cli.EXIT_CONFIG
@@ -690,13 +707,24 @@ class TestCli:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_dimension_section_period_is_the_driving_period(self, tmp_path,
-                                                            monkeypatch):
-        # a constant g1 and a periodic g2: the section is sampled at g2's
-        # period, with no section_period given
+    @pytest.mark.parametrize("g1_law, g2_law, period", [
+        # a constant g1 and a periodic g2: g2's period
+        ({"kind": "constant", "value": 1.0},
+         {"kind": "periodic", "period": 3.0}, 3.0),
+        # a harmonic sum, which has no period: its first harmonic's
+        ({"kind": "harmonic", "frequencies": [1.3, math.sqrt(2.0)],
+          "amplitudes": [1.0, 0.5]},
+         {"kind": "constant", "value": 1.0}, 2 * math.pi / 1.3),
+        # constant laws only: no period to sample at
+        ({"kind": "constant", "value": 1.0},
+         {"kind": "constant", "value": 1.0}, None)])
+    def test_dimension_section_period_is_the_driving_period(
+            self, tmp_path, monkeypatch, capsys, g1_law, g2_law, period):
+        # with no section_period given, the section is sampled at the
+        # period the driving has
         data = json.loads((CONFIGS / "absorbing.json").read_text())
-        data["driving"]["g1"]["law"] = {"kind": "constant", "value": 1.0}
-        data["driving"]["g2"]["law"] = {"kind": "periodic", "period": 3.0}
+        data["driving"]["g1"]["law"] = g1_law
+        data["driving"]["g2"]["law"] = g2_law
         seen = []
 
         class Sampled(Exception):
@@ -706,9 +734,16 @@ class TestCli:
             seen.append(section_period)
             raise Sampled
         monkeypatch.setattr(cli.dg, "poincare_points", poincare_points)
-        with pytest.raises(Sampled):
-            cli.main(["dimension", "--config", _write(tmp_path, data)])
-        assert seen == [pytest.approx(3.0, rel=1e-15)]
+        argv = ["dimension", "--config", _write(tmp_path, data)]
+        if period is None:
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert ("scenario.section_period required"
+                    in capsys.readouterr().err)
+            assert seen == []
+        else:
+            with pytest.raises(Sampled):
+                cli.main(argv)
+            assert seen == [pytest.approx(period, rel=1e-15)]
 
     def test_closed_stdout_keeps_the_exit_code(self):
         # `dnls absorbing ... | true`: the reader is gone before the verdict

@@ -17,7 +17,7 @@ from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
 from dnls import cli
 from dnls import diagnostics as dg
 from dnls.config import load_config
-from dnls.diagnostics import _driving_gap, _theiler_distances, line_fit
+from dnls.diagnostics import _theiler_distances, line_fit
 from dnls.errors import DomainError
 from dnls.lattice import norm_sq, random_state
 
@@ -32,7 +32,7 @@ def _unit_exp_profile(rate=1.0):
 
 def _scenario(gamma=2.0, g2_amp=0.25):
     g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
-    g2 = DrivingField(SpatialProfile("single_site", amplitude=g2_amp),
+    g2 = DrivingField(SpatialProfile.single_site(g2_amp),
                       CosineLaw.constant(1.0))
     spec = DrivingSpec(g1=g1, g2=g2)
     params = ModelParams(kappa=1.0, gamma=gamma,
@@ -268,9 +268,9 @@ class TestContinuityBound:
         path.write_text(json.dumps(data))
         argv = ["continuity", "--config", str(path)]
         assert cli.main(argv) == cli.EXIT_PASS
-        honest = dg._driving_gap
-        monkeypatch.setattr(dg, "_driving_gap",
-                            lambda *a: tuple(0.1 * d for d in honest(*a)))
+        honest = DrivingField.hull_gap
+        monkeypatch.setattr(DrivingField, "hull_gap",
+                            lambda g, h: 0.1 * honest(g, h))
         assert cli.main(argv) == cli.EXIT_CHECK_FAILED
 
 
@@ -303,7 +303,7 @@ class TestDrivingGap:
             spec = DrivingSpec(g1=g1)
             h = rng.uniform(-10.0, 10.0)
             shifted = translate(spec, h)
-            d1, d2 = _driving_gap(spec, h, 64)
+            d1, d2 = spec.g1.hull_gap(h), spec.g2.hull_gap(h)
             scan = self._scan(spec.g1, shifted.g1, 64, 20.0)
             assert d2 == 0.0
             assert d1 >= scan * (1 - 1e-12)
@@ -315,11 +315,25 @@ class TestDrivingGap:
                                                             amplitude=-0.7))
         constant = DrivingField(profile, CosineLaw.constant(0.3))
         spec = DrivingSpec(g1=periodic, g2=constant)
-        d1, d2 = _driving_gap(spec, 1.3, 64)
-        norm = np.linalg.norm(profile.realize(64))
+        d1, d2 = spec.g1.hull_gap(1.3), spec.g2.hull_gap(1.3)
+        norm = math.sqrt(profile.l2_norm_sq())
         assert d1 == pytest.approx(norm * 2 * 0.7 * abs(math.sin(math.pi * 1.3 / 4.0)),
                                    rel=1e-14)
         assert d2 == 0.0
+
+    def test_translation_gap_uses_the_lattice_norm(self):
+        # a slow exponential keeps most of its mass off a 16-site
+        # truncation: the gap takes the norm on the whole lattice, as the
+        # sup norms of the certificate do, not the truncated one
+        profile = SpatialProfile("exponential", rate=0.01)
+        law = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                 amplitudes=(0.6, -0.3))
+        h = 0.7
+        terms = sum(2 * abs(a * math.sin(w * h / 2)) for a, w, _ in law.terms)
+        gap = DrivingField(profile, law).hull_gap(h)
+        assert gap == pytest.approx(math.sqrt(1 / math.tanh(0.01)) * terms,
+                                    rel=1e-14)
+        assert gap > 2 * np.linalg.norm(profile.realize(16)) * terms
 
 
 class TestLineFit:

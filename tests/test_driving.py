@@ -70,7 +70,8 @@ class TestSpatialProfile:
         assert p.l2_norm_sq() == 4.0 and p.tail_sq(0) == 0.0
 
     def test_single_site_and_custom(self):
-        p = SpatialProfile("single_site", amplitude=0.4, site=3)
+        p = SpatialProfile.single_site(0.4, 3)
+        assert p == SpatialProfile("custom", values=(0.4,), start=3)
         assert p.l2_norm_sq() == pytest.approx(0.16)
         assert p.tail_sq(2) == pytest.approx(0.16)
         assert p.tail_sq(3) == 0.0
@@ -204,7 +205,7 @@ class TestDrivingSpec:
     def _spec(self):
         g1 = DrivingField(SpatialProfile("exponential", amplitude=0.5, rate=1.0),
                           CosineLaw.periodic(period=2 * math.pi))
-        g2 = DrivingField(SpatialProfile("single_site", amplitude=0.1),
+        g2 = DrivingField(SpatialProfile.single_site(0.1),
                           CosineLaw.constant(1.0))
         return DrivingSpec(g1=g1, g2=g2)
 
@@ -255,10 +256,10 @@ class TestDrivingSpec:
     @pytest.mark.parametrize("profile, law", [
         (SpatialProfile("custom", values=(1e200, 1.0)), CosineLaw.constant(1.0)),
         (SpatialProfile("exponential", amplitude=1e200), CosineLaw.constant(1.0)),
-        (SpatialProfile("single_site"),
+        (SpatialProfile.single_site(),
          CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
                             amplitudes=(1e308, 1e308))),
-        (SpatialProfile("single_site", amplitude=1e200),
+        (SpatialProfile.single_site(1e200),
          CosineLaw.periodic(period=1.0, amplitude=1e200))])
     def test_overflowing_magnitude_is_refused(self, profile, law):
         # finite parts whose squares, sum or product leave the float range
@@ -280,9 +281,9 @@ class TestDrivingSpec:
 
 class TestCertificate:
     def _spec(self, g2_amp=0.1):
-        g1 = DrivingField(SpatialProfile("single_site", amplitude=0.6),
+        g1 = DrivingField(SpatialProfile.single_site(0.6),
                           CosineLaw.periodic(period=3.0, amplitude=-0.5))
-        g2 = DrivingField(SpatialProfile("single_site", amplitude=g2_amp))
+        g2 = DrivingField(SpatialProfile.single_site(g2_amp))
         return DrivingSpec(g1=g1, g2=g2)
 
     def test_constants(self):

@@ -517,7 +517,7 @@ class TestDissipationMonitor:
             SpatialProfile("exponential", rate=1.0,
                            amplitude=1.0 / math.sqrt(1.0 / math.tanh(1.0))),
             CosineLaw.periodic(period=2 * math.pi))
-        g2 = DrivingField(SpatialProfile("single_site", amplitude=0.25),
+        g2 = DrivingField(SpatialProfile.single_site(0.25),
                           CosineLaw.constant(1.0))
         spec = DrivingSpec(g1=g1, g2=g2)
         params = ModelParams(kappa=1.0, gamma=2.0,

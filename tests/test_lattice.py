@@ -215,7 +215,7 @@ class TestNonlinearity:
 
 class TestRhs:
     def test_zero_state_sees_only_additive_driving(self):
-        g1 = DrivingField(SpatialProfile("single_site", amplitude=0.7),
+        g1 = DrivingField(SpatialProfile.single_site(0.7),
                           CosineLaw.constant(1.0))
         spec = DrivingSpec(g1=g1)
         params = ModelParams(kappa=1.0, gamma=2.0,
@@ -307,7 +307,7 @@ _EXP = SpatialProfile("exponential", amplitude=0.6, rate=0.8)
 _PERIODIC = CosineLaw.periodic(period=2.5, amplitude=0.9, phase=0.4)
 _CUSTOM = SpatialProfile("custom", values=(0.1 + 0.2j, -0.3 + 0.05j, 0.2),
                          start=-1)
-_SITE_G2 = DrivingField(SpatialProfile("single_site", amplitude=0.25, site=3),
+_SITE_G2 = DrivingField(SpatialProfile.single_site(0.25, 3),
                         CosineLaw.constant(1.0))
 # (nonlinearity, g1, g2) of each case; None is a zero field
 _RHS_CASES = {
