@@ -90,8 +90,9 @@ def verify_absorbing(traj: Trajectory, pred: dict) -> dict:
     first_entry = float(traj.times[inside[0]]) if inside.size else None
     after = traj.times >= deadline - 1e-12
     max_after = float(np.max(traj.norms[after])) if np.any(after) else 0.0
-    ok = (first_entry is not None and first_entry <= deadline + 1e-12
-          and max_after <= limit)
+    # a plain bool: the times are numpy floats, and a record is plain JSON
+    ok = bool(first_entry is not None and first_entry <= deadline + 1e-12
+              and max_after <= limit)
     return {"first_entry_t": first_entry, "max_norm_after_entry": max_after,
             "pass": ok}
 
@@ -128,7 +129,8 @@ def verify_tail(traj: Trajectory, pred: dict) -> dict:
         raise DomainError("trajectory shorter than the predicted tail entry time")
     after = traj.times >= deadline - 1e-12
     max_tail = float(np.max(traj.tails[after])) if np.any(after) else 0.0
-    return {"max_tail_after_entry": max_tail, "pass": max_tail <= pred["xi"]}
+    return {"max_tail_after_entry": max_tail,
+            "pass": bool(max_tail <= pred["xi"])}
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ def write_dimension_csv(table: np.ndarray, path) -> None:
 
 
 def write_json(data: dict, path) -> None:
+    """Encode before opening ``path``, so a record that is not plain JSON
+    raises without leaving a partial file."""
+    text = json.dumps(data, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

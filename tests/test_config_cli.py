@@ -25,7 +25,7 @@ from dnls.integrator import IntegratorConfig, integrate
 from dnls.lattice import (LatticeState, ModelParams, NonlinearitySpec,
                           make_rhs, random_state)
 from dnls.output import (write_breather_profile_csv, write_dimension_csv,
-                         write_trajectory_csv)
+                         write_json, write_trajectory_csv)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -508,6 +508,27 @@ class TestCli:
         assert cli.main(["absorbing", "--config",
                          path]) == cli.EXIT_CHECK_FAILED
 
+    def test_late_absorbing_entry_writes_its_report(self, tmp_path,
+                                                    monkeypatch):
+        # absorbing.json's run first enters the ball at t = 0.9; predicted
+        # at t = 0, the entry is late, and the failing record is plain JSON
+        real = cli.dg.predict_absorbing
+        monkeypatch.setattr(cli.dg, "predict_absorbing",
+                            lambda *a: {**real(*a), "entry_time": 0.0})
+        report = tmp_path / "absorbing.json"
+        assert cli.main(["absorbing", "--config",
+                         str(CONFIGS / "absorbing.json"), "--json",
+                         str(report)]) == cli.EXIT_CHECK_FAILED
+        data = json.loads(report.read_text())
+        assert data["pass"] is False
+        assert data["entry_time"] == 0.0 and data["first_entry_t"] == 0.9
+
+    def test_unencodable_record_leaves_no_report(self, tmp_path):
+        report = tmp_path / "r.json"
+        with pytest.raises(TypeError):
+            write_json({"pass": np.False_}, report)
+        assert not report.exists()
+
     def test_contraction_fails_above_its_fitted_rate(self, tmp_path,
                                                      monkeypatch):
         # absorbing.json fits a decay of 2.0036; a predicted rate above
@@ -629,6 +650,21 @@ class TestCli:
         cfg = _edited(tmp_path, "absorbing.json", path, value)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    # absorbing.json has 256 sites, -128..127: both spellings of a profile
+    # name the first entry that falls outside
+    @pytest.mark.parametrize("profile, site", [
+        ({"kind": "single_site", "amplitude": 0.25, "site": 128}, 128),
+        ({"kind": "single_site", "amplitude": 0.25, "site": -129}, -129),
+        ({"kind": "custom", "values": [0.25, 0.25], "start": 127}, 128)])
+    def test_profile_outside_truncation_is_config_error(self, tmp_path,
+                                                        capsys, profile,
+                                                        site):
+        cfg = _edited(tmp_path, "absorbing.json",
+                      ("driving", "g2", "profile"), profile)
+        assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: profile site {site} outside truncation\n")
 
     @pytest.mark.parametrize("flag, name", [("--json", "x.json"),
                                             ("--out", "x.csv")])
