@@ -15,7 +15,6 @@ import numpy as np
 
 from . import breather as br
 from . import diagnostics as dg
-from . import driving as drv
 from .config import ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
 from .integrator import integrate, monitor_dissipation
@@ -162,27 +161,13 @@ def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    def solve(seed):  # at the reference tolerance, find_breather's default
-        if seed is None:
-            state = LatticeState.zeros(cfg.n_sites, cfg.bc)
-        else:  # inside the R_u-ball, where find_breather's certificate holds
-            cert = drv.certificate(cfg.model, cfg.driving).dissipative()
-            state = random_state(cfg.n_sites, seed,
-                                 norm=0.5 * cert.breather_radius, bc=cfg.bc)
-        return br.find_breather(cfg.model, cfg.driving, state, tol=sc.tol)
-
-    sols = [solve(s) for s in sc.seeds]
-    sol = sols[0]
-    spread = max((float(np.linalg.norm(other.state0.values - sol.state0.values))
-                  for other in sols[1:]), default=0.0)
-    rec = {**br.verify_breather(sol, cfg.model, cfg.driving, tol=sc.tol),
-           "seed_spread": spread}
+    ok, rec, state = br.check_breather(cfg.model, cfg.driving, cfg.n_sites,
+                                       cfg.bc, sc.seeds, tol=sc.tol)
     if args.out:
-        write_breather_profile_csv(sol, args.out)
-    ok = rec["verified"] and spread <= 10 * sc.tol
+        write_breather_profile_csv(state, args.out)
     text = (f"breather: residual {rec['periodicity_residual']:.3g}, "
-            f"{rec['iterations']} iterations, seed spread {spread:.3g}: "
-            f"{_verdict(ok)}")
+            f"{rec['iterations']} iterations, seed spread "
+            f"{rec['seed_spread']:.3g}: {_verdict(ok)}")
     if rec["localization_rate"] is not None:
         text += (f"\nlocalization rate {rec['localization_rate']:.4f} "
                  f"(R^2 = {rec['localization_r2']:.5f})")
@@ -191,10 +176,10 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     return ok, rec, text
 
 
-# each command, and the flags it reads besides --config, --json and
-# --verbose: a flag a command would ignore is a usage error
+# each command, and the flags it reads besides --config and --json: a flag
+# a command would ignore is a usage error
 _COMMANDS = {
-    "simulate": (_cmd_simulate, ("--out", "--seed")),
+    "simulate": (_cmd_simulate, ("--out", "--seed", "--verbose")),
     "verify-bounds": (_cmd_verify_bounds, ("--seed",)),
     "absorbing": (_cmd_absorbing, ("--seed",)),
     "tail": (_cmd_tail, ("--seed",)),
@@ -204,7 +189,8 @@ _COMMANDS = {
     "breather": (_cmd_breather, ("--out",)),
 }
 _FLAGS = {"--out": {"help": "CSV output path"},
-          "--seed": {"type": int, "help": "seed of the initial state"}}
+          "--seed": {"type": int, "help": "seed of the initial state"},
+          "--verbose": {"action": "store_true"}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,12 +200,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(out=None, seed=None)
+        p.set_defaults(out=None, seed=None, verbose=False)
         p.add_argument("--config", required=True, help="scenario JSON")
         p.add_argument("--json", help="JSON report path")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.add_argument("--verbose", action="store_true")
     return parser
 
 

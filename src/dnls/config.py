@@ -183,18 +183,13 @@ _FIELD = _block({"profile": (_PROFILE, _REQUIRED),
                  "law": (_LAW, CosineLaw.constant())}, DrivingField)
 
 
-def _nonlinearity(where: str, value) -> NonlinearitySpec:
-    if "a" in _object(where, value) or "b" in value:
-        raise DomainError(f"{where}.a and .b are derived from sigma, not set")
-    return NonlinearitySpec(**_read(value, where, {
-        "sigma": (_POSITIVE, _REQUIRED), "sign": (_INTEGER, 1)}))
-
-
 _CONFIG = {
     "version": (_one_of(SCHEMA_VERSION), _REQUIRED),
     "model": (_block({"kappa": (_REAL, _REQUIRED),
                       "gamma": (_POSITIVE, _REQUIRED),
-                      "nonlinearity": (_optional(_nonlinearity), None)},
+                      "nonlinearity": (_optional(_block(
+                          {"sigma": (_POSITIVE, _REQUIRED),
+                           "sign": (_INTEGER, 1)}, NonlinearitySpec)), None)},
                      ModelParams), _REQUIRED),
     "lattice": (_block({"n_sites": (_SITES, _REQUIRED),
                         "bc": (_one_of(DIRICHLET, PERIODIC), DIRICHLET)}),

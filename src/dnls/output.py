@@ -8,8 +8,8 @@ import json
 
 import numpy as np
 
-from .breather import BreatherSolution
 from .integrator import Trajectory
+from .lattice import LatticeState
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -22,9 +22,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                comments="")
 
 
-def write_breather_profile_csv(sol: BreatherSolution, path) -> None:
+def write_breather_profile_csv(state: LatticeState, path) -> None:
     """Site amplitude profile for plotting: n, |psi_n|, re, im."""
-    v = sol.state0.values
+    v = state.values
     # the scalar abs(z): numpy's array abs differs from it in the last bit
     rows = np.column_stack([np.arange(v.size) - v.size // 2,
                             [abs(z) for z in v], v.real, v.imag])

@@ -65,19 +65,17 @@ class TestStrongDampingCheck:
 
 class TestFindBreather:
     def test_requires_period_for_aperiodic_driving(self):
+        # a constant driving has no period of its own, and none can be
+        # passed: it is refused as the CLI refuses it
         params = ModelParams(kappa=0.0, gamma=1.0)
         spec = DrivingSpec(g1=DrivingField(
             SpatialProfile.single_site(0.1), CosineLaw.constant(1.0)))
-        seed = LatticeState.zeros(16)
-        with pytest.raises(DomainError, match="not periodic"):
-            find_breather(params, spec, seed)
-        sol = find_breather(params, spec, seed, period=1.0, config=FAST)
-        assert sol.period == 1.0 and sol.state0.n_sites == 16
+        with pytest.raises(DomainError, match="driving is not periodic"):
+            find_breather(params, spec, LatticeState.zeros(16))
 
-    @pytest.mark.parametrize("period", [None, 2 * math.pi])
-    def test_refuses_a_driving_with_no_period(self, period):
+    def test_refuses_a_driving_with_no_period(self):
         # g1 periodic and g2 a harmonic sum, however weak: there is no
-        # period map, whatever period is passed
+        # period map
         cfg = load_config(BREATHER_JSON)
         spec = replace(cfg.driving, g2=DrivingField(
             SpatialProfile.single_site(1e-13),
@@ -85,28 +83,21 @@ class TestFindBreather:
                                amplitudes=(1.0, 1.0))))
         assert spec.period is None
         with pytest.raises(DomainError, match="driving.g2.law is a harmonic"):
-            find_breather(cfg.model, spec, LatticeState.zeros(cfg.n_sites),
-                          period=period)
-
-    def test_explicit_period_is_for_a_constant_driving_only(self):
-        cfg = load_config(BREATHER_JSON)
-        with pytest.raises(DomainError, match="constant driving only"):
-            find_breather(cfg.model, cfg.driving,
-                          LatticeState.zeros(cfg.n_sites),
-                          period=cfg.driving.period)
+            find_breather(cfg.model, spec, LatticeState.zeros(cfg.n_sites))
 
     def test_analytic_single_site_fixed_point(self):
-        # kappa = 0, F = 0, constant drive g at one site: the unique
-        # periodic orbit is the constant state -i*g/gamma
-        g = 0.3 + 0.1j
-        gamma = 2.0
+        # kappa = 0, F = 0, drive g*cos(w*t) at one site: the site solves
+        # psi' = -gamma*psi - i*g*cos(w*t), whose unique periodic orbit is
+        # -i*g*(gamma*cos(w*t) + w*sin(w*t))/(gamma^2 + w^2)
+        g, gamma, w = 0.3 + 0.1j, 2.0, 2 * math.pi
         params = ModelParams(kappa=0.0, gamma=gamma)
         spec = DrivingSpec(g1=DrivingField(
-            SpatialProfile("custom", values=(g,), start=0), CosineLaw.constant(1.0)))
+            SpatialProfile("custom", values=(g,), start=0),
+            CosineLaw.periodic(period=2 * math.pi / w)))
         sol = find_breather(params, spec, LatticeState.zeros(16), tol=1e-12,
-                            period=1.0, config=FAST)
+                            config=FAST)
         expect = np.zeros(16, dtype=complex)
-        expect[8] = -1j * g / gamma
+        expect[8] = -1j * g * gamma / (gamma ** 2 + w ** 2)
         assert np.linalg.norm(sol.state0.values - expect) <= 1e-10
 
     def test_converges_and_verifies(self):
@@ -115,9 +106,10 @@ class TestFindBreather:
         assert sol.periodicity_residual <= 1e-8
         cert = certificate(params, spec)
         theo = math.exp(-cert.gap_rate(cert.breather_radius) * sol.period)
-        assert sol.contraction_ratio <= theo + 0.05
-        assert sol.localization_r2 is not None and sol.localization_r2 >= 0.99
+        assert max(sol.ratios) <= theo + 0.05
         report = verify_breather(sol, params, spec, tol=1e-9, config=FAST)
+        assert report["contraction_ratio"] == max(sol.ratios)
+        assert report["localization_r2"] >= 0.99
         assert report["verified"] and report["envelope_monotone"]
 
     def test_seed_independence(self):
@@ -137,8 +129,7 @@ class TestFindBreather:
         h = sol.period / 3.0
         sol_h = find_breather(params, translate(spec, h), ZERO, tol=1e-9,
                               config=FAST)
-        flowed = period_map(sol.state0, 0.0, params, spec, period=h,
-                            config=FAST)
+        flowed = period_map(sol.state0, params, spec, period=h, config=FAST)
         assert np.linalg.norm(sol_h.state0.values - flowed.values) <= 1e-7
 
     def test_rejects_seed_outside_ball(self):
@@ -200,8 +191,8 @@ class TestMapAccounting:
 
         assert len(residuals) == sol.iterations + 1
         assert all(d > tol for d in residuals[:-1]) and residuals[-1] <= tol
-        again = period_map(sol.state0, 0.0, cfg.model, cfg.driving,
-                           sol.period, config=ORACLE_CONFIG)
+        again = period_map(sol.state0, cfg.model, cfg.driving, sol.period,
+                           config=ORACLE_CONFIG)
         assert sol.periodicity_residual == residuals[-1] \
             == _residual(sol.state0, again)
         noise = 100.0 * ORACLE_CONFIG.atol * math.sqrt(cfg.n_sites)
@@ -249,12 +240,13 @@ class TestContractionCertificate:
         cert = certificate(cfg.model, cfg.driving)
         assert sol.gap_rate == cert.gap_rate(cert.breather_radius)
         certified = math.exp(-sol.gap_rate * sol.period)
-        assert sol.ratios and 0 < sol.contraction_ratio <= certified
+        assert sol.ratios and 0 < max(sol.ratios) <= certified
         report = self._verify(cfg, sol)
         assert report["verified"]
+        assert report["contraction_ratio"] == max(sol.ratios)
         assert report["certified_ratio"] == certified
         assert report["ratio_margin"] == pytest.approx(
-            sol.contraction_ratio / certified, rel=1e-12)
+            max(sol.ratios) / certified, rel=1e-12)
         assert 0.5 < report["ratio_margin"] < 0.9
 
     def test_shrunk_certificate_fails(self, bundled, monkeypatch):
@@ -267,7 +259,7 @@ class TestContractionCertificate:
                                LatticeState.zeros(cfg.n_sites, cfg.bc),
                                tol=cfg.scenario["tol"], config=ORACLE_CONFIG)
         assert shrunk.gap_rate == 2.0 * sol.gap_rate
-        assert shrunk.contraction_ratio == sol.contraction_ratio
+        assert shrunk.ratios == sol.ratios
         report = self._verify(cfg, shrunk)
         assert report["ratio_margin"] > 1 and not report["verified"]
         assert report["max_phase_residual"] <= 10 * cfg.scenario["tol"]
@@ -276,8 +268,8 @@ class TestContractionCertificate:
         # a map that contracts below the round-off floor at once keeps no
         # ratio: contraction_ratio 0 is within any certificate
         cfg, sol = bundled
-        report = self._verify(cfg, replace(sol, contraction_ratio=0.0,
-                                           ratios=[]))
+        report = self._verify(cfg, replace(sol, ratios=[]))
+        assert report["contraction_ratio"] == 0.0
         assert report["verified"] and report["ratio_margin"] == 0.0
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dnls.breather
 from dnls import cli
-from dnls.breather import BreatherSolution
 from dnls.config import (SCENARIO_FIELDS, ScenarioConfig, config_from_dict,
                          load_config, parse_scenario)
 from dnls.driving import (Certificate, CosineLaw, DrivingField,
@@ -35,10 +36,11 @@ BUNDLED = [("simulate", "simulate.json"), ("verify-bounds", "simulate.json"),
            ("absorbing", "absorbing.json"), ("tail", "absorbing.json"),
            ("contraction", "absorbing.json"), ("continuity", "absorbing.json"),
            ("dimension", "dimension.json"), ("breather", "breather.json")]
-# the commands that read each flag besides --config, --json and --verbose
+# the commands that read each flag besides --config and --json
 READS = {"--out": ("simulate", "dimension", "breather"),
          "--seed": ("simulate", "verify-bounds", "absorbing", "tail",
-                    "continuity", "dimension")}
+                    "continuity", "dimension"),
+         "--verbose": ("simulate",)}
 
 
 def _bundled_scenario(name):
@@ -233,13 +235,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["a", "b"])
     def test_growth_constant_key_is_config_error(self, tmp_path, capsys, key):
         # (a, b) are derived from sigma: a config that sets them is
-        # refused, not silently overridden
+        # refused as an unknown key, not silently overridden
         cfg = _edited(tmp_path, "absorbing.json",
                       ("model", "nonlinearity", key), 0.01)
         assert cli.main(["contraction", "--config", cfg]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: model.nonlinearity.a and .b")
-        assert "derived from sigma" in err
+        assert capsys.readouterr().err == (
+            f"config error: unknown config field(s): model.nonlinearity.{key}\n")
 
     @pytest.mark.parametrize("key", ["radious", "t_factor", "oracle_rtol",
                                      "phases"])
@@ -409,9 +410,8 @@ class TestCsvOutput:
     def test_breather_profile_csv(self, tmp_path):
         v = self.VALUES[0] + 1j * self.VALUES[1]
         v[0] = complex(-0.0, 0.0)
-        sol = BreatherSolution(LatticeState(v), 1.0, 0.0, 0.0, 0, 0.0, 1.0)
         path = tmp_path / "profile.csv"
-        write_breather_profile_csv(sol, path)
+        write_breather_profile_csv(LatticeState(v), path)
         assert path.read_text() == _csv_reference("n,abs,re,im", [
             [str(i - 32), abs(z), z.real, z.imag] for i, z in enumerate(v)])
 
@@ -853,11 +853,10 @@ class TestCli:
                          "--verbose"]) == cli.EXIT_PASS
         assert capsys.readouterr() == ("", "simulated 501 samples over "
                                            "[0, 50]\n")
-        assert cli.main(["verify-bounds", "--config", path]) == cli.EXIT_PASS
-        quiet = capsys.readouterr()
+        # no other command prints with it, so none takes it
         assert cli.main(["verify-bounds", "--config", path,
-                         "--verbose"]) == cli.EXIT_PASS
-        assert capsys.readouterr() == quiet and quiet.err == ""
+                         "--verbose"]) == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
     def test_last_seed_of_the_stream_runs(self, capsys):
         assert cli.main(["absorbing", "--config",
@@ -890,6 +889,32 @@ class TestCli:
         assert 0 < data["ratio_margin"] <= 1
         assert data["ratio_margin"] == pytest.approx(
             data["contraction_ratio"] / data["certified_ratio"], rel=1e-12)
+
+    def test_breather_fails_on_its_seed_spread(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the second seed's solution moved by 100*tol: the first still
+        # verifies, and the run fails on the spread of the seeds alone
+        tol = _bundled_scenario("breather.json")["tol"]
+        solve, solves = dnls.breather.find_breather, []
+
+        def moved(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            solves.append(sol)
+            if len(solves) == 2:
+                values = sol.state0.values.copy()
+                values[0] += 100 * tol
+                sol = replace(sol, state0=LatticeState(values, sol.state0.bc))
+            return sol
+
+        monkeypatch.setattr(dnls.breather, "find_breather", moved)
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config",
+                         str(CONFIGS / "breather.json"), "--json",
+                         str(report)]) == cli.EXIT_CHECK_FAILED
+        data = json.loads(report.read_text())
+        assert len(solves) == 3 and data["verified"] is True
+        assert data["seed_spread"] == pytest.approx(100 * tol, rel=1e-3)
+        assert "seed spread 1e-08: FAILED" in capsys.readouterr().out
 
     def test_breather_names_the_laws_when_none_is_periodic(self, tmp_path,
                                                           capsys):
