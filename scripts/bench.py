@@ -18,7 +18,7 @@ maps it makes; and the stroboscopic section of ``dnls dimension``:
 2,000 points, with the members B of the batch it steps, and one step
 attempt of a batch of B members at N = 64 per member (a member-step),
 for B = 1 and each B the section picks; and pair counting:
-``correlation_dimension`` on each section's points at dimension.json's
+``correlation_dimension`` on each section's points at its default
 Theiler window (the pair distances, their counts and the fit); and
 start-up: a fresh interpreter that imports ``dnls`` and ``dnls.cli`` and
 loads simulate.json, as every ``dnls`` command starts, in wall ms from
@@ -145,7 +145,7 @@ def _sections(cfg):
     sections = {}
     for points in SECTION_POINTS:
         run = functools.partial(dg.poincare_points, cfg.model, cfg.driving,
-                                points, cfg.scenario["section_period"],
+                                points, cfg.driving.section_period,
                                 SECTION_SITES, config=cfg.integrator)
         dg.integrate = spy
         try:
@@ -161,7 +161,7 @@ def _member_step(cfg, members: int):
     a callable."""
     n = SECTION_SITES
     v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
-    shifts = [b * cfg.scenario["section_period"] for b in range(members)]
+    shifts = [b * cfg.driving.section_period for b in range(members)]
     f = make_rhs(cfg.model, cfg.driving.sampler(n), cfg.bc, shifts=shifts)
     kernel = _Tsit5(f, np.repeat(v, members).reshape(n, members), 0.0)
     return lambda: kernel.attempt(0.0, 1e-3, cfg.integrator)
@@ -206,8 +206,7 @@ def measure() -> dict:
                       _member_step(cfg, members), 100))
     for points, (*_, cloud) in sections.items():
         cases.append(("dimension", "pair_count_ms", points, functools.partial(
-            dg.correlation_dimension, cloud,
-            theiler_window=cfg.scenario["theiler_window"]), 1))
+            dg.correlation_dimension, cloud), 1))
     for *_, fn, _ in cases:
         fn()
     # each repeat times every case once, so a drift in machine speed over

@@ -56,20 +56,20 @@ def _verdict(ok, failed: str = "FAILED") -> str:
 
 def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
-    traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
+    traj = integrate(state, 0.0, sc.t1, cfg.model, cfg.driving,
                      cfg.integrator, tail_cutoff=sc.tail_cutoff,
                      keep_states=bool(args.out))
     if args.out:
         write_trajectory_csv(traj, args.out)
     if args.verbose:
-        print(f"simulated {traj.n_samples} samples over "
-              f"[{sc.t0:g}, {sc.t1:g}]", file=sys.stderr)
+        print(f"simulated {traj.n_samples} samples over [0, {sc.t1:g}]",
+              file=sys.stderr)
     return True, traj.record(), None
 
 
 def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
-    traj = integrate(state, sc.t0, sc.t1, cfg.model, cfg.driving,
+    traj = integrate(state, 0.0, sc.t1, cfg.model, cfg.driving,
                      cfg.integrator, keep_states=False)
     diss = monitor_dissipation(traj, cfg.model, cfg.driving)
     apriori = dg.check_apriori_bound(traj, cfg.model, cfg.driving)
@@ -115,8 +115,8 @@ def _cmd_tail(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
     rec = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
-                              horizon=sc.horizon, n_sites=cfg.n_sites,
-                              config=cfg.integrator, bc=cfg.bc)
+                              n_sites=cfg.n_sites, config=cfg.integrator,
+                              bc=cfg.bc)
     return rec["pass"], rec, (
         f"contraction: fitted {-rec['fitted_rate']:.6g} vs predicted "
         f">= {rec['predicted_rate']:.6g}: {_verdict(rec['pass'])}")
@@ -132,26 +132,23 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
     bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
     rec = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
-                            theta, theta_n, horizon=sc.horizon,
-                            config=cfg.integrator)
+                            theta, theta_n, config=cfg.integrator)
     return rec["ok"], rec, (f"continuity: max gap {rec['max_gap']:.3g} "
                             f"within bound: {_verdict(rec['ok'])}")
 
 
 def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    period = sc.section_period or cfg.driving.section_period
+    period = cfg.driving.section_period
     if period is None:
-        raise DomainError("scenario.section_period required for this driving")
+        raise DomainError("every driving law is constant: no section period")
     _, points = dg.poincare_points(cfg.model, cfg.driving,
-                                   n_points=sc.n_points,
-                                   section_period=period, n_sites=cfg.n_sites,
-                                   seed=_seed(sc, args), config=cfg.integrator,
-                                   bc=cfg.bc)
+                                   n_points=sc.n_points, section_period=period,
+                                   n_sites=cfg.n_sites, seed=_seed(sc, args),
+                                   config=cfg.integrator, bc=cfg.bc)
     # the points carry the integrator's error, about rtol*||psi|| each
     resolution = 10 * cfg.integrator.rtol * float(
         np.max(np.linalg.norm(points, axis=1)))
-    rec, table = dg.correlation_dimension(
-        points, theiler_window=sc.theiler_window, resolution=resolution)
+    rec, table = dg.correlation_dimension(points, resolution=resolution)
     if args.out:
         write_dimension_csv(table, args.out)
     return rec["degenerate"] or rec["ci_width"] < sc.max_ci_width, rec, (

@@ -237,26 +237,22 @@ _INITIAL = _kind({
                partial(SimpleNamespace, kind="values")),
 }, default="zero")
 
-# Every scenario field each command reads: name -> (parser, default).  A
-# default of None marks a field the command derives when it is absent.
+# Every scenario field each command reads: name -> (parser, default); none
+# is derived when absent.  Runs start at t = 0, since a later start is a
+# shift of the laws' phases (``CosineLaw.shifted``).
 SCENARIO_FIELDS = {
-    "simulate": {"t0": (_REAL, 0.0), "t1": (_REAL, 10.0),
+    "simulate": {"t1": (_NONNEG, 10.0),
                  "tail_cutoff": (_optional(_COUNT), None),
                  "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
-    "verify-bounds": {"t0": (_REAL, 0.0), "t1": (_REAL, 50.0),
+    "verify-bounds": {"t1": (_NONNEG, 50.0),
                       "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
     "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_SEED, 0)},
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
              "seed": (_SEED, 0)},
-    "contraction": {"seeds": (_list_of(_SEED, 2), (1, 2)),
-                    "horizon": (_POSITIVE, 3.0)},
+    "contraction": {"seeds": (_list_of(_SEED, 2), (1, 2))},
     "continuity": {"seed": (_SEED, 0), "theta_norm": (_NONNEG, 0.5),
-                   "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0),
-                   "horizon": (_POSITIVE, 5.0)},
-    "dimension": {"section_period": (_optional(_POSITIVE), None),
-                  "seed": (_SEED, 0),
-                  "n_points": (_POSITIVE_COUNT, 2000),
-                  "theiler_window": (_COUNT, 10),
+                   "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0)},
+    "dimension": {"seed": (_SEED, 0), "n_points": (_POSITIVE_COUNT, 2000),
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),
                  "seeds": (_list_of(_optional(_SEED)), (None,))},

@@ -77,19 +77,24 @@ def predict_absorbing(params: ModelParams, spec: DrivingSpec,
             "entry_time": entry}
 
 
-def verify_absorbing(traj: Trajectory, pred: dict) -> dict:
-    """Assert ||psi(t)|| <= K*(1 + 1e-6) for all samples past t0 + T."""
-    t0 = traj.times[0]
-    deadline = t0 + pred["entry_time"]
+def _after_entry(traj: Trajectory, series: np.ndarray,
+                 entry_time: float) -> tuple[float, float]:
+    """The deadline t0 + ``entry_time`` and the largest of ``series`` from
+    it on; refused when the trajectory ends before the deadline."""
+    deadline = traj.times[0] + entry_time
     if traj.times[-1] < deadline:
         raise DomainError(
             f"trajectory ends at t={traj.times[-1]:.6g}, before the "
             f"predicted entry time {deadline:.6g}")
+    return deadline, float(np.max(series[traj.times >= deadline - 1e-12]))
+
+
+def verify_absorbing(traj: Trajectory, pred: dict) -> dict:
+    """Assert ||psi(t)|| <= K*(1 + 1e-6) for all samples past t0 + T."""
+    deadline, max_after = _after_entry(traj, traj.norms, pred["entry_time"])
     limit = pred["radius"] * (1 + 1e-6)
     inside = np.flatnonzero(traj.norms <= limit)
     first_entry = float(traj.times[inside[0]]) if inside.size else None
-    after = traj.times >= deadline - 1e-12
-    max_after = float(np.max(traj.norms[after])) if np.any(after) else 0.0
     # a plain bool: the times are numpy floats, and a record is plain JSON
     ok = bool(first_entry is not None and first_entry <= deadline + 1e-12
               and max_after <= limit)
@@ -123,12 +128,7 @@ def predict_tail(xi: float, r: float, params: ModelParams,
 def verify_tail(traj: Trajectory, pred: dict) -> dict:
     if traj.tails is None or traj.tail_cutoff != pred["cutoff"]:
         raise DomainError("trajectory lacks a tail series at the predicted cutoff")
-    t0 = traj.times[0]
-    deadline = t0 + pred["entry_time"]
-    if traj.times[-1] < deadline:
-        raise DomainError("trajectory shorter than the predicted tail entry time")
-    after = traj.times >= deadline - 1e-12
-    max_tail = float(np.max(traj.tails[after])) if np.any(after) else 0.0
+    _, max_tail = _after_entry(traj, traj.tails, pred["entry_time"])
     return {"max_tail_after_entry": max_tail,
             "pass": bool(max_tail <= pred["xi"])}
 
@@ -137,7 +137,7 @@ def verify_tail(traj: Trajectory, pred: dict) -> dict:
 # two-trajectory contraction
 
 def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
-                     horizon: float, n_sites: int = 256,
+                     horizon: float = 3.0, n_sites: int = 256,
                      config: IntegratorConfig = IntegratorConfig(),
                      bc: str = DIRICHLET) -> dict:
     """Integrate two trajectories seeded inside the absorbing ball of
@@ -176,7 +176,8 @@ def contraction_rate(params: ModelParams, spec: DrivingSpec, seeds,
 # continuity in initial data and driving
 
 def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
-                   theta: LatticeState, theta_n: LatticeState, horizon: float,
+                   theta: LatticeState, theta_n: LatticeState,
+                   horizon: float = 5.0,
                    config: IntegratorConfig = IntegratorConfig()) -> dict:
     """Distance w = psi_a - psi_b of the evolution psi_a of ``theta_n``
     under the driving translated by ``h`` in its hull from psi_b, that of
@@ -199,11 +200,11 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     psi_b's states are stored: w is taken as psi_a is sampled.  The record
     holds ``gap`` and ``bound`` at every sample, and their largest values."""
     tb = integrate(theta, 0.0, horizon, params, spec, config)
-    ta = integrate(theta_n, 0.0, horizon, params, drv.translate(spec, h),
-                   config, keep_states=False, reference=tb)
-    gap = ta.gaps
+    ta = integrate(theta_n, 0.0, horizon, params, spec, config,
+                   keep_states=False, shifts=[h], reference=tb)
+    gap = ta.gaps[:, 0]
     cert = drv.certificate(params, spec)
-    env = _gronwall(max(ta.norms[0], tb.norms[0]), cert.gamma - cert.g2_sup,
+    env = _gronwall(max(ta.norms[0, 0], tb.norms[0]), cert.gamma - cert.g2_sup,
                     cert.g1_sup, ta.times)
     r_bar = np.maximum(env[:-1], env[1:])
     rates = cert.gap_rate(r_bar)
@@ -298,7 +299,7 @@ def _theiler_distances(pts: np.ndarray, window: int) -> np.ndarray:
 
 def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
                     section_period: float, n_sites: int = 64,
-                    seed: int = 0, config: IntegratorConfig | None = None,
+                    seed: int = 0, *, config: IntegratorConfig,
                     bc: str = DIRICHLET) -> tuple[np.ndarray, np.ndarray]:
     """Stroboscopic section of the driven dynamics: the states at the
     multiples of ``section_period`` T from the first one past a burn-in of
@@ -314,8 +315,6 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     the burn-in is the orbit's point b*c + k, so the points keep the
     orbit's order and the Theiler window its meaning.  ``_section_batch``
     picks B and c."""
-    if config is None:
-        config = IntegratorConfig(rtol=1e-7, atol=1e-10)
     config = replace(config, sample_stride=section_period)
     pred = predict_absorbing(params, spec, r=1.0)
     burn = math.ceil((pred["entry_time"] + 20.0 / pred["gamma_eff"])

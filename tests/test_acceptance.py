@@ -311,7 +311,8 @@ def test_criterion_8_dimension_estimates(report):
     params = ModelParams(kappa=1.0, gamma=0.5,
                          nonlinearity=NonlinearitySpec(sigma=1.0, sign=-1))
     _, pts = poincare_points(params, spec, n_points=2000,
-                             section_period=2 * math.pi, n_sites=64, seed=0)
+                             section_period=2 * math.pi, n_sites=64, seed=0,
+                             config=IntegratorConfig(rtol=1e-7, atol=1e-10))
     est_dnls, _ = correlation_dimension(pts)
 
     circle_ok = abs(est_circle["dimension"] - 1.0) <= 0.1

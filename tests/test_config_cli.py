@@ -219,6 +219,9 @@ class TestConfigValidation:
         *((command, "simulate.json", ("scenario", "initial"),
            {"kind": "values", "values": [[0.1, 0.0]] * 5})
           for command in ("simulate", "verify-bounds")),
+        # runs start at t = 0, so a negative horizon is refused as t1's
+        *((command, "simulate.json", ("scenario", "t1"), -1.0)
+          for command in ("simulate", "verify-bounds")),
         *(("absorbing", "absorbing.json", path, True) for path in [
             ("model", "gamma"), ("model", "kappa"),
             ("model", "nonlinearity", "sigma"),
@@ -243,14 +246,17 @@ class TestConfigValidation:
             f"config error: unknown config field(s): model.nonlinearity.{key}\n")
 
     @pytest.mark.parametrize("key", ["radious", "t_factor", "oracle_rtol",
-                                     "phases"])
+                                     "phases", "t0", "section_period",
+                                     "theiler_window", "horizon"])
     def test_unknown_scenario_key_is_config_error(self, tmp_path, capsys, key):
-        # a typo, or a field that is gone (the breather's phases are a
-        # constant of its verifier), must not run on the default
+        # a typo, or a field that is gone, must not run on the default: the
+        # breather's phases, the Theiler window and the pair horizons are
+        # constants, a start time is the laws' phase, and a section is
+        # sampled at the driving's own period
         cfg = _edited(tmp_path, "absorbing.json", ("scenario", key), 3.0)
         assert cli.main(["absorbing", "--config", cfg]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and f"scenario.{key}" in err
+        assert capsys.readouterr().err == (
+            f"config error: unknown config field(s): scenario.{key}\n")
 
     # a key the block's parser does not read, one per block: a typo, a key
     # of another kind (width is gaussian's, value the constant law's), of
@@ -727,14 +733,13 @@ class TestCli:
         assert data["degenerate"] is True and data["dimension"] == 0.0
 
     def test_dimension_section_period_of_a_negative_frequency(self, tmp_path):
-        # with no section_period the section is sampled every 2*pi/|w_1|;
+        # a harmonic sum's section is sampled every 2*pi/|w_1|;
         # cos(-wt) = cos(wt), so w_1 = -1 and 1 give the same report
         reports = []
         for w in (1.0, -1.0):
             data = json.loads((CONFIGS / "dimension.json").read_text())
             data["lattice"]["n_sites"] = 16
             data["driving"]["g1"]["law"]["frequencies"][0] = w
-            del data["scenario"]["section_period"]
             data["scenario"]["n_points"] = 150
             report = tmp_path / f"dimension{w:+g}.json"
             assert cli.main(["dimension", "--config",
@@ -756,8 +761,7 @@ class TestCli:
          {"kind": "constant", "value": 1.0}, None)])
     def test_dimension_section_period_is_the_driving_period(
             self, tmp_path, monkeypatch, capsys, g1_law, g2_law, period):
-        # with no section_period given, the section is sampled at the
-        # period the driving has
+        # the section is sampled at the period the driving has
         data = json.loads((CONFIGS / "absorbing.json").read_text())
         data["driving"]["g1"]["law"] = g1_law
         data["driving"]["g2"]["law"] = g2_law
@@ -773,8 +777,9 @@ class TestCli:
         argv = ["dimension", "--config", _write(tmp_path, data)]
         if period is None:
             assert cli.main(argv) == cli.EXIT_CONFIG
-            assert ("scenario.section_period required"
-                    in capsys.readouterr().err)
+            assert capsys.readouterr().err == (
+                "config error: every driving law is constant: no section "
+                "period\n")
             assert seen == []
         else:
             with pytest.raises(Sampled):
@@ -915,6 +920,25 @@ class TestCli:
         assert len(solves) == 3 and data["verified"] is True
         assert data["seed_spread"] == pytest.approx(100 * tol, rel=1e-3)
         assert "seed spread 1e-08: FAILED" in capsys.readouterr().out
+
+    def test_breather_fails_on_its_localization(self, tmp_path, capsys):
+        # g1 of 0.01 on every site of N = 32: the breather is periodic and
+        # within its certificate, but not localized, so the run fails on
+        # the R^2 of its envelope's decay alone
+        _, data = _edited_data("breather.json", ("lattice", "n_sites"), 32)
+        data["driving"]["g1"]["profile"] = {"kind": "custom", "start": -16,
+                                            "values": [0.01] * 32}
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config", _write(tmp_path, data),
+                         "--json", str(report)]) == cli.EXIT_CHECK_FAILED
+        data = json.loads(report.read_text())
+        tol = _bundled_scenario("breather.json")["tol"]
+        assert data["verified"] is False and data["localization_r2"] < 0.99
+        assert data["envelope_monotone"] is True
+        assert data["max_phase_residual"] <= 10 * tol
+        assert data["seed_spread"] <= 10 * tol
+        assert data["ratio_margin"] <= 1
+        assert "(R^2 = 0.44567)" in capsys.readouterr().out
 
     def test_breather_names_the_laws_when_none_is_periodic(self, tmp_path,
                                                           capsys):

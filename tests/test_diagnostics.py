@@ -141,6 +141,14 @@ class TestTail:
         with pytest.raises(DomainError):
             verify_tail(traj, pred)
 
+    def test_verify_rejects_short_trajectory(self):
+        params, spec = _scenario()
+        pred = predict_tail(1e-3, 100.0, params, spec, n_sites=64)
+        traj = integrate(random_state(64, 0, norm=1.0), 0.0, 0.5, params,
+                         spec, tail_cutoff=pred["cutoff"])
+        with pytest.raises(DomainError, match="before the predicted entry"):
+            verify_tail(traj, pred)
+
 
 class TestContraction:
     def test_linear_rate_matches_gamma(self):
@@ -231,9 +239,12 @@ class TestPairReports:
         def stored(*args, reference=None, keep_states=True, **kwargs):
             traj = real(*args, **kwargs)
             if reference is not None:
-                traj.gaps = np.array([
-                    math.sqrt(norm_sq(traj.values[i] - reference.values[i]))
-                    for i in range(traj.n_samples)])
+                # continuity steps one member, kept on its member axis
+                n = traj.n_samples
+                traj.gaps = np.reshape(
+                    [math.sqrt(norm_sq(v - r)) for v, r in zip(
+                        traj.values.reshape(n, -1),
+                        reference.values.reshape(n, -1))], traj.norms.shape)
             return traj
         monkeypatch.setattr(dg, "integrate", stored)
         assert report("stored.json") == reduced
@@ -453,7 +464,9 @@ class TestSection:
     def _section(self, n_points):
         cfg = load_config(CONFIGS / "dimension.json")
         return dg.poincare_points(cfg.model, cfg.driving, n_points, self.T,
-                                  n_sites=16, seed=0)
+                                  n_sites=16, seed=0,
+                                  config=IntegratorConfig(rtol=1e-7,
+                                                          atol=1e-10))
 
     @pytest.mark.parametrize("n_points, batched", [(5, False), (100, True)])
     def test_times_are_consecutive_multiples_of_the_period(self, n_points,

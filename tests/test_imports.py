@@ -55,7 +55,7 @@ def test_import_loads_no_generator_hash_or_logging():
 
 def test_commands_import_nothing_on_first_use(tmp_path):
     dim = json.loads((CONFIGS / "dimension.json").read_text())
-    dim["scenario"].update(n_points=100, section_period=1.0)
+    dim["scenario"]["n_points"] = 100
     dim_path = tmp_path / "dimension.json"
     dim_path.write_text(json.dumps(dim))
     runs = [("simulate", CONFIGS / "simulate.json"),
