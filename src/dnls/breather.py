@@ -158,7 +158,6 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
                   else -math.inf)
     return {
         "period": period,
-        "phase_t0": 0.0,
         "periodicity_residual": sol.periodicity_residual,
         "iterations": sol.iterations,
         "contraction_ratio": ratio,

@@ -117,9 +117,8 @@ def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
     rec = dg.contraction_rate(cfg.model, cfg.driving, sc.seeds,
                               n_sites=cfg.n_sites, config=cfg.integrator,
                               bc=cfg.bc)
-    return rec["pass"], rec, (
-        f"contraction: fitted {-rec['fitted_rate']:.6g} vs predicted "
-        f">= {rec['predicted_rate']:.6g}: {_verdict(rec['pass'])}")
+    return rec["pass"], rec, (f"contraction: max gap {rec['max_gap']:.3g} "
+                              f"within bound: {_verdict(rec['pass'])}")
 
 
 def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -128,8 +127,8 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
         name = "--seed" if args.seed is not None else "scenario.seed"
         raise DomainError(f"{name} must be < 2**64 - 1 for continuity, which "
                           f"draws its bump from seed + 1, got {seed}")
-    theta = random_state(cfg.n_sites, seed, norm=sc.theta_norm, bc=cfg.bc)
-    bump = random_state(cfg.n_sites, seed + 1, norm=sc.delta, bc=cfg.bc)
+    theta = random_state(cfg.n_sites, seed, norm=0.5, bc=cfg.bc)
+    bump = random_state(cfg.n_sites, seed + 1, norm=1e-3, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
     rec = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
                             theta, theta_n, config=cfg.integrator)

@@ -250,8 +250,7 @@ SCENARIO_FIELDS = {
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
              "seed": (_SEED, 0)},
     "contraction": {"seeds": (_list_of(_SEED, 2), (1, 2))},
-    "continuity": {"seed": (_SEED, 0), "theta_norm": (_NONNEG, 0.5),
-                   "delta": (_NONNEG, 1e-3), "driving_shift": (_REAL, 0.0)},
+    "continuity": {"seed": (_SEED, 0), "driving_shift": (_REAL, 0.0)},
     "dimension": {"seed": (_SEED, 0), "n_points": (_POSITIVE_COUNT, 2000),
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),

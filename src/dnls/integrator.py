@@ -103,7 +103,6 @@ class Trajectory:
         """``dnls simulate``'s report: the span, the norm (and tail) series
         at the sample times, and the step counts."""
         out = {
-            "t0": float(self.times[0]),
             "t1": float(self.times[-1]),
             "n_samples": int(self.n_samples),
             "norms": [float(x) for x in self.norms],

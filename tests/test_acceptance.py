@@ -223,25 +223,30 @@ def test_criterion_5_tail_decay(report):
 
 def test_criterion_6_contraction(report):
     t_start = time.perf_counter()
-    # linear case: the distance must decay at exactly gamma
+    # linear case: the distance decays at exactly gamma, which is the bound
     g1 = DrivingField(_unit_exp_profile(), CosineLaw.periodic(period=2 * math.pi))
     lin_spec = DrivingSpec(g1=g1)
     lin = ModelParams(kappa=1.0, gamma=1.0)
     rep_lin = contraction_rate(lin, lin_spec, seeds=(1, 2), horizon=8.0)
-    lin_ok = abs(-rep_lin["fitted_rate"] - 1.0) <= 0.01
+    ratio = np.divide(rep_lin["gap"], rep_lin["bound"])[1:]
+    lin_dev = float(np.max(np.abs(ratio - 1.0)))
+    lin_ok = rep_lin["pass"] and lin_dev <= 1e-6
 
-    # cubic strong-damping case: decay at least gamma - a*K^b - sup||g2||
+    # cubic strong-damping case: the distance stays within the recursion
+    # at rate gamma - a*R^b - sup||g2||
     g2 = DrivingField(SpatialProfile.single_site(0.25),
                       CosineLaw.constant(1.0))
     cub_spec = DrivingSpec(g1=g1, g2=g2)
     cub = ModelParams(kappa=1.0, gamma=5.0,
                       nonlinearity=NonlinearitySpec(sigma=1.0, sign=1))
     rep_cub = contraction_rate(cub, cub_spec, seeds=(3, 4), horizon=2.0)
+    cub_ratio = max(g / b for g, b in zip(rep_cub["gap"][1:],
+                                          rep_cub["bound"][1:]))
     elapsed = time.perf_counter() - t_start
     report(6, "two-trajectory contraction",
             lin_ok and rep_cub["pass"] and elapsed < 60.0,
-            f"linear {-rep_lin['fitted_rate']:.4f} vs 1.0, cubic "
-            f"{-rep_cub['fitted_rate']:.3f} >= {rep_cub['predicted_rate']:.3f}, "
+            f"linear gap/bound within {lin_dev:.1e} of 1, cubic gap/bound "
+            f"<= {cub_ratio:.3f} at rate >= {rep_cub['predicted_rate']:.3f}, "
             f"{elapsed:.1f}s")
 
 
