@@ -145,8 +145,7 @@ def _sections(cfg):
     sections = {}
     for points in SECTION_POINTS:
         run = functools.partial(dg.poincare_points, cfg.model, cfg.driving,
-                                points, cfg.driving.section_period,
-                                SECTION_SITES, config=cfg.integrator)
+                                points, SECTION_SITES, config=cfg.integrator)
         dg.integrate = spy
         try:
             _, cloud = run()

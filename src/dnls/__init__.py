@@ -8,13 +8,13 @@ from .breather import (BreatherSolution, find_breather, period_map,
 from .config import ScenarioConfig, load_config
 from .diagnostics import (check_apriori_bound, continuity_gap,
                           contraction_rate, correlation_dimension,
-                          poincare_points, predict_absorbing, predict_tail,
-                          verify_absorbing, verify_tail)
+                          monitor_dissipation, poincare_points,
+                          predict_absorbing, predict_tail, verify_absorbing,
+                          verify_tail)
 from .driving import (Certificate, CosineLaw, DrivingField, DrivingSpec,
                       SpatialProfile, certificate, translate)
 from .errors import DomainError, NonconvergenceError, StiffnessError
-from .integrator import (IntegratorConfig, Trajectory, integrate,
-                         monitor_dissipation)
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .lattice import (LatticeState, ModelParams, NonlinearitySpec, l2_norm,
                       random_state)
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import breather as br
 from . import diagnostics as dg
-from .config import ScenarioConfig, load_config, parse_scenario
+from .config import SEED, ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
-from .integrator import integrate, monitor_dissipation
+from .integrator import integrate
 from .lattice import SEED_LIMIT, LatticeState, random_state
 from .output import (write_breather_profile_csv, write_dimension_csv,
                      write_json, write_trajectory_csv)
@@ -71,7 +71,7 @@ def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
     traj = integrate(state, 0.0, sc.t1, cfg.model, cfg.driving,
                      cfg.integrator, keep_states=False)
-    diss = monitor_dissipation(traj, cfg.model, cfg.driving)
+    diss = dg.monitor_dissipation(traj, cfg.model, cfg.driving)
     apriori = dg.check_apriori_bound(traj, cfg.model, cfg.driving)
     ok = diss["ok"] and apriori["ok"]
     return ok, {"dissipation": diss, "apriori": apriori, "pass": ok}, (
@@ -137,12 +137,9 @@ def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 
 def _cmd_dimension(cfg: ScenarioConfig, sc, args) -> _Outcome:
-    period = cfg.driving.section_period
-    if period is None:
-        raise DomainError("every driving law is constant: no section period")
     _, points = dg.poincare_points(cfg.model, cfg.driving,
-                                   n_points=sc.n_points, section_period=period,
-                                   n_sites=cfg.n_sites, seed=_seed(sc, args),
+                                   n_points=sc.n_points, n_sites=cfg.n_sites,
+                                   seed=_seed(sc, args),
                                    config=cfg.integrator, bc=cfg.bc)
     # the points carry the integrator's error, about rtol*||psi|| each
     resolution = 10 * cfg.integrator.rtol * float(
@@ -216,8 +213,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
-            raise DomainError(f"--seed must be in [0, 2**64), got {args.seed}")
+        if args.seed is not None:
+            SEED("--seed", args.seed)
         sc = parse_scenario(args.command, cfg.scenario)
         ok, report, text = _COMMANDS[args.command][0](cfg, sc, args)
         if args.json:

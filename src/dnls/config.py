@@ -75,7 +75,8 @@ _NONNEG = _number(0.0)
 _POSITIVE = _number(0.0, strict=True)
 _COUNT = _number(0, integer=True)
 _POSITIVE_COUNT = _number(1, integer=True)
-_SEED = _number(0, SEED_LIMIT - 1, integer=True)  # random_state's range
+# random_state's range, of a config seed and of the --seed flag
+SEED = _number(0, SEED_LIMIT - 1, integer=True)
 
 
 def _one_of(*choices):
@@ -231,7 +232,7 @@ def load_config(path) -> ScenarioConfig:
 
 _INITIAL = _kind({
     "zero": ({}, partial(SimpleNamespace, kind="zero")),
-    "random": ({"seed": (_SEED, 0), "norm": (_NONNEG, 1.0)},
+    "random": ({"seed": (SEED, 0), "norm": (_NONNEG, 1.0)},
                partial(SimpleNamespace, kind="random")),
     "values": ({"values": (_list_of(_complex), _REQUIRED)},
                partial(SimpleNamespace, kind="values")),
@@ -246,15 +247,15 @@ SCENARIO_FIELDS = {
                  "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
     "verify-bounds": {"t1": (_NONNEG, 50.0),
                       "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
-    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (_SEED, 0)},
+    "absorbing": {"radius": (_NONNEG, 1.0), "seed": (SEED, 0)},
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),
-             "seed": (_SEED, 0)},
-    "contraction": {"seeds": (_list_of(_SEED, 2), (1, 2))},
-    "continuity": {"seed": (_SEED, 0), "driving_shift": (_REAL, 0.0)},
-    "dimension": {"seed": (_SEED, 0), "n_points": (_POSITIVE_COUNT, 2000),
+             "seed": (SEED, 0)},
+    "contraction": {"seeds": (_list_of(SEED, 2), (1, 2))},
+    "continuity": {"seed": (SEED, 0), "driving_shift": (_REAL, 0.0)},
+    "dimension": {"seed": (SEED, 0), "n_points": (_POSITIVE_COUNT, 2000),
                   "max_ci_width": (_POSITIVE, 0.5)},
     "breather": {"tol": (_POSITIVE, 1e-10),
-                 "seeds": (_list_of(_optional(_SEED)), (None,))},
+                 "seeds": (_list_of(_optional(SEED)), (None,))},
 }
 
 

@@ -1,6 +1,7 @@
-"""Quantitative checks on the dissipative dynamics: a-priori norm bound,
-absorbing ball, spatial tail decay, two-trajectory contraction, continuity
-in the driving, and an empirical correlation-dimension estimate.
+"""Quantitative checks on the dissipative dynamics: the energy inequality
+between samples, a-priori norm bound, absorbing ball, spatial tail decay,
+two-trajectory contraction, continuity in the driving, and an empirical
+correlation-dimension estimate.
 
 Each check returns its record: a plain dict whose keys are those of its
 command's ``--json`` report, built where the numbers are computed.  A
@@ -19,7 +20,7 @@ import numpy as np
 from . import driving as drv
 from .driving import DrivingSpec
 from .errors import DomainError
-from .integrator import IntegratorConfig, Trajectory, _gronwall, integrate
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .lattice import DIRICHLET, LatticeState, ModelParams, random_state
 
 
@@ -41,7 +42,42 @@ def line_fit(x, y):
 
 
 # ---------------------------------------------------------------------------
-# a-priori bound
+# energy estimates: the dissipation inequality and the a-priori bound
+
+def _gronwall(y0, rate, forcing, dt):
+    """Largest y(t0 + dt) under y' <= -rate*y + forcing, y(t0) = y0, for any
+    sign of rate (Gronwall): e^{-rate*dt}*y0 + forcing*(1 - e^{-rate*dt})/rate,
+    forcing*dt at rate 0.  Elementwise on arrays; overflow gives inf, silently."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gain = np.where(rate == 0, dt, -np.expm1(-rate * dt) / rate)
+        return np.exp(-rate * dt) * y0 + forcing * gain
+
+
+def monitor_dissipation(traj: Trajectory, params: ModelParams,
+                        driving: DrivingSpec) -> dict:
+    """Check the energy inequality
+
+        d/dt ||psi||^2 + Gt*||psi||^2 <= (1/Gt)*||g1(t)||^2
+
+    integrated exactly between samples.  Hopping and F are skew, so
+    d/dt ||psi||^2 <= -2*(gamma - sup||g2||)*||psi||^2 + 2*||g1||*||psi||,
+    and 2*||g1||*||psi|| <= Gt*||psi||^2 + ||g1||^2/Gt closes it, since
+    2*(gamma - sup||g2||) - Gt = gamma >= Gt.  With s_i >= ||g1|| on
+    [t_i, t_{i+1}] (``DrivingField.interval_sup``) a sample is flagged when
+    n^2_{i+1} > _gronwall(n^2_i, Gt, s_i^2/Gt, dt) + 10*rtol*(1 + n^2_i),
+    the integrator's error.  The record counts the intervals ``checked``
+    and the ``violations``, and lists the index i of each flagged interval
+    [t_i, t_{i+1}] (``flagged``)."""
+    gt = drv.certificate(params, driving).dissipative().gamma_tilde
+    n2, times = traj.norms ** 2, traj.times
+    dt = np.diff(times)
+    s = driving.g1.interval_sup(times[:-1], dt)
+    bound = _gronwall(n2[:-1], gt, s * s / gt, dt)
+    excess = n2[1:] - bound - 10 * traj.config.rtol * (1 + n2[:-1])
+    flagged = np.flatnonzero(excess > 0).tolist()
+    return {"ok": not flagged, "checked": dt.size,
+            "violations": len(flagged), "flagged": flagged}
+
 
 def check_apriori_bound(traj: Trajectory, params: ModelParams,
                         spec: DrivingSpec) -> dict:
@@ -292,14 +328,15 @@ def _theiler_distances(pts: np.ndarray, window: int) -> np.ndarray:
 
 
 def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
-                    section_period: float, n_sites: int = 64,
-                    seed: int = 0, *, config: IntegratorConfig,
+                    n_sites: int = 64, seed: int = 0, *,
+                    config: IntegratorConfig,
                     bc: str = DIRICHLET) -> tuple[np.ndarray, np.ndarray]:
     """Stroboscopic section of the driven dynamics: the states at the
-    multiples of ``section_period`` T from the first one past a burn-in of
-    T(1) + 20/Gamma, by when the trajectory has settled into the absorbing
-    ball.  Returns their times (n_points,) and (n_points, 2*n_sites) real
-    coordinates.
+    multiples of the driving's ``section_period`` T from the first one past
+    a burn-in of T(1) + 20/Gamma, by when the trajectory has settled into
+    the absorbing ball.  Returns their times (n_points,) and
+    (n_points, 2*n_sites) real coordinates.  Refused when every law is
+    constant, as there is no period to sample at.
 
     The orbit is cut into B chunks of c points, stepped side by side as one
     batch (``integrate`` with hull shifts): member b starts from the orbit's
@@ -309,16 +346,19 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     the burn-in is the orbit's point b*c + k, so the points keep the
     orbit's order and the Theiler window its meaning.  ``_section_batch``
     picks B and c."""
-    config = replace(config, sample_stride=section_period)
+    period = spec.section_period
+    if period is None:
+        raise DomainError("every driving law is constant: no section period")
+    config = replace(config, sample_stride=period)
     pred = predict_absorbing(params, spec, r=1.0)
     burn = math.ceil((pred["entry_time"] + 20.0 / pred["gamma_eff"])
-                     / section_period - 1e-9)  # in periods
+                     / period - 1e-9)  # in periods
     members, chunk = _section_batch(n_points, burn, n_sites)
-    shifts = [b * chunk * section_period for b in range(members)]
+    shifts = [b * chunk * period for b in range(members)]
     psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred["radius"], 0.1)),
                         bc=bc)
-    traj = integrate(psi0, 0.0, (burn + chunk - 1) * section_period, params,
-                     spec, config, shifts=shifts)
+    traj = integrate(psi0, 0.0, (burn + chunk - 1) * period, params, spec,
+                     config, shifts=shifts)
     # sample burn + k of member b is point b*chunk + k: member-major order
     times = (traj.times[burn:, None] + shifts).T.reshape(-1)[:n_points]
     vals = traj.values[burn:].reshape(chunk, members, n_sites)

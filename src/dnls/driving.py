@@ -6,14 +6,14 @@ one constant term, one periodic harmonic, or a sum of harmonics with
 pairwise rationally independent frequencies (quasiperiodic; three or more
 serve as the almost-periodic class).  Translation by h in the hull of a
 field adds w*h to the phase of each harmonic of frequency w, so a
-translate is again such a law; ``translate`` and the batched right-hand
-side (``lattice.make_rhs``) both use that phase shift.  ``certificate``
-collects the constants every estimate rests on (effective damping,
-absorbing radius, breather ball, gap rate) in one place.  Every other
-fact a check reads from a driving is a method here too, with the
-profile's norm on l^2(Z): a field's tail cutoff, hull gap and core, and
-the period a section samples at.  Outside this module only
-``lattice._field`` reads a law's terms, to build the right-hand side.
+translate is again such a law; ``translate`` and the fields the sampler
+hands the batched right-hand side (``_Sampler.fields``) both use that
+phase shift.  ``certificate`` collects the constants every estimate rests
+on (effective damping, absorbing radius, breather ball, gap rate) in one
+place.  Every other fact a check reads from a driving is a method here
+too, with the profile's norm on l^2(Z): a field's tail cutoff, hull gap
+and core, and the period a section samples at.  No other module reads a
+law's terms.
 """
 
 from __future__ import annotations
@@ -302,37 +302,74 @@ class DrivingField:
         return DrivingField(SpatialProfile.zero(), CosineLaw.constant(0.0))
 
 
-def _rhs_term(g: DrivingField, p: np.ndarray | None):
-    """(sl, q, law) with -i*g(t) = q * law(t) on the sites ``sl`` and zero
-    off them, where ``p`` is g's realized profile; None for a zero field."""
+def _field(law: CosineLaw, p: np.ndarray | None, shifts):
+    """A field's slice of the flat arrays of a batch with hull ``shifts``
+    (site-major, members fastest), a buffer for -i*g(t + h_b) on it, and a
+    function of t that writes the buffer: None for a constant law, whose
+    buffer is written here.  The slice spans the nonzero sites of ``p``,
+    the field's realized profile; the result is None for a zero field.
+
+    With q = -i*p on the slice and phi the phase of a harmonic translated
+    by h_b (``CosineLaw.shifted``)
+
+        a*cos(w*t + phi) = a*cos(phi)*cos(w*t) - a*sin(phi)*sin(w*t),
+
+    so the values of all members come from one product x @ table, with x
+    the cos(w_j*t) and sin(w_j*t) of the law's harmonics and a table of
+    q * those coefficients, formed once.  Rows of zeros (the sines of one
+    member at phase 0) are left out."""
     nz = np.flatnonzero(p) if p is not None else ()
     if len(nz) == 0:
         return None
-    sl = slice(int(nz[0]), int(nz[-1]) + 1)
-    return sl, -1j * p[sl], g.law
+    lo, hi, members = int(nz[0]), int(nz[-1]) + 1, len(shifts)
+    q, sl = -1j * p[lo:hi], slice(lo * members, hi * members)
+    if law.period is None:
+        return sl, np.repeat(q * law(0.0), members), None
+    # (members, harmonics) arrays; w is the same in every row
+    terms = np.array([law.shifted(h) for h in shifts])
+    a, w, phase = np.moveaxis(terms, -1, 0)
+    w = w[0]
+    # row 2j (2j + 1) multiplies cos(w_j*t) (sin(w_j*t))
+    coeff = np.stack([a * np.cos(phase), -a * np.sin(phase)], axis=-1)
+    table = q[:, None, None] * coeff.reshape(members, -1)
+    table = np.ascontiguousarray(np.moveaxis(table, -1, 0))
+    table = table.view(np.float64).reshape(2 * w.size, -1)
+    # a subnormal entry, as in the far tail of an exponential profile, adds
+    # nothing to a normal psi but slows every product it enters
+    table[np.abs(table) < np.finfo(np.float64).tiny] = 0.0
+    rows = np.flatnonzero(table.any(axis=1))
+    table, w = table[rows], w.tolist()
+    terms = [(i, w[r // 2], (math.cos, math.sin)[r % 2])
+             for i, r in enumerate(rows.tolist())]
+    buf = np.empty(q.size * members, dtype=np.complex128)
+    out, x, dot = buf.view(np.float64), np.empty(rows.size), np.dot
+
+    def write(t):
+        for i, wj, trig in terms:
+            x[i] = trig(wj * t)
+        dot(x, table, out)
+    return sl, buf, write
 
 
 class _Sampler:
     """Driving realized on a fixed truncation, for fast rhs evaluation.
 
-    ``g1_term`` and ``g2_term`` hand the RHS each field as -i times its
-    profile, cut to the span of its nonzero sites, with its law (see
-    ``_rhs_term``); ``sample_values`` gives the fields themselves."""
+    ``fields`` hands the batched RHS g1 and g2 as ``_field`` forms them;
+    ``sample_values`` gives the fields themselves."""
 
     def __init__(self, spec: "DrivingSpec", n_sites: int):
         self.n_sites = n_sites
-        self._g1 = spec.g1
-        self._g2 = spec.g2
-        self._p1 = spec.g1.profile.realize(n_sites) if spec.g1.sup_norm() > 0 else None
-        self._p2 = spec.g2.profile.realize(n_sites) if spec.g2.sup_norm() > 0 else None
-        self.g1_term = _rhs_term(spec.g1, self._p1)
-        self.g2_term = _rhs_term(spec.g2, self._p2)
+        # (law, realized profile) of g1 and g2; no profile for a zero field
+        self._laws = [(g.law, g.profile.realize(n_sites) if g.sup_norm() > 0
+                       else None) for g in (spec.g1, spec.g2)]
+
+    def fields(self, shifts) -> list:
+        """g1's and g2's ``_field`` on a batch with hull ``shifts``."""
+        return [_field(law, p, shifts) for law, p in self._laws]
 
     def sample_values(self, t: float, n_sites: int):
         assert n_sites == self.n_sites
-        g1 = None if self._p1 is None else self._p1 * self._g1.law(t)
-        g2 = None if self._p2 is None else self._p2 * self._g2.law(t)
-        return g1, g2
+        return tuple(None if p is None else p * law(t) for law, p in self._laws)
 
 
 @dataclass(frozen=True)
@@ -345,16 +382,18 @@ class DrivingSpec:
 
     @property
     def aperiodic(self) -> tuple:
-        """(config path, law) of each field whose law has no period."""
+        """(config path, law) of each nonzero field whose law has no
+        period."""
         return tuple((f"driving.{name}.law", g.law)
                      for name, g in (("g1", self.g1), ("g2", self.g2))
-                     if g.law.period == math.inf)
+                     if g.law.period == math.inf and g.sup_norm() > 0)
 
     @property
     def section_period(self) -> float | None:
         """The period a stroboscopic section samples at: the driving's
         ``period``, or for a harmonic sum, which has none, 2 pi/|w| of its
-        first harmonic (cos is even); None when every law is constant."""
+        first harmonic (cos is even); None when every law of a nonzero
+        field is constant."""
         if self.aperiodic:
             _, law = self.aperiodic[0]
             return 2 * math.pi / abs(law.terms[0][1])
@@ -364,10 +403,12 @@ class DrivingSpec:
     def period(self) -> float | None:
         """Common driving period: None if a law has none (``aperiodic``),
         or if every law is constant, since constant laws are compatible
-        with any period.  Of two periods one must be an integer multiple
-        of the other (to the tolerance of ``_is_commensurate``), and the
-        longer is the common one."""
-        periods = [f.law.period for f in (self.g1, self.g2) if f.law.period is not None]
+        with any period.  A field of zero norm sets no period.  Of two
+        periods one must be an integer multiple of the other (to the
+        tolerance of ``_is_commensurate``), and the longer is the common
+        one."""
+        periods = [f.law.period for f in (self.g1, self.g2)
+                   if f.law.period is not None and f.sup_norm() > 0]
         if not periods or math.inf in periods:
             return None
         if len(periods) == 2 and not math.isclose(periods[0], periods[1], rel_tol=1e-12):

@@ -9,7 +9,9 @@ an explicit pair suffices; dissipation is handled by step control.
 
 One kernel (``_Tsit5``) does the stage arithmetic on buffers allocated
 once per trajectory, and the right-hand side from ``lattice.make_rhs``
-writes each stage in place, so a step attempt allocates nothing.
+writes each stage in place, so a step attempt allocates nothing.  The
+checks of a trajectory against the estimates, the energy inequality
+between samples among them, are in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driving import DrivingSpec, certificate
+from .driving import DrivingSpec
 from .errors import DomainError, StiffnessError
 from .lattice import LatticeState, ModelParams, make_rhs, norm_sq
 
@@ -320,40 +322,3 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
                       tails=None if tails is None else tails[:, one],
                       gaps=None if gaps is None else gaps[:, one])
 
-
-# ---------------------------------------------------------------------------
-# dissipation monitoring
-
-def _gronwall(y0, rate, forcing, dt):
-    """Largest y(t0 + dt) under y' <= -rate*y + forcing, y(t0) = y0, for any
-    sign of rate (Gronwall): e^{-rate*dt}*y0 + forcing*(1 - e^{-rate*dt})/rate,
-    forcing*dt at rate 0.  Elementwise on arrays; overflow gives inf, silently."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gain = np.where(rate == 0, dt, -np.expm1(-rate * dt) / rate)
-        return np.exp(-rate * dt) * y0 + forcing * gain
-
-
-def monitor_dissipation(traj: Trajectory, params: ModelParams,
-                        driving: DrivingSpec) -> dict:
-    """Check the energy inequality
-
-        d/dt ||psi||^2 + Gt*||psi||^2 <= (1/Gt)*||g1(t)||^2
-
-    integrated exactly between samples.  Hopping and F are skew, so
-    d/dt ||psi||^2 <= -2*(gamma - sup||g2||)*||psi||^2 + 2*||g1||*||psi||,
-    and 2*||g1||*||psi|| <= Gt*||psi||^2 + ||g1||^2/Gt closes it, since
-    2*(gamma - sup||g2||) - Gt = gamma >= Gt.  With s_i >= ||g1|| on
-    [t_i, t_{i+1}] (``DrivingField.interval_sup``) a sample is flagged when
-    n^2_{i+1} > _gronwall(n^2_i, Gt, s_i^2/Gt, dt) + 10*rtol*(1 + n^2_i),
-    the integrator's error.  The record counts the intervals ``checked``
-    and the ``violations``, and lists the index i of each flagged interval
-    [t_i, t_{i+1}] (``flagged``)."""
-    gt = certificate(params, driving).dissipative().gamma_tilde
-    n2, times = traj.norms ** 2, traj.times
-    dt = np.diff(times)
-    s = driving.g1.interval_sup(times[:-1], dt)
-    bound = _gronwall(n2[:-1], gt, s * s / gt, dt)
-    excess = n2[1:] - bound - 10 * traj.config.rtol * (1 + n2[:-1])
-    flagged = np.flatnonzero(excess > 0).tolist()
-    return {"ok": not flagged, "checked": dt.size,
-            "violations": len(flagged), "flagged": flagged}

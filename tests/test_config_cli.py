@@ -780,7 +780,8 @@ class TestCli:
          {"kind": "constant", "value": 1.0}, None)])
     def test_dimension_section_period_is_the_driving_period(
             self, tmp_path, monkeypatch, capsys, g1_law, g2_law, period):
-        # the section is sampled at the period the driving has
+        # the section is sampled at the period the driving has: the
+        # sample stride of the integration the section steps with
         data = json.loads((CONFIGS / "absorbing.json").read_text())
         data["driving"]["g1"]["law"] = g1_law
         data["driving"]["g2"]["law"] = g2_law
@@ -789,10 +790,10 @@ class TestCli:
         class Sampled(Exception):
             pass
 
-        def poincare_points(*args, section_period, **kwargs):
-            seen.append(section_period)
+        def integrate(state, t0, t1, params, driving, config, **kwargs):
+            seen.append(config.sample_stride)
             raise Sampled
-        monkeypatch.setattr(cli.dg, "poincare_points", poincare_points)
+        monkeypatch.setattr(cli.dg, "integrate", integrate)
         argv = ["dimension", "--config", _write(tmp_path, data)]
         if period is None:
             assert cli.main(argv) == cli.EXIT_CONFIG
@@ -863,13 +864,16 @@ class TestCli:
         (c, n) for c, n in BUNDLED if c in READS["--seed"]])
     def test_seed_flag_beyond_the_stream_is_config_error(self, capsys,
                                                          command, name):
-        seeds = [2 ** 64]
+        # the flag is parsed as a config seed is, with its messages
+        seeds = {2 ** 64: "<= 18446744073709551615, got 18446744073709551616",
+                 -1: ">= 0, got -1"}
         if command == "continuity":  # its bump seed + 1 is past the last
-            seeds.append(2 ** 64 - 1)
-        for seed in seeds:
+            seeds[2 ** 64 - 1] = "< 2**64 - 1 for continuity"
+        for seed, message in seeds.items():
             assert cli.main([command, "--config", str(CONFIGS / name),
                              "--seed", str(seed)]) == cli.EXIT_CONFIG
-            assert "config error: --seed must be" in capsys.readouterr().err
+            assert (f"config error: --seed must be {message}"
+                    in capsys.readouterr().err)
 
     def test_verbose_prints_the_sample_count_of_simulate_only(self, capsys):
         path = str(CONFIGS / "simulate.json")
@@ -998,6 +1002,28 @@ class TestCli:
             assert json.loads(report.read_text())["period"] == 2 * math.pi
         else:
             assert "different periods" in capsys.readouterr().err
+
+    def test_breather_ignores_the_law_of_a_switched_off_field(self,
+                                                             tmp_path):
+        # g1 of amplitude 0 sets no period, whatever its law: the driving
+        # has g2's period 3, as with a constant law on g1
+        reports = []
+        for law in ({"kind": "constant", "value": 1.0},
+                    {"kind": "periodic", "period": 2 * math.pi},
+                    {"kind": "harmonic", "frequencies": [1.0, math.sqrt(2.0)],
+                     "amplitudes": [1.0, 0.5]}):
+            data = json.loads((CONFIGS / "breather.json").read_text())
+            data["driving"] = {
+                "g1": {"profile": {"kind": "exponential", "amplitude": 0.0,
+                                   "rate": 1.0}, "law": law},
+                "g2": {"profile": {"kind": "single_site", "amplitude": 0.25},
+                       "law": {"kind": "periodic", "period": 3.0}}}
+            report = tmp_path / f"breather_{law['kind']}.json"
+            assert cli.main(["breather", "--config", _write(tmp_path, data),
+                             "--json", str(report)]) == cli.EXIT_PASS
+            reports.append(json.loads(report.read_text()))
+        assert reports[0]["period"] == 3.0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_breather_zero_seed_keeps_the_boundary_condition(self, tmp_path):
         # the null seed solves the periodic problem, as seeds 1 and 2 do

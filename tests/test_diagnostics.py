@@ -463,12 +463,21 @@ class TestSection:
             return integrate(*args, shifts=shifts, **kwargs)
         monkeypatch.setattr(dg, "integrate", spy)
 
-    def _section(self, n_points):
+    def _section(self, n_points, driving=None):
         cfg = load_config(CONFIGS / "dimension.json")
-        return dg.poincare_points(cfg.model, cfg.driving, n_points, self.T,
+        return dg.poincare_points(cfg.model, driving or cfg.driving, n_points,
                                   n_sites=16, seed=0,
                                   config=IntegratorConfig(rtol=1e-7,
                                                           atol=1e-10))
+
+    def test_refuses_a_driving_with_no_period(self):
+        # constant laws only: nothing to sample at, refused before stepping
+        g1 = DrivingField(_unit_exp_profile(), CosineLaw.constant(0.5))
+        with pytest.raises(DomainError) as err:
+            self._section(5, DrivingSpec(g1=g1))
+        assert str(err.value) == ("every driving law is constant: no "
+                                  "section period")
+        assert self.shifts == []
 
     @pytest.mark.parametrize("n_points, batched", [(5, False), (100, True)])
     def test_times_are_consecutive_multiples_of_the_period(self, n_points,

@@ -222,8 +222,8 @@ class TestDrivingSpec:
         assert spec.period == pytest.approx(2 * math.pi)
         const = DrivingSpec(g1=DrivingField(SpatialProfile.zero()))
         assert const.period is None
-        def both(p1, p2):
-            return DrivingSpec(*(DrivingField(SpatialProfile.zero(),
+        def both(p1, p2, profile=SpatialProfile.single_site(0.1)):
+            return DrivingSpec(*(DrivingField(profile,
                                               CosineLaw.periodic(period=p))
                                  for p in (p1, p2)))
         # a period that is an integer multiple of the other is the common one
@@ -233,12 +233,17 @@ class TestDrivingSpec:
         with pytest.raises(DomainError, match="different periods"):
             both(1.0, 1.5).period
         # a harmonic sum has no period, which no other law can supply
-        mixed = replace(spec, g2=DrivingField(
-            SpatialProfile.zero(),
-            CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
-                               amplitudes=(1.0, 1.0))))
+        harmonic = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                                      amplitudes=(1.0, 1.0))
+        mixed = replace(spec, g2=DrivingField(SpatialProfile.single_site(0.1),
+                                              harmonic))
         assert mixed.period is None
         assert [path for path, _ in mixed.aperiodic] == ["driving.g2.law"]
+        # a field of zero norm sets no period, whatever its law
+        assert both(1.0, 1.5, SpatialProfile.zero()).period is None
+        off = replace(mixed, g2=DrivingField(SpatialProfile.zero(), harmonic))
+        assert off.aperiodic == () and off.period == pytest.approx(2 * math.pi)
+        assert off.section_period == off.period
 
     def test_translate_shifts_samples(self):
         # the right-hand side under the translate at t is the one under the

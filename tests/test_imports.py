@@ -3,8 +3,10 @@ a command needs is loaded at import, so a command's own time holds no
 import work.  Neither the import nor any command loads ``numpy.random``
 (which brings in ``secrets``, ``hmac`` and ``hashlib``, so OpenSSL's
 libcrypto), ``hashlib`` or ``logging``: seeded states come from the
-package's own generator, and ``--verbose`` prints."""
+package's own generator, and ``--verbose`` prints.  And no module of the
+package reads another's private name: each such fact has one home."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
+PACKAGE = ROOT / "src" / "dnls"
 
 # modules no run may load, with their submodules
 HEAVY = ("scipy", "numpy.random", "secrets", "hashlib", "logging")
@@ -74,3 +77,43 @@ def test_commands_import_nothing_on_first_use(tmp_path):
     result = _probe(argvs)
     assert result["codes"] == [0] * len(runs)
     assert result["at_import"] == [] and result["later"] == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(package: Path) -> list:
+    """(file, line, name) of each read in ``package``'s modules of a private
+    name of a sibling module: ``from .m import _x``, or ``m._x`` with ``m``
+    bound by ``from . import m``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        siblings = set()  # local names of sibling modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0:  # dnls.m is the sibling .m
+                if module != "dnls" and not module.startswith("dnls."):
+                    continue
+                module = module[len("dnls."):]
+            for alias in node.names:
+                if not module:  # from . import m [as n]
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append((path.name, node.lineno,
+                                  f"{module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings):
+                found.append((path.name, node.lineno,
+                              f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a fact a module keeps private has its one home there
+    assert _private_reads(PACKAGE) == []

@@ -1,5 +1,5 @@
 """Adaptive integrator against closed-form oracles, plus the dissipation
-monitor."""
+monitor (``diagnostics.monitor_dissipation``) on its trajectories."""
 
 import dataclasses
 import inspect
@@ -16,11 +16,11 @@ from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
                   integrate, load_config, monitor_dissipation)
 from dnls import integrator
-from dnls.diagnostics import predict_absorbing
+from dnls.diagnostics import _gronwall, predict_absorbing
 from dnls.driving import certificate, translate
 from dnls.errors import DomainError, StiffnessError
-from dnls.integrator import (ORACLE_CONFIG, _A, _AE, _C, _P, _gronwall,
-                             _sample_times, _Tsit5)
+from dnls.integrator import (ORACLE_CONFIG, _A, _AE, _C, _P, _sample_times,
+                             _Tsit5)
 from dnls.lattice import make_rhs, norm_sq, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"

@@ -252,10 +252,8 @@ def _plain_fields(spec, n_sites):
 
 def _product_fields(spec, n_sites):
     """The fields of ``_plain_fields`` with the law values of ``make_rhs``:
-    its harmonic product (``lattice._field``), with no shift."""
-    def field(term):
-        sl, buf, write = lattice._field(term, (0.0,))
-
+    the sampler's harmonic product (``_Sampler.fields``), with no shift."""
+    def field(sl, buf, write):
         def g(t):
             if write is not None:
                 write(t)
@@ -263,9 +261,8 @@ def _product_fields(spec, n_sites):
             out[sl] = buf
             return out
         return g
-    sampler = spec.sampler(n_sites)
-    return [None if term is None else field(term)
-            for term in (sampler.g1_term, sampler.g2_term)]
+    return [None if term is None else field(*term)
+            for term in spec.sampler(n_sites).fields((0.0,))]
 
 
 def _reference_rhs(params, spec, n_sites, bc, fields=_plain_fields):

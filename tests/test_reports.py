@@ -6,7 +6,7 @@ floats to a relative ``REL``, or within ``ABS`` of each other near 0.
 The held files were written by this code, and two runs give the same
 bytes, with BLAS on one thread or on all, so ``REL`` only leaves room for
 the last bits of a float: scaling the largest entry of a driving table
-(``lattice._field``) by 1 + 1e-12 moves simulate's norms by up to 1.4e-12
+(``driving._field``) by 1 + 1e-12 moves simulate's norms by up to 1.4e-12
 relative, and fails.  ``ABS`` is the round-off of a quantity of order 1,
 the size of the breather's residual (5.3e-17) and seed spread (1.9e-16).
 
