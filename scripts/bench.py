@@ -6,8 +6,8 @@ arithmetic) at N = 64, 256, 1024 and 4096 sites, on two models:
 ``simulate`` (scripts/configs/simulate.json: periodic g1, constant-law
 single-site g2) and ``dimension`` (scripts/configs/dimension.json: a
 two-harmonic g1 and no g2, the model ``dnls dimension`` steps);
-integration per unit of simulated time, with the step attempts and RHS
-calls it takes, on one run of each model at its config's tolerances from
+integration per unit of simulated time, with the step attempts, RHS calls
+and sites stepped, on one run of each model at its config's tolerances from
 a random state of norm 2 (``dimension`` at N = 64 over [0, 100] sampled
 every 2*pi, as ``dnls dimension`` samples; ``simulate`` at N = 4096 over
 [0, 50] sampled every 0.1 without keeping states); one breather solve:
@@ -180,7 +180,7 @@ def measure() -> dict:
         stats = run().stats
         runs[model] = {"n_sites": n, "t1": t1,
                        "attempts": stats.accepted + stats.rejected,
-                       "rhs_calls": stats.rhs_evals}
+                       "rhs_calls": stats.rhs_evals, "sites": stats.sites}
         cases.append((model, "unit_time_us", n, run, 1))
         for n in SIZES:
             f = make_rhs(cfg.model, cfg.driving.sampler(n), cfg.bc)
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         "what": "median perf_counter time of one RHS call and one step "
                 "attempt of the stepping kernel, per model and lattice size N; "
                 "of integration per unit of simulated time, with the step "
-                "attempts and RHS calls of that run; of one breather "
+                "attempts, RHS calls and sites of that run; of one breather "
                 "solve with its period maps; of a member-step (a batch's step "
                 "attempt per member) at N = 64 by batch size B; of the "
                 "poincare_points section by points, with its B; and of "

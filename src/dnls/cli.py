@@ -62,8 +62,8 @@ def _cmd_simulate(cfg: ScenarioConfig, sc, args) -> _Outcome:
     if args.out:
         write_trajectory_csv(traj, args.out)
     if args.verbose:
-        print(f"simulated {traj.n_samples} samples over [0, {sc.t1:g}]",
-              file=sys.stderr)
+        print(f"simulated {traj.n_samples} samples over [0, {sc.t1:g}] on "
+              f"{traj.stats.sites} of {cfg.n_sites} sites", file=sys.stderr)
     return True, traj.record(), None
 
 

@@ -355,17 +355,26 @@ class _Sampler:
     """Driving realized on a fixed truncation, for fast rhs evaluation.
 
     ``fields`` hands the batched RHS g1 and g2 as ``_field`` forms them;
-    ``sample_values`` gives the fields themselves."""
+    ``sample_values`` gives the fields, ``window`` those on a run of sites."""
 
-    def __init__(self, spec: "DrivingSpec", n_sites: int):
+    def __init__(self, laws: list, n_sites: int):
         self.n_sites = n_sites
         # (law, realized profile) of g1 and g2; no profile for a zero field
-        self._laws = [(g.law, g.profile.realize(n_sites) if g.sup_norm() > 0
-                       else None) for g in (spec.g1, spec.g2)]
+        self._laws = laws
 
     def fields(self, shifts) -> list:
         """g1's and g2's ``_field`` on a batch with hull ``shifts``."""
         return [_field(law, p, shifts) for law, p in self._laws]
+
+    def g1_sup(self) -> np.ndarray:
+        """sup_t |g1_n(t)| at each site, from the law's ``amp_bound``."""
+        law, p = self._laws[0]
+        return np.zeros(self.n_sites) if p is None else abs(p) * law.amp_bound()
+
+    def window(self, lo: int, hi: int) -> "_Sampler":
+        """The driving on sites [lo, hi) alone, as a lattice of hi - lo."""
+        return _Sampler([(law, None if p is None else p[lo:hi])
+                         for law, p in self._laws], hi - lo)
 
     def sample_values(self, t: float, n_sites: int):
         assert n_sites == self.n_sites
@@ -378,7 +387,8 @@ class DrivingSpec:
     g2: DrivingField = field(default_factory=DrivingField.zero)
 
     def sampler(self, n_sites: int) -> _Sampler:
-        return _Sampler(self, n_sites)
+        return _Sampler([(g.law, g.profile.realize(n_sites) if g.sup_norm() > 0
+                          else None) for g in (self.g1, self.g2)], n_sites)
 
     @property
     def aperiodic(self) -> tuple:

@@ -12,6 +12,8 @@ once per trajectory, and the right-hand side from ``lattice.make_rhs``
 writes each stage in place, so a step attempt allocates nothing.  The
 checks of a trajectory against the estimates, the energy inequality
 between samples among them, are in ``diagnostics``.
+``integrate`` steps a Dirichlet lattice only on the window of sites the
+state has reached, so a localized run's cost follows its sites, not N.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .driving import DrivingSpec
 from .errors import DomainError, StiffnessError
-from .lattice import LatticeState, ModelParams, make_rhs, norm_sq
+from .lattice import PERIODIC, LatticeState, ModelParams, make_rhs, norm_sq
 
 # Tsitouras 5(4) tableau (Ch. Tsitouras, Comput. Math. Appl. 62 (2011)
 # 770-775): _A by rows of its strictly lower triangle, whose row 6 is the
@@ -58,6 +60,10 @@ _P = np.array([
 # _DT_MIN raises StiffnessError
 _DT_INIT, _DT_MIN, _DT_MAX = 1e-2, 1e-12, 1.0
 
+# ``integrate``'s window: amplitudes below _CUT*atol count as zero, it spans
+# _MARGIN sites past them, and grows when its _EDGE end sites rise above that
+_CUT, _MARGIN, _EDGE = 1e-6, 16, 4
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -81,6 +87,7 @@ class StepStats:
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
+    sites: int = 0  # the widest window stepped; N on the whole lattice
 
 
 @dataclass
@@ -134,9 +141,11 @@ class _Tsit5:
     rows of S hold y flattened, site-major with the members fastest, as
     ``f`` takes them.  The members share each step, and its error norm is
     the largest of the members' RMS norms, so every member meets the
-    tolerance it would meet alone."""
+    tolerance it would meet alone.  They average over ``n_sites`` when y
+    is a window of a lattice; ``k1`` is f(t, y) if known."""
 
-    def __init__(self, f, y: np.ndarray, t: float):
+    def __init__(self, f, y: np.ndarray, t: float, n_sites: int | None = None,
+                 k1: np.ndarray | None = None):
         self.f = f
         self.S = S = np.empty((8, y.size), dtype=np.complex128)
         # stage points: stages 1-5 share row 0, each dead once f has read
@@ -150,13 +159,13 @@ class _Tsit5:
         self._hE, self._y_new_r, self._Kr = M[7, 1:], Yr[1], Sr[1:]
         self._err, self._scale, self._tmp, self._abs_y = np.empty((4, 2 * y.size))
         # the error by member and site, and the members' sums of squares
-        n_sites = len(y)
-        self._err_members = self._err.view(np.complex128).reshape(n_sites, -1).T
-        self._sq = np.empty(y.size // n_sites, dtype=np.complex128)
-        self._sq_re, self._n_err = self._sq.real, 2 * n_sites
+        sites = len(y)
+        self._err_members = self._err.view(np.complex128).reshape(sites, -1).T
+        self._sq = np.empty(y.size // sites, dtype=np.complex128)
+        self._sq_re, self._n_err = self._sq.real, 2 * (n_sites or sites)
         S[0] = y.reshape(-1)
         np.abs(Sr[0], self._abs_y)
-        f(t, S[0], S[1])
+        S[1] = f(t, S[0]) if k1 is None else k1
 
     def attempt(self, t: float, h: float, config: IntegratorConfig) -> float:
         """Stages of a step of size h from (t, S[0]); leaves the 5th-order
@@ -210,6 +219,12 @@ def _sample_times(t0: float, t1: float, stride: float) -> np.ndarray:
     return np.concatenate(([t0], ts[ts < t1], [t1]))
 
 
+def _window(lo: int, hi: int, n_sites: int) -> tuple:
+    """[lo, hi) clipped to the lattice, or all of it if that is over half."""
+    lo, hi = max(0, lo), min(n_sites, hi)
+    return (lo, hi) if 2 * (hi - lo) <= n_sites else (0, n_sites)
+
+
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
               driving: DrivingSpec, config: IntegratorConfig = IntegratorConfig(),
               tail_cutoff: int | None = None,
@@ -235,7 +250,21 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     reference's member b.  The members share the steps (see ``_Tsit5``)
     and ``stats`` counts them once.  Without ``shifts`` the state is a
     batch of one with h_0 = 0, returned without the member axis: ``values``
-    is (n_samples, N) and the series (n_samples,)."""
+    is (n_samples, N) and the series (n_samples,).
+
+    A Dirichlet lattice is stepped on a window of sites, the same for all
+    members, outside which every sample is zero (``stats.sites`` is its
+    widest extent): where |psi(t0)| or sup|g1| exceeds eps = ``_CUT``*atol,
+    plus ``_MARGIN`` sites per end.  It grows by half its width at an end
+    where a component exceeds eps on the ``_EDGE`` end sites after an
+    accepted step, new sites zero in y and FSAL's slope: no RHS call is
+    added.  Past N/2, or with periodic ends, all N sites are stepped
+    unchecked.  eps is 1e-6 of the atol each site may err by; with the end
+    sites below it hopping feeds the dropped part u at most
+    2*sqrt(2)*|kappa|*eps per unit time, so ||u|| <= (2*sqrt(2)*|kappa|*eps
+    + ||g1 beyond||)/(gamma - sup||g2||), g1 beyond being below eps at each
+    site.  The error norm averages over all N, so the steps are the whole
+    lattice's to round-off."""
     if t1 < t0:
         raise DomainError("t1 must be >= t0")
     n_sites, bc = state.n_sites, state.bc
@@ -251,9 +280,13 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     tails = None if tail_cutoff is None else np.empty((n, members))
     # sample rows hold the kernel's flat state: site-major, members fastest
     size = n_sites * members
-    values = np.empty((n if keep_states else 0, size), dtype=np.complex128)
-    scratch = None if keep_states else np.empty(size, dtype=np.complex128)
-    y0 = np.repeat(state.values, members).reshape(n_sites, members)
+    values = np.zeros((n if keep_states else 0, size), dtype=np.complex128)
+    scratch = None if keep_states else np.zeros(size, dtype=np.complex128)
+    sampler, eps = driving.sampler(n_sites), _CUT * config.atol
+    reach = np.flatnonzero((abs(state.values) > eps) | (sampler.g1_sup() > eps))
+    lo, hi = (_window(int(reach[0]) - _MARGIN, int(reach[-1]) + 1 + _MARGIN, n_sites)
+              if bc != PERIODIC and reach.size else (0, n_sites))
+    y0 = np.repeat(state.values[lo:hi], members).reshape(hi - lo, members)
     gaps = None
     if reference is not None:
         if not np.array_equal(reference.times, times):
@@ -268,29 +301,43 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
         gaps = np.empty((n, members))
 
     def slot(i: int, src: np.ndarray | None = None) -> np.ndarray:
-        """Where sample i goes, filled from ``src`` if given."""
+        """Where sample i goes, its window filled from ``src`` if given."""
         out = values[i] if keep_states else scratch
         if src is not None:
-            out[...] = src.reshape(-1)
+            out[lo * members:hi * members] = src.reshape(-1)
         return out
 
     def record(i: int, v: np.ndarray) -> None:
         u = v.reshape(n_sites, members).T  # member b is row b
         np.sqrt(np.vecdot(u, u).real, out=norms[i])
         if tails is not None:
-            lo, hi = u[:, :c - tail_cutoff], u[:, c + tail_cutoff + 1:]
-            tails[i] = (np.vecdot(lo, lo) + np.vecdot(hi, hi)).real
+            left, right = u[:, :c - tail_cutoff], u[:, c + tail_cutoff + 1:]
+            tails[i] = (np.vecdot(left, left) + np.vecdot(right, right)).real
         if gaps is not None:
             np.subtract(v.reshape(n_sites, members), ref[i], out=w)
             for b in range(members):
                 gaps[i, b] = math.sqrt(norm_sq(w[:, b]))
 
-    f = make_rhs(params, driving.sampler(n_sites), bc, shifts=hull)
-    stats = StepStats()
+    def grow(kernel: _Tsit5, t: float) -> _Tsit5:
+        """The kernel on the window grown at each end the state reaches."""
+        nonlocal lo, hi
+        a, e, half = kernel._abs_y, 2 * _EDGE * members, (hi - lo) // 2
+        low, high = lo > 0 and a[:e].max() > eps, hi < n_sites and a[-e:].max() > eps
+        if not (low or high):
+            return kernel
+        new_lo, new_hi = _window(lo - half * low, hi + half * high, n_sites)
+        y = np.zeros((2, new_hi - new_lo, members), dtype=np.complex128)
+        y[:, lo - new_lo:hi - new_lo] = kernel.S[:2].reshape(2, -1, members)
+        lo, hi = new_lo, new_hi
+        f = make_rhs(params, sampler.window(lo, hi), bc, shifts=hull)
+        return _Tsit5(f, y[0], t, n_sites, y[1].reshape(-1))
+
+    f = make_rhs(params, sampler.window(lo, hi), bc, shifts=hull)
+    stats = StepStats(sites=hi - lo)
     record(0, slot(0, y0))
     if t1 > t0:
         t, dt = t0, min(_DT_INIT, t1 - t0)
-        kernel = _Tsit5(f, y0, t)
+        kernel = _Tsit5(f, y0, t, n_sites)
         ts, late = times.tolist(), 1e-12 * stride
         accepted = rejected = 0
         k = 1
@@ -304,17 +351,20 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
                 if err_norm <= 1.0:
                     t_new = t1 if last else t + h
                     while k < n - 1 and ts[k] <= t_new + late:
-                        record(k, kernel.sample((ts[k] - t) / h, h, slot(k)))
+                        v = slot(k)
+                        kernel.sample((ts[k] - t) / h, h, v[lo * members:hi * members])
+                        record(k, v)
                         k += 1
                     kernel.accept()
                     t = t_new
                     accepted += 1
+                    kernel = grow(kernel, t) if hi - lo < n_sites else kernel
                 elif h <= _DT_MIN * (1 + 1e-12):
                     raise StiffnessError(t, math.sqrt(norm_sq(kernel.S[0])))
                 else:
                     rejected += 1
                 dt = _next_dt(h, err_norm)
-        stats = StepStats(accepted, rejected, 1 + 6 * (accepted + rejected))
+        stats = StepStats(accepted, rejected, 1 + 6 * (accepted + rejected), hi - lo)
         record(n - 1, slot(n - 1, kernel.S[0]))
     values = values.reshape(-1, n_sites, members).transpose(0, 2, 1)
     return Trajectory(times=times, values=values[:, one], norms=norms[:, one],

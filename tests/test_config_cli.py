@@ -880,7 +880,7 @@ class TestCli:
         assert cli.main(["simulate", "--config", path,
                          "--verbose"]) == cli.EXIT_PASS
         assert capsys.readouterr() == ("", "simulated 501 samples over "
-                                           "[0, 50]\n")
+                                           "[0, 50] on 128 of 128 sites\n")
         # no other command prints with it, so none takes it
         assert cli.main(["verify-bounds", "--config", path,
                          "--verbose"]) == cli.EXIT_CONFIG

@@ -2,6 +2,7 @@
 monitor (``diagnostics.monitor_dissipation``) on its trajectories."""
 
 import dataclasses
+import functools
 import inspect
 import math
 import textwrap
@@ -293,15 +294,16 @@ class TestIntegrate:
         assert attempt_matches_fresh(1e-2, 1e-2) <= 1.0
 
 
-def _mutated_kernel(old, new):
-    """``_Tsit5`` compiled from its source with ``old`` replaced by ``new``,
-    in a copy of the module's namespace."""
-    src = textwrap.dedent(inspect.getsource(_Tsit5))
+def _mutated(obj, old, new):
+    """``obj`` of the integrator (``_Tsit5``, ``integrate``) compiled from
+    its source with ``old`` replaced by ``new``, in a copy of the module's
+    namespace."""
+    src = textwrap.dedent(inspect.getsource(obj))
     assert src.count(old) == 1, old
     namespace = dict(vars(integrator))
     exec(compile(src.replace(old, new), integrator.__file__, "exec"),
          namespace)
-    return namespace["_Tsit5"]
+    return namespace[obj.__name__]
 
 
 class TestOneState:
@@ -400,7 +402,7 @@ class TestBatch:
     def test_mean_error_norm_is_caught(self):
         # the RMS over all members lets the worst one exceed its tolerance
         together, alone = self._error_norms(
-            _mutated_kernel("max(self._sq_re.tolist())", "self._sq_re.mean()"))
+            _mutated(_Tsit5, "max(self._sq_re.tolist())", "self._sq_re.mean()"))
         assert together != pytest.approx(max(alone), rel=1e-9)
 
 
@@ -448,6 +450,94 @@ class TestReference:
 
         with pytest.raises(DomainError, match="reference"):
             run(reference=run(**change))
+
+
+class TestWindow:
+    """The active window against the whole lattice, which a cut-off of 0
+    gives on a random state: that is nonzero at every site."""
+
+    EPS = integrator._CUT * 1e-11  # at the configs' atol
+
+    @staticmethod
+    def _runs(monkeypatch, gamma=2.0, n_sites=4096, t1=6.0, bc="dirichlet",
+              run=integrate, window_run=None, **kwargs):
+        """(window, whole lattice) of ``run`` (``integrate``, or
+        ``window_run`` on the window) on simulate.json's model at damping
+        ``gamma``, sampled every 0.5."""
+        cfg = load_config(CONFIGS / "simulate.json")
+        ic = dataclasses.replace(cfg.integrator, sample_stride=0.5)
+        assert ic.atol == 1e-11
+        params = dataclasses.replace(cfg.model, gamma=gamma)
+        runs = [functools.partial(f, random_state(n_sites, 0, norm=2.0, bc=bc),
+                                  0.0, t1, params, cfg.driving, ic, **kwargs)
+                for f in (window_run or run, run)]
+        window = runs[0]()
+        monkeypatch.setattr(integrator, "_CUT", 0.0)
+        full = runs[1]()
+        assert full.stats.sites == n_sites
+        return window, full
+
+    @pytest.mark.parametrize("gamma, n_sites, t1, sites", [
+        (2.0, 4096, 50.0, 655),   # simulate.json at N = 4096: never grows
+        (0.1, 2048, 30.0, 2048),  # grows twice, then steps the whole lattice
+    ])
+    def test_matches_the_whole_lattice(self, monkeypatch, gamma, n_sites,
+                                       t1, sites):
+        window, full = self._runs(monkeypatch, gamma, n_sites, t1,
+                                  tail_cutoff=8)
+        assert window.stats.sites == sites
+        np.testing.assert_allclose(window.norms, full.norms, rtol=1e-12)
+        np.testing.assert_allclose(window.tails, full.tails, rtol=1e-12)
+        s = window.stats
+        assert (s.accepted, s.rejected) == (full.stats.accepted,
+                                            full.stats.rejected)
+        assert s.rhs_evals == 1 + 6 * (s.accepted + s.rejected)
+        # zero outside one run of ``sites`` sites, and nonzero wherever the
+        # whole lattice's state exceeds the cut-off
+        nz = np.flatnonzero(np.any(window.values != 0, axis=0))
+        assert nz[-1] - nz[0] < sites
+        assert np.all(np.abs(full.values[window.values == 0]) <= self.EPS)
+
+    def test_skipping_the_edge_check_is_caught(self, monkeypatch):
+        frozen = _mutated(integrate, "grow(kernel, t) if", "kernel if")
+        window, full = self._runs(monkeypatch, 0.1, 2048, 30.0,
+                                  window_run=frozen)
+        assert window.stats.sites < 2048
+        assert np.abs(full.values[window.values == 0]).max() > self.EPS
+
+    def test_batch_members_match_the_whole_lattice(self, monkeypatch):
+        shifts = (0.0, 0.3, -2.0)
+        window, full = self._runs(monkeypatch, n_sites=2048,
+                                  tail_cutoff=4, shifts=shifts)
+        assert window.stats.sites < 2048
+        for b in range(len(shifts)):
+            bound = 10 * full.config.rtol * (1 + full.norms[:, b])
+            assert np.all(np.linalg.norm(window.values[:, b]
+                                         - full.values[:, b], axis=1) <= bound)
+            assert np.all(np.abs(window.norms[:, b] - full.norms[:, b]) <= bound)
+            assert np.all(np.abs(window.tails[:, b] - full.tails[:, b]) <= bound)
+
+    def test_pair_gaps_match_the_whole_lattice(self, monkeypatch):
+        def pair(psi0, t0, t1, params, spec, config, **kwargs):
+            ref = integrate(psi0, t0, t1, params, spec, config)
+            phi0 = random_state(psi0.n_sites, 7, norm=1.0)
+            return integrate(phi0, t0, t1, params, spec, config,
+                             keep_states=False, shifts=[0.3], reference=ref)
+
+        window, full = self._runs(monkeypatch, t1=5.0, run=pair)
+        assert window.stats.sites < 4096
+        bound = 10 * full.config.rtol * (1 + full.gaps)
+        assert np.all(np.abs(window.gaps - full.gaps) <= bound)
+
+    @pytest.mark.parametrize("n_sites, bc", [(4096, "periodic"),
+                                             (512, "dirichlet")])
+    def test_whole_lattice_when_periodic_or_wide(self, monkeypatch, n_sites,
+                                                 bc):
+        # the state exceeds the cut-off on ~625 sites, more than 512/2
+        window, full = self._runs(monkeypatch, n_sites=n_sites, t1=1.0,
+                                  bc=bc)
+        assert window.stats == full.stats
+        assert window.values.tobytes() == full.values.tobytes()
 
 
 class TestStreaming:
