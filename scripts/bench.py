@@ -12,7 +12,7 @@ a random state of norm 2 (``dimension`` at N = 64 over [0, 100] sampled
 every 2*pi, as ``dnls dimension`` samples; ``simulate`` at N = 4096 over
 [0, 50] sampled every 0.1 without keeping states); one breather solve:
 ``find_breather`` on scripts/configs/breather.json's model at N = 128
-from the zero seed at the reference tolerance, with the number of period
+from the zero seed at the oracle tolerance, with the number of period
 maps it makes; and the stroboscopic section of ``dnls dimension``:
 ``poincare_points`` on dimension.json's model at N = 64 for 150 and
 2,000 points, with the members B of the batch it steps, and one step

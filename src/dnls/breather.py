@@ -27,7 +27,7 @@ _PHASES = 8  # equispaced times per period that ``verify_breather`` checks
 def period_map(state: LatticeState, params: ModelParams, spec: DrivingSpec,
                period: float,
                config: IntegratorConfig = ORACLE_CONFIG) -> LatticeState:
-    """Flow from t = 0 over one driving period at reference tolerance."""
+    """Flow from t = 0 over one driving period at the oracle tolerance."""
     traj = integrate(state, 0.0, period, params, spec,
                      replace(config, sample_stride=period))
     return LatticeState(traj.values[-1], state.bc)
@@ -52,10 +52,11 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     iterate returned is the first whose residual ||P(psi) - psi|| is at
     most ``tol``, so a solve makes ``iterations + 1`` maps.
 
-    Refuses a driving with no period (constant laws only, or a harmonic
-    sum) first, then runs only if the strong-damping inequality holds and
-    the seed lies in the R_u-ball (which the flow keeps), since only then
-    is the iteration certified to contract (and the orbit unique).
+    Refuses a driving with no period (no field of nonzero norm with a
+    periodic law, or a harmonic sum) first, then runs only if the
+    strong-damping inequality holds and the seed lies in the R_u-ball
+    (which the flow keeps), since only then is the iteration certified to
+    contract (and the orbit unique).
 
     ``gap_rate`` is the certified rate rho = ``gap_rate(R_u)`` at which two
     solutions in the R_u-ball approach.  ``ratios`` holds each quotient
@@ -70,9 +71,10 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
                           f"constant laws")
     period = spec.period
     if period is None:
-        raise DomainError("driving is not periodic: breather needs a "
-                          "periodic law (kind \"periodic\") in "
-                          "driving.g1.law or driving.g2.law")
+        raise DomainError("driving is not periodic: no field of nonzero "
+                          "norm has a periodic law, and breather needs one "
+                          "(kind \"periodic\" in driving.g1.law or "
+                          "driving.g2.law)")
     cert = drv.certificate(params, spec).dissipative()
     r_u = cert.breather_radius
     gap = cert.gap_rate(r_u)
@@ -145,14 +147,16 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     monotone = not np.any((env[k] > env[k - 1] * (1 + 1e-6) + 1e-12 * peak)
                           & (env[k] > 1e-10 * peak))
     # least-squares exponential decay rate of the envelope from site 2 on,
-    # with its R^2, when 3 or more of those sites are above 1e-10*peak
+    # with its R^2, when 3 or more of those sites are above 1e-10*peak;
+    # with fewer above it the envelope counts as localized, where it has
+    # those 3 sites (N >= 10)
     rate = r2 = None
     ks = np.arange(env.size)
     usable = (ks >= 2) & (env > 1e-10 * peak)
     if np.count_nonzero(usable) >= 3:
         slope, r, _ = line_fit(ks[usable], np.log(env[usable]))
         rate, r2 = float(-slope), float(r ** 2)
-    loc_ok = peak == 0 or (r2 is not None and r2 >= 0.99)
+    loc_ok = peak == 0 or (r2 >= 0.99 if r2 is not None else env.size >= 5)
     ratio = max(sol.ratios, default=0.0)
     log_margin = (math.log(ratio) + sol.gap_rate * period if ratio > 0
                   else -math.inf)
@@ -176,12 +180,19 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
 def check_breather(params: ModelParams, spec: DrivingSpec, n_sites: int,
                    bc: str, seeds, tol: float = 1e-10
                    ) -> tuple[bool, dict, LatticeState]:
-    """The ``dnls breather`` check at the reference tolerance: one solve per
+    """The ``dnls breather`` check at the oracle tolerance: one solve per
     seed, from zero for a null seed, else from a random state of norm R_u/2
     inside the certified ball, and the first solution verified.  Returns
     the verdict (verified, and ``seed_spread``, the largest distance of a
     solution from the first, at most 10*tol), the record of
-    ``verify_breather`` with ``seed_spread``, and the first solution."""
+    ``verify_breather`` with ``seed_spread``, and the first solution.
+    Refused before any solve when N < 10, which leaves the envelope fewer
+    than 3 sites from site 2 on to check localization on."""
+    if n_sites < 10:
+        raise DomainError(f"lattice.n_sites must be >= 10 for breather, "
+                          f"which checks localization on the envelope from "
+                          f"site 2 on, got {n_sites}")
+
     def start(seed) -> LatticeState:
         if seed is None:
             return LatticeState.zeros(n_sites, bc)

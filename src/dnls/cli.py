@@ -18,7 +18,7 @@ from . import diagnostics as dg
 from .config import SEED, ScenarioConfig, load_config, parse_scenario
 from .errors import DomainError, NonconvergenceError, StiffnessError
 from .integrator import integrate
-from .lattice import SEED_LIMIT, LatticeState, random_state
+from .lattice import LatticeState, random_state
 from .output import (write_breather_profile_csv, write_dimension_csv,
                      write_json, write_trajectory_csv)
 
@@ -123,12 +123,9 @@ def _cmd_contraction(cfg: ScenarioConfig, sc, args) -> _Outcome:
 
 def _cmd_continuity(cfg: ScenarioConfig, sc, args) -> _Outcome:
     seed = _seed(sc, args)
-    if seed + 1 == SEED_LIMIT:  # the bump is drawn from seed + 1
-        name = "--seed" if args.seed is not None else "scenario.seed"
-        raise DomainError(f"{name} must be < 2**64 - 1 for continuity, which "
-                          f"draws its bump from seed + 1, got {seed}")
     theta = random_state(cfg.n_sites, seed, norm=0.5, bc=cfg.bc)
-    bump = random_state(cfg.n_sites, seed + 1, norm=1e-3, bc=cfg.bc)
+    # seed ^ 1 differs from seed and is in [0, 2**64) as seed is
+    bump = random_state(cfg.n_sites, seed ^ 1, norm=1e-3, bc=cfg.bc)
     theta_n = LatticeState(theta.values + bump.values, cfg.bc)
     rec = dg.continuity_gap(cfg.model, cfg.driving, sc.driving_shift,
                             theta, theta_n, config=cfg.integrator)

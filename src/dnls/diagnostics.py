@@ -21,7 +21,7 @@ from . import driving as drv
 from .driving import DrivingSpec
 from .errors import DomainError
 from .integrator import IntegratorConfig, Trajectory, integrate
-from .lattice import DIRICHLET, LatticeState, ModelParams, random_state
+from .lattice import DIRICHLET, LatticeState, ModelParams, norm_sq, random_state
 
 
 def line_fit(x, y):
@@ -226,13 +226,13 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     ``NonlinearitySpec`` derives b = 2 sigma and a >= sigma + 1/2 from
     sigma, for every sigma.  So the bound is the recursion
     b_{i+1} = _gronwall(b_i, gap_rate(Rbar_i), dg1 + Rbar_i*dg2, dt_i) from
-    b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i).  Only
-    psi_b's states are stored: w is taken as psi_a is sampled.  The record
-    holds ``gap`` and ``bound`` at every sample, and their largest values."""
+    b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i).  Both
+    runs are stored, and ||w|| is taken at each sample.  The record holds
+    ``gap`` and ``bound`` at every sample, and their largest values."""
     tb = integrate(theta, 0.0, horizon, params, spec, config)
-    ta = integrate(theta_n, 0.0, horizon, params, spec, config,
-                   keep_states=False, shifts=[h], reference=tb)
-    gap = ta.gaps[:, 0]
+    ta = integrate(theta_n, 0.0, horizon, params, spec, config, shifts=[h])
+    gap = np.array([math.sqrt(norm_sq(a - b))
+                    for a, b in zip(ta.values[:, 0], tb.values)])
     cert = drv.certificate(params, spec)
     env = _gronwall(max(ta.norms[0, 0], tb.norms[0]), cert.gamma - cert.g2_sup,
                     cert.g1_sup, ta.times)
@@ -335,8 +335,8 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     multiples of the driving's ``section_period`` T from the first one past
     a burn-in of T(1) + 20/Gamma, by when the trajectory has settled into
     the absorbing ball.  Returns their times (n_points,) and
-    (n_points, 2*n_sites) real coordinates.  Refused when every law is
-    constant, as there is no period to sample at.
+    (n_points, 2*n_sites) real coordinates.  Refused when no field of
+    nonzero norm has a nonconstant law, as there is no period to sample at.
 
     The orbit is cut into B chunks of c points, stepped side by side as one
     batch (``integrate`` with hull shifts): member b starts from the orbit's
@@ -348,7 +348,8 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     picks B and c."""
     period = spec.section_period
     if period is None:
-        raise DomainError("every driving law is constant: no section period")
+        raise DomainError("no driving field of nonzero norm has a "
+                          "nonconstant law: no section period")
     config = replace(config, sample_stride=period)
     pred = predict_absorbing(params, spec, r=1.0)
     burn = math.ceil((pred["entry_time"] + 20.0 / pred["gamma_eff"])

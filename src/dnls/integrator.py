@@ -78,7 +78,7 @@ class IntegratorConfig:
             raise DomainError("sample_stride must be positive")
 
 
-# reference tolerances for oracle runs and the breather solver
+# tolerances of the oracle runs and of the breather solver
 ORACLE_CONFIG = IntegratorConfig(rtol=1e-11, atol=1e-13)
 
 
@@ -92,8 +92,8 @@ class StepStats:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: times, raw state values, norm series, and with a
-    reference its distance from it (``integrate``)."""
+    """Sampled solution: times, raw state values, and the norm (and tail)
+    series (``integrate``)."""
 
     times: np.ndarray
     values: np.ndarray  # (n_samples, [B,] n_sites) complex; no samples if not kept
@@ -102,7 +102,6 @@ class Trajectory:
     config: IntegratorConfig
     tail_cutoff: int | None = None
     tails: np.ndarray | None = None
-    gaps: np.ndarray | None = None
 
     @property
     def n_samples(self) -> int:
@@ -228,8 +227,7 @@ def _window(lo: int, hi: int, n_sites: int) -> tuple:
 def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
               driving: DrivingSpec, config: IntegratorConfig = IntegratorConfig(),
               tail_cutoff: int | None = None,
-              keep_states: bool = True, shifts=None,
-              reference: Trajectory | None = None) -> Trajectory:
+              keep_states: bool = True, shifts=None) -> Trajectory:
     """Integrate from t0 to t1, sampling at t0 + k*``config.sample_stride``
     (plus the endpoint) from the continuous extension of each step.
 
@@ -237,17 +235,10 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     ``keep_states`` the sample states are dropped once reduced, so memory
     stays O(N) over any horizon and ``values`` has no samples.
 
-    With a ``reference``, a trajectory with stored states at the same
-    sample times and of the same shape, ``gaps`` holds
-    ||psi(t_i) - reference.values[i]|| at each sample, reduced by
-    ``norm_sq`` like the norms: a distance between two solutions needs
-    only one of them stored.
-
     With ``shifts`` (hull shifts h_0 .. h_{B-1}) one call steps B members
     side by side, each from ``state`` and driven by ``translate(driving,
     h_b)``: ``values`` is then (n_samples, B, N) and the norm and tail
-    series (n_samples, B), ``gaps`` that of each member from the
-    reference's member b.  The members share the steps (see ``_Tsit5``)
+    series (n_samples, B).  The members share the steps (see ``_Tsit5``)
     and ``stats`` counts them once.  Without ``shifts`` the state is a
     batch of one with h_0 = 0, returned without the member axis: ``values``
     is (n_samples, N) and the series (n_samples,).
@@ -287,18 +278,6 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     lo, hi = (_window(int(reach[0]) - _MARGIN, int(reach[-1]) + 1 + _MARGIN, n_sites)
               if bc != PERIODIC and reach.size else (0, n_sites))
     y0 = np.repeat(state.values[lo:hi], members).reshape(hi - lo, members)
-    gaps = None
-    if reference is not None:
-        if not np.array_equal(reference.times, times):
-            raise DomainError("reference trajectory has other sample times")
-        shape = reference.values.shape
-        if reference.values.size != n * size or shape[-1] != n_sites:
-            raise DomainError(f"reference states have shape {shape}, need "
-                              f"{n} stored samples of {members} x {n_sites}")
-        # the reference's rows in the kernel's layout, and w = psi - ref
-        ref = reference.values.reshape(n, -1, n_sites).transpose(0, 2, 1)
-        w = np.empty((n_sites, members), dtype=np.complex128)
-        gaps = np.empty((n, members))
 
     def slot(i: int, src: np.ndarray | None = None) -> np.ndarray:
         """Where sample i goes, its window filled from ``src`` if given."""
@@ -313,10 +292,6 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
         if tails is not None:
             left, right = u[:, :c - tail_cutoff], u[:, c + tail_cutoff + 1:]
             tails[i] = (np.vecdot(left, left) + np.vecdot(right, right)).real
-        if gaps is not None:
-            np.subtract(v.reshape(n_sites, members), ref[i], out=w)
-            for b in range(members):
-                gaps[i, b] = math.sqrt(norm_sq(w[:, b]))
 
     def grow(kernel: _Tsit5, t: float) -> _Tsit5:
         """The kernel on the window grown at each end the state reaches."""
@@ -369,6 +344,5 @@ def integrate(state: LatticeState, t0: float, t1: float, params: ModelParams,
     values = values.reshape(-1, n_sites, members).transpose(0, 2, 1)
     return Trajectory(times=times, values=values[:, one], norms=norms[:, one],
                       stats=stats, config=config, tail_cutoff=tail_cutoff,
-                      tails=None if tails is None else tails[:, one],
-                      gaps=None if gaps is None else gaps[:, one])
+                      tails=None if tails is None else tails[:, one])
 

@@ -64,14 +64,23 @@ class TestStrongDampingCheck:
 
 
 class TestFindBreather:
-    def test_requires_period_for_aperiodic_driving(self):
-        # a constant driving has no period of its own, and none can be
-        # passed: it is refused as the CLI refuses it
+    @pytest.mark.parametrize("amplitude, law", [
+        (0.1, CosineLaw.constant(1.0)),
+        (0.0, CosineLaw.periodic(period=2 * math.pi))],
+        ids=["constant-law", "zero-field"])
+    def test_requires_period_for_aperiodic_driving(self, amplitude, law):
+        # a constant driving has no period of its own, a field of zero norm
+        # sets none, and none can be passed: it is refused as the CLI
+        # refuses it
         params = ModelParams(kappa=0.0, gamma=1.0)
         spec = DrivingSpec(g1=DrivingField(
-            SpatialProfile.single_site(0.1), CosineLaw.constant(1.0)))
-        with pytest.raises(DomainError, match="driving is not periodic"):
+            SpatialProfile.single_site(amplitude), law))
+        with pytest.raises(DomainError) as err:
             find_breather(params, spec, LatticeState.zeros(16))
+        assert str(err.value) == (
+            'driving is not periodic: no field of nonzero norm has a '
+            'periodic law, and breather needs one (kind "periodic" in '
+            'driving.g1.law or driving.g2.law)')
 
     def test_refuses_a_driving_with_no_period(self):
         # g1 periodic and g2 a harmonic sum, however weak: there is no

@@ -777,6 +777,9 @@ class TestCli:
          {"kind": "constant", "value": 1.0}, 2 * math.pi / 1.3),
         # constant laws only: no period to sample at
         ({"kind": "constant", "value": 1.0},
+         {"kind": "constant", "value": 1.0}, None),
+        # a periodic law on a g1 of zero norm, which sets no period
+        ({"kind": "periodic", "period": 3.0, "amplitude": 0.0},
          {"kind": "constant", "value": 1.0}, None)])
     def test_dimension_section_period_is_the_driving_period(
             self, tmp_path, monkeypatch, capsys, g1_law, g2_law, period):
@@ -798,8 +801,8 @@ class TestCli:
         if period is None:
             assert cli.main(argv) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
-                "config error: every driving law is constant: no section "
-                "period\n")
+                "config error: no driving field of nonzero norm has a "
+                "nonconstant law: no section period\n")
             assert seen == []
         else:
             with pytest.raises(Sampled):
@@ -849,9 +852,6 @@ class TestCli:
          [1, 2 ** 64], "scenario.seeds[1]"),
         ("breather", "breather.json", ("scenario", "seeds"),
          [None, 1, 2 ** 64], "scenario.seeds[2]"),
-        # continuity draws its bump from seed + 1
-        ("continuity", "absorbing.json", ("scenario", "seed"), 2 ** 64 - 1,
-         "scenario.seed"),
     ])
     def test_scenario_seed_beyond_the_stream_is_config_error(
             self, tmp_path, capsys, command, name, path, value, field):
@@ -867,13 +867,24 @@ class TestCli:
         # the flag is parsed as a config seed is, with its messages
         seeds = {2 ** 64: "<= 18446744073709551615, got 18446744073709551616",
                  -1: ">= 0, got -1"}
-        if command == "continuity":  # its bump seed + 1 is past the last
-            seeds[2 ** 64 - 1] = "< 2**64 - 1 for continuity"
         for seed, message in seeds.items():
             assert cli.main([command, "--config", str(CONFIGS / name),
                              "--seed", str(seed)]) == cli.EXIT_CONFIG
             assert (f"config error: --seed must be {message}"
                     in capsys.readouterr().err)
+
+    def test_continuity_takes_the_last_seed(self, monkeypatch):
+        # the bump is drawn from seed ^ 1, which every seed has
+        real, seeds = cli.random_state, []
+
+        def drawn(n_sites, seed, **kwargs):
+            seeds.append(seed)
+            return real(n_sites, seed, **kwargs)
+        monkeypatch.setattr(cli, "random_state", drawn)
+        assert cli.main(["continuity", "--config",
+                         str(CONFIGS / "absorbing.json"),
+                         "--seed", str(2 ** 64 - 1)]) == cli.EXIT_PASS
+        assert seeds == [2 ** 64 - 1, 2 ** 64 - 2]
 
     def test_verbose_prints_the_sample_count_of_simulate_only(self, capsys):
         path = str(CONFIGS / "simulate.json")
@@ -963,15 +974,50 @@ class TestCli:
         assert data["ratio_margin"] <= 1
         assert "(R^2 = 0.44567)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("path, value", [
+        (("driving", "g1", "law"), {"kind": "constant", "value": 1.0}),
+        # a periodic law on a field of zero norm sets no period
+        (("driving", "g1", "profile", "amplitude"), 0.0)],
+        ids=["constant-law", "zero-field"])
     def test_breather_names_the_laws_when_none_is_periodic(self, tmp_path,
-                                                          capsys):
-        # no config field carries a period, so the message points at the
-        # laws that could
-        cfg = _edited(tmp_path, "breather.json", ("driving", "g1", "law"),
-                      {"kind": "constant", "value": 1.0})
+                                                          capsys, path,
+                                                          value):
+        # no field of nonzero norm carries a period, so the message points
+        # at the laws that could
+        cfg = _edited(tmp_path, "breather.json", path, value)
         assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "driving.g1.law" in err and "periodic law" in err
+        assert capsys.readouterr().err == (
+            "config error: driving is not periodic: no field of nonzero norm "
+            "has a periodic law, and breather needs one (kind \"periodic\" in "
+            "driving.g1.law or driving.g2.law)\n")
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01])
+    def test_breather_on_a_single_site_is_localized(self, tmp_path, capsys,
+                                                    kappa):
+        # fewer than 3 envelope sites from site 2 on lie above 1e-10 of its
+        # peak: no decay rate is fitted, and the breather is localized
+        _, data = _edited_data("breather.json", ("model", "kappa"), kappa)
+        data["driving"]["g1"]["profile"] = {"kind": "single_site",
+                                            "amplitude": 0.5}
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config", _write(tmp_path, data),
+                         "--json", str(report)]) == cli.EXIT_PASS
+        data = json.loads(report.read_text())
+        assert data["verified"] is True and data["localization_r2"] is None
+        assert "localization rate" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n_sites", [3, 8, 9])
+    def test_breather_refuses_a_lattice_too_short_to_check(
+            self, tmp_path, monkeypatch, capsys, n_sites):
+        # fewer than 3 envelope sites from site 2 on: refused before a solve
+        monkeypatch.setattr(dnls.breather, "find_breather", None)
+        cfg = _edited(tmp_path, "breather.json", ("lattice", "n_sites"),
+                      n_sites)
+        assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: lattice.n_sites must be >= 10 for breather, "
+            f"which checks localization on the envelope from site 2 on, got "
+            f"{n_sites}\n")
 
     @pytest.mark.parametrize("amplitude", [1e-13, 0.1])
     def test_breather_names_a_law_with_no_period(self, tmp_path, capsys,

@@ -19,7 +19,7 @@ from dnls import diagnostics as dg
 from dnls.config import load_config
 from dnls.diagnostics import _theiler_distances, line_fit
 from dnls.errors import DomainError
-from dnls.lattice import norm_sq, random_state
+from dnls.lattice import random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -213,43 +213,6 @@ class TestContinuity:
         assert report["ok"] and report["gap"][0] == pytest.approx(1e-3, rel=1e-10)
         with pytest.raises(DomainError, match=r"need gamma > 2\*sup"):
             predict_absorbing(params, spec, r=0.5)
-
-
-class TestPairReports:
-    """The pair checks store one trajectory and reduce the other against
-    it; their reports equal those from both trajectories stored and the
-    distances taken in a loop over the samples."""
-
-    @pytest.mark.parametrize("command", ["contraction", "continuity"])
-    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
-    def test_equal_those_of_two_stored_runs(self, tmp_path, monkeypatch,
-                                            command, bc):
-        data = json.loads((CONFIGS / "absorbing.json").read_text())
-        data["lattice"]["bc"] = bc
-        path = tmp_path / "absorbing.json"
-        path.write_text(json.dumps(data))
-
-        def report(name):
-            out = tmp_path / name
-            assert cli.main([command, "--config", str(path),
-                             "--json", str(out)]) == cli.EXIT_PASS
-            return out.read_bytes()
-
-        reduced = report("reduced.json")
-        real = dg.integrate
-
-        def stored(*args, reference=None, keep_states=True, **kwargs):
-            traj = real(*args, **kwargs)
-            if reference is not None:
-                # continuity steps one member, kept on its member axis
-                n = traj.n_samples
-                traj.gaps = np.reshape(
-                    [math.sqrt(norm_sq(v - r)) for v, r in zip(
-                        traj.values.reshape(n, -1),
-                        reference.values.reshape(n, -1))], traj.norms.shape)
-            return traj
-        monkeypatch.setattr(dg, "integrate", stored)
-        assert report("stored.json") == reduced
 
 
 class TestContinuityBound:
@@ -470,13 +433,20 @@ class TestSection:
                                   config=IntegratorConfig(rtol=1e-7,
                                                           atol=1e-10))
 
-    def test_refuses_a_driving_with_no_period(self):
-        # constant laws only: nothing to sample at, refused before stepping
-        g1 = DrivingField(_unit_exp_profile(), CosineLaw.constant(0.5))
+    @pytest.mark.parametrize("profile, law", [
+        (_unit_exp_profile(), CosineLaw.constant(0.5)),
+        (SpatialProfile("exponential", amplitude=0.0, rate=1.0),
+         CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),
+                            amplitudes=(1.0, 0.8)))],
+        ids=["constant-law", "zero-field"])
+    def test_refuses_a_driving_with_no_period(self, profile, law):
+        # constant laws only, or a harmonic sum on a field of zero norm,
+        # which sets no period: nothing to sample at, refused before
+        # stepping
         with pytest.raises(DomainError) as err:
-            self._section(5, DrivingSpec(g1=g1))
-        assert str(err.value) == ("every driving law is constant: no "
-                                  "section period")
+            self._section(5, DrivingSpec(g1=DrivingField(profile, law)))
+        assert str(err.value) == ("no driving field of nonzero norm has a "
+                                  "nonconstant law: no section period")
         assert self.shifts == []
 
     @pytest.mark.parametrize("n_points, batched", [(5, False), (100, True)])

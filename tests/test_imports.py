@@ -4,7 +4,8 @@ import work.  Neither the import nor any command loads ``numpy.random``
 (which brings in ``secrets``, ``hmac`` and ``hashlib``, so OpenSSL's
 libcrypto), ``hashlib`` or ``logging``: seeded states come from the
 package's own generator, and ``--verbose`` prints.  And no module of the
-package reads another's private name: each such fact has one home."""
+package reads another's private name: each such fact has one home; nor
+defines a public name that only tests reach."""
 
 import ast
 import json
@@ -16,6 +17,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
 PACKAGE = ROOT / "src" / "dnls"
+# public names of the package that only tests reach: the hull oracle the
+# tests check the batched hull shifts against
+TEST_ONLY = {"driving.translate"}
 
 # modules no run may load, with their submodules
 HEAVY = ("scipy", "numpy.random", "secrets", "hashlib", "logging")
@@ -117,3 +121,48 @@ def _private_reads(package: Path) -> list:
 def test_no_module_reads_another_modules_private_name():
     # a fact a module keeps private has its one home there
     assert _private_reads(PACKAGE) == []
+
+
+def _public_defs(package: Path) -> list:
+    """``module.name`` of each public function and class of ``package``'s
+    modules, and ``module.Class.name`` of each public method."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.stem}.{node.name}.{m.name}"
+                          for m in node.body if isinstance(m, ast.FunctionDef)
+                          and not m.name.startswith("_")]
+    return found
+
+
+def _names(paths) -> set:
+    """Every name the files at ``paths`` read, import or take as an
+    attribute."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_no_public_name_only_tests_reach():
+    # the package, scripts and benchmark, not the re-exports of
+    # __init__.py: a name none of them reaches has lost its last caller
+    paths = ([p for p in sorted(PACKAGE.glob("*.py"))
+              if p.name != "__init__.py"]
+             + sorted((ROOT / "scripts").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    names = _names(paths)
+    unreached = [d for d in _public_defs(PACKAGE)
+                 if d.rpartition(".")[2] not in names and d not in TEST_ONLY]
+    assert unreached == []

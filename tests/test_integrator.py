@@ -16,13 +16,14 @@ import pytest
 from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
                   integrate, load_config, monitor_dissipation)
+from dnls import diagnostics as dg
 from dnls import integrator
 from dnls.diagnostics import _gronwall, predict_absorbing
 from dnls.driving import certificate, translate
 from dnls.errors import DomainError, StiffnessError
 from dnls.integrator import (ORACLE_CONFIG, _A, _AE, _C, _P, _sample_times,
                              _Tsit5)
-from dnls.lattice import make_rhs, norm_sq, random_state
+from dnls.lattice import make_rhs, random_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -406,52 +407,6 @@ class TestBatch:
         assert together != pytest.approx(max(alone), rel=1e-9)
 
 
-class TestReference:
-    """Distances from a stored trajectory, taken as the samples are made."""
-
-    @pytest.mark.parametrize("name", ["simulate.json", "absorbing.json"])
-    def test_gaps_are_the_stored_difference_bit_for_bit(self, name):
-        psi0, t1, cfg = _bundled_run(name)
-        phi0 = random_state(cfg.n_sites, 7, norm=1.0)
-        ref = integrate(psi0, 0.0, t1, cfg.model, cfg.driving, cfg.integrator)
-        kept, lean = (integrate(phi0, 0.0, t1, cfg.model, cfg.driving,
-                                cfg.integrator, keep_states=keep,
-                                reference=ref)
-                      for keep in (True, False))
-        loop = np.array([math.sqrt(norm_sq(ref.values[i] - kept.values[i]))
-                         for i in range(ref.n_samples)])
-        assert loop.tobytes() == kept.gaps.tobytes() == lean.gaps.tobytes()
-        assert ref.gaps is None
-
-    def test_batch_gaps_are_the_members(self):
-        cfg = load_config(CONFIGS / "dimension.json")
-        shifts = (0.0, 0.3, -2.0)
-        ref = integrate(random_state(16, 0, norm=1.0), 0.0, 2.0, cfg.model,
-                        cfg.driving, cfg.integrator, shifts=shifts)
-        run = integrate(random_state(16, 1, norm=1.0), 0.0, 2.0, cfg.model,
-                        cfg.driving, cfg.integrator, shifts=shifts,
-                        reference=ref)
-        assert run.gaps.shape == (run.n_samples, 3)
-        for i in range(run.n_samples):
-            for b in range(3):
-                assert run.gaps[i, b] == math.sqrt(
-                    norm_sq(run.values[i, b] - ref.values[i, b]))
-
-    @pytest.mark.parametrize("change", [
-        {"t1": 1.5}, {"stride": 0.2}, {"n_sites": 32}, {"keep_states": False},
-        {"shifts": (0.0, 1.0)}])
-    def test_refuses_other_times_or_sizes(self, change):
-        cfg = load_config(CONFIGS / "dimension.json")
-
-        def run(t1=1.0, stride=0.1, n_sites=16, **kwargs):
-            ic = dataclasses.replace(cfg.integrator, sample_stride=stride)
-            return integrate(random_state(n_sites, 0, norm=1.0), 0.0, t1,
-                             cfg.model, cfg.driving, ic, **kwargs)
-
-        with pytest.raises(DomainError, match="reference"):
-            run(reference=run(**change))
-
-
 class TestWindow:
     """The active window against the whole lattice, which a cut-off of 0
     gives on a random state: that is nonzero at every site."""
@@ -459,18 +414,22 @@ class TestWindow:
     EPS = integrator._CUT * 1e-11  # at the configs' atol
 
     @staticmethod
-    def _runs(monkeypatch, gamma=2.0, n_sites=4096, t1=6.0, bc="dirichlet",
-              run=integrate, window_run=None, **kwargs):
-        """(window, whole lattice) of ``run`` (``integrate``, or
-        ``window_run`` on the window) on simulate.json's model at damping
-        ``gamma``, sampled every 0.5."""
+    def _model(gamma=2.0):
+        """simulate.json's model at damping ``gamma``, and its driving and
+        integrator config, sampled every 0.5."""
         cfg = load_config(CONFIGS / "simulate.json")
         ic = dataclasses.replace(cfg.integrator, sample_stride=0.5)
         assert ic.atol == 1e-11
-        params = dataclasses.replace(cfg.model, gamma=gamma)
+        return dataclasses.replace(cfg.model, gamma=gamma), cfg.driving, ic
+
+    @classmethod
+    def _runs(cls, monkeypatch, gamma=2.0, n_sites=4096, t1=6.0,
+              bc="dirichlet", window_run=None, **kwargs):
+        """(window, whole lattice) of ``integrate`` (``window_run`` on the
+        window) on ``_model(gamma)``."""
         runs = [functools.partial(f, random_state(n_sites, 0, norm=2.0, bc=bc),
-                                  0.0, t1, params, cfg.driving, ic, **kwargs)
-                for f in (window_run or run, run)]
+                                  0.0, t1, *cls._model(gamma), **kwargs)
+                for f in (window_run or integrate, integrate)]
         window = runs[0]()
         monkeypatch.setattr(integrator, "_CUT", 0.0)
         full = runs[1]()
@@ -518,16 +477,27 @@ class TestWindow:
             assert np.all(np.abs(window.tails[:, b] - full.tails[:, b]) <= bound)
 
     def test_pair_gaps_match_the_whole_lattice(self, monkeypatch):
-        def pair(psi0, t0, t1, params, spec, config, **kwargs):
-            ref = integrate(psi0, t0, t1, params, spec, config)
-            phi0 = random_state(psi0.n_sites, 7, norm=1.0)
-            return integrate(phi0, t0, t1, params, spec, config,
-                             keep_states=False, shifts=[0.3], reference=ref)
+        # continuity's two runs at hull shift 0.3, as its gap record reads
+        params, spec, ic = self._model()
+        theta = random_state(4096, 0, norm=2.0)
+        theta_n = random_state(4096, 7, norm=1.0)
+        sites = []
 
-        window, full = self._runs(monkeypatch, t1=5.0, run=pair)
-        assert window.stats.sites < 4096
-        bound = 10 * full.config.rtol * (1 + full.gaps)
-        assert np.all(np.abs(window.gaps - full.gaps) <= bound)
+        def spy(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            sites.append(traj.stats.sites)
+            return traj
+        monkeypatch.setattr(dg, "integrate", spy)
+
+        def gaps():
+            return np.array(dg.continuity_gap(params, spec, 0.3, theta,
+                                              theta_n, 5.0, ic)["gap"])
+        window = gaps()
+        monkeypatch.setattr(integrator, "_CUT", 0.0)
+        full = gaps()
+        assert max(sites[:2]) < 4096 and sites[2:] == [4096, 4096]
+        bound = 10 * ic.rtol * (1 + full)
+        assert np.all(np.abs(window - full) <= bound)
 
     @pytest.mark.parametrize("n_sites, bc", [(4096, "periodic"),
                                              (512, "dirichlet")])
