@@ -215,6 +215,42 @@ class TestContinuity:
             predict_absorbing(params, spec, r=0.5)
 
 
+class TestPairReports:
+    """The pair checks store both trajectories on the same sample times;
+    their reports' gaps equal the distances of the stored states taken
+    with numpy's own norm, sample by sample."""
+
+    @pytest.mark.parametrize("command", ["contraction", "continuity"])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic"])
+    def test_equal_those_of_two_stored_runs(self, tmp_path, monkeypatch,
+                                            command, bc):
+        data = json.loads((CONFIGS / "absorbing.json").read_text())
+        data["lattice"]["bc"] = bc
+        path = tmp_path / "absorbing.json"
+        path.write_text(json.dumps(data))
+        runs = []
+        real = dg.integrate
+
+        def stored(*args, **kwargs):
+            runs.append((kwargs.get("shifts"), real(*args, **kwargs)))
+            return runs[-1][1]
+        monkeypatch.setattr(dg, "integrate", stored)
+        out = tmp_path / "report.json"
+        assert cli.main([command, "--config", str(path),
+                         "--json", str(out)]) == cli.EXIT_PASS
+        report = json.loads(out.read_text())
+
+        (no_shift, tb), (shifts, ta) = runs
+        assert no_shift is None and len(shifts) == 1
+        assert np.array_equal(ta.times, tb.times)
+        assert ta.values.shape == (tb.n_samples, 1) + tb.values.shape[1:]
+        gap = np.linalg.norm(ta.values[:, 0] - tb.values, axis=1)
+        assert len(report["gap"]) == tb.n_samples
+        np.testing.assert_allclose(report["gap"], gap, rtol=1e-12, atol=0)
+        assert report["max_gap"] == max(report["gap"])
+        assert report["bound"][0] == report["gap"][0]
+
+
 class TestContinuityBound:
     """The recursion bound holds over a grid of models, and a driving gap
     taken too small is caught."""
