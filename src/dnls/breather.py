@@ -47,16 +47,26 @@ class BreatherSolution:
 def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
                   tol: float = 1e-10,
                   config: IntegratorConfig = ORACLE_CONFIG) -> BreatherSolution:
-    """Fixed-point iteration of the period map from ``seed`` at t = 0 over
-    the driving's period, with at most 1000 updates of the iterate.  The
-    iterate returned is the first whose residual ||P(psi) - psi|| is at
-    most ``tol``, so a solve makes ``iterations + 1`` maps.
+    """Fixed-point iteration of the period map P from ``seed`` at t = 0
+    over the driving's period T, with at most 1000 updates of the iterate.
+    Each map measures the residual d = ||P(psi) - psi|| of the iterate psi.
+    On the R_u-ball P contracts by q = e^{-rho*T}, so its image P(psi) has
+    residual at most q*d (Banach's a-posteriori estimate); the solve stops
+    and returns that image, with ``periodicity_residual`` the bound q*d,
+    once q*d is at most ``tol`` and at least one ratio is kept, none above
+    q: the measured contraction confirms the certificate before the solve
+    trusts it.  Otherwise it stops at the first iterate whose measured
+    residual is at most ``tol`` and returns that iterate with d.
+    ``iterations`` counts the maps that did not stop the solve, so a solve
+    makes ``iterations + 1`` maps.
 
     Refuses a driving with no period (no field of nonzero norm with a
     periodic law, or a harmonic sum) first, then runs only if the
     strong-damping inequality holds and the seed lies in the R_u-ball
     (which the flow keeps), since only then is the iteration certified to
-    contract (and the orbit unique).
+    contract (and the orbit unique), and only if 10*tol < 2*R_u when
+    R_u > 0: any two states of the ball lie within 2*R_u, so no gate at
+    10*tol could fail.
 
     ``gap_rate`` is the certified rate rho = ``gap_rate(R_u)`` at which two
     solutions in the R_u-ball approach.  ``ratios`` holds each quotient
@@ -86,7 +96,13 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
         raise DomainError(
             f"seed norm {l2_norm(seed):.6g} outside the certified ball of "
             f"radius R_u = {r_u:.6g}")
+    if r_u > 0 and 10 * tol >= 2 * r_u:
+        raise DomainError(
+            f"scenario.tol must be below R_u/5 = {r_u / 5:.6g}, since the "
+            f"checks at 10*tol would pass any state of the R_u-ball, got "
+            f"{tol:.6g}")
 
+    q = math.exp(-gap * period)
     noise_floor = 100.0 * config.atol * math.sqrt(seed.n_sites)
     psi = seed
     ratios = []
@@ -98,6 +114,9 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
         if prev_d is not None and prev_d > max(noise_floor, 10 * tol) \
                 and d > noise_floor:
             ratios.append(d / prev_d)
+        if ratios and max(ratios) <= q and q * d <= tol:
+            psi, d = nxt, q * d
+            break
         if not d > tol:
             break
         if iterations >= 1000:
@@ -122,9 +141,12 @@ def _envelope(state: LatticeState) -> np.ndarray:
 def verify_breather(sol: BreatherSolution, params: ModelParams,
                     spec: DrivingSpec, tol: float = 1e-10,
                     config: IntegratorConfig = ORACLE_CONFIG) -> dict:
-    """Re-integrate from t = 0 over two periods and check periodicity at
-    ``_PHASES`` equispaced times, plus localization of the amplitude
-    envelope, and check the contraction ratio, the largest of
+    """Re-integrate from t = 0 to the last time read, (2 - 1/``_PHASES``)
+    periods, and check periodicity at ``_PHASES`` equispaced times of the
+    first period against the same times one period on (for a solve that
+    stopped on its certified bound, the first period is the map that
+    measures the returned state's residual), plus localization of the
+    amplitude envelope, and check the contraction ratio, the largest of
     ``sol.ratios``, against the certificate: on the R_u-ball two solutions
     approach at rate rho = ``sol.gap_rate``, so the period map contracts
     by at least e^{-rho*T}.  ``ratio_margin`` is the ratio over that bound;
@@ -133,8 +155,9 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     holds the solution's numbers, its site ``amplitudes`` at t = 0 as
     [re, im] pairs, and the verdict as ``verified``."""
     period = sol.period
-    traj = integrate(sol.state0, 0.0, 2 * period, params, spec,
-                     replace(config, sample_stride=period / _PHASES))
+    stride = period / _PHASES
+    traj = integrate(sol.state0, 0.0, (2 * _PHASES - 1) * stride, params,
+                     spec, replace(config, sample_stride=stride))
     # sample i is at i*period/_PHASES, one period before sample i + _PHASES
     max_res = max(math.sqrt(norm_sq(traj.values[i + _PHASES] - traj.values[i]))
                   for i in range(_PHASES))
@@ -185,9 +208,13 @@ def check_breather(params: ModelParams, spec: DrivingSpec, n_sites: int,
     inside the certified ball, and the first solution verified.  Returns
     the verdict (verified, and ``seed_spread``, the largest distance of a
     solution from the first, at most 10*tol), the record of
-    ``verify_breather`` with ``seed_spread``, and the first solution.
+    ``verify_breather`` with ``seed_spread``, and the first solution.  The
+    record's ``periodicity_residual`` is the residual the first solve
+    stopped on, the certified bound q*d where it stopped on that bound;
+    ``max_phase_residual`` is the periodicity the verifier measured.
     Refused before any solve when N < 10, which leaves the envelope fewer
-    than 3 sites from site 2 on to check localization on."""
+    than 3 sites from site 2 on to check localization on, and by
+    ``find_breather`` before its first map when 10*tol >= 2*R_u > 0."""
     if n_sites < 10:
         raise DomainError(f"lattice.n_sites must be >= 10 for breather, "
                           f"which checks localization on the envelope from "

@@ -245,7 +245,8 @@ SCENARIO_FIELDS = {
     "simulate": {"t1": (_NONNEG, 10.0),
                  "tail_cutoff": (_optional(_COUNT), None),
                  "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
-    "verify-bounds": {"t1": (_NONNEG, 50.0),
+    # a run to t1 = 0 has no interval to check
+    "verify-bounds": {"t1": (_POSITIVE, 50.0),
                       "initial": (_INITIAL, SimpleNamespace(kind="zero"))},
     "absorbing": {"radius": (_NONNEG, 1.0), "seed": (SEED, 0)},
     "tail": {"xi": (_POSITIVE, 1e-4), "radius": (_NONNEG, 1.0),

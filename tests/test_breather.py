@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dnls.breather
+from dnls import cli
 from dnls import (CosineLaw, DrivingField, DrivingSpec, LatticeState,
                   ModelParams, NonlinearitySpec, SpatialProfile,
                   certificate, find_breather, period_map, translate,
@@ -176,38 +177,88 @@ def _residual(state, image):
 
 class TestMapAccounting:
     """Each period map measures the residual of the iterate it is applied
-    to, and the solve stops at the first residual at or below tol."""
+    to.  The solve stops on the certified bound q*d of the image's residual
+    once a kept ratio confirms q, else at the first measured residual at or
+    below tol."""
 
     @pytest.mark.parametrize("seed", [None, 1, 2])
-    def test_bundled_solve_maps_once_per_measured_residual(self, monkeypatch,
-                                                           seed):
+    def test_bundled_solve_stops_on_the_certified_bound(self, monkeypatch,
+                                                        seed):
         cfg = load_config(BREATHER_JSON)
         tol = cfg.scenario["tol"]
         r_u = certificate(cfg.model, cfg.driving).breather_radius
         start = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None
                  else random_state(cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc))
         original = dnls.breather.period_map
-        residuals = []
+        residuals, images = [], []
 
         def recording(state, *args, **kwargs):
             image = original(state, *args, **kwargs)
             residuals.append(_residual(state, image))
+            images.append(image)
             return image
 
         monkeypatch.setattr(dnls.breather, "period_map", recording)
         sol = find_breather(cfg.model, cfg.driving, start, tol=tol,
                             config=ORACLE_CONFIG)
 
-        assert len(residuals) == sol.iterations + 1
-        assert all(d > tol for d in residuals[:-1]) and residuals[-1] <= tol
+        # the second map's residual (1.09e-9) is above tol, but its image's
+        # certified bound q*d (1.0e-17) is not
+        assert len(residuals) == sol.iterations + 1 == 2
+        q = math.exp(-sol.gap_rate * sol.period)
+        assert residuals[0] > tol and residuals[-1] > tol
+        assert q * residuals[-1] <= tol
+        assert sol.state0 is images[-1]
+        assert sol.periodicity_residual == q * residuals[-1]
         again = period_map(sol.state0, cfg.model, cfg.driving, sol.period,
                            config=ORACLE_CONFIG)
-        assert sol.periodicity_residual == residuals[-1] \
-            == _residual(sol.state0, again)
+        assert _residual(sol.state0, again) <= tol
         noise = 100.0 * ORACLE_CONFIG.atol * math.sqrt(cfg.n_sites)
         ratios = [d / prev for prev, d in zip(residuals, residuals[1:])
                   if prev > max(noise, 10 * tol) and d > noise]
-        assert sol.ratios == ratios
+        assert sol.ratios == ratios and max(ratios) <= q
+
+    def test_ratio_above_the_certificate_stops_on_a_measured_residual(
+            self, monkeypatch):
+        # a map that contracts by 0.5 towards c, far above q = 9e-9: the
+        # certified bound is never trusted, and the solve returns the
+        # first iterate whose measured residual is at most tol
+        params, spec = _breather_scenario()
+        c = random_state(16, 5, norm=0.1).values
+        residuals, states = [], []
+
+        def halving(state, *args, **kwargs):
+            image = LatticeState(c + 0.5 * (state.values - c), state.bc)
+            residuals.append(_residual(state, image))
+            states.append(state)
+            return image
+
+        monkeypatch.setattr(dnls.breather, "period_map", halving)
+        tol = 1e-10
+        sol = find_breather(params, spec, LatticeState.zeros(16), tol=tol)
+        assert math.exp(-sol.gap_rate * sol.period) < 1e-8
+        assert len(residuals) == sol.iterations + 1
+        assert all(d > tol for d in residuals[:-1]) and residuals[-1] <= tol
+        assert sol.state0 is states[-1]
+        assert sol.periodicity_residual == residuals[-1]
+        assert sol.ratios and all(r == pytest.approx(0.5, rel=1e-6)
+                                  for r in sol.ratios)
+
+    def test_bundled_command_integrates_seven_times(self, monkeypatch,
+                                                    tmp_path):
+        # two maps for each of the three seeds, then one verification
+        calls = []
+        integrate = dnls.breather.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(dnls.breather, "integrate", counting)
+        assert cli.main(["breather", "--config", str(BREATHER_JSON),
+                         "--json", str(tmp_path / "report.json")]) \
+            == cli.EXIT_PASS
+        assert len(calls) == 7
 
     def test_nonconvergence_after_1000_updates(self, monkeypatch):
         # a shift by one on every site never contracts: each map measures

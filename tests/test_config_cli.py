@@ -222,6 +222,8 @@ class TestConfigValidation:
         # runs start at t = 0, so a negative horizon is refused as t1's
         *((command, "simulate.json", ("scenario", "t1"), -1.0)
           for command in ("simulate", "verify-bounds")),
+        # verify-bounds to t1 = 0 checked no interval and passed
+        ("verify-bounds", "simulate.json", ("scenario", "t1"), 0.0),
         *(("absorbing", "absorbing.json", path, True) for path in [
             ("model", "gamma"), ("model", "kappa"),
             ("model", "nonlinearity", "sigma"),
@@ -973,6 +975,26 @@ class TestCli:
         assert data["seed_spread"] <= 10 * tol
         assert data["ratio_margin"] <= 1
         assert "(R^2 = 0.44567)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", [1e300, 0.0382])
+    def test_breather_refuses_a_tol_no_gate_can_fail(self, tmp_path, capsys,
+                                                     tol):
+        # every state of the R_u-ball (R_u = 0.191) lies within 2*R_u of the
+        # breather, so at 10*tol >= 2*R_u the zero state verified
+        cfg = _edited(tmp_path, "breather.json", ("scenario", "tol"), tol)
+        assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario.tol must be below "
+                              "R_u/5 = 0.0381")
+
+    def test_simulate_to_the_start_time_runs(self, tmp_path):
+        # simulate writes the initial state alone; verify-bounds refuses
+        # t1 = 0, where it has no interval to check
+        cfg = _edited(tmp_path, "simulate.json", ("scenario", "t1"), 0.0)
+        out = tmp_path / "simulate.csv"
+        assert cli.main(["simulate", "--config", cfg,
+                         "--out", str(out)]) == cli.EXIT_PASS
+        assert out.exists()
 
     @pytest.mark.parametrize("path, value", [
         (("driving", "g1", "law"), {"kind": "constant", "value": 1.0}),
