@@ -13,7 +13,10 @@ every 2*pi, as ``dnls dimension`` samples; ``simulate`` at N = 4096 over
 [0, 50] sampled every 0.1 without keeping states); one breather solve:
 ``find_breather`` on scripts/configs/breather.json's model at N = 128
 from the zero seed at the oracle tolerance, with the number of period
-maps it makes; and the stroboscopic section of ``dnls dimension``:
+maps it makes; one breather check: ``check_breather`` on the same model
+at N = 128 with the config's seeds, as ``dnls breather`` runs it, with
+the step attempts of its ``integrate`` calls; and the stroboscopic
+section of ``dnls dimension``:
 ``poincare_points`` on dimension.json's model at N = 64 for 150 and
 2,000 points, with the members B of the batch it steps, and one step
 attempt of a batch of B members at N = 64 per member (a member-step),
@@ -88,8 +91,8 @@ STARTUP = {"dnls": "import sys, dnls, dnls.cli; dnls.load_config(sys.argv[1])",
 PEAK = ("; print(next(line.split()[1] for line in open('/proc/self/status')"
         " if line.startswith('VmHWM:')))")
 UNITS = {"rhs_us": 1e6, "attempt_us": 1e6, "unit_time_us": 1e6,
-         "solve_ms": 1e3, "member_step_us": 1e6, "section_s": 1.0,
-         "pair_count_ms": 1e3}
+         "solve_ms": 1e3, "check_ms": 1e3, "member_step_us": 1e6,
+         "section_s": 1.0, "pair_count_ms": 1e3}
 
 
 def _per_call_s(fn, number: int) -> float:
@@ -129,6 +132,31 @@ def _breather_solve():
                                 tol=cfg.scenario["tol"])
 
     return solve, solve().iterations + 1
+
+
+def _breather_check():
+    """One breather check as a callable, and the step attempts of its
+    ``integrate`` calls."""
+    cfg = load_config(BREATHER)
+    attempts = []
+    integrate_ = br.integrate
+
+    def spy(*args, **kwargs):
+        traj = integrate_(*args, **kwargs)
+        attempts.append(traj.stats.accepted + traj.stats.rejected)
+        return traj
+
+    def check():
+        return br.check_breather(cfg.model, cfg.driving, BREATHER_SITES,
+                                 cfg.bc, cfg.scenario["seeds"],
+                                 tol=cfg.scenario["tol"])
+
+    br.integrate = spy
+    try:
+        check()
+    finally:
+        br.integrate = integrate_
+    return check, sum(attempts)
 
 
 def _sections(cfg):
@@ -197,6 +225,8 @@ def measure() -> dict:
                           100))
     solve, maps = _breather_solve()
     cases.append(("breather", "solve_ms", BREATHER_SITES, solve, 1))
+    check, check_attempts = _breather_check()
+    cases.append(("breather", "check_ms", BREATHER_SITES, check, 1))
     cfg = load_config(CONFIGS["dimension"])
     sections = _sections(cfg)
     for members in sorted({1} | {b for _, b, _ in sections.values()}):
@@ -220,7 +250,9 @@ def measure() -> dict:
         for points, (run, *_) in sections.items():
             samples["dimension", "section_s", points].append(
                 _per_call_s(run, 1))
-    result = {"breather": {"maps_per_solve": maps}, "startup": _startup()}
+    result = {"breather": {"maps_per_solve": maps,
+                           "check_attempts": check_attempts},
+              "startup": _startup()}
     for model, run in runs.items():
         result[model] = {"integration_run": run}
     result["dimension"]["section_members"] = {
@@ -256,9 +288,10 @@ def main(argv=None) -> int:
                 "attempt of the stepping kernel, per model and lattice size N; "
                 "of integration per unit of simulated time, with the step "
                 "attempts, RHS calls and sites of that run; of one breather "
-                "solve with its period maps; of a member-step (a batch's step "
-                "attempt per member) at N = 64 by batch size B; of the "
-                "poincare_points section by points, with its B; and of "
+                "solve with its period maps; of one breather check with the "
+                "step attempts of its integrations; of a member-step (a "
+                "batch's step attempt per member) at N = 64 by batch size B; "
+                "of the poincare_points section by points, with its B; and of "
                 "correlation_dimension on each section's points; and the "
                 "median wall ms and peak RSS MiB of a fresh interpreter that "
                 "imports dnls and loads a config, beside numpy's import",

@@ -46,7 +46,8 @@ class BreatherSolution:
 
 def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
                   tol: float = 1e-10,
-                  config: IntegratorConfig = ORACLE_CONFIG) -> BreatherSolution:
+                  config: IntegratorConfig = ORACLE_CONFIG, *,
+                  confirmed: bool = False) -> BreatherSolution:
     """Fixed-point iteration of the period map P from ``seed`` at t = 0
     over the driving's period T, with at most 1000 updates of the iterate.
     Each map measures the residual d = ||P(psi) - psi|| of the iterate psi.
@@ -59,6 +60,24 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     residual is at most ``tol`` and returns that iterate with d.
     ``iterations`` counts the maps that did not stop the solve, so a solve
     makes ``iterations + 1`` maps.
+
+    ``confirmed`` says that an earlier solve on the same model kept a
+    ratio at most q (``check_breather`` passes it for its later seeds).
+    Then the solve may stop on the bound q*d with no kept ratio of its
+    own, and its first map, from the seed, runs at the loose tolerance
+    rtol_1 = min(1e-3, max(rtol, tol/(100*q*R_u))), with atol in the
+    config's ratio to rtol; every later map runs at ``config``.  The loose
+    map stops nothing and starts no ratio.  This is safe: Banach's
+    estimate ||P(x_2) - x_2|| <= q*||x_2 - x_1|| holds for any x_1 in the
+    R_u-ball, however x_1 was computed, so the loose map's error e_1 does
+    not decide whether the result is correct.  It decides only whether one
+    exact map is enough (d_1 <= e_1 + q*d_0 and q*d_1 <= tol), and it
+    moves the returned state by at most q*e_1; at rtol_1 the measured e_1
+    is at most about 2*rtol_1*R_u, which keeps q*e_1 <= tol/50.  A loose
+    image outside the ball (the seed's test; a state is always finite) is
+    discarded: the solve goes on from the seed at ``config``, and the
+    discarded map counts in ``iterations``.  With R_u = 0 no map runs
+    loose.
 
     Refuses a driving with no period (no field of nonzero norm with a
     periodic law, or a harmonic sum) first, then runs only if the
@@ -108,13 +127,23 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     ratios = []
     prev_d = None
     iterations = 0
+    if confirmed and r_u > 0:
+        # 1/(q*R_u) may overflow to inf, which the cap takes
+        rtol = min(1e-3, max(config.rtol, tol / (100 * q * r_u)))
+        loose = replace(config, rtol=rtol,
+                        atol=rtol * (config.atol / config.rtol))
+        nxt = period_map(seed, params, spec, period, loose)
+        iterations = 1
+        if l2_norm(nxt) <= r_u * (1 + 1e-9):
+            psi = nxt
     while True:  # each map measures the residual d of the iterate psi
         nxt = period_map(psi, params, spec, period, config)
         d = math.sqrt(norm_sq(nxt.values - psi.values))
         if prev_d is not None and prev_d > max(noise_floor, 10 * tol) \
                 and d > noise_floor:
             ratios.append(d / prev_d)
-        if ratios and max(ratios) <= q and q * d <= tol:
+        if (ratios or confirmed) and max(ratios, default=0.0) <= q \
+                and q * d <= tol:
             psi, d = nxt, q * d
             break
         if not d > tol:
@@ -212,13 +241,28 @@ def check_breather(params: ModelParams, spec: DrivingSpec, n_sites: int,
     record's ``periodicity_residual`` is the residual the first solve
     stopped on, the certified bound q*d where it stopped on that bound;
     ``max_phase_residual`` is the periodicity the verifier measured.
+
+    The first seed's solve is the one the record reads, so every map of it
+    runs at the oracle tolerance.  When it kept a contraction ratio at most
+    q = e^{-rho*T}, that ratio confirms the certificate for the model, and
+    each later seed's solve runs ``confirmed``: its first map at the loose
+    tolerance ``find_breather`` derives from q, R_u and tol.  Otherwise the
+    later seeds solve as the first.
+
     Refused before any solve when N < 10, which leaves the envelope fewer
-    than 3 sites from site 2 on to check localization on, and by
+    than 3 sites from site 2 on to check localization on, when a seed is
+    repeated, since equal starts witness nothing of uniqueness, and by
     ``find_breather`` before its first map when 10*tol >= 2*R_u > 0."""
     if n_sites < 10:
         raise DomainError(f"lattice.n_sites must be >= 10 for breather, "
                           f"which checks localization on the envelope from "
                           f"site 2 on, got {n_sites}")
+    for i, s in enumerate(seeds):
+        if s in seeds[:i]:
+            raise DomainError(
+                f"scenario.seeds repeats {'null' if s is None else s}: "
+                f"equal seeds start equal solves, which witness nothing of "
+                f"uniqueness")
 
     def start(seed) -> LatticeState:
         if seed is None:
@@ -226,8 +270,12 @@ def check_breather(params: ModelParams, spec: DrivingSpec, n_sites: int,
         r_u = drv.certificate(params, spec).dissipative().breather_radius
         return random_state(n_sites, seed, norm=0.5 * r_u, bc=bc)
 
-    sols = [find_breather(params, spec, start(s), tol=tol) for s in seeds]
-    first = sols[0].state0
+    sol = find_breather(params, spec, start(seeds[0]), tol=tol)
+    confirmed = max(sol.ratios, default=math.inf) <= math.exp(
+        -sol.gap_rate * sol.period)
+    sols = [sol] + [find_breather(params, spec, start(s), tol=tol,
+                                  confirmed=confirmed) for s in seeds[1:]]
+    first = sol.state0
     spread = max((float(np.linalg.norm(s.state0.values - first.values))
                   for s in sols[1:]), default=0.0)
     rec = {**verify_breather(sols[0], params, spec, tol=tol),

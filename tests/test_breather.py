@@ -179,7 +179,8 @@ class TestMapAccounting:
     """Each period map measures the residual of the iterate it is applied
     to.  The solve stops on the certified bound q*d of the image's residual
     once a kept ratio confirms q, else at the first measured residual at or
-    below tol."""
+    below tol.  In ``check_breather`` the first seed's ratio confirms q for
+    the later seeds, whose first map then runs loose."""
 
     @pytest.mark.parametrize("seed", [None, 1, 2])
     def test_bundled_solve_stops_on_the_certified_bound(self, monkeypatch,
@@ -190,20 +191,23 @@ class TestMapAccounting:
         start = (LatticeState.zeros(cfg.n_sites, cfg.bc) if seed is None
                  else random_state(cfg.n_sites, seed, norm=0.5 * r_u, bc=cfg.bc))
         original = dnls.breather.period_map
-        residuals, images = [], []
+        residuals, images, configs = [], [], []
 
-        def recording(state, *args, **kwargs):
-            image = original(state, *args, **kwargs)
+        def recording(state, params, spec, period, config=ORACLE_CONFIG):
+            image = original(state, params, spec, period, config)
             residuals.append(_residual(state, image))
             images.append(image)
+            configs.append(config)
             return image
 
         monkeypatch.setattr(dnls.breather, "period_map", recording)
         sol = find_breather(cfg.model, cfg.driving, start, tol=tol,
                             config=ORACLE_CONFIG)
 
-        # the second map's residual (1.09e-9) is above tol, but its image's
+        # a lone solve is unconfirmed: every map at the oracle tolerance.
+        # The second map's residual (1.09e-9) is above tol, but its image's
         # certified bound q*d (1.0e-17) is not
+        assert configs == [ORACLE_CONFIG] * 2
         assert len(residuals) == sol.iterations + 1 == 2
         q = math.exp(-sol.gap_rate * sol.period)
         assert residuals[0] > tol and residuals[-1] > tol
@@ -243,6 +247,103 @@ class TestMapAccounting:
         assert sol.periodicity_residual == residuals[-1]
         assert sol.ratios and all(r == pytest.approx(0.5, rel=1e-6)
                                   for r in sol.ratios)
+
+    def test_later_seeds_map_loose_once_the_first_confirms(self,
+                                                           monkeypatch):
+        # the first seed's ratio 6.56e-9 <= q confirms the certificate, so
+        # seeds 1 and 2 take their first map at rtol_1 = 5.7e-4 and stop
+        # after one oracle map on the bound q*d, with no ratio of their own
+        cfg = load_config(BREATHER_JSON)
+        tol = cfg.scenario["tol"]
+        mapped, solved = dnls.breather.period_map, dnls.breather.find_breather
+        maps, sols = [], []  # per solve: (config, residual) of each map
+
+        def recording(state, params, spec, period, config=ORACLE_CONFIG):
+            image = mapped(state, params, spec, period, config)
+            maps[-1].append((config, _residual(state, image)))
+            return image
+
+        def solving(*args, **kwargs):
+            maps.append([])
+            sols.append(solved(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(dnls.breather, "period_map", recording)
+        monkeypatch.setattr(dnls.breather, "find_breather", solving)
+        ok, rec, _ = dnls.breather.check_breather(
+            cfg.model, cfg.driving, cfg.n_sites, cfg.bc,
+            cfg.scenario["seeds"], tol=tol)
+        assert ok and len(sols) == 3
+        first = sols[0]
+        q = math.exp(-first.gap_rate * first.period)
+        assert [c for c, _ in maps[0]] == [ORACLE_CONFIG] * 2
+        assert first.ratios and max(first.ratios) <= q
+        assert rec["contraction_ratio"] == max(first.ratios)
+        r_u = certificate(cfg.model, cfg.driving).breather_radius
+        rtol = min(1e-3, max(ORACLE_CONFIG.rtol, tol / (100 * q * r_u)))
+        assert rtol == pytest.approx(5.70e-4, rel=1e-3)
+        for sol, seen in zip(sols[1:], maps[1:]):
+            (loose, _), (exact, d) = seen
+            assert loose.rtol == rtol
+            assert loose.atol == pytest.approx(1e-2 * rtol, rel=1e-12)
+            assert replace(loose, rtol=ORACLE_CONFIG.rtol,
+                           atol=ORACLE_CONFIG.atol) == ORACLE_CONFIG
+            assert exact == ORACLE_CONFIG
+            assert len(seen) == sol.iterations + 1
+            assert sol.ratios == []
+            assert sol.periodicity_residual == q * d <= tol
+        assert rec["seed_spread"] <= tol / 10
+
+    def test_unconfirmed_first_solve_keeps_every_map_exact(self,
+                                                           monkeypatch):
+        # the map contracting by 0.5 keeps ratios above q: nothing is
+        # confirmed, and every seed maps at the oracle tolerance only
+        params, spec = _breather_scenario()
+        c = random_state(16, 5, norm=0.1).values
+        configs = []
+
+        def halving(state, params, spec, period, config=ORACLE_CONFIG):
+            configs.append(config)
+            return LatticeState(c + 0.5 * (state.values - c), state.bc)
+
+        monkeypatch.setattr(dnls.breather, "period_map", halving)
+        dnls.breather.check_breather(params, spec, 16, "dirichlet",
+                                     (None, 1, 2), tol=1e-10)
+        assert len(configs) > 3
+        assert configs == [ORACLE_CONFIG] * len(configs)
+
+    def test_loose_image_outside_the_ball_is_discarded(self, monkeypatch):
+        # a loose image outside the R_u-ball is dropped: the solve maps the
+        # seed again at the oracle tolerance and still makes iterations + 1
+        # maps
+        cfg = load_config(BREATHER_JSON)
+        tol = cfg.scenario["tol"]
+        r_u = certificate(cfg.model, cfg.driving).breather_radius
+        first = find_breather(cfg.model, cfg.driving,
+                              LatticeState.zeros(cfg.n_sites, cfg.bc),
+                              tol=tol)
+        original = dnls.breather.period_map
+        starts, configs = [], []
+
+        def pushing(state, params, spec, period, config=ORACLE_CONFIG):
+            starts.append(state)
+            configs.append(config)
+            out = original(state, params, spec, period, config)
+            if config == ORACLE_CONFIG:
+                return out
+            return LatticeState(out.values * (1.01 * r_u / l2_norm(out)),
+                                out.bc)
+
+        monkeypatch.setattr(dnls.breather, "period_map", pushing)
+        seed = random_state(cfg.n_sites, 1, norm=0.5 * r_u, bc=cfg.bc)
+        sol = find_breather(cfg.model, cfg.driving, seed, tol=tol,
+                            confirmed=True)
+        assert configs[0] != ORACLE_CONFIG
+        assert configs[1:] == [ORACLE_CONFIG] * (len(configs) - 1)
+        assert starts[0] is seed and starts[1] is seed
+        assert len(configs) == sol.iterations + 1
+        assert np.linalg.norm(sol.state0.values
+                              - first.state0.values) <= 10 * tol
 
     def test_bundled_command_integrates_seven_times(self, monkeypatch,
                                                     tmp_path):

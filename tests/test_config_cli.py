@@ -957,6 +957,36 @@ class TestCli:
         assert data["seed_spread"] == pytest.approx(100 * tol, rel=1e-3)
         assert "seed spread 1e-08: FAILED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds, shown", [([1, 1], "1"),
+                                              ([None, None], "null")])
+    def test_breather_refuses_a_repeated_seed(self, tmp_path, monkeypatch,
+                                              capsys, seeds, shown):
+        # equal starts give equal solves, whose spread of 0.0 witnesses
+        # nothing: refused before any integration
+        calls = []
+        integrate = dnls.breather.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(dnls.breather, "integrate", counting)
+        cfg = _edited(tmp_path, "breather.json", ("scenario", "seeds"), seeds)
+        assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: scenario.seeds repeats {shown}: equal seeds "
+            f"start equal solves, which witness nothing of uniqueness\n")
+        assert calls == []
+
+    def test_breather_runs_on_a_single_seed(self, tmp_path):
+        # the default [null]: one solve, no spread to measure
+        data = json.loads((CONFIGS / "breather.json").read_text())
+        del data["scenario"]["seeds"]
+        report = tmp_path / "breather_report.json"
+        assert cli.main(["breather", "--config", _write(tmp_path, data),
+                         "--json", str(report)]) == cli.EXIT_PASS
+        assert json.loads(report.read_text())["seed_spread"] == 0.0
+
     def test_breather_fails_on_its_localization(self, tmp_path, capsys):
         # g1 of 0.01 on every site of N = 32: the breather is periodic and
         # within its certificate, but not localized, so the run fails on

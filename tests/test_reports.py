@@ -8,7 +8,9 @@ bytes, with BLAS on one thread or on all, so ``REL`` only leaves room for
 the last bits of a float: scaling the largest entry of a driving table
 (``driving._field``) by 1 + 1e-12 moves simulate's norms by up to 1.4e-12
 relative, and fails.  ``ABS`` is the round-off of a quantity of order 1,
-the size of the breather's residual (5.3e-17) and seed spread (1.9e-16).
+the size of the breather's residual (1.0e-17, the certified bound q*d).
+The breather's seed spread, 5.3e-13 since its later seeds take a loose
+first period map, is compared by ``REL`` like any other float.
 
 A change that moves a report on purpose refreshes the held files with
 
