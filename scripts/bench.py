@@ -41,7 +41,10 @@ gives a before/after table:
     PYTHONPATH=src python scripts/bench.py --out BENCH_<n>.json --column change
 
 ``dnls`` is imported from the path, so the column measures whichever
-source tree PYTHONPATH names.  BLAS runs on one thread.
+source tree PYTHONPATH names.  BLAS runs on one thread.  The two columns
+come from two separate runs, so a drift in machine speed between them
+reads as change: in BENCH_33.json the ``attempt_us`` and ``rhs_us``
+entries of code neither side changed moved by -3% to +8%.
 """
 
 import argparse

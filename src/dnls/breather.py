@@ -179,10 +179,12 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
     ``sol.ratios``, against the certificate: on the R_u-ball two solutions
     approach at rate rho = ``sol.gap_rate``, so the period map contracts
     by at least e^{-rho*T}.  ``ratio_margin`` is the ratio over that bound;
-    the check passes up to 1.  The comparison is made in logarithms, since
-    e^{-rho*T} underflows to 0 once rho*T exceeds about 745.  The record
-    holds the solution's numbers, its site ``amplitudes`` at t = 0 as
-    [re, im] pairs, and the verdict as ``verified``."""
+    the check passes up to 1.  A solve that kept no ratio, as one whose
+    map contracts below the round-off floor at once, measured none: both
+    are None, and the check passes.  The comparison is made in logarithms,
+    since e^{-rho*T} underflows to 0 once rho*T exceeds about 745.  The
+    record holds the solution's numbers, its site ``amplitudes`` at t = 0
+    as [re, im] pairs, and the verdict as ``verified``."""
     period = sol.period
     stride = period / _PHASES
     traj = integrate(sol.state0, 0.0, (2 * _PHASES - 1) * stride, params,
@@ -209,8 +211,8 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
         slope, r, _ = line_fit(ks[usable], np.log(env[usable]))
         rate, r2 = float(-slope), float(r ** 2)
     loc_ok = peak == 0 or (r2 >= 0.99 if r2 is not None else env.size >= 5)
-    ratio = max(sol.ratios, default=0.0)
-    log_margin = (math.log(ratio) + sol.gap_rate * period if ratio > 0
+    ratio = max(sol.ratios, default=None)  # None: no ratio was kept
+    log_margin = (math.log(ratio) + sol.gap_rate * period if ratio
                   else -math.inf)
     return {
         "period": period,
@@ -224,7 +226,8 @@ def verify_breather(sol: BreatherSolution, params: ModelParams,
         "envelope_monotone": monotone,
         "certified_ratio": math.exp(-sol.gap_rate * period),
         # capped below the float range: a finite JSON number
-        "ratio_margin": math.exp(min(log_margin, 700.0)),
+        "ratio_margin": (None if ratio is None
+                         else math.exp(min(log_margin, 700.0))),
         "verified": periodic_ok and monotone and loc_ok and log_margin <= 0.0,
     }
 

@@ -161,8 +161,12 @@ def _cmd_breather(cfg: ScenarioConfig, sc, args) -> _Outcome:
     if rec["localization_rate"] is not None:
         text += (f"\nlocalization rate {rec['localization_rate']:.4f} "
                  f"(R^2 = {rec['localization_r2']:.5f})")
-    text += (f"\ncontraction ratio {rec['contraction_ratio']:.3g}, certified "
-             f"{rec['certified_ratio']:.3g} (margin {rec['ratio_margin']:.3f})")
+    certified = f"certified {rec['certified_ratio']:.3g}"
+    if rec["contraction_ratio"] is None:
+        text += f"\ncontraction ratio not measured, {certified}"
+    else:
+        text += (f"\ncontraction ratio {rec['contraction_ratio']:.3g}, "
+                 f"{certified} (margin {rec['ratio_margin']:.3f})")
     return ok, rec, text
 
 

@@ -163,8 +163,6 @@ def _kind(kinds: dict, default=None):
 _PROFILE = _kind({
     "exponential": ({"amplitude": (_REAL, 1.0), "rate": (_POSITIVE, _REQUIRED)},
                     partial(SpatialProfile, "exponential")),
-    "gaussian": ({"amplitude": (_REAL, 1.0), "width": (_POSITIVE, _REQUIRED)},
-                 partial(SpatialProfile, "gaussian")),
     "single_site": ({"amplitude": (_REAL, 1.0), "site": (_INTEGER, 0)},
                     SpatialProfile.single_site),
     "custom": ({"values": (_list_of(_complex), _REQUIRED),

@@ -336,7 +336,9 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     a burn-in of T(1) + 20/Gamma, by when the trajectory has settled into
     the absorbing ball.  Returns their times (n_points,) and
     (n_points, 2*n_sites) real coordinates.  Refused when no field of
-    nonzero norm has a nonconstant law, as there is no period to sample at.
+    nonzero norm has a nonconstant law, as there is no period to sample at,
+    and when T is over 1e9 times the burn-in, which then rounds to no
+    period, so the section would start at the unsettled initial state.
 
     The orbit is cut into B chunks of c points, stepped side by side as one
     batch (``integrate`` with hull shifts): member b starts from the orbit's
@@ -352,8 +354,12 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
                           "nonconstant law: no section period")
     config = replace(config, sample_stride=period)
     pred = predict_absorbing(params, spec, r=1.0)
-    burn = math.ceil((pred["entry_time"] + 20.0 / pred["gamma_eff"])
-                     / period - 1e-9)  # in periods
+    settle = pred["entry_time"] + 20.0 / pred["gamma_eff"]
+    burn = math.ceil(settle / period - 1e-9)  # in periods
+    if burn < 1:
+        raise DomainError(f"section period {period:.6g} dwarfs the burn-in "
+                          f"T(1) + 20/Gamma = {settle:.6g}, which rounds to "
+                          f"0 periods: no section point would be settled")
     members, chunk = _section_batch(n_points, burn, n_sites)
     shifts = [b * chunk * period for b in range(members)]
     psi0 = random_state(n_sites, seed, norm=min(1.0, max(pred["radius"], 0.1)),

@@ -29,10 +29,6 @@ from .errors import DomainError
 from .lattice import ModelParams
 
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min  # the smallest normal float
-# gaussian terms summed one by one before the rest is bounded by an integral
-# (all of them while width < 36, so those sums are exact)
-_GAUSSIAN_TERMS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +40,6 @@ class SpatialProfile:
 
     kinds:
       exponential  amplitude * exp(-rate*|n|)
-      gaussian     amplitude * exp(-n^2 / (2*width^2))
       custom       explicit table ``values`` starting at site ``start``
                    (``single_site`` builds a one-entry table)
     """
@@ -52,17 +47,14 @@ class SpatialProfile:
     kind: str
     amplitude: float = 1.0
     rate: float = 1.0
-    width: float = 1.0
     values: tuple = ()
     start: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "gaussian", "custom"):
+        if self.kind not in ("exponential", "custom"):
             raise DomainError(f"unknown profile kind {self.kind!r}")
         if self.kind == "exponential" and self.rate <= 0:
             raise DomainError("exponential rate must be positive")
-        if self.kind == "gaussian" and self.width <= 0:
-            raise DomainError("gaussian width must be positive")
         if self.kind == "custom":
             object.__setattr__(
                 self, "values", tuple(complex(v) for v in self.values))
@@ -75,14 +67,7 @@ class SpatialProfile:
         if self.kind == "exponential":
             with np.errstate(over="ignore"):  # -rate*|n| = -inf: exp gives 0
                 out[:] = self.amplitude * np.exp(-self.rate * np.abs(n))
-        elif self.kind == "gaussian":
-            w2 = self.width ** 2
-            if w2 < _TINY:  # exp(-n^2/(2 width^2)) underflows off site 0
-                out[c] = self.amplitude
-            else:
-                with np.errstate(over="ignore"):  # -n^2/(2 w2) = -inf: 0
-                    out[:] = self.amplitude * np.exp(-(n * n) / (2.0 * w2))
-        elif self.kind == "custom":
+        else:
             for k, v in enumerate(self.values):
                 i = self.start + k + c
                 if not 0 <= i < n_sites:
@@ -91,34 +76,14 @@ class SpatialProfile:
         return out
 
     def l2_norm_sq(self) -> float:
-        """Squared l^2 norm on the infinite lattice (closed form where one
-        exists); never smaller than the truncated norm."""
+        """Squared l^2 norm on the infinite lattice: in closed form for an
+        exponential, the sum of a table's entries; never smaller than the
+        truncated norm."""
         a2 = self.amplitude * self.amplitude
         if self.kind == "exponential":
             # sum exp(-2r|n|) = coth(r)
             return a2 / math.tanh(self.rate)
-        if self.kind == "gaussian":
-            return a2 * self._gaussian_sum(0) + a2  # n=0 term plus both tails
         return math.fsum(abs(v) ** 2 for v in self.values)
-
-    def _gaussian_sum(self, m: int) -> float:
-        """2 * sum_{n>m} exp(-n^2/width^2), never below the true sum.
-
-        Terms are added one by one up to n = M = m + _GAUSSIAN_TERMS; those
-        below 1e-320 are dropped.  The summand decreases for n > 0, so the
-        rest is at most its integral from M:
-        (width*sqrt(pi)/2) * erfc(M/width)."""
-        w2 = self.width * self.width
-        if w2 < _TINY:  # every term underflows
-            return 0.0
-        total = 0.0
-        stop = m + _GAUSSIAN_TERMS
-        for n in range(m + 1, stop + 1):
-            if (n * n) / w2 >= 740:
-                return 2.0 * total
-            total += math.exp(-(n * n) / w2)
-        rest = 0.5 * self.width * math.sqrt(math.pi) * math.erfc(stop / self.width)
-        return 2.0 * (total + rest)
 
     def tail_sq(self, m: int) -> float:
         """sum_{|n|>m} |profile_n|^2 on the infinite lattice."""
@@ -128,8 +93,6 @@ class SpatialProfile:
         if self.kind == "exponential":
             r = self.rate
             return a2 * 2.0 * math.exp(-2.0 * r * (m + 1)) / -math.expm1(-2.0 * r)
-        if self.kind == "gaussian":
-            return a2 * self._gaussian_sum(m)
         return math.fsum(
             abs(v) ** 2
             for k, v in enumerate(self.values)
@@ -197,7 +160,11 @@ class CosineLaw:
         """amplitude * cos(2 pi t / period + phase)"""
         if period <= 0:
             raise DomainError("period must be positive")
-        return cls(((float(amplitude), 2.0 * math.pi / period, float(phase)),))
+        w = 2.0 * math.pi / period
+        if not math.isfinite(w):
+            raise DomainError(f"period {period!r} is too short: its frequency "
+                              f"2 pi/period is not a finite float")
+        return cls(((float(amplitude), w, float(phase)),))
 
     @classmethod
     def harmonic(cls, frequencies, amplitudes, phases=()) -> "CosineLaw":

@@ -2,7 +2,6 @@
 certificate constants (sup norms, effective damping, radii, gap rate)."""
 
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -30,44 +29,12 @@ class TestSpatialProfile:
         direct = 1.69 * 2 * sum(math.exp(-1.2 * n) for n in range(m + 1, 2000))
         assert p.tail_sq(m) == pytest.approx(direct, rel=1e-12)
 
-    def test_gaussian_sums(self):
-        p = SpatialProfile("gaussian", amplitude=2.0, width=1.5)
-        direct = 4.0 * sum(math.exp(-n * n / 1.5 ** 2) for n in range(-100, 101))
-        assert p.l2_norm_sq() == pytest.approx(direct, rel=1e-12)
-        tail = 4.0 * 2 * sum(math.exp(-n * n / 1.5 ** 2) for n in range(4, 100))
-        assert p.tail_sq(3) == pytest.approx(tail, rel=1e-12)
-
-    @pytest.mark.parametrize("width", [40.0, 300.0])
-    def test_wide_gaussian_sums_are_upper_bounds(self, width):
-        # past the terms summed one by one, the rest is bounded by an integral
-        p = SpatialProfile("gaussian", width=width)
-        n = np.arange(1, int(30 * width))
-        direct = 2 * math.fsum(np.exp(-(n * n) / width ** 2))
-        assert direct <= p.l2_norm_sq() - 1.0 <= direct * (1 + 1e-2)
-        tail = 2 * math.fsum(np.exp(-(n[5:] * n[5:]) / width ** 2))
-        assert tail <= p.tail_sq(5) <= tail * (1 + 1e-2)
-
-    def test_huge_gaussian_width_returns(self):
-        p = SpatialProfile("gaussian", width=1e308)
-        start = time.perf_counter()
-        assert p.l2_norm_sq() > 1e307 and p.tail_sq(10) > 1e307
-        assert time.perf_counter() - start < 1.0
-
     def test_exponential_tail_at_small_rate(self):
         # sum_{|n|>0} exp(-2r|n|) = coth(r) - 1; a denominator formed as
         # 1 - exp(-2r) is off by about 5e-8 relative at this rate
         p = SpatialProfile("exponential", rate=1e-9)
         assert p.tail_sq(0) == pytest.approx(1 / math.tanh(1e-9) - 1,
                                              rel=1e-12)
-
-    def test_gaussian_whose_width_squared_underflows(self):
-        # width^2 = 0 in floats: every site but 0 underflows to 0
-        p = SpatialProfile("gaussian", amplitude=2.0, width=1e-200)
-        expected = np.zeros(16, dtype=complex)
-        expected[8] = 2.0
-        with np.errstate(all="raise"):
-            assert np.array_equal(p.realize(16), expected)
-        assert p.l2_norm_sq() == 4.0 and p.tail_sq(0) == 0.0
 
     def test_single_site_and_custom(self):
         p = SpatialProfile.single_site(0.4, 3)
@@ -102,10 +69,10 @@ class TestSpatialProfile:
     def test_validation(self):
         with pytest.raises(DomainError):
             SpatialProfile("exponential", rate=0.0)
-        with pytest.raises(DomainError):
-            SpatialProfile("gaussian", width=-1.0)
-        with pytest.raises(DomainError):
-            SpatialProfile("plateau")
+        # every profile is the exponential or a table
+        for kind in ("gaussian", "plateau"):
+            with pytest.raises(DomainError, match="unknown profile kind"):
+                SpatialProfile(kind)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.2, max_value=2.0),
@@ -128,6 +95,9 @@ class TestTemporalLaws:
         assert law.amp_bound() == 1.5
         with pytest.raises(DomainError):
             CosineLaw.periodic(period=0.0)
+        # 2 pi/period overflows below about 3.5e-308
+        with pytest.raises(DomainError, match="period 1e-320 is too short"):
+            CosineLaw.periodic(period=1e-320)
 
     def test_harmonic_sum(self):
         law = CosineLaw.harmonic(frequencies=(1.0, math.sqrt(2.0)),

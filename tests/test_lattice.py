@@ -313,9 +313,11 @@ _RHS_CASES = {
                DrivingField(_EXP, _PERIODIC), None),
     "cubic-": (NonlinearitySpec(sigma=1.0, sign=-1),
                DrivingField(_EXP, _PERIODIC), None),
+    # a real table of 17 sites, gaussian in shape
     "sigma=1.5": (NonlinearitySpec(sigma=1.5),
-                  DrivingField(SpatialProfile("gaussian", amplitude=0.4,
-                                              width=3.0), _PERIODIC), None),
+                  DrivingField(SpatialProfile("custom", values=tuple(
+                      0.4 * math.exp(-n * n / 18.0) for n in range(-8, 9)),
+                      start=-8), _PERIODIC), None),
     "g1 only": (None, DrivingField(_EXP, CosineLaw(_PERIODIC.shifted(0.3))),
                 None),
     "single-site g2": (NonlinearitySpec(sigma=1.0, sign=1),
