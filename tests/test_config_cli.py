@@ -1193,9 +1193,11 @@ class TestCli:
         assert json.loads(report.read_text())["seed_spread"] <= 1e-9
 
     # profile sums at scales whose floats underflow: 1 - exp(-2 rate) is 0
-    # for this rate
+    # for this rate, and the square of 1e-200 is 0
     @pytest.mark.parametrize("command, profile", [
-        ("tail", {"kind": "exponential", "amplitude": 0.8727, "rate": 1e-20})])
+        ("tail", {"kind": "exponential", "amplitude": 0.8727, "rate": 1e-20}),
+        ("absorbing",
+         {"kind": "custom", "start": -1, "values": [1e-200, 0.8727, 1e-200]})])
     def test_tiny_profile_scale_runs_without_warnings(self, tmp_path, capsys,
                                                       command, profile):
         cfg = _edited(tmp_path, "absorbing.json", ("driving", "g1", "profile"),
