@@ -10,7 +10,9 @@ integration per unit of simulated time, with the step attempts, RHS calls
 and sites stepped, on one run of each model at its config's tolerances from
 a random state of norm 2 (``dimension`` at N = 64 over [0, 100] sampled
 every 2*pi, as ``dnls dimension`` samples; ``simulate`` at N = 4096 over
-[0, 50] sampled every 0.1 without keeping states); one breather solve:
+[0, 50] sampled every 0.1 without keeping states); the energy check:
+``verify_bounds`` on the trajectory of ``simulate``'s run, as
+``dnls verify-bounds`` reads it; one breather solve:
 ``find_breather`` on scripts/configs/breather.json's model at N = 128
 from the zero seed at the oracle tolerance, with the number of period
 maps it makes; one breather check: ``check_breather`` on the same model
@@ -95,7 +97,7 @@ PEAK = ("; print(next(line.split()[1] for line in open('/proc/self/status')"
         " if line.startswith('VmHWM:')))")
 UNITS = {"rhs_us": 1e6, "attempt_us": 1e6, "unit_time_us": 1e6,
          "solve_ms": 1e3, "check_ms": 1e3, "member_step_us": 1e6,
-         "section_s": 1.0, "pair_count_ms": 1e3}
+         "section_s": 1.0, "pair_count_ms": 1e3, "bounds_ms": 1e3}
 
 
 def _per_call_s(fn, number: int) -> float:
@@ -208,11 +210,15 @@ def measure() -> dict:
             cfg.model, cfg.driving,
             dataclasses.replace(cfg.integrator, sample_stride=stride),
             keep_states=keep)
-        stats = run().stats
+        traj = run()
+        stats = traj.stats
         runs[model] = {"n_sites": n, "t1": t1,
                        "attempts": stats.accepted + stats.rejected,
                        "rhs_calls": stats.rhs_evals, "sites": stats.sites}
         cases.append((model, "unit_time_us", n, run, 1))
+        if model == "simulate":
+            cases.append((model, "bounds_ms", n, functools.partial(
+                dg.verify_bounds, traj, cfg.model, cfg.driving), 1))
         for n in SIZES:
             f = make_rhs(cfg.model, cfg.driving.sampler(n), cfg.bc)
             v = random_state(n, 0, norm=2.0, bc=cfg.bc).values
@@ -290,7 +296,8 @@ def main(argv=None) -> int:
         "what": "median perf_counter time of one RHS call and one step "
                 "attempt of the stepping kernel, per model and lattice size N; "
                 "of integration per unit of simulated time, with the step "
-                "attempts, RHS calls and sites of that run; of one breather "
+                "attempts, RHS calls and sites of that run; of verify_bounds "
+                "on simulate's run; of one breather "
                 "solve with its period maps; of one breather check with the "
                 "step attempts of its integrations; of a member-step (a "
                 "batch's step attempt per member) at N = 64 by batch size B; "

@@ -6,11 +6,10 @@ unique periodic breather under strong damping)."""
 from .breather import (BreatherSolution, find_breather, period_map,
                        verify_breather)
 from .config import ScenarioConfig, load_config
-from .diagnostics import (check_apriori_bound, continuity_gap,
-                          contraction_rate, correlation_dimension,
-                          monitor_dissipation, poincare_points,
+from .diagnostics import (continuity_gap, contraction_rate,
+                          correlation_dimension, poincare_points,
                           predict_absorbing, predict_tail, verify_absorbing,
-                          verify_tail)
+                          verify_bounds, verify_tail)
 from .driving import (Certificate, CosineLaw, DrivingField, DrivingSpec,
                       SpatialProfile, certificate, translate)
 from .errors import DomainError, NonconvergenceError, StiffnessError

@@ -79,13 +79,12 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     discarded map counts in ``iterations``.  With R_u = 0 no map runs
     loose.
 
-    Refuses a driving with no period (no field of nonzero norm with a
-    periodic law, or a harmonic sum) first, then runs only if the
-    strong-damping inequality holds and the seed lies in the R_u-ball
-    (which the flow keeps), since only then is the iteration certified to
-    contract (and the orbit unique), and only if 10*tol < 2*R_u when
-    R_u > 0: any two states of the ball lie within 2*R_u, so no gate at
-    10*tol could fail.
+    Refuses a driving with no period first (``DrivingSpec.period``), then
+    runs only if the strong-damping inequality holds and the seed lies in
+    the R_u-ball (which the flow keeps), since only then is the iteration
+    certified to contract (and the orbit unique), and only if
+    10*tol < 2*R_u when R_u > 0: any two states of the ball lie within
+    2*R_u, so no gate at 10*tol could fail.
 
     ``gap_rate`` is the certified rate rho = ``gap_rate(R_u)`` at which two
     solutions in the R_u-ball approach.  ``ratios`` holds each quotient
@@ -94,16 +93,7 @@ def find_breather(params: ModelParams, spec: DrivingSpec, seed: LatticeState,
     level of a map at tolerance atol: a residual below it measures the
     integrator, not the contraction.
     """
-    if spec.aperiodic:
-        raise DomainError(f"{spec.aperiodic[0][0]} is a harmonic sum, which "
-                          f"has no period: breather needs periodic or "
-                          f"constant laws")
     period = spec.period
-    if period is None:
-        raise DomainError("driving is not periodic: no field of nonzero "
-                          "norm has a periodic law, and breather needs one "
-                          "(kind \"periodic\" in driving.g1.law or "
-                          "driving.g2.law)")
     cert = drv.certificate(params, spec).dissipative()
     r_u = cert.breather_radius
     gap = cert.gap_rate(r_u)

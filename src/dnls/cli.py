@@ -71,13 +71,12 @@ def _cmd_verify_bounds(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = _initial_state(cfg, sc.initial, args.seed)
     traj = integrate(state, 0.0, sc.t1, cfg.model, cfg.driving,
                      cfg.integrator, keep_states=False)
-    diss = dg.monitor_dissipation(traj, cfg.model, cfg.driving)
-    apriori = dg.check_apriori_bound(traj, cfg.model, cfg.driving)
-    ok = diss["ok"] and apriori["ok"]
-    return ok, {"dissipation": diss, "apriori": apriori, "pass": ok}, (
+    rec = dg.verify_bounds(traj, cfg.model, cfg.driving)
+    diss = rec["dissipation"]
+    return rec["pass"], rec, (
         f"dissipation: {_verdict(diss['ok'], 'VIOLATED')} "
         f"({diss['checked']} intervals); a-priori bound: "
-        f"{_verdict(apriori['ok'], 'VIOLATED')}")
+        f"{_verdict(rec['apriori']['ok'], 'VIOLATED')}")
 
 
 def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> _Outcome:
@@ -92,7 +91,7 @@ def _cmd_absorbing(cfg: ScenarioConfig, sc, args) -> _Outcome:
     state = random_state(cfg.n_sites, _seed(sc, args), norm=r, bc=cfg.bc)
     traj = integrate(state, 0.0, pred["entry_time"] * 6.0 + 1.0, cfg.model,
                      cfg.driving, cfg.integrator, keep_states=False)
-    rec = {**pred, **dg.verify_absorbing(traj, pred)}
+    rec = dg.verify_absorbing(traj, pred)
     return rec["pass"], rec, (
         f"absorbing ball K={rec['radius']:.6g}, predicted entry "
         f"T={rec['entry_time']:.6g}, first entry at "
@@ -106,7 +105,7 @@ def _cmd_tail(cfg: ScenarioConfig, sc, args) -> _Outcome:
     traj = integrate(state, 0.0, pred["entry_time"] * 3.0 + 5.0, cfg.model,
                      cfg.driving, cfg.integrator, tail_cutoff=pred["cutoff"],
                      keep_states=False)
-    rec = {**pred, **dg.verify_tail(traj, pred)}
+    rec = dg.verify_tail(traj, pred)
     return rec["pass"], rec, (
         f"tail beyond m={rec['cutoff']} after T={rec['entry_time']:.6g}: "
         f"max {rec['max_tail_after_entry']:.3g} vs xi={rec['xi']:.3g}: "

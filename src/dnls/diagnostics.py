@@ -7,7 +7,8 @@ Each check returns its record: a plain dict whose keys are those of its
 command's ``--json`` report, built where the numbers are computed.  A
 predict_* turns the closed-form constants into the prediction's record;
 the matching verify_* tests a simulated trajectory against it and returns
-what it measured with the verdict, and the command merges the two.
+the command's whole record: the prediction, what it measured and the
+verdict.
 """
 
 from __future__ import annotations
@@ -53,45 +54,40 @@ def _gronwall(y0, rate, forcing, dt):
         return np.exp(-rate * dt) * y0 + forcing * gain
 
 
-def monitor_dissipation(traj: Trajectory, params: ModelParams,
-                        driving: DrivingSpec) -> dict:
-    """Check the energy inequality
+def verify_bounds(traj: Trajectory, params: ModelParams,
+                  spec: DrivingSpec) -> dict:
+    """The ``verify-bounds`` check of the energy inequality
 
         d/dt ||psi||^2 + Gt*||psi||^2 <= (1/Gt)*||g1(t)||^2
 
-    integrated exactly between samples.  Hopping and F are skew, so
+    on ``traj``.  Hopping and F are skew, so
     d/dt ||psi||^2 <= -2*(gamma - sup||g2||)*||psi||^2 + 2*||g1||*||psi||,
     and 2*||g1||*||psi|| <= Gt*||psi||^2 + ||g1||^2/Gt closes it, since
-    2*(gamma - sup||g2||) - Gt = gamma >= Gt.  With s_i >= ||g1|| on
-    [t_i, t_{i+1}] (``DrivingField.interval_sup``) a sample is flagged when
+    2*(gamma - sup||g2||) - Gt = gamma >= Gt.  ``dissipation`` integrates
+    it exactly between samples: with s_i >= ||g1|| on [t_i, t_{i+1}]
+    (``DrivingField.interval_sup``) a sample is flagged when
     n^2_{i+1} > _gronwall(n^2_i, Gt, s_i^2/Gt, dt) + 10*rtol*(1 + n^2_i),
-    the integrator's error.  The record counts the intervals ``checked``
-    and the ``violations``, and lists the index i of each flagged interval
-    [t_i, t_{i+1}] (``flagged``)."""
-    gt = drv.certificate(params, driving).dissipative().gamma_tilde
-    n2, times = traj.norms ** 2, traj.times
-    dt = np.diff(times)
-    s = driving.g1.interval_sup(times[:-1], dt)
-    bound = _gronwall(n2[:-1], gt, s * s / gt, dt)
-    excess = n2[1:] - bound - 10 * traj.config.rtol * (1 + n2[:-1])
-    flagged = np.flatnonzero(excess > 0).tolist()
-    return {"ok": not flagged, "checked": dt.size,
-            "violations": len(flagged), "flagged": flagged}
-
-
-def check_apriori_bound(traj: Trajectory, params: ModelParams,
-                        spec: DrivingSpec) -> dict:
-    """||psi(t)||^2 <= e^{-Gt (t-t0)} ||psi(t0)||^2
-    + (1 - e^{-Gt (t-t0)}) sup||g1||^2/Gt^2 at every sample, with slack
-    1e-6*(1 + ||psi(t0)||^2): the dissipation inequality of
-    ``monitor_dissipation`` integrated from t0 with the global sup||g1||.
-    The bound meets the first sample, so ``max_excess`` is read after it."""
+    the integrator's error; it counts the intervals ``checked`` and the
+    ``violations``, and lists the index i of each flagged interval
+    (``flagged``).  ``apriori`` integrates it from t0 with the global
+    sup||g1||: ||psi(t)||^2 <= e^{-Gt (t-t0)} ||psi(t0)||^2
+    + (1 - e^{-Gt (t-t0)}) sup||g1||^2/Gt^2 with slack
+    1e-6*(1 + ||psi(t0)||^2).  That bound meets the first sample, so
+    ``max_excess`` is read after it; ``pass`` is both verdicts."""
     cert = drv.certificate(params, spec).dissipative()
-    gt, n0_sq = cert.gamma_tilde, traj.norms[0] ** 2
-    bound = _gronwall(n0_sq, gt, cert.g1_sup ** 2 / gt, traj.times - traj.times[0])
-    excess = traj.norms ** 2 - bound - 1e-6 * (1 + n0_sq)
-    return {"ok": not np.any(excess > 0),
-            "max_excess": float(np.max(excess[min(1, excess.size - 1):]))}
+    gt, n2, times = cert.gamma_tilde, traj.norms ** 2, traj.times
+    dt = np.diff(times)
+    s = spec.g1.interval_sup(times[:-1], dt)
+    flagged = np.flatnonzero(n2[1:] - _gronwall(n2[:-1], gt, s * s / gt, dt)
+                             - 10 * traj.config.rtol * (1 + n2[:-1]) > 0)
+    excess = (n2 - _gronwall(n2[0], gt, cert.g1_sup ** 2 / gt, times - times[0])
+              - 1e-6 * (1 + n2[0]))
+    diss = {"ok": not flagged.size, "checked": dt.size,
+            "violations": flagged.size, "flagged": flagged.tolist()}
+    apriori = {"ok": not np.any(excess > 0),
+               "max_excess": float(np.max(excess[min(1, excess.size - 1):]))}
+    return {"dissipation": diss, "apriori": apriori,
+            "pass": diss["ok"] and apriori["ok"]}
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +130,8 @@ def verify_absorbing(traj: Trajectory, pred: dict) -> dict:
     # a plain bool: the times are numpy floats, and a record is plain JSON
     ok = bool(first_entry is not None and first_entry <= deadline + 1e-12
               and max_after <= limit)
-    return {"first_entry_t": first_entry, "max_norm_after_entry": max_after,
-            "pass": ok}
+    return {**pred, "first_entry_t": first_entry,
+            "max_norm_after_entry": max_after, "pass": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +158,11 @@ def predict_tail(xi: float, r: float, params: ModelParams,
 
 
 def verify_tail(traj: Trajectory, pred: dict) -> dict:
+    """Assert the tail beyond the cutoff is at most xi past t0 + T."""
     if traj.tails is None or traj.tail_cutoff != pred["cutoff"]:
         raise DomainError("trajectory lacks a tail series at the predicted cutoff")
     _, max_tail = _after_entry(traj, traj.tails, pred["entry_time"])
-    return {"max_tail_after_entry": max_tail,
+    return {**pred, "max_tail_after_entry": max_tail,
             "pass": bool(max_tail <= pred["xi"])}
 
 
@@ -229,6 +226,7 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
     b_0 = gap(0); ``growth_rate`` is the largest -gap_rate(Rbar_i).  Both
     runs are stored, and ||w|| is taken at each sample.  The record holds
     ``gap`` and ``bound`` at every sample, and their largest values."""
+    dg1, dg2 = spec.g1.hull_gap(h), spec.g2.hull_gap(h)
     tb = integrate(theta, 0.0, horizon, params, spec, config)
     ta = integrate(theta_n, 0.0, horizon, params, spec, config, shifts=[h])
     gap = np.array([math.sqrt(norm_sq(a - b))
@@ -238,7 +236,6 @@ def continuity_gap(params: ModelParams, spec: DrivingSpec, h: float,
                     cert.g1_sup, ta.times)
     r_bar = np.maximum(env[:-1], env[1:])
     rates = cert.gap_rate(r_bar)
-    dg1, dg2 = spec.g1.hull_gap(h), spec.g2.hull_gap(h)
     bound = [gap[0]]
     for rate, force, dt in zip(rates, dg1 + r_bar * dg2, np.diff(ta.times)):
         bound.append(float(_gronwall(bound[-1], rate, force, dt)))
@@ -335,10 +332,10 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     multiples of the driving's ``section_period`` T from the first one past
     a burn-in of T(1) + 20/Gamma, by when the trajectory has settled into
     the absorbing ball.  Returns their times (n_points,) and
-    (n_points, 2*n_sites) real coordinates.  Refused when no field of
-    nonzero norm has a nonconstant law, as there is no period to sample at,
-    and when T is over 1e9 times the burn-in, which then rounds to no
-    period, so the section would start at the unsettled initial state.
+    (n_points, 2*n_sites) real coordinates.  Refused where
+    ``section_period`` refuses the driving, and when T is over 1e9 times
+    the burn-in, which then rounds to no period, so the section would
+    start at the unsettled initial state.
 
     The orbit is cut into B chunks of c points, stepped side by side as one
     batch (``integrate`` with hull shifts): member b starts from the orbit's
@@ -349,9 +346,6 @@ def poincare_points(params: ModelParams, spec: DrivingSpec, n_points: int,
     orbit's order and the Theiler window its meaning.  ``_section_batch``
     picks B and c."""
     period = spec.section_period
-    if period is None:
-        raise DomainError("no driving field of nonzero norm has a "
-                          "nonconstant law: no section period")
     config = replace(config, sample_stride=period)
     pred = predict_absorbing(params, spec, r=1.0)
     settle = pred["entry_time"] + 20.0 / pred["gamma_eff"]

@@ -12,8 +12,9 @@ phase shift.  ``certificate`` collects the constants every estimate rests
 on (effective damping, absorbing radius, breather ball, gap rate) in one
 place.  Every other fact a check reads from a driving is a method here
 too, with the profile's norm on l^2(Z): a field's tail cutoff, hull gap
-and core, and the period a section samples at.  No other module reads a
-law's terms.
+and core, the driving's period (the one refusal of a driving with none)
+and the period a section samples at.  No other module reads a law's
+terms.
 """
 
 from __future__ import annotations
@@ -200,8 +201,12 @@ class CosineLaw:
 
     def shifted(self, h: float) -> tuple:
         """The terms of the law translated by h in its hull, t -> t + h:
-        each phase p_j becomes p_j + w_j*h."""
-        return tuple((a, w, p + w * h) for a, w, p in self.terms)
+        each phase p_j becomes p_j + w_j*h, refused unless a finite float."""
+        terms = tuple((a, w, p + w * h) for a, w, p in self.terms)
+        if not all(math.isfinite(p) for _, _, p in terms):
+            raise DomainError(f"hull shift {h!r} takes a phase p + w*h of the "
+                              f"driving law past the float range")
+        return terms
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +257,11 @@ class DrivingField:
     def hull_gap(self, h: float) -> float:
         """sup_t ||g(t + h) - g(t)|| in l^2(Z), in closed form:
         ||p|| * sum_j 2|a_j sin(w_j h/2)|, from
-        |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|."""
+        |cos(w(s+h)+phi) - cos(ws+phi)| <= 2|sin(wh/2)|; refused where
+        ``CosineLaw.shifted`` refuses h."""
         return math.sqrt(self.profile.l2_norm_sq()) * math.fsum(
-            2.0 * abs(a * math.sin(w * h / 2.0)) for a, w, _ in self.law.terms)
+            2.0 * abs(a * math.sin(w * h / 2.0))
+            for a, w, _ in self.law.shifted(h))
 
     def interval_sup(self, t: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """Bound on ||g(s)|| over each [t, t + dt]: the law's derivative is
@@ -358,36 +365,35 @@ class DrivingSpec:
                           else None) for g in (self.g1, self.g2)], n_sites)
 
     @property
-    def aperiodic(self) -> tuple:
-        """(config path, law) of each nonzero field whose law has no
-        period."""
-        return tuple((f"driving.{name}.law", g.law)
-                     for name, g in (("g1", self.g1), ("g2", self.g2))
-                     if g.law.period == math.inf and g.sup_norm() > 0)
-
-    @property
-    def section_period(self) -> float | None:
-        """The period a stroboscopic section samples at: the driving's
-        ``period``, or for a harmonic sum, which has none, 2 pi/|w| of its
-        first harmonic (cos is even); None when every law of a nonzero
-        field is constant."""
-        if self.aperiodic:
-            _, law = self.aperiodic[0]
-            return 2 * math.pi / abs(law.terms[0][1])
+    def section_period(self) -> float:
+        """The period a stroboscopic section samples at: for a harmonic sum
+        of nonzero norm, which has no period, 2 pi/|w| of its first
+        harmonic (cos is even), else ``period``."""
+        for g in (self.g1, self.g2):
+            if g.law.period == math.inf and g.sup_norm() > 0:
+                return 2 * math.pi / abs(g.law.terms[0][1])
         return self.period
 
     @property
-    def period(self) -> float | None:
-        """Common driving period: None if a law has none (``aperiodic``),
-        or if every law is constant, since constant laws are compatible
-        with any period.  A field of zero norm sets no period.  Of two
-        periods one must be an integer multiple of the other (to the
-        tolerance of ``_is_commensurate``), and the longer is the common
-        one."""
-        periods = [f.law.period for f in (self.g1, self.g2)
-                   if f.law.period is not None and f.sup_norm() > 0]
-        if not periods or math.inf in periods:
-            return None
+    def period(self) -> float:
+        """Common driving period of the fields of nonzero norm (a field of
+        zero norm sets none).  Refused when one of them has a harmonic sum,
+        which has no period, and when all have constant laws, which are
+        compatible with any period.  Of two periods one must be an integer
+        multiple of the other (to the tolerance of ``_is_commensurate``),
+        and the longer is the common one."""
+        periods = []
+        for name, g in (("g1", self.g1), ("g2", self.g2)):
+            if g.law.period is None or not g.sup_norm() > 0:
+                continue
+            if g.law.period == math.inf:
+                raise DomainError(f"driving.{name}.law is a harmonic sum, "
+                                  f"which has no period")
+            periods.append(g.law.period)
+        if not periods:
+            raise DomainError("driving has no period: no field of nonzero "
+                              "norm has a periodic law (kind \"periodic\" in "
+                              "driving.g1.law or driving.g2.law)")
         if len(periods) == 2 and not math.isclose(periods[0], periods[1], rel_tol=1e-12):
             short, long = sorted(periods)
             if not _is_near(long / short, round(long / short)):

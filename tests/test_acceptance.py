@@ -19,10 +19,10 @@ import pytest
 import dnls.breather
 from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
-                  certificate, check_apriori_bound, contraction_rate,
-                  correlation_dimension, find_breather, integrate,
-                  monitor_dissipation, poincare_points, predict_absorbing,
-                  predict_tail, verify_absorbing, verify_breather, verify_tail)
+                  certificate, contraction_rate, correlation_dimension,
+                  find_breather, integrate, poincare_points,
+                  predict_absorbing, predict_tail, verify_absorbing,
+                  verify_bounds, verify_breather, verify_tail)
 from dnls.config import load_config
 from dnls.integrator import ORACLE_CONFIG
 from dnls.lattice import make_rhs, norm_sq, random_state
@@ -180,11 +180,11 @@ def test_criterion_3_dissipation_and_apriori(report):
     params, spec = _dissipative_scenario()
     psi0 = random_state(256, 0, norm=2.0)
     traj = integrate(psi0, 0.0, 50.0, params, spec)
-    diss = monitor_dissipation(traj, params, spec)
-    bound = check_apriori_bound(traj, params, spec)
+    rec = verify_bounds(traj, params, spec)
+    diss = rec["dissipation"]
     elapsed = time.perf_counter() - t_start
     report(3, "dissipation inequality and a-priori bound",
-            diss["ok"] and bound["ok"] and elapsed < 30.0,
+            rec["pass"] and elapsed < 30.0,
             f"{diss['checked']} intervals, {diss['violations']} violations, "
             f"{elapsed:.1f}s")
 
@@ -360,8 +360,7 @@ def test_criterion_9_mutation_tests(report):
     # sanity: the honest trajectory passes everything
     assert verify_absorbing(traj, pred_abs)["pass"]
     assert verify_tail(traj, pred_tail)["pass"]
-    assert monitor_dissipation(traj, params, spec)["ok"]
-    assert check_apriori_bound(traj, params, spec)["ok"]
+    assert verify_bounds(traj, params, spec)["pass"]
 
     # absorbing: push the late norms outside the ball
     norms = traj.norms.copy()
@@ -376,12 +375,14 @@ def test_criterion_9_mutation_tests(report):
     # dissipation: inject an energy jump mid-trajectory
     jumped = traj.norms.copy()
     jumped[jumped.size // 2:] += 5.0
-    diss_fails = not monitor_dissipation(
-        dataclasses.replace(traj, norms=jumped), params, spec)["ok"]
+    diss_fails = not verify_bounds(
+        dataclasses.replace(traj, norms=jumped), params,
+        spec)["dissipation"]["ok"]
 
     # a-priori bound: same inflated norms must violate the envelope
-    apriori_fails = not check_apriori_bound(
-        dataclasses.replace(traj, norms=traj.norms + 10.0), params, spec)["ok"]
+    apriori_fails = not verify_bounds(
+        dataclasses.replace(traj, norms=traj.norms + 10.0), params,
+        spec)["apriori"]["ok"]
 
     # breather periodicity: a perturbed state is not a periodic orbit
     bparams, bspec = _breather_scenario()

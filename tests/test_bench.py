@@ -40,6 +40,9 @@ def test_measure_gives_every_entry_and_restores_the_spies(monkeypatch):
             str(bench.RUNS[model][0])}
         for entry in ("rhs_us", "attempt_us"):
             assert column[model][entry].keys() == {"64"}
+    # the energy check on simulate's run, at its N = 4096
+    assert column["simulate"]["bounds_ms"].keys() == {"4096"}
+    assert "bounds_ms" not in column["dimension"]
     members = column["dimension"]["section_members"]["150"]
     assert column["dimension"]["member_step_us"].keys() == {"1", str(members)}
     for entry in ("section_s", "pair_count_ms"):

@@ -520,8 +520,8 @@ class TestCli:
         from dnls import diagnostics as dg
 
         def always_fail(traj, pred):
-            return {"first_entry_t": None, "max_norm_after_entry": math.inf,
-                    "pass": False}
+            return {**pred, "first_entry_t": None,
+                    "max_norm_after_entry": math.inf, "pass": False}
 
         monkeypatch.setattr(cli.dg, "verify_absorbing", always_fail)
         assert cli.main(["absorbing", "--config",
@@ -803,6 +803,25 @@ class TestCli:
             "config error: period 1e-320 is too short: its frequency "
             "2 pi/period is not a finite float\n")
 
+    @pytest.mark.parametrize("shift", [1e308, -1e308])
+    def test_hull_shift_whose_phase_overflows(self, tmp_path, capsys,
+                                              monkeypatch, shift):
+        # 2 pi*1e308 is inf: refused before any integration, not a NaN
+        # right-hand side that rejects every step, nor a math domain error
+        # in the hull gap
+        calls = []
+        monkeypatch.setattr(dnls.diagnostics, "integrate",
+                            lambda *a, **k: calls.append(a))
+        _, data = _edited_data("absorbing.json",
+                               ("driving", "g1", "law", "period"), 1.0)
+        data["scenario"]["driving_shift"] = shift
+        assert cli.main(["continuity", "--config",
+                         _write(tmp_path, data)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: hull shift {shift!r} takes a phase p + w*h of "
+            f"the driving law past the float range\n")
+        assert calls == []
+
     def test_dimension_of_a_synchronized_section(self, tmp_path):
         # absorbing.json's strongly damped model synchronizes its section to
         # one point up to round-off: dimension 0, not a failed line fit
@@ -863,8 +882,9 @@ class TestCli:
         if period is None:
             assert cli.main(argv) == cli.EXIT_CONFIG
             assert capsys.readouterr().err == (
-                "config error: no driving field of nonzero norm has a "
-                "nonconstant law: no section period\n")
+                "config error: driving has no period: no field of nonzero "
+                "norm has a periodic law (kind \"periodic\" in driving.g1.law "
+                "or driving.g2.law)\n")
             assert seen == []
         else:
             with pytest.raises(Sampled):
@@ -1099,9 +1119,9 @@ class TestCli:
         cfg = _edited(tmp_path, "breather.json", path, value)
         assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: driving is not periodic: no field of nonzero norm "
-            "has a periodic law, and breather needs one (kind \"periodic\" in "
-            "driving.g1.law or driving.g2.law)\n")
+            "config error: driving has no period: no field of nonzero norm "
+            "has a periodic law (kind \"periodic\" in driving.g1.law or "
+            "driving.g2.law)\n")
 
     @pytest.mark.parametrize("kappa", [0.0, 0.01])
     def test_breather_on_a_single_site_is_localized(self, tmp_path, capsys,
@@ -1143,6 +1163,15 @@ class TestCli:
         assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: driving.g2.law is a harmonic sum")
+
+    def test_breather_names_a_harmonic_g1(self, tmp_path, capsys):
+        cfg = _edited(tmp_path, "breather.json", ("driving", "g1", "law"), {
+            "kind": "harmonic", "frequencies": [1.0, math.sqrt(2.0)],
+            "amplitudes": [1.0, 1.0]})
+        assert cli.main(["breather", "--config", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: driving.g1.law is a harmonic sum, which has no "
+            "period\n")
 
     @pytest.mark.parametrize("ratio, code", [(2, cli.EXIT_PASS),
                                              (1.5, cli.EXIT_CONFIG)])

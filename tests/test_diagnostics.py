@@ -11,9 +11,9 @@ import pytest
 
 from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
-                  check_apriori_bound, continuity_gap, contraction_rate,
-                  correlation_dimension, integrate, predict_absorbing,
-                  predict_tail, translate, verify_absorbing, verify_tail)
+                  continuity_gap, contraction_rate, correlation_dimension,
+                  integrate, predict_absorbing, predict_tail, translate,
+                  verify_absorbing, verify_bounds, verify_tail)
 from dnls import cli
 from dnls import diagnostics as dg
 from dnls.config import load_config
@@ -45,15 +45,17 @@ class TestAprioriBound:
         params, spec = _scenario()
         psi0 = random_state(64, 0, norm=3.0)
         traj = integrate(psi0, 0.0, 10.0, params, spec)
-        assert check_apriori_bound(traj, params, spec)["ok"]
+        assert verify_bounds(traj, params, spec)["apriori"]["ok"]
 
     def test_fails_on_inflated_norms(self):
         params, spec = _scenario()
         psi0 = random_state(64, 0, norm=3.0)
         traj = integrate(psi0, 0.0, 10.0, params, spec)
         bad = dataclasses.replace(traj, norms=traj.norms + 10.0)
-        report = check_apriori_bound(bad, params, spec)
-        assert not report["ok"] and report["max_excess"] > 0
+        report = verify_bounds(bad, params, spec)
+        apriori = report["apriori"]
+        assert not apriori["ok"] and apriori["max_excess"] > 0
+        assert report["pass"] is False
 
 
 class TestAbsorbing:
@@ -78,6 +80,7 @@ class TestAbsorbing:
         report = verify_absorbing(traj, pred)
         assert report["pass"]
         assert report["first_entry_t"] <= pred["entry_time"]
+        assert report.items() >= pred.items()  # the command's whole record
 
     def test_verify_rejects_short_trajectory(self):
         params, spec = _scenario()
@@ -129,7 +132,8 @@ class TestTail:
         psi0 = random_state(128, 0, norm=1.0)
         traj = integrate(psi0, 0.0, 2.0 * pred["entry_time"] + 2.0, params, spec,
                          tail_cutoff=pred["cutoff"])
-        assert verify_tail(traj, pred)["pass"]
+        report = verify_tail(traj, pred)
+        assert report["pass"] and report.items() >= pred.items()
         inflated = dataclasses.replace(traj, tails=traj.tails + 1.0)
         assert not verify_tail(inflated, pred)["pass"]
 
@@ -481,8 +485,10 @@ class TestSection:
         # stepping
         with pytest.raises(DomainError) as err:
             self._section(5, DrivingSpec(g1=DrivingField(profile, law)))
-        assert str(err.value) == ("no driving field of nonzero norm has a "
-                                  "nonconstant law: no section period")
+        assert str(err.value) == (
+            'driving has no period: no field of nonzero norm has a '
+            'periodic law (kind "periodic" in driving.g1.law or '
+            'driving.g2.law)')
         assert self.shifts == []
 
     @pytest.mark.parametrize("n_points, batched", [(5, False), (100, True)])

@@ -149,6 +149,17 @@ class TestTemporalLaws:
         constant = CosineLaw.constant(0.3)
         assert constant.shifted(1.3) == constant.terms
 
+    @pytest.mark.parametrize("h", [1e308, -1e308])
+    def test_shift_whose_phase_overflows(self, h):
+        # 2 pi*h is not a finite float: the translate and the hull gap both
+        # refuse it; a constant law has no phase to move
+        field = DrivingField(SpatialProfile.single_site(1.0),
+                             CosineLaw.periodic(period=1.0))
+        for call in (field.law.shifted, field.hull_gap):
+            with pytest.raises(DomainError, match="past the float range"):
+                call(h)
+        assert CosineLaw.constant(0.3).shifted(h) == ((0.3, 0.0, 0.0),)
+
     def test_harmonic_rejects_commensurate(self):
         with pytest.raises(DomainError):
             CosineLaw.harmonic(frequencies=(1.0, 2.0), amplitudes=(1.0, 1.0))
@@ -191,7 +202,8 @@ class TestDrivingSpec:
         spec = self._spec()
         assert spec.period == pytest.approx(2 * math.pi)
         const = DrivingSpec(g1=DrivingField(SpatialProfile.zero()))
-        assert const.period is None
+        with pytest.raises(DomainError, match="driving has no period"):
+            const.period
         def both(p1, p2, profile=SpatialProfile.single_site(0.1)):
             return DrivingSpec(*(DrivingField(profile,
                                               CosineLaw.periodic(period=p))
@@ -207,12 +219,17 @@ class TestDrivingSpec:
                                       amplitudes=(1.0, 1.0))
         mixed = replace(spec, g2=DrivingField(SpatialProfile.single_site(0.1),
                                               harmonic))
-        assert mixed.period is None
-        assert [path for path, _ in mixed.aperiodic] == ["driving.g2.law"]
+        with pytest.raises(DomainError) as err:
+            mixed.period
+        assert str(err.value) == ("driving.g2.law is a harmonic sum, which "
+                                  "has no period")
+        # ... though a section samples it at its first harmonic's period
+        assert mixed.section_period == pytest.approx(2 * math.pi)
         # a field of zero norm sets no period, whatever its law
-        assert both(1.0, 1.5, SpatialProfile.zero()).period is None
+        with pytest.raises(DomainError, match="driving has no period"):
+            both(1.0, 1.5, SpatialProfile.zero()).period
         off = replace(mixed, g2=DrivingField(SpatialProfile.zero(), harmonic))
-        assert off.aperiodic == () and off.period == pytest.approx(2 * math.pi)
+        assert off.period == pytest.approx(2 * math.pi)
         assert off.section_period == off.period
 
     def test_translate_shifts_samples(self):

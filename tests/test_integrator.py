@@ -1,5 +1,5 @@
 """Adaptive integrator against closed-form oracles, plus the dissipation
-monitor (``diagnostics.monitor_dissipation``) on its trajectories."""
+monitor (``diagnostics.verify_bounds``) on its trajectories."""
 
 import dataclasses
 import functools
@@ -15,7 +15,7 @@ import pytest
 
 from dnls import (CosineLaw, DrivingField, DrivingSpec, IntegratorConfig,
                   LatticeState, ModelParams, NonlinearitySpec, SpatialProfile,
-                  integrate, load_config, monitor_dissipation)
+                  integrate, load_config, verify_bounds)
 from dnls import diagnostics as dg
 from dnls import integrator
 from dnls.diagnostics import _gronwall, predict_absorbing
@@ -588,7 +588,7 @@ class TestDissipationMonitor:
         params, spec = self._scenario()
         psi0 = random_state(64, 0, norm=2.0)
         traj = integrate(psi0, 0.0, 5.0, params, spec)
-        report = monitor_dissipation(traj, params, spec)
+        report = verify_bounds(traj, params, spec)["dissipation"]
         assert report["ok"]
         assert report["checked"] == traj.n_samples - 1
 
@@ -599,7 +599,7 @@ class TestDissipationMonitor:
         norms = traj.norms.copy()
         norms[20:] += 5.0  # a jump no dissipative flow can produce
         bad = dataclasses.replace(traj, norms=norms)
-        assert not monitor_dissipation(bad, params, spec)["ok"]
+        assert not verify_bounds(bad, params, spec)["dissipation"]["ok"]
 
     def test_detects_realistic_energy_ramp(self):
         # simulate.json's scenario; after t = 25, ||psi||^2 gains 1% of the
@@ -607,13 +607,13 @@ class TestDissipationMonitor:
         psi0, t1, cfg = _bundled_run("simulate.json")
         traj = integrate(psi0, 0.0, t1, cfg.model, cfg.driving,
                          cfg.integrator, keep_states=False)
-        honest = monitor_dissipation(traj, cfg.model, cfg.driving)
+        honest = verify_bounds(traj, cfg.model, cfg.driving)["dissipation"]
         assert honest["ok"]
         gt = certificate(cfg.model, cfg.driving).gamma_tilde
         rate = 0.01 * cfg.driving.g1.sup_norm() ** 2 / gt
         n2 = traj.norms ** 2 + rate * np.maximum(traj.times - 25.0, 0.0)
         ramped = dataclasses.replace(traj, norms=np.sqrt(n2))
-        assert not monitor_dissipation(ramped, cfg.model, cfg.driving)["ok"]
+        assert not verify_bounds(ramped, cfg.model, cfg.driving)["dissipation"]["ok"]
 
     def test_detects_energy_step(self):
         # simulate.json's scenario with 0.05 added to ||psi||^2 from t = 25
@@ -623,7 +623,7 @@ class TestDissipationMonitor:
                          cfg.integrator, keep_states=False)
         n2 = traj.norms ** 2 + 0.05 * (traj.times >= 25.0)
         stepped = dataclasses.replace(traj, norms=np.sqrt(n2))
-        report = monitor_dissipation(stepped, cfg.model, cfg.driving)
+        report = verify_bounds(stepped, cfg.model, cfg.driving)["dissipation"]
         first = int(np.argmax(traj.times >= 25.0))
         assert report["flagged"] == [first - 1]
 
@@ -634,4 +634,4 @@ class TestDissipationMonitor:
         psi0 = random_state(64, 0, norm=1.0)
         traj = integrate(psi0, 0.0, 1.0, weak, spec)
         with pytest.raises(DomainError, match=r"need gamma > 2\*sup"):
-            monitor_dissipation(traj, weak, spec)
+            verify_bounds(traj, weak, spec)
